@@ -16,19 +16,21 @@ never enumerates worlds:
                 single-element atoms, edge weight from the model count of
                 the cross atoms between two elements
 
-Cardinality constraints ride through the computation as symbolic weights;
-one polynomial coefficient is read off at the end.  All arithmetic is
-exact integer arithmetic.
+One pass of the dynamic program yields every domain size up to the
+requested length.  Cardinality constraints ride through the computation as
+symbolic weights, and one polynomial coefficient is read off per domain
+size.  All arithmetic is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass, field
-from operator import mul
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 from .logic import (
     EXISTS,
@@ -61,15 +63,24 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class CardinalityConstraint:
-    """Requires the number of true ground atoms of pred to equal
-    coeffs[0]*n^2 + coeffs[1]*n + coeffs[2] at domain size n."""
+    """Requires the number of ground atoms of pred that are true (false when
+    negated) to equal coeffs[0]*n^2 + coeffs[1]*n + coeffs[2] at domain
+    size n."""
 
     pred: str
     coeffs: tuple[int, int, int]
+    negated: bool = False
 
     def target(self, n: int) -> int:
         a2, a1, a0 = self.coeffs
         return a2 * n * n + a1 * n + a0
+
+    def complement(self, arity: int) -> CardinalityConstraint:
+        """The same requirement on the other polarity: of the n^arity
+        ground atoms, the rest take the other truth value."""
+        total = (1, 0, 0) if arity == 2 else (0, 1, 0)
+        coeffs = tuple(t - a for t, a in zip(total, self.coeffs))
+        return CardinalityConstraint(self.pred, coeffs, not self.negated)
 
 
 @dataclass
@@ -118,6 +129,12 @@ def reduce_counting(
     Adds fresh defining predicates (weights (1, 1)) to weights/used when a
     counted reflexive atom or an E=1 x V y prefix needs one.  Only k = 1 is
     supported; mixed counting/existential prefixes are rejected.
+
+    Each constraint counts the atoms on the counted literal's own polarity,
+    whose target (n for a binary atom, 1 for a unary one) has the lowest
+    degree in n, so the symbolic weight later carried for it stays sparse.
+    A predicate counted under both polarities keeps its first one, and its
+    other constraints are restated as complements.
     """
     out: list[Clause] = []
     constraints: list[CardinalityConstraint] = []
@@ -142,13 +159,11 @@ def reduce_counting(
         if kinds in (("C",), ("V", "C")):
             if lit.pred.arity == 2 and set(lit.args) == {"x", "y"}:
                 # row (or column) sums are all one exactly when each element
-                # has a witness and the total atom count is n (n^2-n negated)
+                # has a witness and n atoms in all satisfy the literal
                 out.append(pair(FORALL, EXISTS, [lit]))
-                coeffs = (1, -1, 0) if lit.negated else (0, 1, 0)
-                constraints.append(CardinalityConstraint(pname, coeffs))
+                constraints.append(CardinalityConstraint(pname, (0, 1, 0), lit.negated))
             elif lit.pred.arity == 1:
-                coeffs = (0, 1, -1) if lit.negated else (0, 0, 1)
-                constraints.append(CardinalityConstraint(pname, coeffs))
+                constraints.append(CardinalityConstraint(pname, (0, 0, 1), lit.negated))
             else:
                 # counted reflexive atom: define D(x) <-> lit(x,x), count D
                 d = Predicate(_fresh(used, "D"), 1)
@@ -165,6 +180,14 @@ def reduce_counting(
             out.append(pair(FORALL, FORALL, [aatom.negate(), lit]))
             out.append(pair(FORALL, EXISTS, [aatom, lit.negate()]))
             constraints.append(CardinalityConstraint(a.name, (0, 0, 1)))
+    arity = {lit.pred.name: lit.pred.arity for c in clauses for lit in c.body}
+    negated: dict[str, bool] = {}
+    for c in constraints:
+        negated.setdefault(c.pred, c.negated)
+    constraints = [
+        c if c.negated == negated[c.pred] else c.complement(arity[c.pred])
+        for c in constraints
+    ]
     return out, constraints
 
 
@@ -268,7 +291,6 @@ class CellGraph:
     cells: list[tuple[bool, ...]]
     weights: list[Value]
     r: list[list[Value]]
-    cvars: tuple[str, ...]
     _merged: tuple | None = field(default=None, repr=False)
     _dp_order: list[int] | None = field(default=None, repr=False)
 
@@ -278,7 +300,10 @@ def build_cell_graph(
     weights: WeightMap,
     sig_preds: Sequence[Predicate],
     cvars: tuple[str, ...] = (),
+    negated: Collection[str] = (),
 ) -> CellGraph:
+    """Cell graph whose constrained predicates cvars carry a symbolic weight
+    on their true atoms, or on their false atoms for those in negated."""
     unary = sorted(p for p in sig_preds if p.arity == 1)
     binary = sorted(p for p in sig_preds if p.arity == 2)
     atom_preds = unary + binary
@@ -287,9 +312,10 @@ def build_cell_graph(
 
     def wpair(p: Predicate) -> tuple[Value, Value]:
         w, wbar = weights.get(p.name, (1, 1))
-        if p.name in cvar_set:
-            return Poly.variable(cvars, p.name), wbar
-        return w, wbar
+        if p.name not in cvar_set:
+            return w, wbar
+        x = Poly.variable(cvars, p.name)
+        return (w, x) if p.name in negated else (x, wbar)
 
     atom_w = [wpair(p) for p in atom_preds]
 
@@ -372,11 +398,7 @@ def build_cell_graph(
                 mask >>= 1
                 a += 1
             r[i][j] = r[j][i] = total
-    return CellGraph(atom_preds, cells, cell_weights, r, cvars)
-
-
-def _is_zero(v: Value) -> bool:
-    return v == 0 if isinstance(v, int) else v.is_zero()
+    return CellGraph(atom_preds, cells, cell_weights, r)
 
 
 def _merge_cells(g: CellGraph) -> tuple[list[Value], list[list[Value]]]:
@@ -389,7 +411,7 @@ def _merge_cells(g: CellGraph) -> tuple[list[Value], list[list[Value]]]:
     if g._merged is not None:
         return g._merged
     q = len(g.cells)
-    live = [i for i in range(q) if not _is_zero(g.weights[i])]
+    live = [i for i in range(q) if g.weights[i]]
     key = [[canonical_value(v) for v in row] for row in g.r]
     groups: list[list[int]] = []
     for i in live:
@@ -410,7 +432,7 @@ def _merge_cells(g: CellGraph) -> tuple[list[Value], list[list[Value]]]:
         w: Value = 0
         for i in grp:
             w = w + g.weights[i]
-        if not _is_zero(w):
+        if w:
             weights.append(w)
             kept_groups.append(grp)
     reps = [grp[0] for grp in kept_groups]
@@ -450,200 +472,92 @@ def _greedy_cell_order(r: list[list[Value]], q: int) -> list[int]:
 
 def evaluate_cell_sum(
     g: CellGraph,
-    n: int,
+    length: int,
     caps: Sequence[int] | None = None,
     deadline: float | None = None,
-) -> Value:
-    """Weighted sum over all assignments of n elements to cells.
+) -> list[Value]:
+    """Weighted sums over all assignments of n elements to cells, for every
+    n = 1 .. length in one pass; item n-1 holds the sum for n.
 
     Dynamic program over cells: a partial composition of the domain affects
-    the rest of the sum only through its unassigned count and, for each
-    later cell, the accumulated product of cross-edge powers, so partial
-    compositions with equal summaries merge and their coefficients add.
+    the rest of the sum only through how many elements it used and, for
+    each later cell, the accumulated product of cross-edge powers, so
+    partial compositions with equal summaries merge and their coefficients
+    add.  The multinomial over element labels is built one cell at a time
+    as comb(used + c, c), so the states left after the last cell are the
+    sums for all domain sizes at once.
     """
     weights, r = _merge_cells(g)
     q = len(weights)
-    if q == 0:
-        return 0
-    capst = tuple(caps) if caps is not None else None
     order = g._dp_order
     if order is None or len(order) != q:
-        order = _greedy_cell_order(r, q)
-        g._dp_order = order
+        order = g._dp_order = _greedy_cell_order(r, q)
     w = [weights[i] for i in order]
     rr = [[r[a][b] for b in order] for a in order]
-    if capst is None and all(isinstance(v, int) for v in w) and all(
-        isinstance(v, int) for row in rr for v in row
-    ):
-        return _int_cell_dp(w, rr, q, n, deadline)
-    return _value_cell_dp(w, rr, q, n, capst, deadline)
+    # plain ints multiply natively and key states by value; symbolic values
+    # drop monomials above caps and key states on their canonical form so
+    # equal polynomials merge
+    if caps is None:
+        mul, key = operator.mul, None
+    else:
+        mul, key = functools.partial(mul_values, caps=tuple(caps)), canonical_value
 
-
-def _pow_row(base: int, emax: int) -> list[int]:
-    row = [1] * (emax + 1)
-    v = 1
-    for e in range(1, emax + 1):
-        v *= base
-        row[e] = v
-    return row
-
-
-def _int_cell_dp(
-    w: list[int],
-    rr: list[list[int]],
-    q: int,
-    n: int,
-    deadline: float | None,
-) -> int:
-    """Plain-integer DP; zero factors break the count loop since every
-    higher count keeps the zero."""
-    if q == 1:
-        return rr[0][0] ** (n * (n - 1) // 2) * w[0] ** n
-    # states[rem] maps future-interaction tuples to coefficients; tuple slot
-    # t holds prod over processed cells p of rr[p][i+t]^{count_p}
-    states: dict[int, dict[tuple[int, ...], int]] = {n: {(1,) * q: 1}}
-    total = 0
+    # states[used] maps a key of accs to [accs, coeff]; accs[t] holds the
+    # product over processed cells p of rr[p][i+t] ** count_p
+    ones = (1,) * q
+    states: dict[int, dict[tuple, list]] = {0: {ones: [ones, 1]}}
     ticker = 0
-    for i in range(q - 1):
-        fold = i == q - 2
-        wtab = _pow_row(w[i], n)
-        dtab = _pow_row(rr[i][i], n * (n - 1) // 2)
-        rows = [_pow_row(rr[i][j], n) for j in range(i + 1, q)]
-        mults = [tuple(row[c] for row in rows) for c in range(n + 1)]
-        if fold:
-            wlast = _pow_row(w[q - 1], n)
-            dlast = _pow_row(rr[q - 1][q - 1], n * (n - 1) // 2)
-            powcache: dict[tuple[int, int], int] = {}
-        nxt: dict[int, dict[tuple[int, ...], int]] = {}
-        for rem, bucket in states.items():
-            binoms = [1] * (rem + 1)
-            b = 1
-            for c in range(1, rem + 1):
-                b = b * (rem - c + 1) // c
-                binoms[c] = b
-            if fold:
-                lastbase = [
-                    dlast[c2 * (c2 - 1) // 2] * wlast[c2] for c2 in range(rem + 1)
-                ]
-            for accs, coeff in bucket.items():
+    for i in range(q):
+        rows = [_powers(mul, rr[i][j], length) for j in range(i, q)]
+        # f[c] = rr[i][i] ** C(c, 2) * w[i] ** c: the cell's own atoms
+        f = [1]
+        for c in range(1, length + 1):
+            f.append(mul(mul(f[-1], rows[0][c - 1]), w[i]))
+        mults = [tuple(row[c] for row in rows[1:]) for c in range(length + 1)]
+        nxt: dict[int, dict[tuple, list]] = {u: {} for u in range(length + 1)}
+        for used, bucket in states.items():
+            for accs, coeff in bucket.values():
                 ticker += 1
-                if deadline is not None and ticker % 512 == 0:
+                if deadline is not None and ticker % 256 == 0:
                     if time.monotonic() > deadline:
                         raise BudgetExceeded
                 a0 = accs[0]
                 rest = accs[1:]
-                apow = 1
-                for c in range(rem + 1):
+                apow: Value = 1
+                binom = 1
+                for c in range(length - used + 1):
                     if c:
-                        apow *= a0
-                    f = dtab[c * (c - 1) // 2] * wtab[c] * apow
-                    if c and f == 0:
+                        apow = mul(apow, a0)
+                        binom = binom * (used + c) // c
+                    fc = mul(f[c], apow)
+                    # every larger count keeps a zero factor
+                    if not fc:
                         break
-                    contrib = coeff * binoms[c] * f
-                    if contrib == 0:
-                        continue
-                    if fold:
-                        # close out the final cell directly
-                        c2 = rem - c
-                        a1 = rest[0] * mults[c][0]
-                        pkey = (a1, c2)
-                        p = powcache.get(pkey)
-                        if p is None:
-                            p = powcache[pkey] = a1**c2
-                        total += contrib * lastbase[c2] * p
+                    contrib = mul(coeff * binom, fc)
+                    if not contrib:
                         continue
                     na = tuple(map(mul, rest, mults[c])) if c else rest
-                    slot = nxt.get(rem - c)
-                    if slot is None:
-                        nxt[rem - c] = {na: contrib}
+                    k = na if key is None else tuple(map(key, na))
+                    slot = nxt[used + c]
+                    prev = slot.get(k)
+                    if prev is None:
+                        slot[k] = [na, contrib]
                     else:
-                        prev = slot.get(na)
-                        slot[na] = contrib if prev is None else prev + contrib
-        if fold:
-            break
+                        prev[1] = prev[1] + contrib
         states = {
-            rem: {a: v for a, v in bucket.items() if v}
-            for rem, bucket in nxt.items()
+            used: {k: v for k, v in bucket.items() if v[1]}
+            for used, bucket in nxt.items()
         }
-    return total
+    # after the last cell no accumulators remain: one state per size
+    sums = {used: v[1] for used, bucket in states.items() for v in bucket.values()}
+    return [sums.get(n, 0) for n in range(1, length + 1)]
 
 
-def _value_cell_dp(
-    w: list[Value],
-    rr: list[list[Value]],
-    q: int,
-    n: int,
-    capst: tuple[int, ...] | None,
-    deadline: float | None,
-) -> Value:
-    """Same DP over symbolic weights; states key on canonical values so
-    equal polynomials merge."""
-    powers: dict[tuple[int, int], list[Value]] = {}
-
-    def pow_of(i: int, j: int, e: int) -> Value:
-        tab = powers.setdefault((i, j), [1])
-        base = rr[i][j]
-        while len(tab) <= e:
-            tab.append(mul_values(tab[-1], base, capst))
-        return tab[e]
-
-    wpow: dict[int, list[Value]] = {}
-
-    def pow_w(i: int, e: int) -> Value:
-        tab = wpow.setdefault(i, [1])
-        while len(tab) <= e:
-            tab.append(mul_values(tab[-1], w[i], capst))
-        return tab[e]
-
-    states: dict[tuple, list] = {(n,) + (1,) * q: [(1,) * q, 1]}
-    total: Value = 0
-    ticker = 0
-    for i in range(q):
-        last = i == q - 1
-        nxt: dict[tuple, list] = {}
-        for key, (accs, coeff) in states.items():
-            rem = key[0]
-            a0 = accs[0]
-            ticker += 1
-            if deadline is not None and ticker % 256 == 0:
-                if time.monotonic() > deadline:
-                    raise BudgetExceeded
-            if last:
-                f = pow_of(i, i, rem * (rem - 1) // 2)
-                f = mul_values(f, pow_w(i, rem), capst)
-                f = mul_values(f, pow_value(a0, rem, capst), capst)
-                term = mul_values(coeff, f, capst)
-                if not _is_zero(term):
-                    total = total + term
-                continue
-            binom = 1
-            apow: Value = 1
-            for c in range(rem + 1):
-                if c:
-                    binom = binom * (rem - c + 1) // c
-                    apow = mul_values(apow, a0, capst)
-                f = pow_of(i, i, c * (c - 1) // 2)
-                f = mul_values(f, pow_w(i, c), capst)
-                f = mul_values(f, apow, capst)
-                if c and _is_zero(f):
-                    break
-                contrib = mul_values(mul_values(coeff, binom), f, capst)
-                if _is_zero(contrib):
-                    continue
-                na = tuple(
-                    mul_values(accs[t], pow_of(i, i + t, c), capst)
-                    for t in range(1, q - i)
-                )
-                nkey = (rem - c,) + tuple(canonical_value(a) for a in na)
-                slot = nxt.get(nkey)
-                if slot is None:
-                    nxt[nkey] = [na, contrib]
-                else:
-                    slot[1] = slot[1] + contrib
-        if last:
-            break
-        states = {k: v for k, v in nxt.items() if not _is_zero(v[1])}
-    return total
+def _powers(mul, base: Value, emax: int) -> list[Value]:
+    row: list[Value] = [1]
+    for _ in range(emax):
+        row.append(mul(row[-1], base))
+    return row
 
 
 @dataclass
@@ -653,26 +567,41 @@ class CompiledSentence:
     cvars: tuple[str, ...]
     base_weights: dict[str, int]
 
-    def value_at(self, n: int, deadline: float | None = None) -> int:
-        if n < 1:
-            raise ValueError("domain size must be at least 1")
+    def _targets(self, n: int) -> tuple[int, ...] | None:
+        """Per-cvar cardinality targets at n, or None if they cannot all hold."""
         targets: dict[str, int] = {}
         for c in self.constraints:
             t = c.target(n)
-            if targets.setdefault(c.pred, t) != t:
-                return 0
-        if any(t < 0 for t in targets.values()):
-            return 0
-        mono = tuple(targets[p] for p in self.cvars)
-        caps = mono if self.cvars else None
-        total: Value = 0
+            if t < 0 or targets.setdefault(c.pred, t) != t:
+                return None
+        return tuple(targets[p] for p in self.cvars)
+
+    def values(self, length: int, deadline: float | None = None) -> list[int]:
+        """Weighted counts for n = 1 .. length, one DP pass per branch.
+
+        The symbolic caps are the largest targets over the valid n, and each
+        n reads its own coefficient.
+        """
+        monos = [self._targets(n) for n in range(1, length + 1)]
+        valid = [m for m in monos if m is not None]
+        if not valid:
+            return [0] * length
+        caps = tuple(map(max, zip(*valid))) if self.cvars else None
+        out = [0] * length
         for factor, graph in self.branches:
-            v = evaluate_cell_sum(graph, n, caps, deadline)
-            total = total + mul_values(v, factor)
-        result = coeff_of(total, mono)
-        for p, t in targets.items():
-            result *= self.base_weights[p] ** t
-        return result
+            sums = evaluate_cell_sum(graph, length, caps, deadline)
+            for i, mono in enumerate(monos):
+                if mono is not None:
+                    out[i] += factor * coeff_of(sums[i], mono)
+        for i, mono in enumerate(monos):
+            for p, t in zip(self.cvars, mono or ()):
+                out[i] *= pow_value(self.base_weights[p], t)
+        return out
+
+    def value_at(self, n: int, deadline: float | None = None) -> int:
+        if n < 1:
+            raise ValueError("domain size must be at least 1")
+        return self.values(n, deadline)[-1]
 
 
 def compile_sentence(s: Sentence, weights: WeightMap | None = None) -> CompiledSentence:
@@ -686,10 +615,11 @@ def compile_sentence(s: Sentence, weights: WeightMap | None = None) -> CompiledS
     sig = {p for p in s.predicates if p.arity > 0}
     sig |= {lit.pred for c in clauses for lit in c.body if lit.pred.arity > 0}
     cvars = tuple(sorted({c.pred for c in constraints}))
-    base_weights = {p: w.get(p, (1, 1))[0] for p in cvars}
+    negated = {c.pred for c in constraints if c.negated}
+    base_weights = {p: w.get(p, (1, 1))[p in negated] for p in cvars}
 
     graphs = [
-        (factor, build_cell_graph(residual, w, sorted(sig), cvars))
+        (factor, build_cell_graph(residual, w, sorted(sig), cvars, negated))
         for factor, residual in branches
     ]
     return CompiledSentence(graphs, constraints, cvars, base_weights)
@@ -706,18 +636,19 @@ def compute_spectrum(
     weights: WeightMap | None = None,
     budget_secs: float | None = None,
 ) -> Spectrum:
-    """Model counts for n = 1 .. length, truncated if the budget runs out."""
+    """Model counts for n = 1 .. length.
+
+    All terms come out of one pass, so a budget that runs out before the
+    pass ends leaves no terms and the spectrum is marked truncated.
+    """
     deadline = time.monotonic() + budget_secs if budget_secs is not None else None
     compiled = compile_sentence(s, weights)
-    terms: list[int] = []
-    for n in range(1, length + 1):
-        if deadline is not None and time.monotonic() > deadline:
-            return Spectrum(terms, truncated=True)
-        try:
-            terms.append(compiled.value_at(n, deadline))
-        except BudgetExceeded:
-            return Spectrum(terms, truncated=True)
-    return Spectrum(terms, truncated=False)
+    if deadline is not None and time.monotonic() >= deadline:
+        return Spectrum([], truncated=True)
+    try:
+        return Spectrum(compiled.values(length, deadline))
+    except BudgetExceeded:
+        return Spectrum([], truncated=True)
 
 
 def _poly_serial(v: Value, perm: Sequence[int]):
@@ -795,20 +726,16 @@ def _graph_serial(g: CellGraph, perm: Sequence[int]) -> str:
     return f"{q}:{best}"
 
 
-def cell_graph_key(g: CellGraph) -> bytes:
-    """Isomorphism-invariant key: equal keys imply equal contributions."""
-    perms = itertools.permutations(range(len(g.cvars))) if g.cvars else [()]
-    best = min(_graph_serial(g, p) for p in perms)
-    return best.encode()
-
-
 def spectrum_fingerprint(s: Sentence, weights: WeightMap | None = None) -> bytes:
     """Key equal only for sentences whose spectra provably coincide.
 
     Covers the full compiled form: nullary branch factors, each branch's
-    cell graph up to isomorphism, cardinality targets, and constrained
-    predicates' base weights, minimized over renamings of the symbolic
-    constraint variables.
+    cell graph up to isomorphism, cardinality targets with the polarity
+    they count, and constrained predicates' base weights, minimized over
+    renamings of the symbolic constraint variables.  The polarity is
+    implied by the graphs; keying on it too keeps sentences that count
+    opposite polarities apart, as they were when every constraint counted
+    true atoms, so generation keeps the same sentences.
     """
     comp = compile_sentence(s, weights)
     k = len(comp.cvars)
@@ -818,7 +745,12 @@ def spectrum_fingerprint(s: Sentence, weights: WeightMap | None = None) -> bytes
             (factor, _graph_serial(g, perm)) for factor, g in comp.branches
         )
         cons = sorted(
-            (perm[comp.cvars.index(c.pred)], c.coeffs, comp.base_weights[c.pred])
+            (
+                perm[comp.cvars.index(c.pred)],
+                c.coeffs,
+                c.negated,
+                comp.base_weights[c.pred],
+            )
             for c in comp.constraints
         )
         serial = repr((graphs, cons))

@@ -35,8 +35,8 @@ class Poly:
         mono = tuple(int(j == i) for j in range(len(vars)))
         return cls(vars, {mono: 1})
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def _coerce(self, other) -> "Poly":
         if isinstance(other, Poly):

@@ -5,14 +5,16 @@ import random
 import pytest
 
 from combspec.engine import (
+    BudgetExceeded,
     Spectrum,
+    compile_sentence,
     compute_spectrum,
     spectrum_fingerprint,
     wfomc,
 )
 from combspec.generator import GenLimits, random_sentence
 from combspec.logic import FragmentError, parse_sentence
-from combspec.oracle import count_models
+from combspec.oracle import count_models, weighted_count
 
 MAXN_ORACLE = 4
 
@@ -129,6 +131,23 @@ def test_counting_reversed_args():
 @pytest.mark.parametrize(
     "text",
     [
+        "(V x E=1 y B(x,y)) & (V x E=1 y ~B(y,x))",
+        "(E=1 x U(x)) & (E=1 x ~U(x))",
+    ],
+)
+def test_counting_both_polarities(text):
+    # one predicate counted on its true and on its false atoms: only n = 2
+    # can meet both targets, by a permutation or a choice of the U element
+    s = parse_sentence(text)
+    terms = compute_spectrum(s, 6).terms
+    assert terms == [0, 2, 0, 0, 0, 0]
+    assert terms[:3] == oracle_terms(text, 3)
+    assert [wfomc(s, n) for n in range(1, 7)] == terms
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
         "(E=2 x U(x))",
         "(V x E=2 y B(x,y))",
         "(E=1 x E=1 y B(x,y))",
@@ -161,6 +180,27 @@ def test_random_sentences_match_oracle():
         checked += 1
 
 
+def test_random_weighted_sentences_match_oracle():
+    limits = GenLimits(max_literals=4, max_clauses=2, unary=1, binary=1, max_count=1)
+    names = [p.name for p in limits.predicates()]
+    rng = random.Random(20261017)
+    checked = flipped = 0
+    while checked < 300:
+        s = random_sentence(rng, limits)
+        weights = {p: (rng.randint(-2, 3), rng.randint(-2, 3)) for p in names}
+        try:
+            compiled = compile_sentence(s, weights)
+        except FragmentError:
+            continue
+        for n in range(1, 4):
+            want = weighted_count(s, n, weights)
+            assert wfomc(s, n, weights) == want, (s.render(), weights, n)
+        flipped += any(c.negated for c in compiled.constraints)
+        checked += 1
+    # enough sentences carry their symbolic weight on false atoms
+    assert flipped >= 20
+
+
 # budgets and determinism
 
 
@@ -169,6 +209,14 @@ def test_budget_zero_truncates():
     assert isinstance(out, Spectrum)
     assert out.truncated
     assert len(out.terms) < 10
+
+
+def test_budget_is_checked_inside_the_pass():
+    text = "(E x V y B(x,y) | U(y) | ~B(y,x)) & (E x V y B(x,y) | ~B(y,y))"
+    compiled = compile_sentence(parse_sentence(text))
+    # a deadline long past: the first periodic check inside the DP fires
+    with pytest.raises(BudgetExceeded):
+        compiled.values(12, deadline=0.0)
 
 
 def test_no_budget_never_truncates():
