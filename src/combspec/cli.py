@@ -209,7 +209,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
             print(line)
         if db is not None:
             print(f"db: {db.stats()}")
-    return EXIT_BUDGET if result.truncated else EXIT_OK
+    truncated = result.truncated or any(t for _, t in spectra.values())
+    return EXIT_BUDGET if truncated else EXIT_OK
 
 
 def cmd_db(args: argparse.Namespace) -> int:
@@ -250,15 +251,20 @@ def cmd_oeis(args: argparse.Namespace) -> int:
     if not args.db:
         raise ValueError("oeis needs --terms or --db")
     db = SpectrumDB(args.db)
-    rows = []
-    for rec in db.unique_records():
-        hits = lookup(list(rec.spectrum))
-        if hits:
-            db.set_oeis(rec.id, hits[0])
-        rows.append({"sentence": rec.sentence, "matches": hits})
-        if not args.json:
-            shown = ",".join(hits) if hits else "-"
-            print(f"{shown}\t{rec.sentence}")
+    rows, found = [], {}
+    try:
+        for rec in db.unique_records():
+            hits = lookup(list(rec.spectrum))
+            if hits:
+                found[rec.id] = hits[0]
+            rows.append({"sentence": rec.sentence, "matches": hits})
+            if not args.json:
+                shown = ",".join(hits) if hits else "-"
+                print(f"{shown}\t{rec.sentence}")
+    finally:
+        # an online lookup that fails part-way keeps the matches before it
+        if found:
+            db.set_oeis(found)
     if args.json:
         print(json.dumps(rows))
     return EXIT_OK

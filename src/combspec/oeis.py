@@ -79,11 +79,12 @@ _last_online_call = 0.0
 
 
 def _default_fetch(url: str) -> str:
-    import requests
+    # imported on first use to keep its import (tens of ms) out of start-up;
+    # urlopen raises HTTPError on any non-2xx status
+    import urllib.request
 
-    resp = requests.get(url, timeout=30)
-    resp.raise_for_status()
-    return resp.text
+    with urllib.request.urlopen(url, timeout=30) as resp:
+        return resp.read().decode("utf-8")
 
 
 def online_search(

@@ -1,21 +1,26 @@
 """JSON-Lines store for computed spectra.
 
-One record per sentence, append-only.  A new spectrum is checked against
-every stored unique record: it is a duplicate when the two prefixes agree
-on their common length (at least five terms), and product-redundant when
-it factors termwise into two stored unique spectra.  Terms are serialized
-as decimal strings since they routinely exceed every fixed-width integer.
+One record per sentence, append-only.  A new spectrum is a duplicate when
+its prefix agrees with a stored unique record's on their common length (at
+least five terms), and product-redundant when it factors termwise into two
+stored unique spectra.  Both are found by hash lookup on indexes kept up to
+date as records arrive, so an insert does not scan the store.  Terms are
+serialized as decimal strings since they routinely exceed every
+fixed-width integer.
 """
 
 from __future__ import annotations
 
 import json
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Mapping, Sequence
 
 MIN_OVERLAP = 5
+# mates tried per product lookup, so one query cannot take a quadratic pass
+PRODUCT_LOOKUPS = 20000
 
 
 @dataclass
@@ -39,16 +44,9 @@ class Record:
             "truncated": self.truncated,
             "status": self.status,
         }
-        if self.duplicate_of is not None:
-            doc["duplicate_of"] = self.duplicate_of
-        if self.product_of is not None:
-            doc["product_of"] = list(self.product_of)
-        if self.layer is not None:
-            doc["layer"] = self.layer
-        if self.profile is not None:
-            doc["profile"] = self.profile
-        if self.oeis is not None:
-            doc["oeis"] = self.oeis
+        for key in ("duplicate_of", "product_of", "layer", "profile", "oeis"):
+            if getattr(self, key) is not None:
+                doc[key] = getattr(self, key)
         return json.dumps(doc, sort_keys=True)
 
     @classmethod
@@ -74,26 +72,60 @@ def _common_prefix_match(a: Sequence[int], b: Sequence[int]) -> bool:
     return k >= MIN_OVERLAP and tuple(a[:k]) == tuple(b[:k])
 
 
+def _head(spectrum: Sequence[int], mask: frozenset[int]) -> tuple:
+    return tuple(None if i in mask else spectrum[i] for i in range(MIN_OVERLAP))
+
+
+def _verified(factor: Record, mate: Record, spectrum: Sequence[int]) -> bool:
+    triples = list(zip(factor.spectrum, mate.spectrum, spectrum))
+    return (
+        len(triples) >= MIN_OVERLAP
+        and any(f != 1 for f, _, _ in triples)
+        and any(c != 1 for _, c, _ in triples)
+        and all(f * c == s for f, c, s in triples)
+    )
+
+
 class SpectrumDB:
-    """Append-only spectrum database backed by one JSONL file."""
+    """Append-only spectrum database backed by one JSONL file.
+
+    Records of at least MIN_OVERLAP terms sit in two indexes, in id order:
+    `_heads` maps a set of masked positions to the records keyed by their
+    first MIN_OVERLAP terms with those positions blanked (one index per
+    mask, built on first use), and `_by_second` maps a second term to its
+    records.  Lookups filter by status as they run, so a status change
+    needs no index update.
+    """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._lock = threading.Lock()
         self._records: list[Record] = []
         self._by_sentence: dict[str, Record] = {}
+        self._heads: dict[frozenset[int], dict[tuple, list[Record]]] = {}
+        self._by_second: dict[int, list[Record]] = {}
         if self.path.exists():
             with self.path.open() as fh:
                 for line in fh:
                     line = line.strip()
-                    if not line:
-                        continue
-                    rec = Record.from_json(line)
-                    self._records.append(rec)
-                    self._by_sentence[rec.sentence] = rec
+                    if line:
+                        self._add(Record.from_json(line))
 
-    def __len__(self) -> int:
-        return len(self._records)
+    def _add(self, rec: Record) -> None:
+        self._records.append(rec)
+        self._by_sentence[rec.sentence] = rec
+        if len(rec.spectrum) >= MIN_OVERLAP:
+            self._by_second.setdefault(rec.spectrum[1], []).append(rec)
+            for mask, index in self._heads.items():
+                index.setdefault(_head(rec.spectrum, mask), []).append(rec)
+
+    def _head_index(self, mask: frozenset[int]) -> dict[tuple, list[Record]]:
+        index = self._heads.get(mask)
+        if index is None:
+            index = self._heads[mask] = {}
+            for rec in self._records:
+                if len(rec.spectrum) >= MIN_OVERLAP:
+                    index.setdefault(_head(rec.spectrum, mask), []).append(rec)
+        return index
 
     def records(self) -> list[Record]:
         return list(self._records)
@@ -101,11 +133,9 @@ class SpectrumDB:
     def unique_records(self) -> list[Record]:
         return [r for r in self._records if r.status == "unique"]
 
-    def get(self, sentence: str) -> Record | None:
-        return self._by_sentence.get(sentence)
-
     def _find_duplicate(self, spectrum: Sequence[int]) -> Record | None:
-        for rec in self._records:
+        # the empty mask keys on the first MIN_OVERLAP terms themselves
+        for rec in self._head_index(frozenset()).get(spectrum[:MIN_OVERLAP], ()):
             if rec.status == "unique" and _common_prefix_match(
                 spectrum, rec.spectrum
             ):
@@ -113,73 +143,47 @@ class SpectrumDB:
         return None
 
     def _find_product(
-        self,
-        spectrum: Sequence[int],
-        pool: list[Record] | None = None,
-        exclude_id: int | None = None,
+        self, spectrum: Sequence[int], eligible: Callable[[Record], bool]
     ) -> tuple[int, int] | None:
-        """A pair of stored spectra whose termwise product matches.
+        """A pair of eligible stored spectra whose termwise product matches.
 
-        Dividing the query by a candidate factor determines the cofactor
-        head except at positions where both are zero, so mates are found by
-        hash lookup on the masked head and verified over the whole overlap.
-        Lookups are capped so an insert never degenerates to a quadratic
-        pass.  The all-ones factor is skipped (it would pair every spectrum
+        Factors are tried in id order, drawn from the records whose second
+        term divides the query's.  Dividing the query by a factor determines
+        the cofactor head except at positions where both are zero, so mates
+        are found by hash lookup on the masked head and verified over the
+        whole overlap.  At most PRODUCT_LOOKUPS eligible mates are tried per
+        query.  The all-ones factor is skipped (it would pair every spectrum
         with itself times nothing).
         """
         if len(spectrum) < MIN_OVERLAP:
             return None
-        carriers = pool if pool is not None else self.unique_records()
-        if exclude_id is not None:
-            carriers = [rec for rec in carriers if rec.id != exclude_id]
-
-        def verified(factor: Record, mate: Record) -> bool:
-            triples = list(zip(factor.spectrum, mate.spectrum, spectrum))
-            if len(triples) < MIN_OVERLAP:
-                return False
-            if all(f == 1 for f, _, _ in triples):
-                return False
-            if all(c == 1 for _, c, _ in triples):
-                return False
-            return all(f * c == s for f, c, s in triples)
-
-        indexes: dict[frozenset[int], dict[tuple, list[Record]]] = {}
-
-        def index_for(mask: frozenset[int]) -> dict[tuple, list[Record]]:
-            got = indexes.get(mask)
-            if got is None:
-                got = {}
-                for mate in carriers:
-                    if len(mate.spectrum) < MIN_OVERLAP:
-                        continue
-                    key = tuple(
-                        None if i in mask else mate.spectrum[i]
-                        for i in range(MIN_OVERLAP)
-                    )
-                    got.setdefault(key, []).append(mate)
-                indexes[mask] = got
-            return got
-
-        budget = 20000
-        for rec in carriers:
-            over = min(len(rec.spectrum), len(spectrum))
-            if over < MIN_OVERLAP:
+        s1, s2, budget = spectrum[1], spectrum[2], PRODUCT_LOOKUPS
+        factors = sorted(
+            chain.from_iterable(
+                recs for d, recs in self._by_second.items()
+                if (s1 % d == 0 if d else s1 == 0)
+            ),
+            key=attrgetter("id"),
+        )
+        for rec in factors:
+            f2 = rec.spectrum[2]
+            # the third term rejects most candidates before the full test
+            if (s2 % f2 if f2 else s2) or not eligible(rec) or any(
+                s % f if f else s for f, s in zip(rec.spectrum, spectrum)
+            ):
                 continue
-            factor = rec.spectrum[:over]
-            if any(s % f if f else s for f, s in zip(factor, spectrum)):
-                continue
-            mask = frozenset(
-                i for i in range(MIN_OVERLAP) if factor[i] == 0
-            )
             key = tuple(
-                None if i in mask else spectrum[i] // factor[i]
-                for i in range(MIN_OVERLAP)
+                s // f if f else None
+                for f, s in zip(rec.spectrum[:MIN_OVERLAP], spectrum)
             )
-            for mate in index_for(mask).get(key, ()):
+            mask = frozenset(i for i, k in enumerate(key) if k is None)
+            for mate in self._head_index(mask).get(key, ()):
+                if not eligible(mate):
+                    continue
                 budget -= 1
                 if budget < 0:
                     return None
-                if verified(rec, mate):
+                if _verified(rec, mate, spectrum):
                     return (rec.id, mate.id)
         return None
 
@@ -193,68 +197,64 @@ class SpectrumDB:
         oeis: str | None = None,
     ) -> Record:
         """Classify and append; re-inserting a sentence returns its record."""
-        with self._lock:
-            existing = self._by_sentence.get(sentence)
-            if existing is not None:
-                return existing
-            spectrum = tuple(int(t) for t in spectrum)
-            status, dup_of, prod_of = "unique", None, None
-            dup = self._find_duplicate(spectrum)
-            if dup is not None:
-                status, dup_of = "duplicate", dup.id
-            else:
-                prod = self._find_product(spectrum)
-                if prod is not None:
-                    status, prod_of = "product_redundant", prod
-            rec = Record(
-                id=len(self._records),
-                sentence=sentence,
-                spectrum=spectrum,
-                truncated=truncated,
-                status=status,
-                duplicate_of=dup_of,
-                product_of=prod_of,
-                layer=layer,
-                profile=profile,
-                oeis=oeis,
-            )
-            self._records.append(rec)
-            self._by_sentence[sentence] = rec
-            with self.path.open("a") as fh:
-                fh.write(rec.to_json() + "\n")
-            return rec
+        existing = self._by_sentence.get(sentence)
+        if existing is not None:
+            return existing
+        spectrum = tuple(int(t) for t in spectrum)
+        status, dup_of, prod_of = "unique", None, None
+        dup = self._find_duplicate(spectrum)
+        if dup is not None:
+            status, dup_of = "duplicate", dup.id
+        else:
+            prod = self._find_product(spectrum, lambda r: r.status == "unique")
+            if prod is not None:
+                status, prod_of = "product_redundant", prod
+        rec = Record(
+            id=len(self._records),
+            sentence=sentence,
+            spectrum=spectrum,
+            truncated=truncated,
+            status=status,
+            duplicate_of=dup_of,
+            product_of=prod_of,
+            layer=layer,
+            profile=profile,
+            oeis=oeis,
+        )
+        self._add(rec)
+        with self.path.open("a") as fh:
+            fh.write(rec.to_json() + "\n")
+        return rec
 
     def reclassify_products(self) -> int:
         """Re-run product detection over the whole store, order-independently.
 
         Insert-time detection only sees factors stored before the query, so
         a product whose factors arrive later stays unique until this pass.
-        Factors are drawn from all non-duplicate records, since a redundant
-        sequence still witnesses the factorization of another.  Returns the
-        number of records demoted.
+        Factors are drawn from all non-duplicate records but the query,
+        since a redundant sequence still witnesses the factorization of
+        another.  Returns the number of records demoted.
         """
-        with self._lock:
-            carriers = [r for r in self._records if r.status != "duplicate"]
-            demoted = 0
-            for rec in carriers:
-                if rec.status != "unique":
-                    continue
-                prod = self._find_product(
-                    rec.spectrum, pool=carriers, exclude_id=rec.id
-                )
-                if prod is not None:
-                    rec.status = "product_redundant"
-                    rec.product_of = prod
-                    demoted += 1
-            if demoted:
-                self._rewrite()
-            return demoted
-
-    def set_oeis(self, rec_id: int, oeis: str | None) -> None:
-        """Update one record's OEIS id and rewrite the file."""
-        with self._lock:
-            self._records[rec_id].oeis = oeis
+        demoted = 0
+        for rec in self._records:
+            if rec.status != "unique":
+                continue
+            prod = self._find_product(
+                rec.spectrum, lambda r: r.status != "duplicate" and r is not rec
+            )
+            if prod is not None:
+                rec.status = "product_redundant"
+                rec.product_of = prod
+                demoted += 1
+        if demoted:
             self._rewrite()
+        return demoted
+
+    def set_oeis(self, oeis_ids: Mapping[int, str | None]) -> None:
+        """Set the OEIS id of each record in {rec_id: oeis}; one rewrite."""
+        for rec_id, oeis in oeis_ids.items():
+            self._records[rec_id].oeis = oeis
+        self._rewrite()
 
     def _rewrite(self) -> None:
         tmp = self.path.with_suffix(".tmp")

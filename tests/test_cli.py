@@ -64,6 +64,21 @@ def test_budget_exit_code_with_partial_output(capsys):
     assert len(out.split()) < 10
 
 
+def test_generate_budget_exit_code(capsys):
+    # every spectrum runs out of its budget; generate itself does not
+    code, _ = run(
+        capsys,
+        "generate",
+        "--profile",
+        "fo2-paper",
+        "--layers",
+        "1",
+        "--budget-secs",
+        "0.000001",
+    )
+    assert code == 4
+
+
 def test_io_error_exit_code(capsys):
     code, _ = run(capsys, "db", "stats", "--db", "/nonexistent/dir/db.jsonl")
     assert code == 5
@@ -156,6 +171,55 @@ def test_oeis_db_annotates_matches(tmp_path, capsys):
     assert code == 0
     rows = json.loads(out)
     assert rows == [{"sentence": "(E x U(x))", "matches": []}]
+
+
+def test_oeis_db_writes_every_match_in_one_rewrite(tmp_path, capsys, monkeypatch):
+    from combspec.seqdb import SpectrumDB
+
+    db_path = tmp_path / "seq.jsonl"
+    db = SpectrumDB(db_path)
+    db.insert("fact", [1, 1, 2, 6, 24, 120, 720])
+    db.insert("none", [5, 7, 11, 13, 17, 19])
+    db.insert("fib", [0, 1, 1, 2, 3, 5, 8, 13])
+    db.insert("pow", [1, 2, 4, 8, 16, 32])
+    rewrites = []
+    rewrite = SpectrumDB._rewrite
+    monkeypatch.setattr(
+        SpectrumDB, "_rewrite", lambda self: rewrites.append(rewrite(self))
+    )
+    code, _ = run(
+        capsys, "oeis", "--db", str(db_path), "--stripped", str(FIXTURE), "--json"
+    )
+    assert code == 0
+    assert len(rewrites) == 1
+    assert [r.oeis for r in SpectrumDB(db_path).records()] == [
+        "A000142",
+        None,
+        "A000045",
+        "A000079",
+    ]
+
+
+def test_oeis_db_keeps_matches_before_a_failed_lookup(tmp_path, capsys, monkeypatch):
+    from combspec import cli
+    from combspec.seqdb import SpectrumDB
+
+    db_path = tmp_path / "seq.jsonl"
+    db = SpectrumDB(db_path)
+    db.insert("a", [1, 3, 7, 15, 31, 63])
+    db.insert("b", [2, 5, 11, 23, 47, 95])
+    answers = iter([["A000225"], OSError("connection reset")])
+
+    def fake_online(terms):
+        answer = next(answers)
+        if isinstance(answer, Exception):
+            raise answer
+        return answer
+
+    monkeypatch.setattr(cli, "online_search", fake_online)
+    code, _ = run(capsys, "oeis", "--db", str(db_path), "--online")
+    assert code == 5
+    assert [r.oeis for r in SpectrumDB(db_path).records()] == ["A000225", None]
 
 
 def test_config_file_supplies_defaults(tmp_path, capsys):

@@ -1,9 +1,12 @@
 """Offline OEIS matching and the rate-limited online fallback."""
 
 import gzip
+import io
 import json
 import shutil
 import time
+import urllib.error
+import urllib.request
 from pathlib import Path
 
 import pytest
@@ -103,3 +106,25 @@ def test_online_search_rate_limits(monkeypatch):
 
     online_search([1, 2, 3, 4, 5], fetch=fake_fetch, min_interval=5.0)
     assert naps and naps[0] > 0
+
+
+def test_default_fetch_uses_urllib(monkeypatch):
+    seen = {}
+
+    def fake_urlopen(url, timeout):
+        seen.update(url=url, timeout=timeout)
+        return io.BytesIO(json.dumps({"results": [{"number": 45}]}).encode())
+
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+    assert online_search([0, 1, 1, 2, 3], min_interval=0) == ["A000045"]
+    assert seen["url"] == "https://oeis.org/search?q=0,1,1,2,3&fmt=json"
+    assert seen["timeout"] == 30
+
+
+def test_default_fetch_raises_on_http_error(monkeypatch):
+    def fake_urlopen(url, timeout):
+        raise urllib.error.HTTPError(url, 503, "Service Unavailable", None, None)
+
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+    with pytest.raises(urllib.error.HTTPError):
+        online_search([1, 2, 3, 4, 5], min_interval=0)

@@ -1,5 +1,9 @@
 """Append-only spectrum store: duplicates, products, persistence."""
 
+import random
+from types import SimpleNamespace
+
+from combspec import seqdb
 from combspec.seqdb import MIN_OVERLAP, SpectrumDB
 
 
@@ -154,7 +158,7 @@ def test_set_oeis_and_stats(tmp_path):
     db = SpectrumDB(path)
     rec = db.insert("(E x U(x))", [1, 3, 7, 15, 31])
     db.insert("other", [1, 9, 343, 50625, 28629151])
-    db.set_oeis(rec.id, "A000225")
+    db.set_oeis({rec.id: "A000225"})
     stats = db.stats()
     assert stats["total"] == 2
     assert stats["unique"] == 2
@@ -175,3 +179,140 @@ def test_stats_counts_statuses(tmp_path):
         "product_redundant": 1,
         "matched": 0,
     }
+
+
+class LinearReference:
+    """Insert and reclassify by plain linear scans over the records.
+
+    Same rules as `SpectrumDB`, with no index: every lookup walks the
+    eligible records in id order, and a product query spends one unit of
+    `cap` per eligible mate whose masked head fits the factor.
+    """
+
+    def __init__(self, cap):
+        self.recs = []
+        self.cap = cap
+        self.capped = 0
+
+    def _product(self, spectrum, carriers):
+        if len(spectrum) < MIN_OVERLAP:
+            return None
+        budget = self.cap
+        for f in carriers:
+            if min(len(f.spectrum), len(spectrum)) < MIN_OVERLAP:
+                continue
+            if any(s % d if d else s for d, s in zip(f.spectrum, spectrum)):
+                continue
+            for m in carriers:
+                if len(m.spectrum) < MIN_OVERLAP or any(
+                    d and m.spectrum[i] != spectrum[i] // d
+                    for i, d in enumerate(f.spectrum[:MIN_OVERLAP])
+                ):
+                    continue
+                budget -= 1
+                if budget < 0:
+                    self.capped += 1
+                    return None
+                triples = list(zip(f.spectrum, m.spectrum, spectrum))
+                if (
+                    len(triples) >= MIN_OVERLAP
+                    and not all(a == 1 for a, _, _ in triples)
+                    and not all(b == 1 for _, b, _ in triples)
+                    and all(a * b == s for a, b, s in triples)
+                ):
+                    return (f.id, m.id)
+        return None
+
+    def insert(self, spectrum):
+        rec = SimpleNamespace(
+            id=len(self.recs), spectrum=tuple(spectrum), status="unique",
+            duplicate_of=None, product_of=None,
+        )
+        unique = [r for r in self.recs if r.status == "unique"]
+        for r in unique:
+            k = min(len(r.spectrum), len(rec.spectrum))
+            if k >= MIN_OVERLAP and r.spectrum[:k] == rec.spectrum[:k]:
+                rec.status, rec.duplicate_of = "duplicate", r.id
+                break
+        else:
+            prod = self._product(rec.spectrum, unique)
+            if prod is not None:
+                rec.status, rec.product_of = "product_redundant", prod
+        self.recs.append(rec)
+
+    def reclassify_products(self):
+        carriers = [r for r in self.recs if r.status != "duplicate"]
+        demoted = 0
+        for rec in carriers:
+            if rec.status != "unique":
+                continue
+            prod = self._product(rec.spectrum, [r for r in carriers if r is not rec])
+            if prod is not None:
+                rec.status, rec.product_of = "product_redundant", prod
+                demoted += 1
+        return demoted
+
+
+def random_spectra(rng):
+    """Small-integer spectra with zeros, short and all-ones ones, cut-off
+    duplicates, shared heads and termwise products, sometimes placed before
+    their factors."""
+    out = []
+    for _ in range(rng.randint(3, 30)):
+        roll = rng.random()
+        if out and roll < 0.15:
+            base = rng.choice(out)
+            out.append(base[: rng.randint(min(MIN_OVERLAP, len(base)), len(base))])
+        elif out and roll < 0.35:
+            a, b = rng.choice(out), rng.choice(out)
+            out.append(tuple(x * y for x, y in zip(a, b)))
+        elif out and roll < 0.45:
+            # same head, new tail: a mate that fails only on verification
+            tail = [rng.choice((0, 1, 2, 5)) for _ in range(rng.randint(1, 3))]
+            out.append(rng.choice(out)[:MIN_OVERLAP] + tuple(tail))
+        elif roll < 0.5:
+            out.append((1,) * rng.randint(4, 7))
+        else:
+            terms = [rng.choice((0, 0, 1, 1, 2, 3, 4, 6, -1)) for _ in range(rng.randint(3, 8))]
+            if rng.random() < 0.3:
+                terms[1] = 0
+            out.append(tuple(terms))
+    if rng.random() < 0.5:
+        rng.shuffle(out)
+    return out
+
+
+def test_indexed_store_matches_linear_reference(tmp_path, monkeypatch):
+    rng = random.Random(2023)
+    totals = {"duplicate": 0, "product_redundant": 0, "demoted": 0, "capped": 0}
+    for store in range(300):
+        cap = rng.choice((1, 2, 3, 20000))
+        monkeypatch.setattr(seqdb, "PRODUCT_LOOKUPS", cap)
+        ref = LinearReference(cap)
+        spectra = random_spectra(rng)
+        path = tmp_path / f"store{store}.jsonl"
+        db = SpectrumDB(path)
+        cut = rng.randint(0, len(spectra))
+        for i, terms in enumerate(spectra):
+            if i == cut:
+                db = SpectrumDB(path)
+            db.insert(f"s{i}", terms, truncated=rng.random() < 0.2)
+            ref.insert(terms)
+
+        def fields(recs):
+            return [(r.status, r.duplicate_of, r.product_of) for r in recs]
+
+        assert fields(db.records()) == fields(ref.recs), store
+        demoted = db.reclassify_products()
+        assert demoted == ref.reclassify_products(), store
+        assert fields(db.records()) == fields(ref.recs), store
+        assert fields(SpectrumDB(path).records()) == fields(ref.recs), store
+        for rec in ref.recs:
+            totals[rec.status] = totals.get(rec.status, 0) + 1
+        totals["demoted"] += demoted
+        totals["capped"] += ref.capped
+    # the random stores reach every rule, the lookup cap included
+    assert totals["duplicate"] >= 100
+    assert totals["product_redundant"] >= 100
+    assert totals["demoted"] >= 20
+    assert totals["capped"] >= 10
