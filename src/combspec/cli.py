@@ -180,7 +180,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
                 layer=layer,
                 profile=profile,
             )
-            if rec.status == "unique":
+            if rec.status == "unique" and not rec.truncated:
                 per_layer[layer - 1]["unique"] += 1
     if db is not None:
         # insert-time product checks only see earlier records; settle order
@@ -191,6 +191,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
             for rec in db.records():
                 if (
                     rec.status == "unique"
+                    and not rec.truncated
                     and rec.layer is not None
                     and 1 <= rec.layer <= len(per_layer)
                 ):

@@ -29,6 +29,7 @@ import itertools
 import math
 import operator
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Collection, Mapping, Sequence
 
@@ -38,6 +39,7 @@ from .logic import (
     VARS,
     Clause,
     FragmentError,
+    KeyTooComplex,
     Literal,
     Predicate,
     Sentence,
@@ -672,70 +674,107 @@ def _poly_serial(v: Value, perm: Sequence[int]):
 _MAX_ORDERINGS = 100_000
 
 
-class KeyTooComplex(RuntimeError):
-    """Raised when canonical graph labeling would take too many orderings."""
+def _ranks(keys: Sequence) -> list[int]:
+    """Each key's rank among the sorted distinct keys."""
+    rank = {k: i for i, k in enumerate(sorted(set(keys)))}
+    return [rank[k] for k in keys]
+
+
+def _refine(colors: list[int], edges: list[list[int]]) -> list[int]:
+    """Split color classes by the multiset of (edge, color) around each
+    vertex until the partition is stable; colors are ranks, so they depend
+    only on the graph, never on vertex numbering."""
+    q = len(colors)
+    ncolors = len(set(colors))
+    while True:
+        sigs = []
+        for i, row in enumerate(edges):
+            around = sorted((row[j], colors[j]) for j in range(q) if j != i)
+            sigs.append((colors[i], tuple(around)))
+        colors = _ranks(sigs)
+        if max(colors) + 1 == ncolors:
+            return colors
+        ncolors = max(colors) + 1
 
 
 def _graph_serial(g: CellGraph, perm: Sequence[int]) -> str:
     """Canonical serialization of a cell graph under one symbol reordering.
 
-    Refines vertex colors by neighborhood until stable, then minimizes the
-    serialized form over orderings within same-color blocks, so two graphs
-    serialize identically exactly when they are isomorphic as weighted
-    labeled graphs.
+    Individualisation-refinement (McKay 1981; McKay and Piperno 2014):
+    color refinement on vertex and edge weights gives an equitable
+    partition.  While some class has more than one vertex, the
+    non-singleton class of smallest color is split by giving each of its
+    vertices in turn a color of its own and refining again.  Each discrete
+    coloring is a leaf; its serial lists the vertex weights and the upper
+    triangle of the edge weights in color order, and the smallest leaf
+    serial is the key.  The search tree depends only on the graph, so two
+    graphs serialize identically exactly when they are isomorphic as
+    weighted graphs.  A vertex whose edge row equals, off the pair, that
+    of a vertex already tried in the same class is skipped: swapping the
+    two is an automorphism, so its subtree yields the same leaves.
+
+    Raises KeyTooComplex when the first partition admits more than
+    _MAX_ORDERINGS orderings within its classes.
     """
     q = len(g.cells)
     if q == 0:
         return "empty"
     wser = [repr(_poly_serial(v, perm)) for v in g.weights]
     eser = [[repr(_poly_serial(v, perm)) for v in row] for row in g.r]
+    flat = _ranks([v for row in eser for v in row])
+    edges = [flat[i * q : (i + 1) * q] for i in range(q)]
 
-    colors = [f"{wser[i]};{eser[i][i]}" for i in range(q)]
-    while True:
-        refined = []
-        for i in range(q):
-            around = sorted((eser[i][j], colors[j]) for j in range(q) if j != i)
-            refined.append(f"{colors[i]}|{around}")
-        if len(set(refined)) == len(set(colors)):
-            colors = refined
-            break
-        colors = refined
-
-    blocks: dict[str, list[int]] = {}
-    for i, col in enumerate(colors):
-        blocks.setdefault(col, []).append(i)
-    ordered_blocks = [blocks[c] for c in sorted(blocks)]
+    colors = _refine(_ranks([(wser[i], eser[i][i]) for i in range(q)]), edges)
     count = 1
-    for b in ordered_blocks:
-        count *= math.factorial(len(b))
+    for size in Counter(colors).values():
+        count *= math.factorial(size)
         if count > _MAX_ORDERINGS:
             raise KeyTooComplex(f"{count} orderings")
 
-    best: str | None = None
-    for parts in itertools.product(
-        *(itertools.permutations(b) for b in ordered_blocks)
-    ):
-        order = [i for part in parts for i in part]
-        rows = [wser[i] for i in order]
-        for a in range(q):
-            for b in range(a, q):
-                rows.append(eser[order[a]][order[b]])
-        serial = "#".join(rows)
-        if best is None or serial < best:
-            best = serial
-    return f"{q}:{best}"
+    def twins(a: int, b: int) -> bool:
+        ra, rb = edges[a], edges[b]
+        return all(ra[k] == rb[k] for k in range(q) if k != a and k != b)
+
+    def search(colors: list[int]) -> str:
+        if max(colors) + 1 == q:
+            order = sorted(range(q), key=colors.__getitem__)
+            rows = [wser[i] for i in order]
+            for a in range(q):
+                row = eser[order[a]]
+                rows.extend(row[order[b]] for b in range(a, q))
+            return "#".join(rows)
+        sizes = Counter(colors)
+        target = min(c for c, n in sizes.items() if n > 1)
+        best: str | None = None
+        tried: list[int] = []
+        for v in range(q):
+            if colors[v] != target or any(twins(v, t) for t in tried):
+                continue
+            tried.append(v)
+            # v sorts just before the rest of its class; other classes
+            # keep their order
+            split = [2 * c + (i != v) for i, c in enumerate(colors)]
+            serial = search(_refine(_ranks(split), edges))
+            if best is None or serial < best:
+                best = serial
+        assert best is not None
+        return best
+
+    return f"{q}:{search(colors)}"
 
 
 def spectrum_fingerprint(s: Sentence, weights: WeightMap | None = None) -> bytes:
     """Key equal only for sentences whose spectra provably coincide.
 
     Covers the full compiled form: nullary branch factors, each branch's
-    cell graph up to isomorphism, cardinality targets with the polarity
-    they count, and constrained predicates' base weights, minimized over
-    renamings of the symbolic constraint variables.  The polarity is
-    implied by the graphs; keying on it too keeps sentences that count
-    opposite polarities apart, as they were when every constraint counted
-    true atoms, so generation keeps the same sentences.
+    cell graph up to isomorphism (labelled canonically by the
+    individualisation-refinement search of _graph_serial),
+    cardinality targets with the polarity they count, and constrained
+    predicates' base weights, minimized over renamings of the symbolic
+    constraint variables.  The polarity is implied by the graphs; keying on
+    it too keeps sentences that count opposite polarities apart, as they
+    were when every constraint counted true atoms, so generation keeps the
+    same sentences.
     """
     comp = compile_sentence(s, weights)
     k = len(comp.cvars)

@@ -27,12 +27,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .engine import spectrum_fingerprint, KeyTooComplex
+from .engine import spectrum_fingerprint
 from .logic import (
     EXISTS,
     FORALL,
     VARS,
     Clause,
+    KeyTooComplex,
     Literal,
     Predicate,
     Quantifier,
@@ -441,10 +442,14 @@ def classify(s: Sentence, state: GenState, mode: str = "full") -> str:
         return "refuted"
     if is_decomposable(s):
         return "decomposable"
-    key = canonical_key(s)
-    if key in state.seen_canonical:
-        return "duplicate"
-    state.seen_canonical.add(key)
+    try:
+        key = canonical_key(s)
+    except KeyTooComplex:
+        key = None  # too large a vocabulary: skip only the duplicate check
+    if key is not None:
+        if key in state.seen_canonical:
+            return "duplicate"
+        state.seen_canonical.add(key)
     if has_trivial_constraint(s):
         return "trivial"
     if reflexive_only_binary(s):

@@ -30,6 +30,10 @@ class FragmentError(ValueError):
     """Raised when a sentence falls outside the supported fragment."""
 
 
+class KeyTooComplex(RuntimeError):
+    """Raised when a canonical form would search too large a symmetry group."""
+
+
 @dataclass(frozen=True, order=True)
 class Predicate:
     name: str
@@ -379,7 +383,8 @@ def canonical_key(s: Sentence, max_group: int = 100_000) -> bytes:
     model count for all domain sizes: renaming predicates within an arity
     class, flipping any predicate's polarity, transposing any binary
     predicate's arguments, and swapping the two variables of a clause whose
-    prefix repeats one non-counting quantifier.
+    prefix repeats one non-counting quantifier.  Raises KeyTooComplex when
+    that group has more than max_group elements.
     """
     preds = sorted(s.predicates)
     by_arity: dict[int, list[Predicate]] = {0: [], 1: [], 2: []}
@@ -393,7 +398,7 @@ def canonical_key(s: Sentence, max_group: int = 100_000) -> bytes:
     for ps in by_arity.values():
         size *= math.factorial(len(ps))
     if size > max_group:
-        raise ValueError(f"canonical group too large ({size})")
+        raise KeyTooComplex(f"canonical group too large ({size})")
 
     rename_choices = []
     for arity, ps in by_arity.items():

@@ -79,6 +79,29 @@ def test_generate_budget_exit_code(capsys):
     assert code == 4
 
 
+def test_generate_never_counts_a_truncated_spectrum_as_unique(tmp_path, capsys):
+    db = tmp_path / "t.jsonl"
+    code, out = run(
+        capsys,
+        "generate",
+        "--profile",
+        "fo2-paper",
+        "--layers",
+        "2",
+        "--budget-secs",
+        "0.000001",
+        "--db",
+        str(db),
+    )
+    assert code == 4
+    layers = [line for line in out.splitlines() if line.startswith("layer ")]
+    assert len(layers) == 2
+    assert all(line.endswith(", unique 0") for line in layers)
+    # the records themselves keep their truncation flag and status
+    records = [json.loads(line) for line in db.read_text().splitlines()]
+    assert records and all(r["truncated"] for r in records)
+
+
 def test_io_error_exit_code(capsys):
     code, _ = run(capsys, "db", "stats", "--db", "/nonexistent/dir/db.jsonl")
     assert code == 5

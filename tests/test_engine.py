@@ -1,12 +1,19 @@
 """Lifted model counting: closed forms, oracle agreement, reductions."""
 
+import itertools
+import math
 import random
 
 import pytest
 
+from combspec import engine
 from combspec.engine import (
     BudgetExceeded,
+    CellGraph,
+    KeyTooComplex,
     Spectrum,
+    _graph_serial,
+    _poly_serial,
     compile_sentence,
     compute_spectrum,
     spectrum_fingerprint,
@@ -264,3 +271,175 @@ def test_fingerprint_distinguishes_different_spectra():
 def test_fingerprint_determinism():
     s = parse_sentence("(V x E=1 y B(x,y)) & (V x ~B(x,x))")
     assert spectrum_fingerprint(s) == spectrum_fingerprint(s)
+
+
+# canonical cell-graph labelling against a brute-force reference
+
+
+def _reference_serial(g, perm, limit):
+    """The minimiser _graph_serial replaced: refine colors once, then try
+    every ordering inside each color block."""
+    q = len(g.cells)
+    if q == 0:
+        return "empty"
+    wser = [repr(_poly_serial(v, perm)) for v in g.weights]
+    eser = [[repr(_poly_serial(v, perm)) for v in row] for row in g.r]
+
+    colors = [f"{wser[i]};{eser[i][i]}" for i in range(q)]
+    while True:
+        refined = []
+        for i in range(q):
+            around = sorted((eser[i][j], colors[j]) for j in range(q) if j != i)
+            refined.append(f"{colors[i]}|{around}")
+        if len(set(refined)) == len(set(colors)):
+            colors = refined
+            break
+        colors = refined
+
+    blocks = {}
+    for i, col in enumerate(colors):
+        blocks.setdefault(col, []).append(i)
+    ordered_blocks = [blocks[c] for c in sorted(blocks)]
+    count = 1
+    for b in ordered_blocks:
+        count *= math.factorial(len(b))
+        if count > limit:
+            raise KeyTooComplex(f"{count} orderings")
+
+    best = None
+    for parts in itertools.product(
+        *(itertools.permutations(b) for b in ordered_blocks)
+    ):
+        order = [i for part in parts for i in part]
+        rows = [wser[i] for i in order]
+        for a in range(q):
+            for b in range(a, q):
+                rows.append(eser[order[a]][order[b]])
+        serial = "#".join(rows)
+        if best is None or serial < best:
+            best = serial
+    return f"{q}:{best}"
+
+
+def _graph(weights, r):
+    return CellGraph([], [(i,) for i in range(len(weights))], list(weights), r)
+
+
+def _relabel(g, rng):
+    q = len(g.weights)
+    p = rng.sample(range(q), q)
+    return _graph([g.weights[i] for i in p], [[g.r[i][j] for j in p] for i in p])
+
+
+def _regular_layer(rng, q, r, value):
+    """Give the value to the edges of a random union of cycles (length 3
+    or more) or of a random perfect matching, on pairs still at 1; False
+    when the draw overlaps an earlier layer."""
+    p = rng.sample(range(q), q)
+    if rng.random() < 0.5 and q % 2 == 0:
+        pairs = [(p[i], p[i + 1]) for i in range(0, q, 2)]
+    else:
+        cuts = [0]
+        while cuts[-1] < q:
+            cuts.append(cuts[-1] + rng.randint(3, q))
+        if cuts[-1] != q:
+            return False
+        pairs = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            cycle = p[lo:hi]
+            pairs += list(zip(cycle, cycle[1:] + cycle[:1]))
+    if any(r[a][b] != 1 for a, b in pairs):
+        return False
+    for a, b in pairs:
+        r[a][b] = r[b][a] = value
+    return True
+
+
+def _random_cell_graph(rng):
+    q = rng.randint(1, 7)
+    if q >= 3 and rng.random() < 0.4:
+        # equal weights and every vertex meeting the same multiset of edge
+        # values: color refinement cannot split such a graph, so only the
+        # search orders its vertices, and it need not be vertex-transitive
+        # (a 3-cycle beside a 4-cycle)
+        w = [rng.randint(-1, 2)] * q
+        r = [[0 if i == j else 1 for j in range(q)] for i in range(q)]
+        # a 3-cycle leaves no room for a second layer
+        for value in range(2, 3 if q == 3 else 2 + rng.randint(1, 2)):
+            while not _regular_layer(rng, q, r, value):
+                pass
+        return _graph(w, r)
+    w = [rng.randint(0, 2) for _ in range(q)]
+    r = [[0] * q for _ in range(q)]
+    for i in range(q):
+        for j in range(i, q):
+            r[i][j] = r[j][i] = rng.randint(0, 2)
+    for _ in range(rng.randint(0, 3) if q > 1 else 0):
+        # plant a twin of a: equal weight and equal edges off the pair; half
+        # the time a repeated row, with the pair edge equal to the loops too
+        a, b = rng.sample(range(q), 2)
+        w[b] = w[a]
+        for k in range(q):
+            if k not in (a, b):
+                r[b][k] = r[k][b] = r[a][k]
+        r[b][b] = r[a][a]
+        if rng.random() < 0.5:
+            r[a][b] = r[b][a] = r[a][a]
+    return _graph(w, r)
+
+
+def test_canonical_form_matches_brute_force_reference():
+    rng = random.Random(20261018)
+    bases = [_random_cell_graph(rng) for _ in range(300)]
+    pairs = set()
+    for g in bases:
+        key = _graph_serial(g, ())
+        for h in [g] + [_relabel(g, rng) for _ in range(3)]:
+            assert _graph_serial(h, ()) == key
+            pairs.add((key, _reference_serial(h, (), engine._MAX_ORDERINGS)))
+    # equal keys exactly when the reference keys are equal
+    assert len(pairs) == len({k for k, _ in pairs}) == len({r for _, r in pairs})
+    # independently drawn graphs coincide too, so both directions are tested
+    assert len(pairs) < len(bases)
+
+
+def test_key_too_complex_on_the_same_graphs(monkeypatch):
+    monkeypatch.setattr(engine, "_MAX_ORDERINGS", 30)
+    rng = random.Random(7)
+    raised = 0
+    for _ in range(300):
+        g = _random_cell_graph(rng)
+        try:
+            _reference_serial(g, (), 30)
+            want = False
+        except KeyTooComplex:
+            want = True
+        try:
+            _graph_serial(g, ())
+            got = False
+        except KeyTooComplex:
+            got = True
+        assert got == want
+        raised += got
+    assert 10 <= raised <= 290
+
+
+def test_canonical_form_separates_graphs_refinement_cannot():
+    # a 6-cycle and two triangles: both 2-regular with equal weights, so
+    # color refinement leaves each as a single class
+    def two_regular(edges):
+        r = [[1] * 6 for _ in range(6)]
+        for i in range(6):
+            r[i][i] = 3
+        for a, b in edges:
+            r[a][b] = r[b][a] = 2
+        return _graph([1] * 6, r)
+
+    cycle = two_regular([(i, (i + 1) % 6) for i in range(6)])
+    triangles = two_regular([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    assert engine._refine([0] * 6, cycle.r) == [0] * 6
+    assert engine._refine([0] * 6, triangles.r) == [0] * 6
+    assert _graph_serial(cycle, ()) != _graph_serial(triangles, ())
+    rng = random.Random(3)
+    for g in (cycle, triangles):
+        assert _graph_serial(_relabel(g, rng), ()) == _graph_serial(g, ())

@@ -1,6 +1,7 @@
 """Layered sentence search and the pruning techniques behind it."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -22,7 +23,13 @@ from combspec.generator import (
     random_sentence,
     reflexive_only_binary,
 )
-from combspec.logic import FragmentError, parse_sentence, sentence
+from combspec.logic import (
+    FragmentError,
+    KeyTooComplex,
+    canonical_key,
+    parse_sentence,
+    sentence,
+)
 from combspec.oracle import count_models
 
 
@@ -190,6 +197,20 @@ def test_classify_structural_mode_skips_everything():
     assert classify(parse("(V x V y B0(x,y))"), state, mode="structural") == "new"
 
 
+def test_classify_survives_a_vocabulary_too_large_to_canonicalize():
+    # 4 unary and 3 binary predicates: a group of 147456 transforms
+    s = parse(
+        "(V x U0(x) | U1(x) | U2(x) | U3(x) | B0(x,x))"
+        " & (V x V y B1(x,y) | B2(x,y) | U0(x))"
+    )
+    with pytest.raises(KeyTooComplex):
+        canonical_key(s)
+    state = GenState()
+    # only the duplicate check is skipped; the later filters still run
+    assert classify(s, state) == "reflexive"
+    assert not state.seen_canonical
+
+
 def test_verdict_partition():
     assert set(DROPPED) & set(HIDDEN) == set()
     assert "new" not in DROPPED and "new" not in HIDDEN
@@ -226,6 +247,65 @@ def test_layer1_kept_c2(c2_limits):
 def test_cumulative_kept_two_layers(fo2_limits, c2_limits):
     assert generate(fo2_limits, 2).kept_cumulative() == [4, 40]
     assert generate(c2_limits, 2).kept_cumulative() == [7, 80]
+
+
+# per-layer verdict counts of the search, to be kept by any change to a
+# canonical form or a filter
+FO2_VERDICTS = [
+    {"duplicate": 16, "new": 4, "reflexive": 2, "trivial": 2},
+    {
+        "decomposable": 52,
+        "duplicate": 54,
+        "new": 36,
+        "reflexive": 4,
+        "refuted": 32,
+        "spectrum_duplicate": 3,
+        "subsumed": 8,
+        "tautology": 14,
+        "trivial": 7,
+    },
+    {
+        "decomposable": 60,
+        "duplicate": 417,
+        "new": 179,
+        "reflexive": 12,
+        "refuted": 33,
+        "spectrum_duplicate": 77,
+        "subsumed": 72,
+        "tautology": 208,
+        "trivial": 50,
+    },
+]
+C2_VERDICTS = [
+    {"duplicate": 24, "new": 7, "reflexive": 3, "trivial": 2},
+    {
+        "decomposable": 117,
+        "duplicate": 107,
+        "new": 73,
+        "reflexive": 8,
+        "refuted": 59,
+        "spectrum_duplicate": 3,
+        "subsumed": 16,
+        "tautology": 14,
+        "trivial": 11,
+    },
+    {
+        "decomposable": 90,
+        "duplicate": 552,
+        "new": 302,
+        "reflexive": 20,
+        "refuted": 41,
+        "spectrum_duplicate": 107,
+        "subsumed": 114,
+        "tautology": 289,
+        "trivial": 50,
+    },
+]
+
+
+def test_verdict_counts_per_layer_are_pinned(fo2_limits, c2_limits):
+    assert generate(fo2_limits, 3).counts == [Counter(c) for c in FO2_VERDICTS]
+    assert generate(c2_limits, 3).counts == [Counter(c) for c in C2_VERDICTS]
 
 
 def test_generate_is_deterministic(fo2_limits):
