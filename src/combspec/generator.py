@@ -5,7 +5,8 @@ over the predicate pool, and each later layer refines a retained sentence
 by adding one literal to a clause or one fresh single-literal clause.
 Each candidate is classified once:
 
-  dropped (not output, not refined): tautologous clause, refuted,
+  dropped (not output, not refined): tautologous clause, refuted (a
+      ground abstraction decided unsatisfiable exactly, with no budget),
       decomposable into predicate-disjoint parts, or duplicate canonical
       form of an earlier candidate
   hidden (not output, still refined): trivial full/empty predicate
@@ -193,25 +194,17 @@ def has_trivial_constraint(s: Sentence) -> bool:
     return False
 
 
-def reflexive_only_binary(s: Sentence, require_multiliteral: bool = False) -> bool:
+def reflexive_only_binary(s: Sentence) -> bool:
     """Some binary predicate appears only in reflexive atoms, so it acts
-    like a unary predicate already covered by a smaller vocabulary.
-
-    With require_multiliteral, only flags predicates all of whose
-    occurrences sit in clauses with at least two literals.
-    """
+    like a unary predicate already covered by a smaller vocabulary."""
     for p in sorted(p for p in s.predicates if p.arity == 2):
-        occurrences = [
-            (c, lit)
+        if all(
+            lit.args[0] == lit.args[1]
             for c in s.clauses
             for lit in c.body
             if lit.pred == p
-        ]
-        if all(lit.args[0] == lit.args[1] for _, lit in occurrences):
-            if not require_multiliteral or all(
-                len(c.body) >= 2 for c, _ in occurrences
-            ):
-                return True
+        ):
+            return True
     return False
 
 
@@ -362,52 +355,40 @@ def _refute_ground(s: Sentence) -> list[frozenset]:
     return sorted(ground, key=sorted)
 
 
-def is_refuted(s: Sentence, max_steps: int = 20000, max_clauses: int = 1500) -> bool:
-    """True only if s has no model of any size.
+def is_refuted(s: Sentence) -> bool:
+    """True exactly when the ground abstraction of s is unsatisfiable,
+    which implies s has no model of any size.
 
     Grounds the sentence over a few abstract elements (existential
     quantifiers get witness elements, exactly-one weakens to at-least-one)
-    and saturates with propositional resolution under a budget.  Running
-    out of budget reports not-refuted, never the reverse.
+    and decides the ground clause set exactly, with no budget: a set with
+    no complementary atom pair is satisfiable, any other goes to DPLL.
     """
     ground = _refute_ground(s)
     pos = {l[:2] for cl in ground for l in cl if not l[2]}
     neg = {l[:2] for cl in ground for l in cl if l[2]}
     if not pos & neg:
         return False
+    return not _satisfiable(ground)
 
-    clauses: list[frozenset] = []
-    for cl in ground:
-        if any(other <= cl for other in clauses):
-            continue
-        clauses = [c for c in clauses if not cl < c]
-        clauses.append(cl)
-    agenda = list(clauses)
-    steps = 0
-    i = 0
-    while i < len(agenda):
-        current = agenda[i]
-        i += 1
-        for other in list(clauses):
-            steps += 1
-            if steps > max_steps or len(clauses) > max_clauses:
-                return False
-            for name, elems, negd in sorted(current):
-                if (name, elems, not negd) not in other:
-                    continue
-                resolvent = (current - {(name, elems, negd)}) | (
-                    other - {(name, elems, not negd)}
-                )
-                if not resolvent:
-                    return True
-                if any((n, e, not ng) in resolvent for n, e, ng in resolvent):
-                    continue
-                if any(c <= resolvent for c in clauses):
-                    continue
-                clauses = [c for c in clauses if not resolvent < c]
-                clauses.append(resolvent)
-                agenda.append(resolvent)
-    return False
+
+def _satisfiable(clauses: list[frozenset]) -> bool:
+    """DPLL (Davis, Logemann and Loveland, 1962): propagate unit clauses,
+    then branch both ways on a literal of a shortest clause."""
+    while clauses:
+        shortest = min(clauses, key=len)
+        if not shortest:
+            return False
+        name, elems, negd = lit = min(shortest)
+        flipped = (name, elems, not negd)
+        with_lit = [c - {flipped} for c in clauses if lit not in c]
+        if len(shortest) == 1:
+            clauses = with_lit
+        elif _satisfiable(with_lit):
+            return True
+        else:
+            clauses = [c - {lit} for c in clauses if flipped not in c]
+    return True
 
 
 def design_redundant(s: Sentence) -> bool:

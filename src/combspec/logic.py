@@ -34,6 +34,10 @@ class KeyTooComplex(RuntimeError):
     """Raised when a canonical form would search too large a symmetry group."""
 
 
+# largest symmetry group canonical_key searches before raising KeyTooComplex
+MAX_GROUP = 100_000
+
+
 @dataclass(frozen=True, order=True)
 class Predicate:
     name: str
@@ -376,7 +380,7 @@ def _clause_text(clause: Clause, t: PredicateTransform) -> str:
     return min(base, alt)
 
 
-def canonical_key(s: Sentence, max_group: int = 100_000) -> bytes:
+def canonical_key(s: Sentence) -> bytes:
     """Spectrum-preserving canonical form of a sentence, as bytes.
 
     Minimizes the rendered text over every transform known to preserve the
@@ -384,7 +388,7 @@ def canonical_key(s: Sentence, max_group: int = 100_000) -> bytes:
     class, flipping any predicate's polarity, transposing any binary
     predicate's arguments, and swapping the two variables of a clause whose
     prefix repeats one non-counting quantifier.  Raises KeyTooComplex when
-    that group has more than max_group elements.
+    that group has more than MAX_GROUP elements.
     """
     preds = sorted(s.predicates)
     by_arity: dict[int, list[Predicate]] = {0: [], 1: [], 2: []}
@@ -397,7 +401,7 @@ def canonical_key(s: Sentence, max_group: int = 100_000) -> bytes:
     size = 2 ** len(names) * 2 ** len(binaries)
     for ps in by_arity.values():
         size *= math.factorial(len(ps))
-    if size > max_group:
+    if size > MAX_GROUP:
         raise KeyTooComplex(f"canonical group too large ({size})")
 
     rename_choices = []

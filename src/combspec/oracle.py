@@ -190,11 +190,6 @@ def weighted_count(
     return total
 
 
-def brute_spectrum(s: Sentence, length: int, cap: int = 24) -> list[int]:
-    """Model counts for n = 1 .. length, capped by ground-atom budget."""
-    return [count_models(s, n, cap=cap) for n in range(1, length + 1)]
-
-
 def reference_count(s: Sentence, n: int) -> int:
     """Tiny dict-based model counter used to cross-check count_models."""
     preds = sorted(s.predicates)

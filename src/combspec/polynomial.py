@@ -76,26 +76,8 @@ class Poly:
                 terms[m] = terms.get(m, 0) + c1 * c2
         return Poly(self.vars, terms)
 
-    def __pow__(self, e: int) -> "Poly":
-        return pow_value(self, e)
-
-    def drop_above(self, caps: Caps) -> "Poly":
-        return Poly(
-            self.vars,
-            {m: c for m, c in self.terms.items() if not _over_caps(m, caps)},
-        )
-
     def coefficient(self, mono: tuple[int, ...]) -> int:
         return self.terms.get(tuple(mono), 0)
-
-    def substitute(self, values: Mapping[str, int]) -> int:
-        total = 0
-        for m, c in self.terms.items():
-            term = c
-            for name, e in zip(self.vars, m):
-                term *= values[name] ** e
-            total += term
-        return total
 
     def canonical(self) -> tuple:
         return (self.vars, tuple(sorted(self.terms.items())))

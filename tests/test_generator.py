@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from combspec import generator
 from combspec.engine import compute_spectrum
 from combspec.generator import (
     DROPPED,
@@ -89,14 +90,6 @@ def test_reflexive_only_binary():
     assert not reflexive_only_binary(parse("(V x B(x,x)) & (V x E y B(x,y))"))
 
 
-def test_reflexive_multiliteral_switch():
-    s = parse("(V x B(x,x))")
-    assert reflexive_only_binary(s)
-    assert not reflexive_only_binary(s, require_multiliteral=True)
-    m = parse("(E x B(x,x) | U(x))")
-    assert reflexive_only_binary(m, require_multiliteral=True)
-
-
 def test_subsumption_same_prefix():
     assert has_subsumed_clause(
         parse("(V x E y B(x,y)) & (V x E y B(x,y) | U(x))")
@@ -134,9 +127,25 @@ def test_refuted_positive():
     assert is_refuted(parse("(V x U(x)) & (E x ~U(x))"))
 
 
+def test_refuted_without_a_unit_clause():
+    # every ground clause has two literals, so unit propagation alone
+    # finds no conflict; only branching refutes the set
+    s = parse(
+        "(V x U(x) | B(x,x)) & (V x U(x) | ~B(x,x))"
+        " & (V x ~U(x) | B(x,x)) & (V x ~U(x) | ~B(x,x))"
+    )
+    assert is_refuted(s)
+    for n in (1, 2, 3):
+        assert count_models(s, n) == 0
+
+
 def test_refuted_negative():
     assert not is_refuted(parse("(V x E y B(x,y)) & (V x E y ~B(x,y))"))
     assert not is_refuted(parse("(V x E y B(x,y))"))
+    # satisfiable only with A false, so a refuter must try both branches
+    s = parse("(V x A(x) | B(x,x)) & (V x ~A(x) | C(x)) & (V x ~A(x) | ~C(x))")
+    assert not is_refuted(s)
+    assert count_models(s, 2) > 0
 
 
 def test_refutation_is_sound():
@@ -151,6 +160,23 @@ def test_refutation_is_sound():
             for n in (1, 2, 3):
                 assert count_models(s, n) == 0, s.render()
     assert hits > 0
+
+
+def test_every_refuted_c2_candidate_has_no_model(c2_limits, monkeypatch):
+    refuted = []
+
+    def recording(s, state, mode="full"):
+        verdict = classify(s, state, mode)
+        if verdict == "refuted":
+            refuted.append(s)
+        return verdict
+
+    monkeypatch.setattr(generator, "classify", recording)
+    generate(c2_limits, 3)
+    assert len(refuted) == 100
+    for s in refuted:
+        for n in (1, 2, 3):
+            assert count_models(s, n) == 0, s.render()
 
 
 def test_design_redundant_covers_hiding_techniques():

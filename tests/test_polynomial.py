@@ -32,8 +32,8 @@ def as_func(p):
 @given(polys, polys, st.integers(-3, 3), st.integers(-3, 3))
 @settings(max_examples=200)
 def test_add_and_mul_agree_with_evaluation(p, q, u, v):
-    assert (p + q).substitute({"u": u, "v": v}) == as_func(p)(u, v) + as_func(q)(u, v)
-    assert (p * q).substitute({"u": u, "v": v}) == as_func(p)(u, v) * as_func(q)(u, v)
+    assert as_func(p + q)(u, v) == as_func(p)(u, v) + as_func(q)(u, v)
+    assert as_func(p * q)(u, v) == as_func(p)(u, v) * as_func(q)(u, v)
 
 
 @given(polys, polys, polys)
@@ -54,7 +54,7 @@ def test_pow_matches_repeated_mul(p, e, u, v):
         expect *= as_func(p)(u, v)
     got = pow_value(p, e)
     if isinstance(got, Poly):
-        got = got.substitute({"u": u, "v": v})
+        got = as_func(got)(u, v)
     assert got == expect
 
 
@@ -80,12 +80,6 @@ def test_mul_caps_drop_high_degrees():
     assert p.coefficient((2, 0)) == 0
     assert p.coefficient((1, 0)) == 2
     assert p.coefficient((0, 0)) == 1
-
-
-def test_drop_above():
-    p = poly_from({(0, 0): 1, (2, 1): 5, (1, 3): 7})
-    q = p.drop_above((1, 2))
-    assert q.terms == {(0, 0): 1}
 
 
 def test_pow_value_respects_caps():
