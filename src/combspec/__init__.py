@@ -16,7 +16,6 @@ from .logic import (
     Sentence,
     make_clause,
     parse_sentence,
-    render_sentence,
 )
 from .engine import (
     CardinalityConstraint,
@@ -40,6 +39,5 @@ __all__ = [
     "compute_spectrum",
     "make_clause",
     "parse_sentence",
-    "render_sentence",
     "wfomc",
 ]

@@ -169,33 +169,25 @@ def cmd_generate(args: argparse.Namespace) -> int:
         {"layer": i + 1, "kept": len(result.kept[i]), "unique": 0}
         for i in range(len(result.kept))
     ]
-    for text in sorted(spectra, key=lambda t: (layer_of[t], t)):
-        terms, truncated = spectra[text]
-        layer = layer_of[text]
-        if db is not None:
+    if db is not None:
+        inserted = []
+        for text in sorted(spectra, key=lambda t: (layer_of[t], t)):
+            terms, truncated = spectra[text]
             rec = db.insert(
                 text,
                 [int(t) for t in terms],
                 truncated=truncated,
-                layer=layer,
+                layer=layer_of[text],
                 profile=profile,
             )
+            inserted.append((layer_of[text], rec))
+        # insert-time product checks only see earlier records; settle order
+        db.reclassify_products()
+        # tally this run's sentences only, by this run's layer: the file may
+        # hold records of earlier runs
+        for layer, rec in inserted:
             if rec.status == "unique" and not rec.truncated:
                 per_layer[layer - 1]["unique"] += 1
-    if db is not None:
-        # insert-time product checks only see earlier records; settle order
-        demoted = db.reclassify_products()
-        if demoted:
-            for row in per_layer:
-                row["unique"] = 0
-            for rec in db.records():
-                if (
-                    rec.status == "unique"
-                    and not rec.truncated
-                    and rec.layer is not None
-                    and 1 <= rec.layer <= len(per_layer)
-                ):
-                    per_layer[rec.layer - 1]["unique"] += 1
 
     if args.json:
         doc = {"layers": per_layer, "truncated": result.truncated}

@@ -22,7 +22,6 @@ spectrum is derivable from a simpler sentence.
 from __future__ import annotations
 
 import itertools
-import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -391,18 +390,6 @@ def _satisfiable(clauses: list[frozenset]) -> bool:
     return True
 
 
-def design_redundant(s: Sentence) -> bool:
-    """Sentence the pipeline hides or drops on syntactic grounds alone;
-    invariant under every spectrum-preserving renaming."""
-    return (
-        is_tautological(s)
-        or is_decomposable(s)
-        or has_trivial_constraint(s)
-        or reflexive_only_binary(s)
-        or has_subsumed_clause(s)
-    )
-
-
 DROPPED = ("tautology", "refuted", "decomposable", "duplicate")
 HIDDEN = ("trivial", "reflexive", "subsumed", "spectrum_duplicate")
 
@@ -466,13 +453,6 @@ class GenResult:
     def all_kept(self) -> list[Sentence]:
         return [s for layer in self.kept for s in layer]
 
-    def all_retained(self) -> list[Sentence]:
-        out = []
-        for kept, hidden in zip(self.kept, self.hidden):
-            out.extend(kept)
-            out.extend(s for s, _ in hidden)
-        return out
-
 
 def generate(
     limits: GenLimits,
@@ -517,46 +497,3 @@ def generate(
             for s, _ in hidden:
                 frontier.extend(refinements(s, limits, pool))
     return result
-
-
-def random_sentence(rng: random.Random, limits: GenLimits) -> Sentence:
-    """Uniform-ish fragment-legal sentence inside the given limits."""
-    preds = limits.predicates()
-    binaries = [p for p in preds if p.arity == 2]
-    clauses = []
-    for _ in range(rng.randint(1, limits.max_clauses)):
-        if binaries and rng.random() < 0.6:
-            q1, q2 = rng.choice(limits.pair_quants())
-            if q1.is_counting or q2.is_counting:
-                counted = "x" if q1.is_counting else "y"
-                p = rng.choice(binaries)
-                other = "y" if counted == "x" else "x"
-                args = rng.choice(
-                    [(counted, other), (other, counted), (counted, counted)]
-                )
-                body = [Literal(p, args, rng.random() < 0.5)]
-            else:
-                body = rng.sample(
-                    _literal_options(preds, 2),
-                    rng.randint(1, limits.max_literals),
-                )
-                if not any(a == "y" for lit in body for a in lit.args):
-                    p = rng.choice(binaries)
-                    body.append(Literal(p, ("x", "y"), rng.random() < 0.5))
-            clauses.append(pair(q1, q2, body))
-        else:
-            q = rng.choice(limits.single_quants())
-            if q.is_counting:
-                options = [
-                    Literal(p, ("x",) if p.arity == 1 else ("x", "x"), neg)
-                    for p in preds
-                    for neg in (False, True)
-                ]
-                body = [rng.choice(options)]
-            else:
-                body = rng.sample(
-                    _literal_options(preds, 1),
-                    rng.randint(1, min(limits.max_literals, 2 * len(preds))),
-                )
-            clauses.append(single(q, body))
-    return Sentence(frozenset(clauses))

@@ -217,10 +217,6 @@ def sentence(clauses: Iterable[Clause]) -> Sentence:
     return Sentence(cs)
 
 
-def render_sentence(s: Sentence) -> str:
-    return s.render()
-
-
 _TOKEN_RE = re.compile(r"[A-Za-z_]\w*|\d+|[()&|~=,]")
 
 
@@ -349,13 +345,6 @@ class PredicateTransform:
             args = (args[1], args[0])
         negated = lit.negated ^ (name in self.flip_sign)
         return Literal(Predicate(new_name, lit.pred.arity), args, negated)
-
-
-def apply_transform(s: Sentence, t: PredicateTransform) -> Sentence:
-    out = []
-    for c in s.clauses:
-        out.append(Clause(c.prefix, frozenset(t.apply_literal(l) for l in c.body)))
-    return sentence(out)
 
 
 def _swappable(clause: Clause) -> bool:

@@ -1,31 +1,38 @@
 """Brute-force model counting by explicit world enumeration.
 
-Ground truth for small domains: enumerate every interpretation of the
-ground atoms, evaluate the sentence directly (counting quantifiers
-included), and sum.  Exponential in the number of ground atoms, so guarded
-by a hard cap; used to validate the lifted engine and to spot-check
-generated sentences.
+Ground truth for small domains.  With k ground atoms there are 2^k worlds,
+numbered 0..2^k-1 so that bit i of world w is the value of atom i.  Every
+truth value over all worlds at once is one 2^k-bit Python int whose bit w
+holds it in world w: atom i is the int that repeats 2^i zeros then 2^i
+ones, a negated literal is its complement, and a body is the `|` of its
+literals.  A quantifier over the elements combines the per-element ints
+with `&` (V), `|` (E), or the "exactly k of them" mask for E=k, and the
+models are the set bits of the `&` of all clauses.  Weights enter through
+the same "exactly t true" masks, one set per weighted predicate.  The cost
+is exponential in k, so k is capped at MAX_ATOMS.  Used to validate the
+lifted engine and to spot-check generated sentences.
 
 reference_count is a deliberately naive second implementation kept around
-to cross-check the vectorized one.
+to cross-check the bitset one.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
+from functools import reduce
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
+from .logic import Clause, Predicate, Quantifier, Sentence
 
-from .logic import Clause, Predicate, Sentence
-
-CHUNK_BITS = 20
+# ground atoms beyond this make 2^k-bit masks too large to enumerate
+MAX_ATOMS = 24
 
 Weights = Mapping[str, tuple[int, int]]
 
 
 def _ground_atoms(
-    preds: Sequence[Predicate], n: int
+    preds: Iterable[Predicate], n: int
 ) -> dict[tuple[str, tuple[int, ...]], int]:
     atoms: dict[tuple[str, tuple[int, ...]], int] = {}
     for p in sorted(preds):
@@ -41,153 +48,90 @@ def _ground_atoms(
     return atoms
 
 
-def _signature(s: Sentence, signature: Iterable[Predicate] | None) -> list[Predicate]:
-    preds = set(s.predicates)
-    if signature is not None:
-        extra = set(signature)
-        if not preds <= extra:
-            raise ValueError("signature must cover the sentence's predicates")
-        preds = extra
-    return sorted(preds)
+def _column(i: int, nworlds: int) -> int:
+    """The worlds in which atom i is true: bit i of the world number."""
+    width = 1 << i
+    col, length = ((1 << width) - 1) << width, 2 * width
+    while length < nworlds:
+        col |= col << length
+        length *= 2
+    return col
 
 
-def _clause_truth(
-    clause: Clause,
-    n: int,
-    bits: np.ndarray,
-    atoms: Mapping[tuple[str, tuple[int, ...]], int],
-) -> np.ndarray:
-    """Boolean array over the chunk: does this clause hold in each world."""
+def _exactly(cols: Sequence[int], full: int) -> list[int]:
+    """Masks of the worlds where exactly t of cols hold, for t = 0..len(cols)."""
+    masks = [full]
+    for col in cols:
+        off = full ^ col
+        masks = [a & off | b & col for a, b in zip(masks + [0], [0] + masks)]
+    return masks
 
-    def body_true(assignment: dict[str, int]) -> np.ndarray:
-        out = np.zeros(bits.shape[0], dtype=bool)
+
+def _holds(
+    clause: Clause, n: int, col: Mapping[tuple[str, tuple[int, ...]], int], full: int
+) -> int:
+    """Mask of the worlds in which the clause holds."""
+
+    def body(i: int, j: int) -> int:
+        out = 0
         for lit in clause.body:
-            elems = tuple(assignment[a] for a in lit.args)
-            col = bits[:, atoms[(lit.pred.name, elems)]]
-            out |= ~col if lit.negated else col
+            c = col[(lit.pred.name, tuple(i if a == "x" else j for a in lit.args))]
+            out |= full ^ c if lit.negated else c
         return out
 
-    def aggregate(stack: list[np.ndarray], q) -> np.ndarray:
+    def quantify(q: Quantifier, masks: list[int]) -> int:
         if q.count is not None:
-            total = np.zeros(stack[0].shape[0], dtype=np.int16)
-            for arr in stack:
-                total += arr
-            return total == q.count
-        combined = stack[0].copy()
-        for arr in stack[1:]:
-            if q.kind == "V":
-                combined &= arr
-            else:
-                combined |= arr
-        return combined
+            exact = _exactly(masks, full)
+            return exact[q.count] if q.count < len(exact) else 0
+        return reduce(operator.and_ if q.kind == "V" else operator.or_, masks)
 
     if clause.nvars == 1:
-        per_elem = [body_true({"x": i, "y": i}) for i in range(n)]
-        return aggregate(per_elem, clause.prefix[0])
-
-    per_x = []
-    for i in range(n):
-        per_y = [body_true({"x": i, "y": j}) for j in range(n)]
-        per_x.append(aggregate(per_y, clause.prefix[1]))
-    return aggregate(per_x, clause.prefix[0])
+        return quantify(clause.prefix[0], [body(i, i) for i in range(n)])
+    qx, qy = clause.prefix
+    return quantify(
+        qx, [quantify(qy, [body(i, j) for j in range(n)]) for i in range(n)]
+    )
 
 
-def _satisfying_mask(
-    s: Sentence,
-    n: int,
-    worlds: np.ndarray,
-    atoms: Mapping[tuple[str, tuple[int, ...]], int],
-    constraints: Sequence[tuple[str, int]] | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    nbits = len(atoms)
-    shifts = np.arange(nbits, dtype=np.uint64)
-    bits = ((worlds[:, None] >> shifts[None, :]) & 1).astype(bool)
-    ok = np.ones(len(worlds), dtype=bool)
-    for clause in s.clauses:
-        ok &= _clause_truth(clause, n, bits, atoms)
-        if not ok.any():
-            break
-    if constraints:
-        for name, target in constraints:
-            cols = [b for (pname, _), b in atoms.items() if pname == name]
-            if not cols:
-                raise ValueError(f"constraint on unknown predicate {name}")
-            ok &= bits[:, cols].sum(axis=1) == target
-    return ok, bits
-
-
-def count_models(
-    s: Sentence,
-    n: int,
-    *,
-    signature: Iterable[Predicate] | None = None,
-    constraints: Sequence[tuple[str, int]] | None = None,
-    cap: int = 24,
-) -> int:
+def count_models(s: Sentence, n: int) -> int:
     """Number of models of s over a domain of size n."""
-    if n < 1:
-        raise ValueError("domain size must be at least 1")
-    preds = _signature(s, signature)
-    atoms = _ground_atoms(preds, n)
-    if len(atoms) > cap:
-        raise ValueError(f"{len(atoms)} ground atoms exceeds cap {cap}")
-    total = 0
-    nworlds = 1 << len(atoms)
-    chunk = 1 << min(len(atoms), CHUNK_BITS)
-    for start in range(0, nworlds, chunk):
-        worlds = np.arange(start, start + chunk, dtype=np.uint64)
-        ok, _ = _satisfying_mask(s, n, worlds, atoms, constraints)
-        total += int(ok.sum())
-    return total
+    return weighted_count(s, n, {})
 
 
-def weighted_count(
-    s: Sentence,
-    n: int,
-    weights: Weights,
-    *,
-    signature: Iterable[Predicate] | None = None,
-    constraints: Sequence[tuple[str, int]] | None = None,
-    cap: int = 24,
-) -> int:
+def weighted_count(s: Sentence, n: int, weights: Weights) -> int:
     """Weighted model count: each true atom contributes w, each false one wbar.
 
     Weights map predicate name to a (w, wbar) pair of ints and default to
-    (1, 1) for unlisted predicates.
+    (1, 1) for unlisted predicates.  Each weighted predicate with N ground
+    atoms splits the models by t, how many of its atoms are true; a model
+    in part t weighs w^t * wbar^(N - t) for that predicate.
     """
     if n < 1:
         raise ValueError("domain size must be at least 1")
-    preds = _signature(s, signature)
-    atoms = _ground_atoms(preds, n)
-    if len(atoms) > cap:
-        raise ValueError(f"{len(atoms)} ground atoms exceeds cap {cap}")
-
-    atom_w = []
-    for (name, _), _bit in sorted(atoms.items(), key=lambda kv: kv[1]):
-        atom_w.append(weights.get(name, (1, 1)))
-    max_abs = max((max(abs(w), abs(wb), 1) for w, wb in atom_w), default=1)
-    safe_int64 = len(atoms) * max_abs.bit_length() <= 60
-
-    total = 0
+    atoms = _ground_atoms(s.predicates, n)
+    if len(atoms) > MAX_ATOMS:
+        raise ValueError(f"{len(atoms)} ground atoms exceeds cap {MAX_ATOMS}")
     nworlds = 1 << len(atoms)
-    chunk = 1 << min(len(atoms), CHUNK_BITS)
-    for start in range(0, nworlds, chunk):
-        worlds = np.arange(start, start + chunk, dtype=np.uint64)
-        ok, bits = _satisfying_mask(s, n, worlds, atoms, constraints)
-        if not ok.any():
+    full = (1 << nworlds) - 1
+    col = {atom: _column(i, nworlds) for atom, i in atoms.items()}
+    ok = full
+    for clause in s.clauses:
+        ok &= _holds(clause, n, col, full)
+
+    parts = [(ok, 1)]
+    for p in sorted(s.predicates):
+        w, wbar = weights.get(p.name, (1, 1))
+        if (w, wbar) == (1, 1):
             continue
-        if safe_int64:
-            wprod = np.ones(len(worlds), dtype=np.int64)
-            for b, (w, wb) in enumerate(atom_w):
-                wprod *= np.where(bits[:, b], w, wb)
-            total += int(wprod[ok].sum())
-        else:
-            for idx in np.nonzero(ok)[0]:
-                wprod_py = 1
-                for b, (w, wb) in enumerate(atom_w):
-                    wprod_py *= w if bits[idx, b] else wb
-                total += wprod_py
-    return total
+        cols = [c for (name, _), c in col.items() if name == p.name]
+        exact = _exactly(cols, full)
+        parts = [
+            (sub, coef * w**t * wbar ** (len(cols) - t))
+            for mask, coef in parts
+            for t, e in enumerate(exact)
+            if (sub := mask & e)
+        ]
+    return sum(coef * mask.bit_count() for mask, coef in parts)
 
 
 def reference_count(s: Sentence, n: int) -> int:

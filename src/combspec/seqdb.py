@@ -264,8 +264,10 @@ class SpectrumDB:
         tmp.replace(self.path)
 
     def stats(self) -> dict[str, int]:
+        """Record counts by status; a truncated record counts as truncated."""
         out = {"total": len(self._records)}
         for rec in self._records:
-            out[rec.status] = out.get(rec.status, 0) + 1
+            key = "truncated" if rec.truncated else rec.status
+            out[key] = out.get(key, 0) + 1
         out["matched"] = sum(1 for r in self._records if r.oeis)
         return out

@@ -19,15 +19,11 @@ from combspec.engine import (
     spectrum_fingerprint,
     wfomc,
 )
-from combspec.generator import (
-    GenLimits,
-    design_redundant,
-    generate,
-    random_sentence,
-)
+from combspec.generator import GenLimits, generate
 from combspec.logic import FragmentError, parse_sentence
 from combspec.oracle import count_models
 from combspec.seqdb import SpectrumDB
+from helpers import all_retained, design_redundant, random_sentence
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -187,7 +183,7 @@ def test_criterion_05_pruning_preserves_spectra():
 def test_criterion_06_fingerprint_soundness():
     groups = defaultdict(list)
     skipped = 0
-    for s in generate(PRUNE_LIMITS, 3).all_retained():
+    for s in all_retained(generate(PRUNE_LIMITS, 3)):
         try:
             groups[spectrum_fingerprint(s)].append(s)
         except KeyTooComplex:

@@ -4,6 +4,8 @@ import json
 from pathlib import Path
 
 from combspec.cli import main
+from combspec.generator import GenLimits, generate
+from combspec.seqdb import SpectrumDB
 
 FIXTURE = Path(__file__).parent / "fixtures" / "oeis_stripped.txt"
 
@@ -100,6 +102,27 @@ def test_generate_never_counts_a_truncated_spectrum_as_unique(tmp_path, capsys):
     # the records themselves keep their truncation flag and status
     records = [json.loads(line) for line in db.read_text().splitlines()]
     assert records and all(r["truncated"] for r in records)
+    code, out = run(capsys, "db", "stats", "--db", str(db))
+    assert code == 0
+    assert json.loads(out) == {"total": 40, "truncated": 40, "matched": 0}
+
+
+def test_generate_tallies_only_its_own_records(tmp_path, capsys):
+    db = tmp_path / "t.jsonl"
+    common = ["--layers", "2", "--db", str(db), "--json"]
+    code, _ = run(
+        capsys, "generate", "--ml", "2", "--mc", "2", "--up", "2", "--bp", "0", *common
+    )
+    assert code == 0
+    code, out = run(capsys, "generate", "--profile", "fo2-paper", *common)
+    assert code == 0
+    # a demotion must not recount the first run's records into these layers
+    layers = json.loads(out)["layers"]
+    status = {r.sentence: r.status for r in SpectrumDB(db).records()}
+    limits = GenLimits(max_literals=5, max_clauses=2, unary=1, binary=1)
+    for row, kept in zip(layers, generate(limits, 2).kept):
+        unique = sum(status[s.render()] == "unique" for s in kept)
+        assert (row["kept"], row["unique"]) == (len(kept), unique)
 
 
 def test_io_error_exit_code(capsys):
@@ -177,7 +200,6 @@ def test_oeis_terms_against_fixture(capsys):
 
 
 def test_oeis_db_annotates_matches(tmp_path, capsys):
-    from combspec.seqdb import SpectrumDB
 
     db_path = tmp_path / "seq.jsonl"
     db = SpectrumDB(db_path)
@@ -197,7 +219,6 @@ def test_oeis_db_annotates_matches(tmp_path, capsys):
 
 
 def test_oeis_db_writes_every_match_in_one_rewrite(tmp_path, capsys, monkeypatch):
-    from combspec.seqdb import SpectrumDB
 
     db_path = tmp_path / "seq.jsonl"
     db = SpectrumDB(db_path)
@@ -225,7 +246,6 @@ def test_oeis_db_writes_every_match_in_one_rewrite(tmp_path, capsys, monkeypatch
 
 def test_oeis_db_keeps_matches_before_a_failed_lookup(tmp_path, capsys, monkeypatch):
     from combspec import cli
-    from combspec.seqdb import SpectrumDB
 
     db_path = tmp_path / "seq.jsonl"
     db = SpectrumDB(db_path)

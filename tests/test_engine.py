@@ -19,9 +19,10 @@ from combspec.engine import (
     spectrum_fingerprint,
     wfomc,
 )
-from combspec.generator import GenLimits, random_sentence
+from combspec.generator import GenLimits
 from combspec.logic import FragmentError, parse_sentence
 from combspec.oracle import count_models, weighted_count
+from helpers import random_sentence
 
 MAXN_ORACLE = 4
 

@@ -13,7 +13,6 @@ from combspec.generator import (
     GenLimits,
     GenState,
     classify,
-    design_redundant,
     generate,
     has_subsumed_clause,
     has_trivial_constraint,
@@ -21,7 +20,6 @@ from combspec.generator import (
     is_decomposable,
     is_refuted,
     is_tautological,
-    random_sentence,
     reflexive_only_binary,
 )
 from combspec.logic import (
@@ -32,6 +30,7 @@ from combspec.logic import (
     sentence,
 )
 from combspec.oracle import count_models
+from helpers import design_redundant, random_sentence
 
 
 def parse(text):

@@ -11,13 +11,12 @@ from combspec.logic import (
     Predicate,
     PredicateTransform,
     Sentence,
-    apply_transform,
     canonical_key,
     counting,
     make_clause,
     parse_sentence,
-    render_sentence,
 )
+from helpers import apply_transform
 
 
 def rt(text):
@@ -172,4 +171,4 @@ def test_clause_helpers():
     assert c.nvars == 2
     assert not c.is_counting
     s = Sentence(frozenset([c]))
-    assert render_sentence(s) == "(V x E y B(x,y))"
+    assert s.render() == "(V x E y B(x,y))"

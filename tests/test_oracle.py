@@ -1,9 +1,27 @@
 """Brute-force model counter used as the ground truth in other tests."""
 
+import os
+import random
+import subprocess
+import sys
+from itertools import product
+from pathlib import Path
+
 import pytest
 
-from combspec.logic import parse_sentence
-from combspec.oracle import count_models, reference_count, weighted_count
+import combspec
+from combspec.logic import (
+    EXISTS,
+    FORALL,
+    VARS,
+    Literal,
+    Predicate,
+    counting,
+    make_clause,
+    parse_sentence,
+    sentence,
+)
+from combspec.oracle import MAX_ATOMS, count_models, reference_count, weighted_count
 
 
 def count(text, n):
@@ -66,6 +84,22 @@ def test_weighted_defaults_match_unweighted():
         assert weighted_count(s, n, {}) == count_models(s, n)
 
 
+QUANTS = [FORALL, EXISTS, counting(1), counting(2)]
+# 1 + 3 + 9 ground atoms at n = 3, within reference_count's 16
+PREDS = [Predicate("P", 0), Predicate("U", 1), Predicate("B", 2)]
+PREFIXES = [(q,) for q in QUANTS] + list(product(QUANTS, repeat=2))
+
+
+def random_clause(rng, prefix):
+    options = [
+        Literal(p, args, neg)
+        for p in PREDS
+        for args in product(VARS[: len(prefix)], repeat=p.arity)
+        for neg in (False, True)
+    ]
+    return make_clause(zip(prefix, VARS), rng.sample(options, rng.randint(1, 3)))
+
+
 def test_reference_count_agrees_with_count_models():
     texts = [
         "(V x ~R(x,x))",
@@ -74,10 +108,18 @@ def test_reference_count_agrees_with_count_models():
         "(V x E=1 y R(x,y))",
         "(V x E y R(x,y) | ~R(y,x)) & (E x U(x))",
     ]
-    for text in texts:
-        s = parse_sentence(text)
+    rng = random.Random(20261018)
+    sentences = [parse_sentence(text) for text in texts]
+    # every prefix twice, half the time beside a second random clause
+    for prefix in PREFIXES * 2:
+        clauses = [random_clause(rng, prefix)]
+        if rng.random() < 0.5:
+            clauses.append(random_clause(rng, rng.choice(PREFIXES)))
+        sentences.append(sentence(clauses))
+    assert any(p.arity == 0 for s in sentences for p in s.predicates)
+    for s in sentences:
         for n in range(1, 4):
-            assert reference_count(s, n) == count_models(s, n), (text, n)
+            assert reference_count(s, n) == count_models(s, n), (s.render(), n)
 
 
 def test_reference_count_rejects_large_domains():
@@ -93,6 +135,20 @@ def test_brute_spectrum_prefix():
 
 def test_count_models_cap_guards_blowup():
     s = parse_sentence("(V x E y R(x,y))")
+    assert 3 * 3 <= MAX_ATOMS < 5 * 5
     with pytest.raises(ValueError):
-        count_models(s, 6, cap=9)  # 36 binary atoms is past the cap
-    assert count_models(s, 3, cap=9) == 7**3  # each row independently nonempty
+        count_models(s, 5)  # 25 binary atoms is past the cap
+    assert count_models(s, 3) == 7**3  # each row independently nonempty
+
+
+def test_oracle_runs_on_the_standard_library_alone():
+    code = "import sys, combspec, combspec.oracle; print('numpy' in sys.modules)"
+    src = str(Path(combspec.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"

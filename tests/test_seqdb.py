@@ -171,12 +171,14 @@ def test_stats_counts_statuses(tmp_path):
     db.insert("a", [1, 3, 7, 15, 31, 63])
     db.insert("b", [1, 3, 7, 15, 31])
     db.insert("c", [1, 9, 49, 225, 961, 3969])
+    db.insert("d", [1, 4], truncated=True)  # counted as truncated, never unique
     s = db.stats()
     assert s == {
-        "total": 3,
+        "total": 4,
         "unique": 1,
         "duplicate": 1,
         "product_redundant": 1,
+        "truncated": 1,
         "matched": 0,
     }
 
