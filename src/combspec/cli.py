@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .engine import compute_spectrum, wfomc
@@ -54,12 +53,13 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         parser.error(f"cannot read config: {exc}")
         return
     for key, value in cfg.items():
-        if not hasattr(args, key) or getattr(args, key) is not None:
+        if not hasattr(args, key):
             continue
         current = getattr(args, key)
-        if isinstance(current, bool):
+        # a store_true flag left at False is unset; `is` keeps 0 apart
+        if current is False:
             setattr(args, key, value.lower() in ("1", "true", "yes"))
-        else:
+        elif current is None:
             setattr(args, key, value)
 
 
@@ -98,13 +98,6 @@ def _limits_from_args(args: argparse.Namespace) -> GenLimits:
     )
 
 
-def _spectrum_job(job: tuple[str, int, float]) -> tuple[str, list[str], bool]:
-    text, length, budget = job
-    s = parse_sentence(text)
-    sp = compute_spectrum(s, length, budget_secs=budget)
-    return text, [str(t) for t in sp.terms], sp.truncated
-
-
 def cmd_wfomc(args: argparse.Namespace) -> int:
     s = parse_sentence(args.sentence)
     value = wfomc(s, args.n, weights=_weights_from_args(args))
@@ -140,57 +133,41 @@ def cmd_generate(args: argparse.Namespace) -> int:
     layers = int(args.layers) if args.layers is not None else 3
     length = int(args.length) if args.length is not None else 10
     budget = float(args.budget_secs) if args.budget_secs is not None else 30.0
-    workers = int(args.workers) if args.workers is not None else 1
     profile = args.profile or "custom"
 
     result = generate(limits, layers)
-    jobs = []
-    layer_of = {}
-    for i, layer in enumerate(result.kept):
-        for s in layer:
-            text = s.render()
-            layer_of[text] = i + 1
-            jobs.append((text, length, budget))
-
-    spectra: dict[str, tuple[list[str], bool]] = {}
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for text, terms, truncated in pool.map(
-                _spectrum_job, jobs, chunksize=4
-            ):
-                spectra[text] = (terms, truncated)
-    else:
-        for job in jobs:
-            text, terms, truncated = _spectrum_job(job)
-            spectra[text] = (terms, truncated)
-
     db = SpectrumDB(args.db) if args.db else None
     per_layer: list[dict] = [
-        {"layer": i + 1, "kept": len(result.kept[i]), "unique": 0}
-        for i in range(len(result.kept))
+        {"layer": i + 1, "kept": len(kept), "unique": 0}
+        for i, kept in enumerate(result.kept)
     ]
+    truncated = result.truncated
+    # each layer comes sorted by text, so records go in (layer, text) order
+    inserted = []
+    for i, kept in enumerate(result.kept):
+        for s in kept:
+            sp = compute_spectrum(s, length, budget_secs=budget)
+            truncated = truncated or sp.truncated
+            if db is not None:
+                rec = db.insert(
+                    s.render(),
+                    sp.terms,
+                    truncated=sp.truncated,
+                    layer=i + 1,
+                    profile=profile,
+                )
+                inserted.append((i, rec))
     if db is not None:
-        inserted = []
-        for text in sorted(spectra, key=lambda t: (layer_of[t], t)):
-            terms, truncated = spectra[text]
-            rec = db.insert(
-                text,
-                [int(t) for t in terms],
-                truncated=truncated,
-                layer=layer_of[text],
-                profile=profile,
-            )
-            inserted.append((layer_of[text], rec))
         # insert-time product checks only see earlier records; settle order
         db.reclassify_products()
         # tally this run's sentences only, by this run's layer: the file may
         # hold records of earlier runs
-        for layer, rec in inserted:
+        for i, rec in inserted:
             if rec.status == "unique" and not rec.truncated:
-                per_layer[layer - 1]["unique"] += 1
+                per_layer[i]["unique"] += 1
 
     if args.json:
-        doc = {"layers": per_layer, "truncated": result.truncated}
+        doc = {"layers": per_layer, "truncated": truncated}
         if db is not None:
             doc["db"] = db.stats()
         print(json.dumps(doc))
@@ -202,7 +179,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
             print(line)
         if db is not None:
             print(f"db: {db.stats()}")
-    truncated = result.truncated or any(t for _, t in spectra.values())
     return EXIT_BUDGET if truncated else EXIT_OK
 
 
@@ -301,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layers", help="refinement depth (default 3)")
     p.add_argument("--length", help="spectrum length (default 10)")
     p.add_argument("--budget-secs", dest="budget_secs", help="per-spectrum budget")
-    p.add_argument("--workers", help="parallel spectrum workers")
     p.add_argument("--db", help="JSONL database path")
     add_common(p)
     p.set_defaults(func=cmd_generate)

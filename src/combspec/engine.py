@@ -30,7 +30,7 @@ import math
 import operator
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Collection, Mapping, Sequence
 
 from .logic import (
@@ -293,8 +293,6 @@ class CellGraph:
     cells: list[tuple[bool, ...]]
     weights: list[Value]
     r: list[list[Value]]
-    _merged: tuple | None = field(default=None, repr=False)
-    _dp_order: list[int] | None = field(default=None, repr=False)
 
 
 def build_cell_graph(
@@ -410,8 +408,6 @@ def _merge_cells(g: CellGraph) -> tuple[list[Value], list[list[Value]]]:
     every other cell: splitting a block between them telescopes to a single
     cell of weight w_i + w_j.  Zero-weight cells drop out entirely.
     """
-    if g._merged is not None:
-        return g._merged
     q = len(g.cells)
     live = [i for i in range(q) if g.weights[i]]
     key = [[canonical_value(v) for v in row] for row in g.r]
@@ -439,9 +435,7 @@ def _merge_cells(g: CellGraph) -> tuple[list[Value], list[list[Value]]]:
             kept_groups.append(grp)
     reps = [grp[0] for grp in kept_groups]
     r = [[g.r[a][b] for b in reps] for a in reps]
-    merged = (weights, r)
-    g._merged = merged
-    return merged
+    return weights, r
 
 
 def _greedy_cell_order(r: list[list[Value]], q: int) -> list[int]:
@@ -491,9 +485,7 @@ def evaluate_cell_sum(
     """
     weights, r = _merge_cells(g)
     q = len(weights)
-    order = g._dp_order
-    if order is None or len(order) != q:
-        order = g._dp_order = _greedy_cell_order(r, q)
+    order = _greedy_cell_order(r, q)
     w = [weights[i] for i in order]
     rr = [[r[a][b] for b in order] for a in order]
     # plain ints multiply natively and key states by value; symbolic values

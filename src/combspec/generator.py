@@ -119,9 +119,10 @@ def _literal_options(preds: Sequence[Predicate], nvars: int) -> list[Literal]:
 def refinements(
     s: Sentence, limits: GenLimits, pool: Sequence[Clause]
 ) -> list[Sentence]:
-    """All one-step extensions of s, deduplicated by rendered text."""
+    """All one-step extensions of s, as built.  Children may repeat, here
+    and across parents; generate deduplicates the whole frontier."""
     preds = limits.predicates()
-    out: dict[str, Sentence] = {}
+    out = []
     for c in s.clauses:
         if c.is_counting or len(c.body) >= limits.max_literals:
             continue
@@ -129,15 +130,12 @@ def refinements(
             if lit in c.body:
                 continue
             extended = Clause(c.prefix, c.body | {lit})
-            child = Sentence((s.clauses - {c}) | {extended})
-            out.setdefault(child.render(), child)
+            out.append(Sentence((s.clauses - {c}) | {extended}))
     if len(s.clauses) < limits.max_clauses:
         for c0 in pool:
-            if c0 in s.clauses:
-                continue
-            child = Sentence(s.clauses | {c0})
-            out.setdefault(child.render(), child)
-    return list(out.values())
+            if c0 not in s.clauses:
+                out.append(Sentence(s.clauses | {c0}))
+    return out
 
 
 def is_tautological(s: Sentence) -> bool:
@@ -443,13 +441,6 @@ class GenResult:
     counts: list[Counter]
     truncated: bool = False
 
-    def kept_cumulative(self) -> list[int]:
-        totals, acc = [], 0
-        for layer in self.kept:
-            acc += len(layer)
-            totals.append(acc)
-        return totals
-
     def all_kept(self) -> list[Sentence]:
         return [s for layer in self.kept for s in layer]
 
@@ -468,10 +459,8 @@ def generate(
     deadline = time.monotonic() + budget_secs if budget_secs is not None else None
 
     for layer in range(1, layers + 1):
-        by_text = {}
-        for s in frontier:
-            by_text.setdefault(s.render(), s)
-        candidates = [by_text[t] for t in sorted(by_text)]
+        # clauses are alpha-normalised, so value equality is text equality
+        candidates = sorted(set(frontier), key=Sentence.render)
         kept: list[Sentence] = []
         hidden: list[tuple[Sentence, str]] = []
         counts: Counter = Counter()

@@ -194,7 +194,6 @@ class SpectrumDB:
         truncated: bool = False,
         layer: int | None = None,
         profile: str | None = None,
-        oeis: str | None = None,
     ) -> Record:
         """Classify and append; re-inserting a sentence returns its record."""
         existing = self._by_sentence.get(sentence)
@@ -219,7 +218,6 @@ class SpectrumDB:
             product_of=prod_of,
             layer=layer,
             profile=profile,
-            oeis=oeis,
         )
         self._add(rec)
         with self.path.open("a") as fh:

@@ -89,6 +89,15 @@ def all_retained(result: GenResult) -> list[Sentence]:
     return out
 
 
+def kept_cumulative(result: GenResult) -> list[int]:
+    """Running total of kept sentences after each layer."""
+    totals, acc = [], 0
+    for layer in result.kept:
+        acc += len(layer)
+        totals.append(acc)
+    return totals
+
+
 def apply_transform(s: Sentence, t: PredicateTransform) -> Sentence:
     out = []
     for c in s.clauses:

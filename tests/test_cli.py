@@ -4,7 +4,9 @@ import json
 from pathlib import Path
 
 from combspec.cli import main
+from combspec.engine import compute_spectrum
 from combspec.generator import GenLimits, generate
+from combspec.logic import parse_sentence
 from combspec.seqdb import SpectrumDB
 
 FIXTURE = Path(__file__).parent / "fixtures" / "oeis_stripped.txt"
@@ -68,7 +70,7 @@ def test_budget_exit_code_with_partial_output(capsys):
 
 def test_generate_budget_exit_code(capsys):
     # every spectrum runs out of its budget; generate itself does not
-    code, _ = run(
+    code, out = run(
         capsys,
         "generate",
         "--profile",
@@ -77,8 +79,11 @@ def test_generate_budget_exit_code(capsys):
         "1",
         "--budget-secs",
         "0.000001",
+        "--json",
     )
     assert code == 4
+    # the JSON flag is the one that sets the exit code
+    assert json.loads(out)["truncated"] is True
 
 
 def test_generate_never_counts_a_truncated_spectrum_as_unique(tmp_path, capsys):
@@ -138,7 +143,7 @@ def test_generate_populates_db(tmp_path, capsys):
         "--profile",
         "fo2-paper",
         "--layers",
-        "1",
+        "2",
         "--db",
         str(db),
         "--json",
@@ -146,8 +151,15 @@ def test_generate_populates_db(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["layers"][0] == {"layer": 1, "kept": 4, "unique": 4}
-    assert doc["db"]["total"] == 4
-    assert db.exists()
+    assert doc["db"]["total"] == 40
+    records = SpectrumDB(db).records()
+    # records go in (layer, sentence) order, each with its own spectrum
+    order = [(r.layer, r.sentence) for r in records]
+    assert order == sorted(order)
+    assert [r.id for r in records] == list(range(40))
+    for rec in records:
+        want = compute_spectrum(parse_sentence(rec.sentence), 10).terms
+        assert list(rec.spectrum) == want
 
 
 def test_generate_flags_without_profile(tmp_path, capsys):
@@ -267,8 +279,8 @@ def test_oeis_db_keeps_matches_before_a_failed_lookup(tmp_path, capsys, monkeypa
 
 def test_config_file_supplies_defaults(tmp_path, capsys):
     cfg = tmp_path / "gen.cfg"
-    cfg.write_text("ml = 1\nmc = 1\nup = 1\nbp = 1\nk = 0\nlayers = 1\n")
-    code, out = run(capsys, "generate", "--config", str(cfg), "--json")
+    cfg.write_text("ml = 1\nmc = 1\nup = 1\nbp = 1\nk = 0\nlayers = 1\njson = true\n")
+    code, out = run(capsys, "generate", "--config", str(cfg))
     assert code == 0
     assert json.loads(out)["layers"][0]["kept"] == 4
 

@@ -30,7 +30,7 @@ from combspec.logic import (
     sentence,
 )
 from combspec.oracle import count_models
-from helpers import design_redundant, random_sentence
+from helpers import design_redundant, kept_cumulative, random_sentence
 
 
 def parse(text):
@@ -270,8 +270,8 @@ def test_layer1_kept_c2(c2_limits):
 
 
 def test_cumulative_kept_two_layers(fo2_limits, c2_limits):
-    assert generate(fo2_limits, 2).kept_cumulative() == [4, 40]
-    assert generate(c2_limits, 2).kept_cumulative() == [7, 80]
+    assert kept_cumulative(generate(fo2_limits, 2)) == [4, 40]
+    assert kept_cumulative(generate(c2_limits, 2)) == [7, 80]
 
 
 # per-layer verdict counts of the search, to be kept by any change to a
