@@ -28,6 +28,9 @@ EXIT_FRAGMENT = 3
 EXIT_BUDGET = 4
 EXIT_IO = 5
 
+# repeatable NAME=INT options; a config file lists their values with commas
+WEIGHT_OPTIONS = ("w", "wbar")
+
 
 def read_config(path: str) -> dict[str, str]:
     """key=value file, one per line, # comments."""
@@ -54,12 +57,14 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         return
     for key, value in cfg.items():
         if not hasattr(args, key):
-            continue
+            parser.error(f"unknown config key {key!r} for {args.command}")
         current = getattr(args, key)
         # a store_true flag left at False is unset; `is` keeps 0 apart
         if current is False:
             setattr(args, key, value.lower() in ("1", "true", "yes"))
         elif current is None:
+            if key in WEIGHT_OPTIONS:
+                value = [item.strip() for item in value.split(",")]
             setattr(args, key, value)
 
 
@@ -89,6 +94,8 @@ def _limits_from_args(args: argparse.Namespace) -> GenLimits:
     missing = [k for k in ("ml", "mc", "up", "bp") if k not in base]
     if missing:
         raise ValueError(f"missing limits (set --profile or {missing})")
+    if base.get("k", 0) not in (0, 1):
+        raise ValueError(f"only E=1 counting is supported: --k {base['k']}")
     return GenLimits(
         max_literals=base["ml"],
         max_clauses=base["mc"],
@@ -246,6 +253,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_weights(p: argparse.ArgumentParser) -> None:
+        for name in WEIGHT_OPTIONS:
+            p.add_argument(f"--{name}", action="append", metavar="NAME=INT")
+
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="key=value defaults file")
         p.add_argument("--json", action="store_true", help="JSON output")
@@ -253,8 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wfomc", help="weighted model count at one size")
     p.add_argument("sentence")
     p.add_argument("--n", type=int, required=True, help="domain size")
-    p.add_argument("--w", action="append", metavar="NAME=INT")
-    p.add_argument("--wbar", action="append", metavar="NAME=INT")
+    add_weights(p)
     add_common(p)
     p.set_defaults(func=cmd_wfomc)
 
@@ -262,8 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("sentence")
     p.add_argument("--length", help="number of terms (default 10)")
     p.add_argument("--budget-secs", dest="budget_secs")
-    p.add_argument("--w", action="append", metavar="NAME=INT")
-    p.add_argument("--wbar", action="append", metavar="NAME=INT")
+    add_weights(p)
     add_common(p)
     p.set_defaults(func=cmd_spectrum)
 
@@ -273,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mc", help="max clauses")
     p.add_argument("--up", help="unary predicates")
     p.add_argument("--bp", help="binary predicates")
-    p.add_argument("--k", help="max counting parameter (0 disables)")
+    p.add_argument("--k", help="counting parameter: 1 allows E=1, 0 disables")
     p.add_argument("--layers", help="refinement depth (default 3)")
     p.add_argument("--length", help="spectrum length (default 10)")
     p.add_argument("--budget-secs", dest="budget_secs", help="per-spectrum budget")

@@ -47,14 +47,7 @@ from .logic import (
     pair,
     single,
 )
-from .polynomial import (
-    Poly,
-    Value,
-    canonical_value,
-    coeff_of,
-    mul_values,
-    pow_value,
-)
+from .polynomial import Poly, Value, coeff_of, mul_values, pow_value
 
 WeightMap = Mapping[str, tuple[int, int]]
 
@@ -410,13 +403,13 @@ def _merge_cells(g: CellGraph) -> tuple[list[Value], list[list[Value]]]:
     """
     q = len(g.cells)
     live = [i for i in range(q) if g.weights[i]]
-    key = [[canonical_value(v) for v in row] for row in g.r]
+    r = g.r
     groups: list[list[int]] = []
     for i in live:
         for grp in groups:
             rep = grp[0]
-            if key[i][i] == key[rep][rep] == key[rep][i] and all(
-                key[i][k] == key[rep][k]
+            if r[i][i] == r[rep][rep] == r[rep][i] and all(
+                r[i][k] == r[rep][k]
                 for k in live
                 if k != i and k != rep
             ):
@@ -434,8 +427,7 @@ def _merge_cells(g: CellGraph) -> tuple[list[Value], list[list[Value]]]:
             weights.append(w)
             kept_groups.append(grp)
     reps = [grp[0] for grp in kept_groups]
-    r = [[g.r[a][b] for b in reps] for a in reps]
-    return weights, r
+    return weights, [[r[a][b] for b in reps] for a in reps]
 
 
 def _greedy_cell_order(r: list[list[Value]], q: int) -> list[int]:
@@ -446,7 +438,6 @@ def _greedy_cell_order(r: list[list[Value]], q: int) -> list[int]:
     prefix contributes no state variety.  Greedily append the cell that
     minimizes the product of distinct-value counts over the future columns.
     """
-    key = [[canonical_value(v) for v in row] for row in r]
     remaining = list(range(q))
     order: list[int] = []
     while remaining:
@@ -458,7 +449,7 @@ def _greedy_cell_order(r: list[list[Value]], q: int) -> list[int]:
             for j in remaining:
                 if j == cand:
                     continue
-                cost *= len({key[t][j] for t in pref})
+                cost *= len({r[t][j] for t in pref})
             if best_cost is None or cost < best_cost:
                 best, best_cost = cand, cost
         order.append(best)
@@ -488,18 +479,15 @@ def evaluate_cell_sum(
     order = _greedy_cell_order(r, q)
     w = [weights[i] for i in order]
     rr = [[r[a][b] for b in order] for a in order]
-    # plain ints multiply natively and key states by value; symbolic values
-    # drop monomials above caps and key states on their canonical form so
-    # equal polynomials merge
+    # plain ints multiply natively; symbolic values drop monomials above caps
     if caps is None:
-        mul, key = operator.mul, None
+        mul = operator.mul
     else:
-        mul, key = functools.partial(mul_values, caps=tuple(caps)), canonical_value
+        mul = functools.partial(mul_values, caps=tuple(caps))
 
-    # states[used] maps a key of accs to [accs, coeff]; accs[t] holds the
+    # states[used] maps accs to the summed coefficient; accs[t] holds the
     # product over processed cells p of rr[p][i+t] ** count_p
-    ones = (1,) * q
-    states: dict[int, dict[tuple, list]] = {0: {ones: [ones, 1]}}
+    states: dict[int, dict[tuple, Value]] = {0: {(1,) * q: 1}}
     ticker = 0
     for i in range(q):
         rows = [_powers(mul, rr[i][j], length) for j in range(i, q)]
@@ -508,9 +496,9 @@ def evaluate_cell_sum(
         for c in range(1, length + 1):
             f.append(mul(mul(f[-1], rows[0][c - 1]), w[i]))
         mults = [tuple(row[c] for row in rows[1:]) for c in range(length + 1)]
-        nxt: dict[int, dict[tuple, list]] = {u: {} for u in range(length + 1)}
+        nxt: dict[int, dict[tuple, Value]] = {u: {} for u in range(length + 1)}
         for used, bucket in states.items():
-            for accs, coeff in bucket.values():
+            for accs, coeff in bucket.items():
                 ticker += 1
                 if deadline is not None and ticker % 256 == 0:
                     if time.monotonic() > deadline:
@@ -527,23 +515,19 @@ def evaluate_cell_sum(
                     # every larger count keeps a zero factor
                     if not fc:
                         break
-                    contrib = mul(coeff * binom, fc)
+                    contrib = mul(mul(coeff, binom), fc)
                     if not contrib:
                         continue
                     na = tuple(map(mul, rest, mults[c])) if c else rest
-                    k = na if key is None else tuple(map(key, na))
                     slot = nxt[used + c]
-                    prev = slot.get(k)
-                    if prev is None:
-                        slot[k] = [na, contrib]
-                    else:
-                        prev[1] = prev[1] + contrib
+                    prev = slot.get(na)
+                    slot[na] = contrib if prev is None else prev + contrib
         states = {
-            used: {k: v for k, v in bucket.items() if v[1]}
+            used: {k: v for k, v in bucket.items() if v}
             for used, bucket in nxt.items()
         }
     # after the last cell no accumulators remain: one state per size
-    sums = {used: v[1] for used, bucket in states.items() for v in bucket.values()}
+    sums = {used: v for used, bucket in states.items() for v in bucket.values()}
     return [sums.get(n, 0) for n in range(1, length + 1)]
 
 
@@ -649,8 +633,6 @@ def _poly_serial(v: Value, perm: Sequence[int]):
     """Name-free canonical form of a weight under a symbol reordering."""
     if isinstance(v, int):
         return v
-    if not v.terms:
-        return 0
     items = []
     for mono, coef in v.terms.items():
         permuted = [0] * len(mono)
@@ -658,8 +640,6 @@ def _poly_serial(v: Value, perm: Sequence[int]):
             permuted[dst] = mono[src]
         items.append((tuple(permuted), coef))
     items.sort()
-    if len(items) == 1 and not any(items[0][0]):
-        return items[0][1]
     return ("p", tuple(items))
 
 

@@ -142,16 +142,12 @@ def is_tautological(s: Sentence) -> bool:
     """Some clause is valid: it contains a complementary literal pair,
     or its trailing existential admits the diagonal witness y = x whose
     instance contains one."""
-    for c in s.clauses:
-        for lit in c.body:
-            if not lit.negated and lit.negate() in c.body:
-                return True
-        if c.nvars == 2 and c.prefix[1] == EXISTS:
-            diag = {lit.substitute({"x": "x", "y": "x"}) for lit in c.body}
-            for lit in diag:
-                if not lit.negated and lit.negate() in diag:
-                    return True
-    return False
+    return any(
+        not lit.negated and lit.negate() in d.body
+        for c in s.clauses
+        for d in _diag_strengthenings(c)
+        for lit in d.body
+    )
 
 
 def is_decomposable(s: Sentence) -> bool:

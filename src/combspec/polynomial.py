@@ -5,8 +5,9 @@ constrained predicate a symbolic weight and reading off one coefficient at
 the end.  Exponents never shrink under addition or multiplication, so
 monomials above the target degree can be dropped early via caps.
 
-Plain ints mix freely with Poly values; helpers below keep an int fast
-path so unconstrained computations never touch polynomial arithmetic.
+Values have one normal form, built by make: a polynomial without a
+variable is a plain int, so a Poly is never zero or constant, and equal
+values compare and hash equal whichever way they were computed.
 """
 
 from __future__ import annotations
@@ -17,17 +18,14 @@ Caps = Sequence[Union[int, None]]
 
 
 class Poly:
-    """Polynomial over a fixed tuple of variable names."""
+    """Polynomial over a fixed tuple of variable names, with at least one
+    monomial that has a variable; build one with make or variable."""
 
     __slots__ = ("vars", "terms")
 
-    def __init__(self, vars: tuple[str, ...], terms: Mapping[tuple[int, ...], int]):
+    def __init__(self, vars: tuple[str, ...], terms: dict[tuple[int, ...], int]):
         self.vars = vars
-        self.terms = {m: c for m, c in terms.items() if c}
-
-    @classmethod
-    def constant(cls, vars: tuple[str, ...], c: int) -> "Poly":
-        return cls(vars, {(0,) * len(vars): c})
+        self.terms = terms
 
     @classmethod
     def variable(cls, vars: tuple[str, ...], name: str) -> "Poly":
@@ -35,127 +33,73 @@ class Poly:
         mono = tuple(int(j == i) for j in range(len(vars)))
         return cls(vars, {mono: 1})
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def _coerce(self, other) -> "Poly":
-        if isinstance(other, Poly):
-            if other.vars != self.vars:
-                raise ValueError("mixed variable sets")
-            return other
-        if isinstance(other, int):
-            return Poly.constant(self.vars, other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def __add__(self, other: "Value") -> "Value":
         terms = dict(self.terms)
-        for m, c in other.terms.items():
+        if isinstance(other, Poly):
+            items = other.terms.items()
+        else:
+            items = [((0,) * len(self.vars), other)]
+        for m, c in items:
             terms[m] = terms.get(m, 0) + c
-        return Poly(self.vars, terms)
+        return make(self.vars, terms)
 
     __radd__ = __add__
 
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.mul(other)
-
-    __rmul__ = __mul__
-
-    def mul(self, other: "Poly", caps: Caps | None = None) -> "Poly":
-        terms: dict[tuple[int, ...], int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                if caps is not None and _over_caps(m, caps):
-                    continue
-                terms[m] = terms.get(m, 0) + c1 * c2
-        return Poly(self.vars, terms)
-
-    def coefficient(self, mono: tuple[int, ...]) -> int:
-        return self.terms.get(tuple(mono), 0)
-
-    def canonical(self) -> tuple:
-        return (self.vars, tuple(sorted(self.terms.items())))
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            return self.terms == Poly.constant(self.vars, other).terms
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return isinstance(other, Poly) and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash(frozenset(self.terms.items()))
 
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for m, c in sorted(self.terms.items()):
-            factors = [str(c)] if c != 1 or not any(m) else []
-            if c == 1 and not any(m):
-                factors = ["1"]
-            for name, e in zip(self.vars, m):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            parts.append("*".join(factors) or str(c))
-        return " + ".join(parts)
+
+Value = Union[int, Poly]
+
+
+def make(vars: tuple[str, ...], terms: Mapping[tuple[int, ...], int]) -> Value:
+    """The normal form of a polynomial: zero coefficients dropped, and a
+    plain int when no monomial has a variable."""
+    terms = {m: c for m, c in terms.items() if c}
+    if any(any(m) for m in terms):
+        return Poly(vars, terms)
+    return sum(terms.values())
 
 
 def _over_caps(mono: tuple[int, ...], caps: Caps) -> bool:
     return any(cap is not None and e > cap for e, cap in zip(mono, caps))
 
 
-Value = Union[int, Poly]
-
-
 def mul_values(a: Value, b: Value, caps: Caps | None = None) -> Value:
-    """Product of two weights, staying on ints when both are ints."""
-    if isinstance(a, int) and isinstance(b, int):
-        return a * b
+    """Product of two weights, staying on ints when both are ints;
+    monomials above caps are dropped."""
     if isinstance(a, int):
+        if isinstance(b, int):
+            return a * b
         a, b = b, a
     if isinstance(b, int):
-        return a if b == 1 else a.mul(Poly.constant(a.vars, b), caps)
-    return a.mul(b, caps)
+        if b == 1:
+            return a
+        others = {(0,) * len(a.vars): b}
+    else:
+        others = b.terms
+    terms: dict[tuple[int, ...], int] = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in others.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            if caps is not None and _over_caps(m, caps):
+                continue
+            terms[m] = terms.get(m, 0) + c1 * c2
+    return make(a.vars, terms)
 
 
-def pow_value(a: Value, e: int, caps: Caps | None = None) -> Value:
+def pow_value(a: int, e: int) -> int:
+    """An integer weight raised to a count; exact, so e must be >= 0."""
     if e < 0:
         raise ValueError("negative exponent")
-    if isinstance(a, int):
-        return a**e
-    result: Value = 1
-    base = a
-    while e:
-        if e & 1:
-            result = mul_values(result, base, caps)
-        e >>= 1
-        if e:
-            base = base.mul(base, caps)
-    return result
+    return a**e
 
 
 def coeff_of(v: Value, mono: Sequence[int]) -> int:
-    """Coefficient of the given monomial; an int is a constant poly."""
+    """Coefficient of the given monomial; an int is a constant."""
     if isinstance(v, int):
         return v if not any(mono) else 0
-    return v.coefficient(tuple(mono))
-
-
-def canonical_value(v: Value):
-    """Hashable canonical form shared by ints and constant polys."""
-    if isinstance(v, Poly):
-        if not v.terms:
-            return 0
-        if len(v.terms) == 1 and not any(next(iter(v.terms))):
-            return next(iter(v.terms.values()))
-        return v.canonical()
-    return v
+    return v.terms.get(tuple(mono), 0)

@@ -293,6 +293,36 @@ def test_flags_override_config(tmp_path, capsys):
     assert json.loads(out)["layers"][0]["kept"] == 7
 
 
+def test_config_lists_repeatable_options(tmp_path, capsys):
+    cfg = tmp_path / "w.cfg"
+    cfg.write_text("w = Heads=4\n")
+    args = ("wfomc", "(E x Heads(x))", "--n", "2", "--config", str(cfg))
+    assert run(capsys, *args) == (0, "24\n")
+    cfg.write_text("w = Heads=4, Tails=3\nwbar = Tails=2\n")
+    code, out = run(capsys, "wfomc", "(E x Heads(x)) & (V x Tails(x))", "--n", "2",
+                    "--config", str(cfg))
+    assert (code, out) == (0, "216\n")
+
+
+def test_config_unknown_key_is_an_error(tmp_path, capsys):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text("profile = fo2-paper\nlayer = 1\n")
+    try:
+        main(["generate", "--config", str(cfg)])
+    except SystemExit as e:
+        assert e.code == 2
+    else:
+        raise AssertionError("an unknown config key should exit 2")
+    assert "'layer'" in capsys.readouterr().err
+
+
+def test_generate_rejects_unsupported_counting(capsys):
+    code = main(["generate", "--profile", "c2-paper", "--k", "3", "--layers", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "E=1" in captured.err
+
+
 def test_unknown_command_exits_nonzero(capsys):
     try:
         main(["frobnicate"])
