@@ -50,12 +50,7 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     """Fill unset options from --config; explicit flags win."""
     if not getattr(args, "config", None):
         return
-    try:
-        cfg = read_config(args.config)
-    except OSError as exc:
-        parser.error(f"cannot read config: {exc}")
-        return
-    for key, value in cfg.items():
+    for key, value in read_config(args.config).items():
         if not hasattr(args, key):
             parser.error(f"unknown config key {key!r} for {args.command}")
         current = getattr(args, key)
@@ -311,8 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _merge_config(args, parser)
     try:
+        _merge_config(args, parser)
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -19,12 +19,14 @@ never enumerates worlds:
 One pass of the dynamic program yields every domain size up to the
 requested length.  Cardinality constraints ride through the computation as
 symbolic weights, and one polynomial coefficient is read off per domain
-size.  All arithmetic is exact integer arithmetic.
+size.  The cell graph holds those weights as polynomials; the dynamic
+program carries each one truncated at the target degrees and packed in a
+single int, so that a product is one big-int multiply.  All arithmetic is
+exact integer arithmetic.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -47,7 +49,7 @@ from .logic import (
     pair,
     single,
 )
-from .polynomial import Poly, Value, coeff_of, mul_values, pow_value
+from .polynomial import Packing, Poly, Value, coeff_of, mul_values, norm1, pow_value
 
 WeightMap = Mapping[str, tuple[int, int]]
 
@@ -457,6 +459,16 @@ def _greedy_cell_order(r: list[list[Value]], q: int) -> list[int]:
     return order
 
 
+def _slot_width(q: int, length: int, weights: list[Value], r: list[list[Value]]) -> int:
+    """Slot width that holds every coefficient of a cell-DP pass; the bound
+    is proved in evaluate_cell_sum."""
+    wm = max([1, *map(norm1, weights)])
+    rm = max([1, *(norm1(v) for row in r for v in row)])
+    n = length
+    bound = q**n * wm**n * rm ** max(n * (n - 1) // 2, n)
+    return bound.bit_length() + 1
+
+
 def evaluate_cell_sum(
     g: CellGraph,
     length: int,
@@ -464,7 +476,8 @@ def evaluate_cell_sum(
     deadline: float | None = None,
 ) -> list[Value]:
     """Weighted sums over all assignments of n elements to cells, for every
-    n = 1 .. length in one pass; item n-1 holds the sum for n.
+    n = 1 .. length in one pass; item n-1 holds the sum for n, with the
+    monomials above caps dropped.
 
     Dynamic program over cells: a partial composition of the domain affects
     the rest of the sum only through how many elements it used and, for
@@ -473,17 +486,48 @@ def evaluate_cell_sum(
     add.  The multinomial over element labels is built one cell at a time
     as comb(used + c, c), so the states left after the last cell are the
     sums for all domain sizes at once.
+
+    With caps, every weight is packed into one int (polynomial.Packing)
+    before the pass and the sums are unpacked after it.  Equal values are
+    equal ints, so states still merge by value, and the DP body is the
+    same on both paths: only mul differs.  The slot width W is fixed for
+    the pass by _slot_width:
+
+        B = q^N * Wm^N * Rm^max(C(N, 2), N),   W = bit_length(B) + 1
+
+    with N = length, q merged cells, Wm = max(1, |w_i|) and
+    Rm = max(1, |r_ij|), where |v| is the sum of the absolute values of
+    v's coefficients.  Proof that every digit fits: |.| is subadditive and
+    submultiplicative, truncation never raises it, and a coefficient is at
+    most its value's norm, so it is enough that every operand of mul and
+    every product before truncation has norm at most B < 2^(W-1).  A state
+    coefficient before cell i sums, over the labelled assignments of its
+    used elements to cells 0 .. i-1 (at most i^used of them), products of
+    used vertex weights and C(used, 2) edge weights.  contrib, which is
+    coeff * comb(used + c, c) * f[c] * a0^c, does the same for used + c
+    elements: comb(used + c, c) * i^used <= (i + 1)^(used + c) <= q^N and
+    C(used, 2) + C(c, 2) + used * c = C(used + c, 2) <= C(N, 2).  Its
+    partial products (f, apow, fc) are factors of the same terms.  The
+    accumulators, the rows of powers and their products carry at most N
+    edge weights, so their norms are at most Rm^N.  Sums of states and
+    contributions sum distinct assignments, so the same bounds hold.
     """
     weights, r = _merge_cells(g)
     q = len(weights)
     order = _greedy_cell_order(r, q)
     w = [weights[i] for i in order]
     rr = [[r[a][b] for b in order] for a in order]
-    # plain ints multiply natively; symbolic values drop monomials above caps
+    # plain ints multiply natively; symbolic values multiply packed
     if caps is None:
         mul = operator.mul
     else:
-        mul = functools.partial(mul_values, caps=tuple(caps))
+        cvars = next(
+            (v.vars for v in itertools.chain(w, *rr) if isinstance(v, Poly)), ()
+        )
+        packing = Packing(cvars, caps, _slot_width(q, length, w, rr))
+        w = [packing.pack(v) for v in w]
+        rr = [[packing.pack(v) for v in row] for row in rr]
+        mul = packing.mul
 
     # states[used] maps accs to the summed coefficient; accs[t] holds the
     # product over processed cells p of rr[p][i+t] ** count_p
@@ -515,7 +559,8 @@ def evaluate_cell_sum(
                     # every larger count keeps a zero factor
                     if not fc:
                         break
-                    contrib = mul(mul(coeff, binom), fc)
+                    # binom is a plain int on either path
+                    contrib = mul(coeff * binom, fc)
                     if not contrib:
                         continue
                     na = tuple(map(mul, rest, mults[c])) if c else rest
@@ -528,7 +573,8 @@ def evaluate_cell_sum(
         }
     # after the last cell no accumulators remain: one state per size
     sums = {used: v for used, bucket in states.items() for v in bucket.values()}
-    return [sums.get(n, 0) for n in range(1, length + 1)]
+    out = [sums.get(n, 0) for n in range(1, length + 1)]
+    return out if caps is None else [packing.unpack(v) for v in out]
 
 
 def _powers(mul, base: Value, emax: int) -> list[Value]:

@@ -1,9 +1,13 @@
-"""Sparse multivariate polynomials with integer coefficients.
+"""Sparse multivariate polynomials with integer coefficients, and their
+packed form.
 
 The counting engine tracks cardinality constraints by giving each
 constrained predicate a symbolic weight and reading off one coefficient at
-the end.  Exponents never shrink under addition or multiplication, so
-monomials above the target degree can be dropped early via caps.
+the end.  Cell graphs hold their weights as Poly values.  Exponents never
+shrink under addition or multiplication, so the cell DP drops monomials
+above the target degrees (the caps) and carries each truncated value packed
+in one int, one fixed-width slot per monomial (Kronecker substitution):
+a truncated product is then one big-int multiply and a mask (Packing).
 
 Values have one normal form, built by make: a polynomial without a
 variable is a plain int, so a Poly is never zero or constant, and equal
@@ -12,9 +16,8 @@ values compare and hash equal whichever way they were computed.
 
 from __future__ import annotations
 
+import itertools
 from typing import Mapping, Sequence, Union
-
-Caps = Sequence[Union[int, None]]
 
 
 class Poly:
@@ -64,13 +67,8 @@ def make(vars: tuple[str, ...], terms: Mapping[tuple[int, ...], int]) -> Value:
     return sum(terms.values())
 
 
-def _over_caps(mono: tuple[int, ...], caps: Caps) -> bool:
-    return any(cap is not None and e > cap for e, cap in zip(mono, caps))
-
-
-def mul_values(a: Value, b: Value, caps: Caps | None = None) -> Value:
-    """Product of two weights, staying on ints when both are ints;
-    monomials above caps are dropped."""
+def mul_values(a: Value, b: Value) -> Value:
+    """Product of two weights, staying on ints when both are ints."""
     if isinstance(a, int):
         if isinstance(b, int):
             return a * b
@@ -85,8 +83,6 @@ def mul_values(a: Value, b: Value, caps: Caps | None = None) -> Value:
     for m1, c1 in a.terms.items():
         for m2, c2 in others.items():
             m = tuple(x + y for x, y in zip(m1, m2))
-            if caps is not None and _over_caps(m, caps):
-                continue
             terms[m] = terms.get(m, 0) + c1 * c2
     return make(a.vars, terms)
 
@@ -103,3 +99,66 @@ def coeff_of(v: Value, mono: Sequence[int]) -> int:
     if isinstance(v, int):
         return v if not any(mono) else 0
     return v.terms.get(tuple(mono), 0)
+
+
+def norm1(v: Value) -> int:
+    """Sum of the absolute values of the coefficients."""
+    return abs(v) if isinstance(v, int) else sum(map(abs, v.terms.values()))
+
+
+class Packing:
+    """Kronecker layout of the polynomials in vars truncated at caps: a
+    value is one int holding each coefficient as a balanced (signed) digit
+    in a slot of width bits.
+
+    Monomial e sits in slot sum(e[i] * stride[i]), where stride[i] is the
+    product of 2 * caps[j] + 1 over j < i.  The exponents of a product of
+    two monomials within the caps are at most 2 * caps[i], so they are the
+    mixed-radix digits of its slot and no two monomials of a product share
+    one.  A constant c packs to c itself.  Sums and products by a constant
+    are plain int arithmetic.  mul multiplies, adds half a slot to every
+    slot the product can reach, so that each digit reads as a nonnegative
+    field with no borrow from below, keeps the slots within the caps and
+    takes their offset off again.  Exact as long as every coefficient of
+    the operands and of the untruncated product lies in
+    [-2**(width - 1), 2**(width - 1)).
+    """
+
+    def __init__(self, vars: tuple[str, ...], caps: Sequence[int], width: int):
+        self.vars = vars
+        self.width = width
+        strides = [1]
+        for cap in caps:
+            strides.append(strides[-1] * (2 * cap + 1))
+        self.slots = {
+            mono: sum(e * s for e, s in zip(mono, strides))
+            for mono in itertools.product(*(range(cap + 1) for cap in caps))
+        }
+        half = 1 << (width - 1)
+        self.keep = sum(((1 << width) - 1) << (width * i) for i in self.slots.values())
+        self.koff = sum(half << (width * i) for i in self.slots.values())
+        # a product reaches slots 0 .. strides[-1] - 1
+        self.off = sum(half << (width * i) for i in range(strides[-1]))
+
+    def pack(self, v: Value) -> int:
+        """v with its monomials above the caps dropped, packed."""
+        if isinstance(v, int):
+            return v
+        slot = self.slots.get
+        return sum(
+            c << (self.width * i)
+            for m, c in v.terms.items()
+            if (i := slot(m)) is not None
+        )
+
+    def unpack(self, x: int) -> Value:
+        """The value packed in x, in normal form."""
+        w = self.width
+        x += self.koff
+        mask, half = (1 << w) - 1, 1 << (w - 1)
+        terms = {m: (x >> (w * i) & mask) - half for m, i in self.slots.items()}
+        return make(self.vars, terms)
+
+    def mul(self, a: int, b: int) -> int:
+        """Product of two packed values, truncated at the caps."""
+        return ((a * b + self.off) & self.keep) - self.koff

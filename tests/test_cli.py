@@ -316,6 +316,19 @@ def test_config_unknown_key_is_an_error(tmp_path, capsys):
     assert "'layer'" in capsys.readouterr().err
 
 
+def test_unreadable_config_is_a_file_error(tmp_path, capsys):
+    cfg = tmp_path / "missing.cfg"
+    assert main(["wfomc", "(E x U(x))", "--n", "2", "--config", str(cfg)]) == 5
+    assert capsys.readouterr().err.startswith("file error: ")
+
+
+def test_malformed_config_line_is_a_parse_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("junk line\n")
+    assert main(["wfomc", "(E x U(x))", "--n", "2", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: bad config line: ")
+
+
 def test_generate_rejects_unsupported_counting(capsys):
     code = main(["generate", "--profile", "c2-paper", "--k", "3", "--layers", "1"])
     captured = capsys.readouterr()

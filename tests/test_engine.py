@@ -209,6 +209,58 @@ def test_random_weighted_sentences_match_oracle():
     assert flipped >= 20
 
 
+# packed symbolic weights
+
+# every c2-paper layer-3 kept sentence with two counting variables, then the
+# three golden C2 sentences, with their first ten terms
+PACKED_SPECTRA = [
+    ("(E=1 x B0(x,x)) & (E=1 x V y B0(x,y))",
+     [1, 4, 48, 2048, 327680, 201326592, 481036337152, 4503599627370496,
+      166020696663385964544, 24178516392292583494123520]),
+    ("(E=1 x B0(x,x)) & (E=1 x V y ~B0(x,y))",
+     [0, 4, 72, 4704, 1080000, 886580160, 2667669427584, 30076017052490752,
+      1292271376105440000000, 214229695989247029175956480]),
+    ("(E=1 x B0(x,x)) & (V x E=1 y B0(x,y))",
+     [1, 2, 12, 108, 1280, 18750, 326592, 6588344, 150994944, 3874204890]),
+    ("(E=1 x B0(x,x)) & (V x E=1 y ~B0(x,y))",
+     [0, 2, 6, 12, 20, 30, 42, 56, 72, 90]),
+    ("(E=1 x V y B0(x,y)) & (E=1 x V y B0(y,x))",
+     [1, 4, 63, 4240, 1037575, 899925156, 2810982874903, 32375987794408000,
+      1404831782486020397103, 233495872756574910848832100]),
+    ("(E=1 x V y B0(x,y)) & (E=1 x V y ~B0(x,y))",
+     [0, 2, 36, 2352, 540000, 443290080, 1333834713792, 15038008526245376,
+      646135688052720000000, 107114847994623514587978240]),
+    ("(E=1 x V y B0(x,y)) & (V x E=1 y B0(x,y))",
+     [1, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+    ("(E=1 x V y B0(x,y)) & (V x E=1 y B0(y,x))",
+     [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]),
+    ("(E=1 x V y B0(x,y)) & (V x E=1 y ~B0(y,x))",
+     [0, 2, 18, 144, 1200, 10800, 105840, 1128960, 13063680, 163296000]),
+    ("(V x B(x,x)) & (V x E=1 y ~B(x,y)) & (V x E=1 y ~B(y,x))",
+     [0, 1, 2, 9, 44, 265, 1854, 14833, 133496, 1334961]),
+    ("(V x E=1 y B(x,y)) & (V x E=1 y B(y,x))",
+     [1, 2, 6, 24, 120, 720, 5040, 40320, 362880, 3628800]),
+    ("(V x E=1 y B(x,y)) & (V x E=1 y B(y,x)) & (V x V y B(x,x) | B(x,y) | ~B(y,x))",
+     [1, 2, 4, 10, 26, 76, 232, 764, 2620, 9496]),
+]
+
+
+@pytest.mark.parametrize("text,want", PACKED_SPECTRA)
+def test_packed_spectra_match_pinned_terms(text, want):
+    s = parse_sentence(text)
+    ncvars = len(compile_sentence(s).cvars)
+    assert ncvars == (2 if "B0" in text else 1)
+    assert spectrum(text, 10) == want
+    assert want[:3] == oracle_terms(text, 3)
+
+
+def test_too_narrow_a_slot_shows_in_the_terms(monkeypatch):
+    # the pinned spectra above catch an overflowing slot
+    monkeypatch.setattr(engine, "_slot_width", lambda *args: 8)
+    wrong = [text for text, want in PACKED_SPECTRA if spectrum(text, 10) != want]
+    assert wrong
+
+
 # budgets and determinism
 
 

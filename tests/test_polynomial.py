@@ -3,7 +3,15 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from combspec.polynomial import Poly, coeff_of, make, mul_values, pow_value
+from combspec.polynomial import (
+    Packing,
+    Poly,
+    coeff_of,
+    make,
+    mul_values,
+    norm1,
+    pow_value,
+)
 
 VARS = ("u", "v")
 
@@ -14,7 +22,6 @@ def poly_from(terms):
 
 monomials = st.tuples(st.integers(0, 4), st.integers(0, 4))
 polys = st.dictionaries(monomials, st.integers(-9, 9), max_size=5).map(poly_from)
-caps = st.tuples(st.none() | st.integers(0, 4), st.none() | st.integers(0, 4))
 
 
 def as_func(p):
@@ -51,12 +58,12 @@ def test_ring_laws(p, q, r):
     assert mul(p, q + r) == mul(p, q) + mul(p, r)
 
 
-@given(polys, polys, caps)
+@given(polys, polys)
 @settings(max_examples=200)
-def test_results_are_in_normal_form(p, q, cap):
+def test_results_are_in_normal_form(p, q):
     """A result with no monomial in a variable is an int, so equal values
     compare and hash equal however they were reached."""
-    for got in (p + q, mul_values(p, q, cap)):
+    for got in (p + q, mul_values(p, q)):
         assert is_normal(got)
     s = p + q
     assert s == q + p and hash(s) == hash(q + p)
@@ -89,15 +96,64 @@ def test_int_coercion():
     assert p + poly_from({(1, 0): -2}) == 1
 
 
+def packed_mul(packing, p, q):
+    return packing.unpack(packing.mul(packing.pack(p), packing.pack(q)))
+
+
 def test_mul_caps_drop_high_degrees():
     u = Poly.variable(VARS, "u")
-    p = mul_values(u + 1, u + 1, caps=(1, None))
+    p = packed_mul(Packing(VARS, (1, 0), 8), u + 1, u + 1)
     # u^2 exceeds the cap and is dropped; the rest survives
     assert coeff_of(p, (2, 0)) == 0
     assert coeff_of(p, (1, 0)) == 2
     assert coeff_of(p, (0, 0)) == 1
     # dropping every variable monomial leaves an int
-    assert mul_values(u + 1, u + 3, caps=(0, None)) == 3
+    assert packed_mul(Packing(VARS, (0, 0), 8), u + 1, u + 3) == 3
+
+
+def truncated(p, caps):
+    """Reference: p without its monomials above caps."""
+    if isinstance(p, int):
+        return p
+    kept = {m: c for m, c in p.terms.items() if all(map(int.__le__, m, caps))}
+    return make(p.vars, kept)
+
+
+def convolution(vars, p, q):
+    """Reference product on coefficient dicts."""
+
+    def terms(v):
+        return v.terms if isinstance(v, Poly) else {(0,) * len(vars): v}
+
+    out = {}
+    for m1, c1 in terms(p).items():
+        for m2, c2 in terms(q).items():
+            m = tuple(map(int.__add__, m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return make(vars, out)
+
+
+@st.composite
+def packed_operands(draw):
+    """One or two variables, caps 0..4, and two polynomials over them."""
+    k = draw(st.integers(1, 2))
+    vars = VARS[:k]
+    exps = st.tuples(*[st.integers(0, 4)] * k)
+    poly = st.dictionaries(exps, st.integers(-9, 9), max_size=5)
+    caps = draw(st.tuples(*[st.integers(0, 4)] * k))
+    return vars, caps, make(vars, draw(poly)), make(vars, draw(poly))
+
+
+@given(packed_operands())
+@settings(max_examples=300)
+def test_packed_product_matches_truncated_convolution(operands):
+    vars, caps, p, q = operands
+    # the width the cell DP's bound gives for one product
+    width = (max(1, norm1(p)) * max(1, norm1(q))).bit_length() + 1
+    packing = Packing(vars, caps, width)
+    for v in (p, q):
+        assert packing.unpack(packing.pack(v)) == truncated(v, caps)
+    assert packed_mul(packing, p, q) == truncated(convolution(vars, p, q), caps)
 
 
 def test_value_helpers_int_fast_path():
