@@ -201,7 +201,20 @@ def cmd_db(args: argparse.Namespace) -> int:
 
 
 def cmd_oeis(args: argparse.Namespace) -> int:
-    index = StrippedIndex.load(args.stripped) if args.stripped else None
+    # every query is known before the dump is read, so only the entries
+    # that can match them are kept
+    if args.terms:
+        terms = [int(t) for t in args.terms.replace(",", " ").split()]
+        queries = [terms]
+    elif args.db:
+        if not Path(args.db).exists():
+            raise FileNotFoundError(args.db)
+        db = SpectrumDB(args.db)
+        records = db.unique_records()
+        queries = [rec.spectrum for rec in records]
+    else:
+        raise ValueError("oeis needs --terms or --db")
+    index = StrippedIndex.load(args.stripped, queries) if args.stripped else None
 
     def lookup(terms: list[int]) -> list[str]:
         hits = index.match(terms) if index is not None else []
@@ -210,7 +223,6 @@ def cmd_oeis(args: argparse.Namespace) -> int:
         return hits
 
     if args.terms:
-        terms = [int(t) for t in args.terms.replace(",", " ").split()]
         hits = lookup(terms)
         if args.json:
             print(json.dumps({"terms": terms, "matches": hits}))
@@ -219,12 +231,9 @@ def cmd_oeis(args: argparse.Namespace) -> int:
                 print(h)
         return EXIT_OK
 
-    if not args.db:
-        raise ValueError("oeis needs --terms or --db")
-    db = SpectrumDB(args.db)
     rows, found = [], {}
     try:
-        for rec in db.unique_records():
+        for rec in records:
             hits = lookup(list(rec.spectrum))
             if hits:
                 found[rec.id] = hits[0]

@@ -189,7 +189,11 @@ def has_trivial_constraint(s: Sentence) -> bool:
 
 def reflexive_only_binary(s: Sentence) -> bool:
     """Some binary predicate appears only in reflexive atoms, so it acts
-    like a unary predicate already covered by a smaller vocabulary."""
+    like a unary predicate already covered by a smaller vocabulary.
+
+    That cover can need a second unary predicate, which lies outside the
+    profile: `(E x B0(x,x) | U0(x)) & (E x B0(x,x) | ~U0(x))` reads as a
+    sentence over two unary predicates, and fo2-paper has only one."""
     for p in sorted(p for p in s.predicates if p.arity == 2):
         if all(
             lit.args[0] == lit.args[1]

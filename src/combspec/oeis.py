@@ -4,16 +4,22 @@ The offline path reads the "stripped" dump format, one sequence per line:
 
     A000142 ,1,1,2,6,24,120,720,
 
-Lookups index every three consecutive terms, then verify candidates for a
-contiguous run.  Spectra are indexed from n = 1 while many OEIS entries
+A query matches an entry that holds it as a contiguous run of at least
+MIN_MATCH terms.  Spectra are indexed from n = 1 while many OEIS entries
 start later or begin with extra zeros, so queries are retried with leading
-zeros removed.
+zeros removed.  When the queries are known before the dump is read (as
+for `combspec oeis --db` and `--terms`), their first three terms are put
+in a set and the dump is streamed once, keeping only the entries that hold
+one of those heads; memory is then linear in the number of queries, not
+in the size of the dump.  Kept entries index every three consecutive
+terms, and candidates are verified for a contiguous run.
 """
 
 from __future__ import annotations
 
 import gzip
 import time
+import zlib
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -21,8 +27,18 @@ MIN_MATCH = 5
 _WINDOW = 3
 
 
+def _forms(query: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The runs looked up for a query: itself, and itself without its
+    leading zeros if it has any."""
+    stripped = query
+    while stripped and stripped[0] == 0:
+        stripped = stripped[1:]
+    return [query] if stripped == query else [query, stripped]
+
+
 class StrippedIndex:
-    """In-memory index over a stripped-format OEIS dump."""
+    """Index over the entries of a stripped-format OEIS dump: every entry,
+    or only those that can match a set of queries given to `load`."""
 
     def __init__(self, sequences: dict[str, tuple[int, ...]]):
         self.sequences = sequences
@@ -33,21 +49,51 @@ class StrippedIndex:
                 self._windows.setdefault(key, []).append((sid, i))
 
     @classmethod
-    def load(cls, path: str | Path) -> "StrippedIndex":
+    def load(
+        cls, path: str | Path, queries: Iterable[Sequence[int]] | None = None
+    ) -> "StrippedIndex":
+        """Read a dump (gzip if its name ends in .gz) in one pass.
+
+        With queries, an entry is kept only if it holds the head (first
+        three terms) of one of their looked-up runs as consecutive terms:
+        every entry that `match` can return for them.  Without, every
+        entry is kept.  Malformed lines are skipped; a truncated or
+        corrupt file raises OSError.
+        """
+        heads = None
+        if queries is not None:
+            heads = {
+                run[:_WINDOW]
+                for q in queries
+                for run in _forms(tuple(int(t) for t in q))
+                if len(run) >= MIN_MATCH
+            }
         path = Path(path)
         opener = gzip.open if path.suffix == ".gz" else open
         sequences: dict[str, tuple[int, ...]] = {}
-        with opener(path, "rt") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                sid, _, rest = line.partition(" ")
-                terms = [t for t in rest.strip().split(",") if t]
-                try:
-                    sequences[sid] = tuple(int(t) for t in terms)
-                except ValueError:
-                    continue
+        try:
+            with opener(path, "rt") as fh:
+                if heads is not None and not heads:
+                    # nothing can match: opening the dump is the only check
+                    return cls(sequences)
+                for line in fh:
+                    line = line.strip()
+                    if not line or line.startswith("#"):
+                        continue
+                    sid, _, rest = line.partition(" ")
+                    try:
+                        terms = tuple(map(int, filter(None, rest.strip().split(","))))
+                    except ValueError:
+                        continue
+                    if heads is None or not heads.isdisjoint(
+                        zip(terms, terms[1:], terms[2:])
+                    ):
+                        sequences[sid] = terms
+                    else:
+                        # a later line for an id replaces the earlier one
+                        sequences.pop(sid, None)
+        except (EOFError, zlib.error, UnicodeDecodeError) as exc:
+            raise OSError(f"{path}: truncated or corrupt dump: {exc}") from exc
         return cls(sequences)
 
     def _match_one(self, query: tuple[int, ...]) -> list[str]:
@@ -65,13 +111,9 @@ class StrippedIndex:
         """OEIS ids whose entry contains the query as a contiguous run
         (at least MIN_MATCH terms of overlap), tried verbatim and with
         leading zeros stripped."""
-        query = tuple(int(t) for t in terms)
-        hits = set(self._match_one(query))
-        stripped = query
-        while stripped and stripped[0] == 0:
-            stripped = stripped[1:]
-        if stripped != query:
-            hits.update(self._match_one(stripped))
+        hits = set()
+        for run in _forms(tuple(int(t) for t in terms)):
+            hits.update(self._match_one(run))
         return sorted(hits)
 
 

@@ -1,7 +1,11 @@
 """Command line front end: commands, exit codes, config handling."""
 
+import gzip
+import io
 import json
 from pathlib import Path
+
+import pytest
 
 from combspec.cli import main
 from combspec.engine import compute_spectrum
@@ -275,6 +279,60 @@ def test_oeis_db_keeps_matches_before_a_failed_lookup(tmp_path, capsys, monkeypa
     code, _ = run(capsys, "oeis", "--db", str(db_path), "--online")
     assert code == 5
     assert [r.oeis for r in SpectrumDB(db_path).records()] == ["A000225", None]
+
+
+def _gzip_fixture() -> bytes:
+    buf = io.BytesIO()
+    with gzip.GzipFile(fileobj=buf, mode="wb", mtime=0) as fh:
+        fh.write(FIXTURE.read_bytes() * 50)
+    return buf.getvalue()
+
+
+def _truncated(data: bytes) -> bytes:
+    return data[: len(data) // 2]
+
+
+def _bad_block(data: bytes) -> bytes:
+    # the deflate stream starts after the 10-byte header; block type 3 is
+    # reserved, so zlib rejects it whatever its version
+    return data[:10] + bytes([data[10] | 0b110]) + data[11:]
+
+
+@pytest.mark.parametrize(
+    "name, corrupt, why",
+    [
+        ("cut.gz", _truncated, "end-of-stream marker"),
+        ("bad.gz", _bad_block, "invalid block type"),
+        ("stripped.txt", lambda data: data, "can't decode"),
+    ],
+)
+def test_oeis_unreadable_dump_is_a_file_error(tmp_path, capsys, name, corrupt, why):
+    dump = tmp_path / name
+    dump.write_bytes(corrupt(_gzip_fixture()))
+    code = main(["oeis", "--terms", "1,2,6,24,120", "--stripped", str(dump)])
+    err = capsys.readouterr().err
+    assert code == 5
+    assert err.startswith("file error:") and why in err
+
+
+def test_oeis_missing_db_is_a_file_error(tmp_path, capsys):
+    db_path = tmp_path / "missing.jsonl"
+    code = main(["oeis", "--db", str(db_path), "--stripped", str(FIXTURE)])
+    assert code == 5
+    assert capsys.readouterr().err.startswith("file error:")
+    assert not db_path.exists()
+
+
+def test_oeis_missing_dump_is_a_file_error_without_queries(tmp_path, capsys):
+    # no unique record, and one too short to look up: the dump is still opened
+    empty, short = tmp_path / "empty.jsonl", tmp_path / "short.jsonl"
+    empty.write_text("")
+    SpectrumDB(short).insert("short", [1, 2])
+    missing = str(tmp_path / "missing.gz")
+    for db in (empty, short):
+        code = main(["oeis", "--db", str(db), "--stripped", missing])
+        assert code == 5
+        assert capsys.readouterr().err.startswith("file error:")
 
 
 def test_config_file_supplies_defaults(tmp_path, capsys):
