@@ -28,10 +28,8 @@ exact integer arithmetic.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 import time
-from collections import Counter
 from dataclasses import dataclass
 from typing import Collection, Mapping, Sequence
 
@@ -41,10 +39,10 @@ from .logic import (
     VARS,
     Clause,
     FragmentError,
-    KeyTooComplex,
     Literal,
     Predicate,
     Sentence,
+    canonical_labelling,
     make_clause,
     pair,
     single,
@@ -689,104 +687,33 @@ def _poly_serial(v: Value, perm: Sequence[int]):
     return ("p", tuple(items))
 
 
-_MAX_ORDERINGS = 100_000
-
-
-def _ranks(keys: Sequence) -> list[int]:
-    """Each key's rank among the sorted distinct keys."""
-    rank = {k: i for i, k in enumerate(sorted(set(keys)))}
-    return [rank[k] for k in keys]
-
-
-def _refine(colors: list[int], edges: list[list[int]]) -> list[int]:
-    """Split color classes by the multiset of (edge, color) around each
-    vertex until the partition is stable; colors are ranks, so they depend
-    only on the graph, never on vertex numbering."""
-    q = len(colors)
-    ncolors = len(set(colors))
-    while True:
-        sigs = []
-        for i, row in enumerate(edges):
-            around = sorted((row[j], colors[j]) for j in range(q) if j != i)
-            sigs.append((colors[i], tuple(around)))
-        colors = _ranks(sigs)
-        if max(colors) + 1 == ncolors:
-            return colors
-        ncolors = max(colors) + 1
-
-
 def _graph_serial(g: CellGraph, perm: Sequence[int]) -> str:
     """Canonical serialization of a cell graph under one symbol reordering.
 
-    Individualisation-refinement (McKay 1981; McKay and Piperno 2014):
-    color refinement on vertex and edge weights gives an equitable
-    partition.  While some class has more than one vertex, the
-    non-singleton class of smallest color is split by giving each of its
-    vertices in turn a color of its own and refining again.  Each discrete
-    coloring is a leaf; its serial lists the vertex weights and the upper
-    triangle of the edge weights in color order, and the smallest leaf
-    serial is the key.  The search tree depends only on the graph, so two
-    graphs serialize identically exactly when they are isomorphic as
-    weighted graphs.  A vertex whose edge row equals, off the pair, that
-    of a vertex already tried in the same class is skipped: swapping the
-    two is an automorphism, so its subtree yields the same leaves.
-
-    Raises KeyTooComplex when the first partition admits more than
-    _MAX_ORDERINGS orderings within its classes.
+    Each cell is a vertex colored by its weight and its loop, each pair of
+    cells an edge labelled by its weight, and canonical_labelling orders
+    them; the serial is the sorted vertex colors, the sorted edge labels
+    and that labelling's serial.  So two graphs serialize identically
+    exactly when they are isomorphic as weighted graphs.
     """
     q = len(g.cells)
     if q == 0:
         return "empty"
     wser = [repr(_poly_serial(v, perm)) for v in g.weights]
     eser = [[repr(_poly_serial(v, perm)) for v in row] for row in g.r]
-    flat = _ranks([v for row in eser for v in row])
-    edges = [flat[i * q : (i + 1) * q] for i in range(q)]
-
-    colors = _refine(_ranks([(wser[i], eser[i][i]) for i in range(q)]), edges)
-    count = 1
-    for size in Counter(colors).values():
-        count *= math.factorial(size)
-        if count > _MAX_ORDERINGS:
-            raise KeyTooComplex(f"{count} orderings")
-
-    def twins(a: int, b: int) -> bool:
-        ra, rb = edges[a], edges[b]
-        return all(ra[k] == rb[k] for k in range(q) if k != a and k != b)
-
-    def search(colors: list[int]) -> str:
-        if max(colors) + 1 == q:
-            order = sorted(range(q), key=colors.__getitem__)
-            rows = [wser[i] for i in order]
-            for a in range(q):
-                row = eser[order[a]]
-                rows.extend(row[order[b]] for b in range(a, q))
-            return "#".join(rows)
-        sizes = Counter(colors)
-        target = min(c for c, n in sizes.items() if n > 1)
-        best: str | None = None
-        tried: list[int] = []
-        for v in range(q):
-            if colors[v] != target or any(twins(v, t) for t in tried):
-                continue
-            tried.append(v)
-            # v sorts just before the rest of its class; other classes
-            # keep their order
-            split = [2 * c + (i != v) for i, c in enumerate(colors)]
-            serial = search(_refine(_ranks(split), edges))
-            if best is None or serial < best:
-                best = serial
-        assert best is not None
-        return best
-
-    return f"{q}:{search(colors)}"
+    cells = [(wser[i], eser[i][i]) for i in range(q)]
+    labels = sorted({eser[i][j] for i in range(q) for j in range(q) if i != j})
+    rank = {v: k for k, v in enumerate(labels)}
+    adj = [[(j, rank[eser[i][j]] * q) for j in range(q) if j != i] for i in range(q)]
+    return repr((sorted(cells), labels, canonical_labelling(cells, adj)))
 
 
 def spectrum_fingerprint(s: Sentence, weights: WeightMap | None = None) -> bytes:
     """Key equal only for sentences whose spectra provably coincide.
 
     Covers the full compiled form: nullary branch factors, each branch's
-    cell graph up to isomorphism (labelled canonically by the
-    individualisation-refinement search of _graph_serial),
+    cell graph up to isomorphism (_graph_serial, through the
+    individualisation-refinement search that canonical_key uses too),
     cardinality targets with the polarity they count, and constrained
     predicates' base weights, minimized over renamings of the symbolic
     constraint variables.  The polarity is implied by the graphs; keying on

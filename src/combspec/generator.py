@@ -17,6 +17,11 @@ Each candidate is classified once:
 Dropping is reserved for cases whose refinements are provably covered
 elsewhere; hiding keeps the search complete while skipping output whose
 spectrum is derivable from a simpler sentence.
+
+Both "the same" tests label a graph with one search,
+logic.canonical_labelling: canonical_key labels a graph of the sentence
+itself, spectrum_fingerprint the cell graphs of its compiled form.
+Neither has a size limit, so every candidate gets both checks.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from .logic import (
     FORALL,
     VARS,
     Clause,
-    KeyTooComplex,
     Literal,
     Predicate,
     Quantifier,
@@ -398,24 +402,18 @@ class GenState:
     seen_spectrum: set[bytes] = field(default_factory=set)
 
 
-def classify(s: Sentence, state: GenState, mode: str = "full") -> str:
+def classify(s: Sentence, state: GenState) -> str:
     """Verdict for one candidate; registers its keys when retained."""
-    if mode == "structural":
-        return "new"
     if is_tautological(s):
         return "tautology"
     if is_refuted(s):
         return "refuted"
     if is_decomposable(s):
         return "decomposable"
-    try:
-        key = canonical_key(s)
-    except KeyTooComplex:
-        key = None  # too large a vocabulary: skip only the duplicate check
-    if key is not None:
-        if key in state.seen_canonical:
-            return "duplicate"
-        state.seen_canonical.add(key)
+    key = canonical_key(s)
+    if key in state.seen_canonical:
+        return "duplicate"
+    state.seen_canonical.add(key)
     if has_trivial_constraint(s):
         return "trivial"
     if reflexive_only_binary(s):
@@ -424,10 +422,7 @@ def classify(s: Sentence, state: GenState, mode: str = "full") -> str:
         return "subsumed"
     # cell-graph comparison is the costliest filter, so it runs last and
     # indexes only sentences every cheaper filter passed
-    try:
-        fkey = spectrum_fingerprint(s)
-    except KeyTooComplex:
-        return "new"
+    fkey = spectrum_fingerprint(s)
     if fkey in state.seen_spectrum:
         return "spectrum_duplicate"
     state.seen_spectrum.add(fkey)
@@ -448,7 +443,6 @@ class GenResult:
 def generate(
     limits: GenLimits,
     layers: int,
-    mode: str = "full",
     budget_secs: float | None = None,
 ) -> GenResult:
     """Run the layered search; deterministic for fixed limits and layers."""
@@ -468,7 +462,7 @@ def generate(
             if deadline is not None and time.monotonic() > deadline:
                 result.truncated = True
                 break
-            verdict = classify(s, state, mode)
+            verdict = classify(s, state)
             counts[verdict] += 1
             if verdict == "new":
                 kept.append(s)

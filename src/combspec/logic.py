@@ -11,9 +11,8 @@ always x, so two clauses differing only in variable naming compare equal.
 
 from __future__ import annotations
 
-import itertools
-import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -28,14 +27,6 @@ class ParseError(ValueError):
 
 class FragmentError(ValueError):
     """Raised when a sentence falls outside the supported fragment."""
-
-
-class KeyTooComplex(RuntimeError):
-    """Raised when a canonical form would search too large a symmetry group."""
-
-
-# largest symmetry group canonical_key searches before raising KeyTooComplex
-MAX_GROUP = 100_000
 
 
 @dataclass(frozen=True, order=True)
@@ -329,92 +320,156 @@ def parse_sentence(text: str) -> Sentence:
     return _Parser(tokens, text).parse()
 
 
-@dataclass(frozen=True)
-class PredicateTransform:
-    """Rename predicates, flip polarities, and/or swap binary arguments."""
-
-    rename: Mapping[str, str] | None = None
-    flip_sign: frozenset[str] = frozenset()
-    flip_args: frozenset[str] = frozenset()
-
-    def apply_literal(self, lit: Literal) -> Literal:
-        name = lit.pred.name
-        new_name = self.rename.get(name, name) if self.rename else name
-        args = lit.args
-        if name in self.flip_args and len(args) == 2:
-            args = (args[1], args[0])
-        negated = lit.negated ^ (name in self.flip_sign)
-        return Literal(Predicate(new_name, lit.pred.arity), args, negated)
+def _ranks(keys: Sequence) -> list[int]:
+    """Each key's rank among the sorted distinct keys."""
+    rank = {k: i for i, k in enumerate(sorted(set(keys)))}
+    return [rank[k] for k in keys]
 
 
-def _swappable(clause: Clause) -> bool:
-    return (
-        clause.nvars == 2
-        and clause.prefix[0] == clause.prefix[1]
-        and not clause.is_counting
-    )
+def _refine(colors: list[int], adj: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
+    """Split color classes by the multiset of (label, color) codes around
+    each vertex, adjacency as in canonical_labelling, until the partition
+    is stable.  Colors are ranks, so they depend only on the graph, never
+    on vertex numbering."""
+    q, ncolors = len(colors), max(colors) + 1
+    while ncolors < q:
+        colors = _ranks(
+            [
+                (c, *sorted([off + colors[j] for j, off in row]))
+                for c, row in zip(colors, adj)
+            ]
+        )
+        if max(colors) + 1 == ncolors:
+            break
+        ncolors = max(colors) + 1
+    return colors
 
 
-_SWAP = {"x": "y", "y": "x"}
+def canonical_labelling(
+    invariants: Sequence, adj: Sequence[Sequence[tuple[int, int]]]
+) -> tuple[int, ...]:
+    """Canonical serial of a graph with colored vertices and labelled edges.
 
+    invariants[i] is vertex i's own color, any sortable value.  adj[i]
+    lists (j, label * q) for every edge i-j, and j's list holds (i, label
+    * q) too, where q is the number of vertices and labels are ints from
+    0; label * q + color then codes a (label, color) pair as one int.
 
-def _clause_text(clause: Clause, t: PredicateTransform) -> str:
-    lits = [t.apply_literal(l) for l in clause.body]
-    head = " ".join(f"{q.render()} {v}" for q, v in zip(clause.prefix, VARS))
-    base = "(" + head + " " + " | ".join(sorted(l.render() for l in lits)) + ")"
-    if not _swappable(clause):
-        return base
-    swapped = [l.substitute(_SWAP) for l in lits]
-    alt = "(" + head + " " + " | ".join(sorted(l.render() for l in swapped)) + ")"
-    return min(base, alt)
+    Individualisation-refinement (McKay 1981; McKay and Piperno 2014):
+    color refinement gives an equitable partition.  While some class has
+    more than one vertex, the non-singleton class of smallest color is
+    split by giving each of its vertices in turn a color of its own and
+    refining again.  Each discrete coloring is a leaf; its serial lists,
+    vertex by vertex in color order, the codes label * q + position of the
+    neighbours that come later, then -1, and the smallest leaf serial is
+    returned.  The search tree depends only on the graph, so two graphs
+    with equal sorted invariants and label tables serialize identically
+    exactly when they are isomorphic; every leaf lists the vertices in the
+    order of their initial colors.  A vertex whose neighbours, apart from
+    each other, equal those of a vertex already tried in the same class
+    is skipped: swapping the two is an automorphism, so its subtree yields
+    the same leaves.
+    """
+    q = len(invariants)
+
+    def twins(a: int, b: int) -> bool:
+        return all(k in (a, b) for k, _ in set(adj[a]) ^ set(adj[b]))
+
+    def search(colors: list[int]) -> tuple[int, ...]:
+        if max(colors) + 1 == q:
+            # a discrete coloring numbers the vertices 0 .. q-1
+            serial: list[int] = []
+            for a, v in sorted(zip(colors, range(q))):
+                serial += sorted(
+                    [off + colors[j] for j, off in adj[v] if colors[j] > a]
+                )
+                serial.append(-1)
+            return tuple(serial)
+        target = min(c for c, n in Counter(colors).items() if n > 1)
+        tried: list[int] = []
+        for v in range(q):
+            if colors[v] == target and not any(twins(v, t) for t in tried):
+                tried.append(v)
+        # v sorts just before the rest of its class; other classes keep
+        # their order
+        splits = ([2 * c + (i != v) for i, c in enumerate(colors)] for v in tried)
+        return min(search(_refine(_ranks(split), adj)) for split in splits)
+
+    return search(_refine(_ranks(invariants), adj))
 
 
 def canonical_key(s: Sentence) -> bytes:
     """Spectrum-preserving canonical form of a sentence, as bytes.
 
-    Minimizes the rendered text over every transform known to preserve the
-    model count for all domain sizes: renaming predicates within an arity
-    class, flipping any predicate's polarity, transposing any binary
-    predicate's arguments, and swapping the two variables of a clause whose
-    prefix repeats one non-counting quantifier.  Raises KeyTooComplex when
-    that group has more than MAX_GROUP elements.
+    Two sentences get the same key exactly when one maps to the other by
+    transforms known to preserve the model count for all domain sizes:
+    renaming predicates within an arity class, flipping any predicate's
+    polarity, transposing any binary predicate's arguments, and swapping
+    the two variables of a clause whose prefix repeats one non-counting
+    quantifier.  The sentence becomes a vertex-colored graph whose
+    automorphisms are exactly those transforms (Crawford, Ginsberg, Luks
+    and Roy, KR 1996), and canonical_labelling labels it:
+
+      predicate: two joined sign vertices, colored by arity; swapping
+          them flips the polarity
+      binary predicate: also two joined argument-position vertices, each
+          joined to both sign vertices; swapping them transposes it
+      clause: one vertex per variable, colored by prefix and position,
+          the two joined and alike only when the clause may swap them
+      literal: unary, an edge from its variable to its sign vertex;
+          binary, two joined argument vertices, each joined to its
+          position vertex, its variable and the sign vertex; nullary, its
+          sign vertex joined to every variable of the clause, so that it
+          tells neither apart
     """
-    preds = sorted(s.predicates)
-    by_arity: dict[int, list[Predicate]] = {0: [], 1: [], 2: []}
-    for p in preds:
-        by_arity[p.arity].append(p)
-    slot_prefix = {0: "Z", 1: "U", 2: "B"}
+    kinds: list[str] = []
+    adj: list[list[tuple[int, int]]] = []
 
-    names = [p.name for p in preds]
-    binaries = [p.name for p in by_arity[2]]
-    size = 2 ** len(names) * 2 ** len(binaries)
-    for ps in by_arity.values():
-        size *= math.factorial(len(ps))
-    if size > MAX_GROUP:
-        raise KeyTooComplex(f"canonical group too large ({size})")
+    def vertex(kind: str) -> int:
+        kinds.append(kind)
+        adj.append([])
+        return len(kinds) - 1
 
-    rename_choices = []
-    for arity, ps in by_arity.items():
-        slots = [f"{slot_prefix[arity]}{i}" for i in range(len(ps))]
-        perms = [
-            dict(zip((p.name for p in ps), perm))
-            for perm in itertools.permutations(slots)
-        ] or [{}]
-        rename_choices.append(perms)
+    def join(a: int, b: int) -> None:
+        adj[a].append((b, 0))
+        adj[b].append((a, 0))
 
-    best: str | None = None
-    clauses = sorted(s.clauses, key=Clause.render)
-    for parts in itertools.product(*rename_choices):
-        rename: dict[str, str] = {}
-        for part in parts:
-            rename.update(part)
-        for sign_bits in itertools.product((False, True), repeat=len(names)):
-            flip_sign = frozenset(n for n, b in zip(names, sign_bits) if b)
-            for arg_bits in itertools.product((False, True), repeat=len(binaries)):
-                flip_args = frozenset(n for n, b in zip(binaries, arg_bits) if b)
-                t = PredicateTransform(rename, flip_sign, flip_args)
-                text = " & ".join(sorted(_clause_text(c, t) for c in clauses))
-                if best is None or text < best:
-                    best = text
-    assert best is not None
-    return best.encode()
+    signs: dict[Predicate, tuple[int, int]] = {}
+    positions: dict[Predicate, tuple[int, int]] = {}
+    for p in s.predicates:
+        kind = f"sign{p.arity}"
+        signs[p] = pos, neg = vertex(kind), vertex(kind)
+        join(pos, neg)
+        if p.arity == 2:
+            positions[p] = first, second = vertex("position"), vertex("position")
+            join(first, second)
+            for a in positions[p]:
+                join(a, pos)
+                join(a, neg)
+    for c in s.clauses:
+        prefix = " ".join(q.render() for q in c.prefix)
+        swappable = (
+            c.nvars == 2 and c.prefix[0] == c.prefix[1] and not c.is_counting
+        )
+        var = {
+            v: vertex(f"{prefix}:{'*' if swappable else v}") for v in VARS[: c.nvars]
+        }
+        if c.nvars == 2:
+            join(var["x"], var["y"])
+        for lit in c.body:
+            sign = signs[lit.pred][lit.negated]
+            if lit.pred.arity == 0:
+                for v in var.values():
+                    join(sign, v)
+            elif lit.pred.arity == 1:
+                join(sign, var[lit.args[0]])
+            else:
+                ends = vertex("argument"), vertex("argument")
+                join(*ends)
+                for end, position, name in zip(ends, positions[lit.pred], lit.args):
+                    join(end, position)
+                    join(end, var[name])
+                    join(end, sign)
+    leaf = canonical_labelling(kinds, adj)
+    table = sorted(Counter(kinds).items())
+    return f"{table}{','.join(map(str, leaf))}".encode()

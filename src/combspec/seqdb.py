@@ -98,6 +98,8 @@ class SpectrumDB:
     """
 
     def __init__(self, path: str | Path):
+        """Open the file at path, or start empty if there is none; a line
+        that is not a record raises OSError naming the file and line."""
         self.path = Path(path)
         self._records: list[Record] = []
         self._by_sentence: dict[str, Record] = {}
@@ -105,10 +107,17 @@ class SpectrumDB:
         self._by_second: dict[int, list[Record]] = {}
         if self.path.exists():
             with self.path.open() as fh:
-                for line in fh:
+                for lineno, line in enumerate(fh, 1):
                     line = line.strip()
-                    if line:
-                        self._add(Record.from_json(line))
+                    if not line:
+                        continue
+                    try:
+                        rec = Record.from_json(line)
+                    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                        raise OSError(
+                            f"{self.path}:{lineno}: malformed record: {exc!r}"
+                        ) from exc
+                    self._add(rec)
 
     def _add(self, rec: Record) -> None:
         self._records.append(rec)

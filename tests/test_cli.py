@@ -323,6 +323,26 @@ def test_oeis_missing_db_is_a_file_error(tmp_path, capsys):
     assert not db_path.exists()
 
 
+@pytest.mark.parametrize("line", ['{"id": 0, bad', '{"id": 0}'])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["db", "stats"],
+        ["oeis", "--stripped", str(FIXTURE)],
+        ["generate", "--profile", "fo2-paper", "--layers", "1"],
+    ],
+)
+def test_malformed_db_is_a_file_error(tmp_path, capsys, line, argv):
+    # bad JSON, and good JSON that is not a record: both name the file
+    db = tmp_path / "bad.jsonl"
+    db.write_text(line + "\n")
+    code = main(argv + ["--db", str(db)])
+    err = capsys.readouterr().err
+    assert code == 5
+    assert err.startswith(f"file error: {db}:1: ")
+    assert db.read_text() == line + "\n"
+
+
 def test_oeis_missing_dump_is_a_file_error_without_queries(tmp_path, capsys):
     # no unique record, and one too short to look up: the dump is still opened
     empty, short = tmp_path / "empty.jsonl", tmp_path / "short.jsonl"

@@ -3,8 +3,6 @@
 import random
 from collections import Counter
 
-import pytest
-
 from combspec import generator
 from combspec.engine import compute_spectrum
 from combspec.generator import (
@@ -24,13 +22,21 @@ from combspec.generator import (
 )
 from combspec.logic import (
     FragmentError,
-    KeyTooComplex,
     canonical_key,
     parse_sentence,
     sentence,
 )
 from combspec.oracle import count_models
-from helpers import design_redundant, kept_cumulative, random_sentence
+from helpers import (
+    PredicateTransform,
+    apply_transform,
+    design_redundant,
+    kept_cumulative,
+    random_sentence,
+    same_partition,
+    sweep_key,
+    unpruned_layers,
+)
 
 
 def parse(text):
@@ -164,8 +170,8 @@ def test_refutation_is_sound():
 def test_every_refuted_c2_candidate_has_no_model(c2_limits, monkeypatch):
     refuted = []
 
-    def recording(s, state, mode="full"):
-        verdict = classify(s, state, mode)
+    def recording(s, state):
+        verdict = classify(s, state)
         if verdict == "refuted":
             refuted.append(s)
         return verdict
@@ -216,24 +222,50 @@ def test_classify_negation_flip_is_duplicate():
     assert classify(parse("(E x ~U0(x))"), state) == "duplicate"
 
 
-def test_classify_structural_mode_skips_everything():
-    state = GenState()
-    assert classify(parse("(V x U0(x) | ~U0(x))"), state, mode="structural") == "new"
-    assert classify(parse("(V x V y B0(x,y))"), state, mode="structural") == "new"
-
-
-def test_classify_survives_a_vocabulary_too_large_to_canonicalize():
+def test_classify_registers_the_key_of_a_large_vocabulary():
     # 4 unary and 3 binary predicates: a group of 147456 transforms
     s = parse(
         "(V x U0(x) | U1(x) | U2(x) | U3(x) | B0(x,x))"
         " & (V x V y B1(x,y) | B2(x,y) | U0(x))"
     )
-    with pytest.raises(KeyTooComplex):
-        canonical_key(s)
     state = GenState()
-    # only the duplicate check is skipped; the later filters still run
     assert classify(s, state) == "reflexive"
-    assert not state.seen_canonical
+    assert state.seen_canonical == {canonical_key(s)}
+    t = PredicateTransform(
+        rename={"U0": "U3", "U3": "U0", "B1": "B2", "B2": "B0", "B0": "B1"},
+        flip_sign=frozenset({"U1", "B1"}),
+        flip_args=frozenset({"B2"}),
+    )
+    assert classify(apply_transform(s, t), state) == "duplicate"
+
+
+def test_classify_labels_a_cell_graph_with_many_equal_cells():
+    # the second sentence's cell graph has classes of equal cells too large
+    # for a brute-force labelling; its spectrum is the first one's
+    state = GenState()
+    a = parse("(E x V y B0(x,x) | B0(x,y) | U0(x)) & (E x V y B0(x,x) | ~B0(x,y))")
+    b = parse("(E x V y B0(x,x) | B0(x,y) | U0(x)) & (E x V y B0(x,x) | ~B0(y,x))")
+    assert classify(a, state) == "new"
+    assert classify(b, state) == "spectrum_duplicate"
+    assert compute_spectrum(a, 6).terms == compute_spectrum(b, 6).terms
+
+
+def test_canonical_key_partition_matches_the_sweep(fo2_limits, c2_limits, monkeypatch):
+    # every key of the fo2 L1-L4 and c2 L1-L3 searches splits the
+    # candidates as the exhaustive transform sweep does
+    calls = []
+
+    def recording(s):
+        calls.append(s)
+        return canonical_key(s)
+
+    monkeypatch.setattr(generator, "canonical_key", recording)
+    for limits, layers, n in ((fo2_limits, 4, 4520), (c2_limits, 3, 1399)):
+        calls.clear()
+        generate(limits, layers)
+        assert len(calls) == n
+        keys = [canonical_key(s) for s in calls]
+        assert same_partition(keys, [sweep_key(s) for s in calls])
 
 
 def test_verdict_partition():
@@ -371,8 +403,8 @@ def test_generate_budget_truncates(fo2_limits):
 
 def test_structural_mode_keeps_more(fo2_limits):
     full = generate(fo2_limits, 1)
-    raw = generate(fo2_limits, 1, mode="structural")
-    assert len(raw.kept[0]) > len(full.kept[0])
+    raw = unpruned_layers(fo2_limits, 1)
+    assert len(raw[0]) > len(full.kept[0])
 
 
 def test_random_sentence_is_well_formed(c2_limits):

@@ -1,5 +1,7 @@
 """Sentence model: parsing, rendering, normalization, canonical keys."""
 
+import random
+
 import pytest
 
 from combspec.logic import (
@@ -9,14 +11,14 @@ from combspec.logic import (
     Literal,
     ParseError,
     Predicate,
-    PredicateTransform,
     Sentence,
     canonical_key,
     counting,
     make_clause,
     parse_sentence,
+    sentence,
 )
-from helpers import apply_transform
+from helpers import PredicateTransform, apply_transform, same_partition, sweep_key
 
 
 def rt(text):
@@ -138,6 +140,12 @@ def test_canonical_key_separates_distinct_sentences():
     assert canon("(V x E y B(x,y))") != canon("(E x V y B(x,y))")
     assert canon("(V x E y B(x,y))") != canon("(V x E y B(x,y) | U(x))")
     assert canon("(V x E y B(x,y) | U(x))") != canon("(V x E y B(x,y) | U(y))")
+    # the same literals on each side of the two-variable clauses, paired
+    # differently: U1 goes with W1 twice in the first, once in the second
+    one_v = " & (V x U1(x) | W1(x))"
+    assert canon(
+        "(V x E y U1(x) | W1(y)) & (V x E y U2(x) | W2(y))" + one_v
+    ) != canon("(V x E y U1(x) | W2(y)) & (V x E y U2(x) | W1(y))" + one_v)
 
 
 def test_canonical_key_no_swap_for_counting_prefix():
@@ -145,6 +153,83 @@ def test_canonical_key_no_swap_for_counting_prefix():
     assert canon("(V x E=1 y B(x,y) | U(x))") != canon(
         "(V x E=1 y B(x,y) | U(y))"
     )
+    assert canon("(E=1 x E=1 y B(x,y) | U(x))") != canon(
+        "(E=1 x E=1 y B(x,y) | U(y))"
+    )
+
+
+NULLARY_TEXTS = [
+    "(V x V y B(x,y) | U(x) | Z)",
+    "(V x V y B(x,y) | U(y) | Z)",
+    "(V x V y B(x,y) | U(x) | ~Z)",
+    "(V x E y B(x,y) | U(x) | Z)",
+    "(V x E y B(x,y) | U(y) | Z)",
+    "(V x E y B(x,y) | Z) & (E x ~Z | U(x))",
+    "(V x E y B(x,y) | ~Z) & (E x Z | U(x))",
+    "(V x E y B(y,x) | Z) & (E x ~Z | ~U(x))",
+    "(V x E y B(x,y) | Z) & (E x Z | U(x))",
+    "(E x Z | W | U(x)) & (V x ~W | ~U(x))",
+    "(E x ~W | Z | U(x)) & (V x ~Z | ~U(x))",
+    "(E x Z | W | U(x)) & (V x W | ~U(x))",
+    "(V x E=1 y B(x,y) | Z)",
+    "(V x E=1 y B(y,x) | ~Z)",
+    "(E=1 x V y B(x,y) | Z)",
+]
+
+
+def test_canonical_key_partition_matches_sweep_with_nullary_predicates():
+    # a nullary literal must tell neither variable of its clause apart
+    sents = [parse_sentence(t) for t in NULLARY_TEXTS]
+    keys = [canonical_key(s) for s in sents]
+    assert same_partition(keys, [sweep_key(s) for s in sents])
+    assert 1 < len(set(keys)) < len(keys)
+
+
+FOUR_THREE = (
+    "(V x U0(x) | U1(x) | ~U2(x) | U3(x) | B0(x,x))"
+    " & (V x V y B1(x,y) | ~B2(y,x) | U0(x) | U3(y))"
+    " & (E x E y B0(x,y) | B1(y,x) | ~U1(y))"
+    " & (V x E y ~B2(x,y) | B0(y,x) | U2(x))"
+    " & (E x V y B1(x,x) | ~B1(x,y) | U3(y))"
+)
+
+
+def _random_transform(s, rng):
+    """Rename within each arity, flip signs and transpose at random, then
+    swap the variables of each swappable clause with probability 1/2."""
+    rename = {}
+    for arity in (1, 2):
+        names = sorted(p.name for p in s.predicates if p.arity == arity)
+        rename.update(zip(names, rng.sample(names, len(names))))
+    names = [p.name for p in s.predicates]
+    binaries = [p.name for p in s.predicates if p.arity == 2]
+    t = PredicateTransform(
+        rename,
+        frozenset(n for n in names if rng.random() < 0.5),
+        frozenset(n for n in binaries if rng.random() < 0.5),
+    )
+    out = []
+    for c in apply_transform(s, t).clauses:
+        swappable = c.nvars == 2 and c.prefix[0] == c.prefix[1] and not c.is_counting
+        if swappable and rng.random() < 0.5:
+            swapped = frozenset(l.substitute({"x": "y", "y": "x"}) for l in c.body)
+            c = Clause(c.prefix, swapped)
+        out.append(c)
+    return sentence(out)
+
+
+def test_canonical_key_invariant_under_random_transforms():
+    # 4 unary and 3 binary predicates: 147456 transforms, too many to sweep
+    s = parse_sentence(FOUR_THREE)
+    key = canonical_key(s)
+    rng = random.Random(12)
+    images = {_random_transform(s, rng) for _ in range(60)}
+    assert len(images) > 50
+    for t in images:
+        assert canonical_key(t) == key, t.render()
+    # dropping one literal, or moving a variable, changes the key
+    assert canon(FOUR_THREE.replace(" | U3(x)", "", 1)) != key
+    assert canon(FOUR_THREE.replace("U0(x) | U3(y)", "U0(x) | U3(x)")) != key
 
 
 def test_apply_transform_round_trip():

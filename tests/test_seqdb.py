@@ -1,7 +1,10 @@
 """Append-only spectrum store: duplicates, products, persistence."""
 
 import random
+import re
 from types import SimpleNamespace
+
+import pytest
 
 from combspec import seqdb
 from combspec.seqdb import MIN_OVERLAP, SpectrumDB
@@ -151,6 +154,18 @@ def test_big_integers_survive_round_trip(tmp_path):
     huge = [1, 18, 1699, 592260, 754179301, 3562635108438, 63770601591579079]
     db.insert("big", huge)
     assert SpectrumDB(path).records()[0].spectrum == tuple(huge)
+
+
+@pytest.mark.parametrize(
+    "bad", ['{"id": 1, bad', '{"id": 1}', "[1, 2]", '{"spectrum": 5}']
+)
+def test_malformed_line_names_file_and_line(tmp_path, bad):
+    path = tmp_path / "seq.jsonl"
+    SpectrumDB(path).insert("(E x U(x))", [1, 3, 7, 15, 31])
+    with path.open("a") as fh:
+        fh.write("\n" + bad + "\n")
+    with pytest.raises(OSError, match=re.escape(f"{path}:3: malformed record")):
+        SpectrumDB(path)
 
 
 def test_set_oeis_and_stats(tmp_path):
