@@ -80,6 +80,14 @@ def _weights_from_args(args: argparse.Namespace) -> dict | None:
     return weights or None
 
 
+def _at_least_one(value: str | None, default: int, flag: str) -> int:
+    """A count option, or its default when unset; below 1 is an error."""
+    n = int(value) if value is not None else default
+    if n < 1:
+        raise ValueError(f"{flag} must be at least 1, got {n}")
+    return n
+
+
 def _limits_from_args(args: argparse.Namespace) -> GenLimits:
     base = dict(PROFILES[args.profile]) if args.profile else {}
     for key in ("ml", "mc", "up", "bp", "k"):
@@ -109,7 +117,7 @@ def cmd_wfomc(args: argparse.Namespace) -> int:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     s = parse_sentence(args.sentence)
-    length = int(args.length) if args.length is not None else 10
+    length = _at_least_one(args.length, 10, "--length")
     budget = float(args.budget_secs) if args.budget_secs is not None else None
     sp = compute_spectrum(
         s, length, weights=_weights_from_args(args), budget_secs=budget
@@ -132,8 +140,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     limits = _limits_from_args(args)
-    layers = int(args.layers) if args.layers is not None else 3
-    length = int(args.length) if args.length is not None else 10
+    layers = _at_least_one(args.layers, 3, "--layers")
+    length = _at_least_one(args.length, 10, "--length")
     budget = float(args.budget_secs) if args.budget_secs is not None else 30.0
     profile = args.profile or "custom"
 
@@ -146,9 +154,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
     truncated = result.truncated
     # each layer comes sorted by text, so records go in (layer, text) order
     inserted = []
+    # kept sentences share many merged cell graphs; the memo lives for
+    # this run only
+    memo: dict = {}
     for i, kept in enumerate(result.kept):
         for s in kept:
-            sp = compute_spectrum(s, length, budget_secs=budget)
+            sp = compute_spectrum(s, length, budget_secs=budget, memo=memo)
             truncated = truncated or sp.truncated
             if db is not None:
                 rec = db.insert(

@@ -16,6 +16,13 @@ never enumerates worlds:
                 single-element atoms, edge weight from the model count of
                 the cross atoms between two elements
 
+The cell graph is built on bitmasks: a cell is an int with one bit per
+single-element atom, a clause is a positive and a negative literal mask,
+and each cell carries two bitsets, X and Y, of the oriented two-variable
+clauses whose x-side (y-side) literals it falsifies.  The edge weight of a
+pair of cells i, j depends only on X[i] & Y[j], and is computed once per
+distinct key.
+
 One pass of the dynamic program yields every domain size up to the
 requested length.  Cardinality constraints ride through the computation as
 symbolic weights, and one polynomial coefficient is read off per domain
@@ -23,6 +30,12 @@ size.  The cell graph holds those weights as polynomials; the dynamic
 program carries each one truncated at the target degrees and packed in a
 single int, so that a product is one big-int multiply.  All arithmetic is
 exact integer arithmetic.
+
+A pass depends only on the merged cell graph, the length and the
+symbolic caps.  Many sentences share one, so a caller that computes many
+spectra can pass one memo dict to compute_spectrum, keyed on those three,
+and run each distinct pass once (`combspec generate` keeps one per run).
+There is no module-level cache.
 """
 
 from __future__ import annotations
@@ -296,11 +309,25 @@ def build_cell_graph(
     negated: Collection[str] = (),
 ) -> CellGraph:
     """Cell graph whose constrained predicates cvars carry a symbolic weight
-    on their true atoms, or on their false atoms for those in negated."""
+    on their true atoms, or on their false atoms for those in negated.
+
+    Everything is a bitmask.  A cell is the int whose bit k-1-i holds atom
+    i of k, so counting up from 0 visits the cells in itertools.product
+    order.  A clause read at one element is a positive and a negative atom
+    mask, and a cell satisfies it when cell & pos or ~cell & neg.  Each
+    two-variable clause, read in both orientations, splits into its x-side
+    and y-side cell literals and a mask over the 4^b assignments of the b
+    binary predicates' cross atoms, (x,y) then (y,x) per predicate, taken
+    from per-position tables.  X[i] is the set of oriented clauses whose
+    x-side literals cell i falsifies, Y[j] likewise for the y-side, so the
+    clauses that constrain the cross atoms of the pair (i, j) are
+    X[i] & Y[j], and the edge weight is memoised on that key.
+    """
     unary = sorted(p for p in sig_preds if p.arity == 1)
     binary = sorted(p for p in sig_preds if p.arity == 2)
     atom_preds = unary + binary
-    index = {p.name: i for i, p in enumerate(atom_preds)}
+    k = len(atom_preds)
+    bit = {p.name: 1 << (k - 1 - i) for i, p in enumerate(atom_preds)}
     cvar_set = set(cvars)
 
     def wpair(p: Predicate) -> tuple[Value, Value]:
@@ -319,78 +346,91 @@ def build_cell_graph(
         if any(q != FORALL for q in c.prefix):
             raise ValueError("non-universal clause reached the cell graph")
 
-    # diag[c] lists (atom index, negated) for the clause read at a single
-    # element, where every argument collapses to that element
-    diag = [[(index[l.pred.name], l.negated) for l in c.body] for c in clauses]
+    def masks(lits) -> tuple[int, int]:
+        pos = neg = 0
+        for l in lits:
+            if l.negated:
+                neg |= bit[l.pred.name]
+            else:
+                pos |= bit[l.pred.name]
+        return pos, neg
 
-    two_var = [c for c in clauses if c.nvars == 2]
+    # every clause read at a single element, where all arguments collapse
+    diag = [masks(c.body) for c in clauses]
+
     npos = 2 * len(binary)
     bpos = {p.name: 2 * i for i, p in enumerate(binary)}
     nassign = 1 << npos
+    full_mask = (1 << nassign) - 1
+    # holds[p]: the assignments whose cross atom at position p is true
+    holds = [sum(1 << a for a in range(nassign) if a >> p & 1) for p in range(npos)]
 
-    # per clause and orientation: cell-determined literals as
-    # (use_y_cell, atom index, negated), cross literals as assignment masks
+    # per two-variable clause and orientation: (x-side masks, y-side masks,
+    # the assignments that satisfy one of its cross literals)
     oriented = []
-    for c in two_var:
+    for c in clauses:
+        if c.nvars < 2:
+            continue
         for flip in (False, True):
-            cell_lits = []
+            sides: tuple[list[Literal], list[Literal]] = ([], [])
             cross_mask = 0
             for l in c.body:
                 args = l.args
-                if l.pred.arity == 1:
-                    side = args[0] == "y"
-                    cell_lits.append((side ^ flip, index[l.pred.name], l.negated))
-                elif args[0] == args[1]:
-                    side = args[0] == "y"
-                    cell_lits.append((side ^ flip, index[l.pred.name], l.negated))
+                if l.pred.arity == 1 or args[0] == args[1]:
+                    sides[(args[0] == "y") ^ flip].append(l)
                 else:
                     p = bpos[l.pred.name] + ((args == ("y", "x")) ^ flip)
-                    for a in range(nassign):
-                        if bool(a >> p & 1) != l.negated:
-                            cross_mask |= 1 << a
-            oriented.append((cell_lits, cross_mask))
+                    cross_mask |= full_mask ^ holds[p] if l.negated else holds[p]
+            oriented.append((masks(sides[0]), masks(sides[1]), cross_mask))
 
     assign_w: list[Value] = []
     for a in range(nassign):
         w: Value = 1
-        for p in binary:
-            base = bpos[p.name]
-            wt, wf = wpair(p)
-            w = mul_values(w, wt if a >> base & 1 else wf)
-            w = mul_values(w, wt if a >> (base + 1) & 1 else wf)
+        for p in range(npos):
+            wt, wf = atom_w[len(unary) + p // 2]
+            w = mul_values(w, wt if a >> p & 1 else wf)
         assign_w.append(w)
-    full_mask = (1 << nassign) - 1
 
-    cells = []
+    every = list(itertools.product((False, True), repeat=k))
+    live = [c for c in range(1 << k) if all(c & pos or ~c & neg for pos, neg in diag)]
+    cells = [every[c] for c in live]
     cell_weights = []
-    for bits in itertools.product((False, True), repeat=len(atom_preds)):
-        if all(any(bits[i] != neg for i, neg in lits) for lits in diag):
-            cells.append(bits)
-            w = 1
-            for val, (wt, wf) in zip(bits, atom_w):
-                w = mul_values(w, wt if val else wf)
-            cell_weights.append(w)
+    for bits in cells:
+        w = 1
+        for val, (wt, wf) in zip(bits, atom_w):
+            w = mul_values(w, wt if val else wf)
+        cell_weights.append(w)
 
+    def falsified(c: int, side: int) -> int:
+        out = 0
+        for t, clause in enumerate(oriented):
+            pos, neg = clause[side]
+            if not (c & pos or ~c & neg):
+                out |= 1 << t
+        return out
+
+    xs = [falsified(c, 0) for c in live]
+    ys = [falsified(c, 1) for c in live]
+    totals: dict[int, Value] = {}
     q = len(cells)
     r: list[list[Value]] = [[0] * q for _ in range(q)]
     for i in range(q):
+        x = xs[i]
+        row = r[i]
         for j in range(i, q):
-            mask = full_mask
-            sides = (cells[i], cells[j])
-            for cell_lits, cross_mask in oriented:
-                if any(sides[use_y][idx] != neg for use_y, idx, neg in cell_lits):
-                    continue
-                mask &= cross_mask
-                if not mask:
-                    break
-            total: Value = 0
-            a = 0
-            while mask:
-                if mask & 1:
-                    total = total + assign_w[a]
-                mask >>= 1
-                a += 1
-            r[i][j] = r[j][i] = total
+            key = x & ys[j]
+            total = totals.get(key)
+            if total is None:
+                mask = full_mask
+                for t, clause in enumerate(oriented):
+                    if key >> t & 1:
+                        mask &= clause[2]
+                total = 0
+                for a in range(nassign):
+                    if mask >> a & 1:
+                        total = total + assign_w[a]
+                totals[key] = total
+            row[j] = r[j][i] = total
     return CellGraph(atom_preds, cells, cell_weights, r)
 
 
@@ -598,12 +638,24 @@ class CompiledSentence:
                 return None
         return tuple(targets[p] for p in self.cvars)
 
-    def values(self, length: int, deadline: float | None = None) -> list[int]:
+    def values(
+        self,
+        length: int,
+        deadline: float | None = None,
+        memo: dict | None = None,
+    ) -> list[int]:
         """Weighted counts for n = 1 .. length, one DP pass per branch.
 
         The symbolic caps are the largest targets over the valid n, and each
-        n reads its own coefficient.
+        n reads its own coefficient.  A pass depends only on the merged
+        graph (its weights and edges), the length and the caps, so with a
+        memo dict each branch is looked up under that key and
+        evaluate_cell_sum runs only on a miss.  The caller owns the dict
+        and decides how long it lives; a pass cut short by the deadline
+        stores nothing, so every stored pass is complete.
         """
+        if length < 1:
+            raise ValueError("length must be at least 1")
         monos = [self._targets(n) for n in range(1, length + 1)]
         valid = [m for m in monos if m is not None]
         if not valid:
@@ -611,7 +663,14 @@ class CompiledSentence:
         caps = tuple(map(max, zip(*valid))) if self.cvars else None
         out = [0] * length
         for factor, graph in self.branches:
-            sums = evaluate_cell_sum(graph, length, caps, deadline)
+            if memo is None:
+                sums = evaluate_cell_sum(graph, length, caps, deadline)
+            else:
+                weights, r = _merge_cells(graph)
+                key = (tuple(weights), tuple(map(tuple, r)), length, caps)
+                sums = memo.get(key)
+                if sums is None:
+                    sums = memo[key] = evaluate_cell_sum(graph, length, caps, deadline)
             for i, mono in enumerate(monos):
                 if mono is not None:
                     out[i] += factor * coeff_of(sums[i], mono)
@@ -657,18 +716,21 @@ def compute_spectrum(
     length: int,
     weights: WeightMap | None = None,
     budget_secs: float | None = None,
+    memo: dict | None = None,
 ) -> Spectrum:
     """Model counts for n = 1 .. length.
 
     All terms come out of one pass, so a budget that runs out before the
-    pass ends leaves no terms and the spectrum is marked truncated.
+    pass ends leaves no terms and the spectrum is marked truncated.  memo
+    is passed to CompiledSentence.values, so that spectra computed with one
+    dict share their cell-DP passes.
     """
     deadline = time.monotonic() + budget_secs if budget_secs is not None else None
     compiled = compile_sentence(s, weights)
     if deadline is not None and time.monotonic() >= deadline:
         return Spectrum([], truncated=True)
     try:
-        return Spectrum(compiled.values(length, deadline))
+        return Spectrum(compiled.values(length, deadline, memo))
     except BudgetExceeded:
         return Spectrum([], truncated=True)
 

@@ -5,7 +5,9 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Collection, Mapping, Sequence
+
+from combspec.engine import CellGraph, WeightMap
 
 from combspec.generator import (
     GenLimits,
@@ -20,6 +22,7 @@ from combspec.generator import (
     reflexive_only_binary,
 )
 from combspec.logic import (
+    FORALL,
     VARS,
     Clause,
     Literal,
@@ -29,6 +32,7 @@ from combspec.logic import (
     sentence,
     single,
 )
+from combspec.polynomial import Poly, Value, mul_values
 
 
 def random_sentence(rng: random.Random, limits: GenLimits) -> Sentence:
@@ -187,3 +191,110 @@ def same_partition(keys_a, keys_b) -> bool:
     """The two key lists split their (common) items into the same classes."""
     pairs = set(zip(keys_a, keys_b))
     return len(pairs) == len(set(keys_a)) == len(set(keys_b))
+
+
+def reference_cell_graph(
+    clauses: Sequence[Clause],
+    weights: WeightMap,
+    sig_preds: Sequence[Predicate],
+    cvars: tuple[str, ...] = (),
+    negated: Collection[str] = (),
+) -> CellGraph:
+    """Reference for engine.build_cell_graph: the same graph built by testing
+    every oriented clause against every cell pair, with cells as tuples and
+    cross-literal masks from a loop over the assignments."""
+    unary = sorted(p for p in sig_preds if p.arity == 1)
+    binary = sorted(p for p in sig_preds if p.arity == 2)
+    atom_preds = unary + binary
+    index = {p.name: i for i, p in enumerate(atom_preds)}
+    cvar_set = set(cvars)
+
+    def wpair(p: Predicate) -> tuple[Value, Value]:
+        w, wbar = weights.get(p.name, (1, 1))
+        if p.name not in cvar_set:
+            return w, wbar
+        x = Poly.variable(cvars, p.name)
+        return (w, x) if p.name in negated else (x, wbar)
+
+    atom_w = [wpair(p) for p in atom_preds]
+
+    for c in clauses:
+        for lit in c.body:
+            if lit.pred.arity == 0:
+                raise ValueError("nullary literal reached the cell graph")
+        if any(q != FORALL for q in c.prefix):
+            raise ValueError("non-universal clause reached the cell graph")
+
+    # diag[c] lists (atom index, negated) for the clause read at a single
+    # element, where every argument collapses to that element
+    diag = [[(index[l.pred.name], l.negated) for l in c.body] for c in clauses]
+
+    two_var = [c for c in clauses if c.nvars == 2]
+    npos = 2 * len(binary)
+    bpos = {p.name: 2 * i for i, p in enumerate(binary)}
+    nassign = 1 << npos
+
+    # per clause and orientation: cell-determined literals as
+    # (use_y_cell, atom index, negated), cross literals as assignment masks
+    oriented = []
+    for c in two_var:
+        for flip in (False, True):
+            cell_lits = []
+            cross_mask = 0
+            for l in c.body:
+                args = l.args
+                if l.pred.arity == 1:
+                    side = args[0] == "y"
+                    cell_lits.append((side ^ flip, index[l.pred.name], l.negated))
+                elif args[0] == args[1]:
+                    side = args[0] == "y"
+                    cell_lits.append((side ^ flip, index[l.pred.name], l.negated))
+                else:
+                    p = bpos[l.pred.name] + ((args == ("y", "x")) ^ flip)
+                    for a in range(nassign):
+                        if bool(a >> p & 1) != l.negated:
+                            cross_mask |= 1 << a
+            oriented.append((cell_lits, cross_mask))
+
+    assign_w: list[Value] = []
+    for a in range(nassign):
+        w: Value = 1
+        for p in binary:
+            base = bpos[p.name]
+            wt, wf = wpair(p)
+            w = mul_values(w, wt if a >> base & 1 else wf)
+            w = mul_values(w, wt if a >> (base + 1) & 1 else wf)
+        assign_w.append(w)
+    full_mask = (1 << nassign) - 1
+
+    cells = []
+    cell_weights = []
+    for bits in itertools.product((False, True), repeat=len(atom_preds)):
+        if all(any(bits[i] != neg for i, neg in lits) for lits in diag):
+            cells.append(bits)
+            w = 1
+            for val, (wt, wf) in zip(bits, atom_w):
+                w = mul_values(w, wt if val else wf)
+            cell_weights.append(w)
+
+    q = len(cells)
+    r: list[list[Value]] = [[0] * q for _ in range(q)]
+    for i in range(q):
+        for j in range(i, q):
+            mask = full_mask
+            sides = (cells[i], cells[j])
+            for cell_lits, cross_mask in oriented:
+                if any(sides[use_y][idx] != neg for use_y, idx, neg in cell_lits):
+                    continue
+                mask &= cross_mask
+                if not mask:
+                    break
+            total: Value = 0
+            a = 0
+            while mask:
+                if mask & 1:
+                    total = total + assign_w[a]
+                mask >>= 1
+                a += 1
+            r[i][j] = r[j][i] = total
+    return CellGraph(atom_preds, cells, cell_weights, r)

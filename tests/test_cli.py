@@ -421,3 +421,36 @@ def test_unknown_command_exits_nonzero(capsys):
         assert e.code != 0
     else:
         raise AssertionError("argparse should reject unknown commands")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "(V x U(x))", "--length", "0"],
+        ["spectrum", "(V x U(x))", "--length", "-3"],
+        ["generate", "--profile", "fo2-paper", "--layers", "1", "--length", "0"],
+        ["generate", "--profile", "fo2-paper", "--layers", "0"],
+        ["generate", "--profile", "fo2-paper", "--layers", "-1"],
+    ],
+)
+def test_counts_below_one_are_errors(tmp_path, capsys, argv):
+    db = tmp_path / "t.jsonl"
+    code = main(argv + (["--db", str(db)] if argv[0] == "generate" else []))
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: --l")
+    assert "at least 1" in captured.err
+    assert not db.exists()
+
+
+def test_generate_runs_in_one_process_agree(tmp_path, capsys):
+    # the cell-DP memo lives for one run, so nothing carries to the next
+    outs = []
+    for name in ("a.jsonl", "b.jsonl"):
+        db = tmp_path / name
+        code, out = run(
+            capsys, "generate", "--profile", "c2-paper", "--layers", "2", "--db", str(db)
+        )
+        assert code == 0
+        outs.append((out, db.read_bytes()))
+    assert outs[0] == outs[1]

@@ -12,15 +12,16 @@ from combspec.engine import (
     Spectrum,
     _graph_serial,
     _poly_serial,
+    build_cell_graph,
     compile_sentence,
     compute_spectrum,
     spectrum_fingerprint,
     wfomc,
 )
-from combspec.generator import GenLimits
-from combspec.logic import FragmentError, parse_sentence
+from combspec.generator import GenLimits, _literal_options
+from combspec.logic import FORALL, FragmentError, Predicate, pair, parse_sentence, single
 from combspec.oracle import count_models, weighted_count
-from helpers import random_sentence
+from helpers import random_sentence, reference_cell_graph
 
 MAXN_ORACLE = 4
 
@@ -283,6 +284,59 @@ def test_no_budget_never_truncates():
     assert len(out.terms) == 10
 
 
+def test_length_below_one_is_an_error():
+    compiled = compile_sentence(parse_sentence("(V x E y B(x,y))"))
+    for length in (0, -3):
+        with pytest.raises(ValueError):
+            compiled.values(length)
+        with pytest.raises(ValueError):
+            compute_spectrum(parse_sentence("(V x U(x))"), length)
+
+
+# cell-DP passes shared through a memo
+
+MEMO_TEXT = "(E x V y B(x,y) | U(y) | ~B(y,x)) & (E x V y B(x,y) | ~B(y,y))"
+
+
+def test_a_pass_cut_short_stores_nothing():
+    compiled = compile_sentence(parse_sentence(MEMO_TEXT))
+    assert [len(g.cells) for _, g in compiled.branches] == [4, 8, 8, 16]
+    memo: dict = {}
+    # the three small branches finish before the first deadline check
+    with pytest.raises(BudgetExceeded):
+        compiled.values(12, deadline=0.0, memo=memo)
+    assert len(memo) == 3
+    before = dict(memo)
+    # now they are hits, and the 16-cell miss is cut short again
+    with pytest.raises(BudgetExceeded):
+        compiled.values(12, deadline=0.0, memo=memo)
+    assert memo == before
+    # what was stored is whole
+    fresh: dict = {}
+    compiled.values(12, memo=fresh)
+    assert all(fresh[key] == sums for key, sums in memo.items())
+
+
+def test_a_stored_pass_needs_no_budget():
+    compiled = compile_sentence(parse_sentence(MEMO_TEXT))
+    memo: dict = {}
+    full = compiled.values(12, memo=memo)
+    assert len(memo) == len(compiled.branches)
+    # every branch is served from the memo, so a spent deadline is never read
+    assert compiled.values(12, deadline=0.0, memo=memo) == full
+    assert full == compile_sentence(parse_sentence(MEMO_TEXT)).values(12)
+
+
+def test_memo_is_keyed_by_length():
+    # no counting quantifier, so no caps tell the two lengths apart
+    s = parse_sentence("(V x E y B(x,y))")
+    memo: dict = {}
+    # a shorter pass stored first cannot serve the longer one
+    assert compute_spectrum(s, 3, memo=memo).terms == [1, 9, 343]
+    assert compute_spectrum(s, 4, memo=memo).terms == [1, 9, 343, 50625]
+    assert len(memo) == 2
+
+
 def test_wfomc_matches_spectrum_entry():
     s = parse_sentence("(V x E y B(x,y) | ~B(y,x)) & (E x U(x))")
     terms = compute_spectrum(s, 5).terms
@@ -295,6 +349,44 @@ def test_spectrum_is_deterministic():
     a = compute_spectrum(s, 6).terms
     b = compute_spectrum(s, 6).terms
     assert a == b
+
+
+# bitmask cell graphs against the reference build
+
+
+def _random_universal_clauses(rng):
+    preds = [Predicate(f"U{i}", 1) for i in range(rng.randint(0, 2))]
+    preds += [Predicate(f"B{i}", 2) for i in range(rng.randint(0, 2))]
+    if not preds:
+        preds = [Predicate("U0", 1)]
+    clauses = []
+    for _ in range(rng.randint(0, 4)):
+        nvars = 2 if any(p.arity == 2 for p in preds) and rng.random() < 0.6 else 1
+        options = _literal_options(preds, nvars)
+        body = rng.sample(options, rng.randint(1, min(3, len(options))))
+        clauses.append(single(FORALL, body) if nvars == 1 else pair(FORALL, FORALL, body))
+    sig = sorted(preds + [Predicate("V0", 1)] * rng.randint(0, 1))
+    weights = {
+        p.name: (rng.randint(-3, 3), rng.randint(-3, 3))
+        for p in sig
+        if rng.random() < 0.5
+    }
+    cvars = tuple(sorted({p.name for p in sig if rng.random() < 0.3}))
+    negated = {name for name in cvars if rng.random() < 0.5}
+    return clauses, weights, sig, cvars, negated
+
+
+def test_bitmask_cell_graph_matches_the_reference_on_random_clauses():
+    rng = random.Random(13)
+    seen = set()
+    for _ in range(300):
+        clauses, weights, sig, cvars, negated = _random_universal_clauses(rng)
+        g = build_cell_graph(clauses, weights, sig, cvars, negated)
+        assert g == reference_cell_graph(clauses, weights, sig, cvars, negated)
+        seen.add(len(g.cells) == 0)
+        seen.add("symbolic" if negated else None)
+        seen.add("two binary" if sum(p.arity == 2 for p in sig) == 2 else None)
+    assert {True, False, "symbolic", "two binary"} <= seen
 
 
 # fingerprints
