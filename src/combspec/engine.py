@@ -35,12 +35,14 @@ A pass depends only on the merged cell graph, the length and the
 symbolic caps.  Many sentences share one, so a caller that computes many
 spectra can pass one memo dict to compute_spectrum, keyed on those three,
 and run each distinct pass once (`combspec generate` keeps one per run).
-There is no module-level cache.
+Likewise spectrum_fingerprint takes a dict of cell-graph labellings, and
+generate keeps one per search.  There is no module-level cache.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import time
 from dataclasses import dataclass
@@ -63,6 +65,9 @@ from .logic import (
 from .polynomial import Packing, Poly, Value, coeff_of, mul_values, norm1, pow_value
 
 WeightMap = Mapping[str, tuple[int, int]]
+
+# prefixes the cell-order search keeps per step (_greedy_cell_order)
+ORDER_BEAM = 4
 
 
 class BudgetExceeded(RuntimeError):
@@ -338,6 +343,8 @@ def build_cell_graph(
         return (w, x) if p.name in negated else (x, wbar)
 
     atom_w = [wpair(p) for p in atom_preds]
+    # without symbolic weights every weight is a plain int
+    mul = mul_values if cvars else operator.mul
 
     for c in clauses:
         for lit in c.body:
@@ -388,7 +395,7 @@ def build_cell_graph(
         w: Value = 1
         for p in range(npos):
             wt, wf = atom_w[len(unary) + p // 2]
-            w = mul_values(w, wt if a >> p & 1 else wf)
+            w = mul(w, wt if a >> p & 1 else wf)
         assign_w.append(w)
 
     every = list(itertools.product((False, True), repeat=k))
@@ -398,7 +405,7 @@ def build_cell_graph(
     for bits in cells:
         w = 1
         for val, (wt, wf) in zip(bits, atom_w):
-            w = mul_values(w, wt if val else wf)
+            w = mul(w, wt if val else wf)
         cell_weights.append(w)
 
     def falsified(c: int, side: int) -> int:
@@ -470,31 +477,67 @@ def _merge_cells(g: CellGraph) -> tuple[list[Value], list[list[Value]]]:
     return weights, [[r[a][b] for b in reps] for a in reps]
 
 
-def _greedy_cell_order(r: list[list[Value]], q: int) -> list[int]:
+def _greedy_cell_order(r: list[list[Value]], q: int, length: int) -> list[int]:
     """Pick a processing order that keeps DP state counts small.
 
-    A partial assignment is summarized per future cell by a product of that
-    cell's column entries, so a column that is constant over the processed
-    prefix contributes no state variety.  Greedily append the cell that
-    minimizes the product of distinct-value counts over the future columns.
+    After a prefix P of the order, with F the cells still to come, a state
+    is the number of elements used and, per cell j of F, the accumulator
+    prod_{p in P} r[p][j] ** count_p.  Bound: let the rows of P restricted
+    to F take k distinct values.  Cells with equal restricted rows enter
+    every accumulator through the sum of their counts, so a state is fixed
+    by k class sums of total at most length (used is their total), and
+    there are at most comb(length + k, k) states.  The next cell tries
+    every count c up to length - used, so the (state, count) pairs that
+    its step visits, k + 1 sums of total at most length, number at most
+    comb(length + k + 1, k + 1).
+
+    The second term is a measure, not a bound: length + 1 used counts
+    times, per column of F, the distinct values it takes on P.  A column
+    constant on P leaves its accumulator a power fixed by used, and equal
+    products of different powers (2 * 2 = 4) merge states, so the measure
+    sees collapses the rows miss.  A step costs about its pairs times |F|
+    accumulator products, so a prefix scores
+
+        min(comb(length + k + 1, k + 1),
+            (length + 1) * prod_{j in F} |{r[p][j] : p in P}|) * |F|
+
+    and an order costs the sum of its prefixes' scores.  A beam search
+    keeps the ORDER_BEAM cheapest prefixes of each length, ties to the
+    smaller order list.  A row is an int with one digit per column, the
+    index of its value among that column's distinct values, so restricting
+    it to F is one AND; each beam entry carries, per column, the bitmask
+    of the value indexes seen on P.
     """
-    remaining = list(range(q))
-    order: list[int] = []
-    while remaining:
-        best = remaining[0]
-        best_cost = None
-        for cand in remaining:
-            pref = order + [cand]
-            cost = 1
-            for j in remaining:
-                if j == cand:
-                    continue
-                cost *= len({r[t][j] for t in pref})
-            if best_cost is None or cost < best_cost:
-                best, best_cost = cand, cost
-        order.append(best)
-        remaining.remove(best)
-    return order
+    index: list[dict] = [{} for _ in range(q)]
+    ids = [
+        [index[j].setdefault(r[t][j], len(index[j])) for j in range(q)]
+        for t in range(q)
+    ]
+    width = max(map(len, index), default=1).bit_length()
+    digit = [((1 << width) - 1) << (width * j) for j in range(q)]
+    rows = [sum(v << (width * j) for j, v in enumerate(row)) for row in ids]
+    # (cost, order, digits of the columns still to come, column value sets)
+    beam = [(0, [], sum(digit), [0] * q)]
+    for _ in range(q):
+        grown = []
+        for cost, order, future, cols in beam:
+            ahead = [j for j in range(q) if future & digit[j]]
+            for cand in ahead:
+                fut = future & ~digit[cand]
+                pref = order + [cand]
+                k = len({rows[t] & fut for t in pref})
+                ncols = cols[:]
+                prod = length + 1
+                for j in ahead:
+                    if j != cand:
+                        ncols[j] |= 1 << ids[cand][j]
+                        prod *= ncols[j].bit_count()
+                score = min(math.comb(length + k + 1, k + 1), prod) * (len(ahead) - 1)
+                grown.append((cost + score, pref, fut, ncols))
+        # the prefixes are distinct, so ties break on the order list
+        grown.sort()
+        beam = grown[:ORDER_BEAM]
+    return beam[0][1]
 
 
 def _slot_width(q: int, length: int, weights: list[Value], r: list[list[Value]]) -> int:
@@ -552,7 +595,7 @@ def evaluate_cell_sum(
     """
     weights, r = _merge_cells(g)
     q = len(weights)
-    order = _greedy_cell_order(r, q)
+    order = _greedy_cell_order(r, q, length)
     w = [weights[i] for i in order]
     rr = [[r[a][b] for b in order] for a in order]
     # plain ints multiply natively; symbolic values multiply packed
@@ -770,7 +813,11 @@ def _graph_serial(g: CellGraph, perm: Sequence[int]) -> str:
     return repr((sorted(cells), labels, canonical_labelling(cells, adj)))
 
 
-def spectrum_fingerprint(s: Sentence, weights: WeightMap | None = None) -> bytes:
+def spectrum_fingerprint(
+    s: Sentence,
+    weights: WeightMap | None = None,
+    memo: dict | None = None,
+) -> bytes:
     """Key equal only for sentences whose spectra provably coincide.
 
     Covers the full compiled form: nullary branch factors, each branch's
@@ -782,14 +829,28 @@ def spectrum_fingerprint(s: Sentence, weights: WeightMap | None = None) -> bytes
     it too keeps sentences that count opposite polarities apart, as they
     were when every constraint counted true atoms, so generation keeps the
     same sentences.
+
+    A labelling depends only on the graph's weights and edges and on the
+    renaming, and a search meets the same cell graph many times, so with a
+    memo dict each _graph_serial is looked up under those three and runs
+    only on a miss.  The caller owns the dict and decides how long it
+    lives: generate keeps one per search in its GenState.
     """
     comp = compile_sentence(s, weights)
     k = len(comp.cvars)
+
+    def label(g: CellGraph, perm: tuple[int, ...]) -> str:
+        if memo is None:
+            return _graph_serial(g, perm)
+        key = (tuple(g.weights), tuple(map(tuple, g.r)), perm)
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = _graph_serial(g, perm)
+        return out
+
     best: str | None = None
     for perm in itertools.permutations(range(k)) if k else [()]:
-        graphs = sorted(
-            (factor, _graph_serial(g, perm)) for factor, g in comp.branches
-        )
+        graphs = sorted((factor, label(g, perm)) for factor, g in comp.branches)
         cons = sorted(
             (
                 perm[comp.cvars.index(c.pred)],

@@ -400,6 +400,8 @@ HIDDEN = ("trivial", "reflexive", "subsumed", "spectrum_duplicate")
 class GenState:
     seen_canonical: set[bytes] = field(default_factory=set)
     seen_spectrum: set[bytes] = field(default_factory=set)
+    # cell-graph labellings, shared by the fingerprints of one search
+    labels: dict = field(default_factory=dict)
 
 
 def classify(s: Sentence, state: GenState) -> str:
@@ -422,7 +424,7 @@ def classify(s: Sentence, state: GenState) -> str:
         return "subsumed"
     # cell-graph comparison is the costliest filter, so it runs last and
     # indexes only sentences every cheaper filter passed
-    fkey = spectrum_fingerprint(s)
+    fkey = spectrum_fingerprint(s, memo=state.labels)
     if fkey in state.seen_spectrum:
         return "spectrum_duplicate"
     state.seen_spectrum.add(fkey)

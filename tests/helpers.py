@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from typing import Collection, Mapping, Sequence
 
+from combspec import engine
 from combspec.engine import CellGraph, WeightMap
 
 from combspec.generator import (
@@ -32,7 +34,7 @@ from combspec.logic import (
     sentence,
     single,
 )
-from combspec.polynomial import Poly, Value, mul_values
+from combspec.polynomial import Packing, Poly, Value, mul_values
 
 
 def random_sentence(rng: random.Random, limits: GenLimits) -> Sentence:
@@ -298,3 +300,102 @@ def reference_cell_graph(
                 a += 1
             r[i][j] = r[j][i] = total
     return CellGraph(atom_preds, cells, cell_weights, r)
+
+
+def reference_cell_order(r: list[list[Value]], q: int, length: int) -> list[int]:
+    """Reference for engine._greedy_cell_order: greedily append the cell
+    that minimizes the product of distinct-value counts over the future
+    columns, ties to the lowest index.  length is unused."""
+    remaining = list(range(q))
+    order: list[int] = []
+    while remaining:
+        best = remaining[0]
+        best_cost = None
+        for cand in remaining:
+            pref = order + [cand]
+            cost = 1
+            for j in remaining:
+                if j == cand:
+                    continue
+                cost *= len({r[t][j] for t in pref})
+            if best_cost is None or cost < best_cost:
+                best, best_cost = cand, cost
+        order.append(best)
+        remaining.remove(best)
+    return order
+
+
+def dp_iterations(
+    g: CellGraph,
+    length: int,
+    caps: Sequence[int] | None = None,
+    order_fn=None,
+) -> int:
+    """The (state, count) pairs that evaluate_cell_sum visits, each state
+    of a step with each count of the step's cell that its inner loop
+    tries, with the cells in order_fn's order (the engine's by default):
+    the same merge, packing and DP, counted."""
+    weights, r = engine._merge_cells(g)
+    q = len(weights)
+    order = (order_fn or engine._greedy_cell_order)(r, q, length)
+    w = [weights[i] for i in order]
+    rr = [[r[a][b] for b in order] for a in order]
+    mul = operator.mul
+    if caps is not None:
+        cvars = next(
+            (v.vars for v in itertools.chain(w, *rr) if isinstance(v, Poly)), ()
+        )
+        packing = Packing(cvars, caps, engine._slot_width(q, length, w, rr))
+        w = [packing.pack(v) for v in w]
+        rr = [[packing.pack(v) for v in row] for row in rr]
+        mul = packing.mul
+    states: dict = {0: {(1,) * q: 1}}
+    ticks = 0
+    for i in range(q):
+        rows = [engine._powers(mul, rr[i][j], length) for j in range(i, q)]
+        f = [1]
+        for c in range(1, length + 1):
+            f.append(mul(mul(f[-1], rows[0][c - 1]), w[i]))
+        mults = [tuple(row[c] for row in rows[1:]) for c in range(length + 1)]
+        nxt: dict = {u: {} for u in range(length + 1)}
+        for used, bucket in states.items():
+            for accs, coeff in bucket.items():
+                apow, binom = 1, 1
+                for c in range(length - used + 1):
+                    ticks += 1
+                    if c:
+                        apow = mul(apow, accs[0])
+                        binom = binom * (used + c) // c
+                    fc = mul(f[c], apow)
+                    if not fc:
+                        break
+                    contrib = mul(coeff * binom, fc)
+                    if not contrib:
+                        continue
+                    na = tuple(map(mul, accs[1:], mults[c])) if c else accs[1:]
+                    slot = nxt[used + c]
+                    slot[na] = slot.get(na, 0) + contrib
+        states = {u: {k: v for k, v in b.items() if v} for u, b in nxt.items()}
+    return ticks
+
+
+def recorded_passes(sentences, length):
+    """(graph, length, caps, sums) of every cell-DP pass that the
+    sentences' spectra run with one shared memo, as generate --db runs
+    them: each distinct pass once."""
+    calls = []
+    run = engine.evaluate_cell_sum
+
+    def recording(g, length, caps=None, deadline=None):
+        sums = run(g, length, caps, deadline)
+        calls.append((g, length, caps, sums))
+        return sums
+
+    engine.evaluate_cell_sum = recording
+    try:
+        memo: dict = {}
+        for s in sentences:
+            engine.compute_spectrum(s, length, memo=memo)
+    finally:
+        engine.evaluate_cell_sum = run
+    return calls

@@ -12,8 +12,10 @@ import time
 from collections import defaultdict
 from pathlib import Path
 
+from combspec import engine
 from combspec.cli import main
 from combspec.engine import (
+    compile_sentence,
     compute_spectrum,
     spectrum_fingerprint,
     wfomc,
@@ -25,8 +27,10 @@ from combspec.seqdb import SpectrumDB
 from helpers import (
     all_retained,
     design_redundant,
+    dp_iterations,
     kept_cumulative,
     random_sentence,
+    reference_cell_order,
     unpruned_layers,
 )
 
@@ -352,13 +356,19 @@ PERF_SENTENCES = [
 ]
 
 
-def test_criterion_10_spectrum_performance():
+def _perf_basket() -> list[str]:
+    """PERF_SENTENCES and six seeded random two-clause sentences."""
     rng = random.Random(2024)
     basket = list(PERF_SENTENCES)
     while len(basket) < 10:
         s = random_sentence(rng, FO2_LIMITS)
         if len(s.clauses) == 2:
             basket.append(s.render())
+    return basket
+
+
+def test_criterion_10_spectrum_performance():
+    basket = _perf_basket()
     worst = 0.0
     slow = []
     for text in basket:
@@ -376,3 +386,21 @@ def test_criterion_10_spectrum_performance():
         f"{len(basket)} two-clause length-20 spectra, worst {worst:.1f}s (< 10s each)"
         + (f", over budget: {slow}" if slow else ""),
     )
+
+
+def test_criterion_10_branches_take_no_more_dp_steps_than_the_reference():
+    # the widest branches, 16 cells, carry the basket's time; fo2 sentences
+    # have no counting quantifier, so their passes have no caps
+    graphs = [
+        g
+        for text in _perf_basket()
+        for _, g in compile_sentence(parse_sentence(text)).branches
+        if len(g.cells) == 16
+    ]
+    assert len(graphs) >= 2
+    for g in graphs:
+        _, r = engine._merge_cells(g)
+        q = len(r)
+        # one order gives one count, so only a new order needs counting
+        if engine._greedy_cell_order(r, q, 20) != reference_cell_order(r, q, 20):
+            assert dp_iterations(g, 20) <= dp_iterations(g, 20, None, reference_cell_order)

@@ -1,15 +1,23 @@
 """Whole-corpus checks over the fo2-paper L1-L4 and c2-paper L1-L3 searches:
 the bitmask cell graphs against the reference build, the engine against the
-brute-force oracle, and spectra that share cell-DP passes against spectra
+brute-force oracle, spectra that share cell-DP passes against spectra
+computed one by one, the cell order against the reference greedy, and
+fingerprints that share cell-graph labellings against fingerprints
 computed one by one."""
 
 import pytest
 
-from combspec import engine
-from combspec.engine import compute_spectrum
+from combspec import engine, generator
+from combspec.engine import compute_spectrum, spectrum_fingerprint
 from combspec.generator import GenLimits, generate
 from combspec.oracle import count_models
-from helpers import all_retained, reference_cell_graph
+from helpers import (
+    all_retained,
+    dp_iterations,
+    recorded_passes,
+    reference_cell_graph,
+    reference_cell_order,
+)
 
 FO2_LIMITS = GenLimits(max_literals=5, max_clauses=2, unary=1, binary=1, max_count=0)
 C2_LIMITS = GenLimits(max_literals=5, max_clauses=2, unary=1, binary=1, max_count=1)
@@ -91,3 +99,70 @@ def test_shared_passes_give_the_spectra_of_separate_ones(search, request):
     # fewer passes ran than the two lengths' branches asked for
     branches = sum(len(engine.compile_sentence(s).branches) for s in kept)
     assert len(memo) < 2 * branches
+
+
+@pytest.mark.parametrize("search", ["fo2", "c2"])
+def test_cell_order_gives_the_values_of_the_reference_order(search, request, monkeypatch):
+    result, _ = request.getfixturevalue(search)
+    passes = recorded_passes([s for layer in result.kept[:3] for s in layer], 10)
+    assert passes
+    monkeypatch.setattr(engine, "_greedy_cell_order", reference_cell_order)
+    for g, length, caps, sums in passes:
+        # Poly equality is by value, whatever order its terms were made in
+        assert engine.evaluate_cell_sum(g, length, caps) == sums
+
+
+def test_cell_order_cuts_the_fo2_dp_iterations(fo2):
+    result, _ = fo2
+    passes = recorded_passes(result.all_kept(), 10)
+    assert len(passes) == 408
+    new = sum(dp_iterations(g, n, caps) for g, n, caps, _ in passes)
+    ref = sum(dp_iterations(g, n, caps, reference_cell_order) for g, n, caps, _ in passes)
+    assert new <= 0.7 * ref, (new, ref)
+
+
+def _search_fingerprints(limits, layers, fingerprint):
+    """The search with fingerprint in place of spectrum_fingerprint, and
+    every sentence it was asked to fingerprint."""
+    asked = []
+
+    def recording(s, weights=None, memo=None):
+        asked.append(s)
+        return fingerprint(s, weights, memo)
+
+    real = generator.spectrum_fingerprint
+    generator.spectrum_fingerprint = recording
+    try:
+        return generate(limits, layers), asked
+    finally:
+        generator.spectrum_fingerprint = real
+
+
+def _outcome(result):
+    return (
+        [[s.render() for s in layer] for layer in result.kept],
+        [[(s.render(), v) for s, v in layer] for layer in result.hidden],
+        result.counts,
+    )
+
+
+@pytest.mark.parametrize("search", ["fo2", "c2"])
+def test_shared_labellings_give_the_fingerprints_of_separate_ones(search, request):
+    result, _ = request.getfixturevalue(search)
+    limits = {"fo2": FO2_LIMITS, "c2": C2_LIMITS}[search]
+    layers = len(result.kept)
+    # a second search in the same process, with its own labelling dict
+    again, asked = _search_fingerprints(limits, layers, spectrum_fingerprint)
+    assert _outcome(again) == _outcome(result)
+    # and one that labels every cell graph afresh
+    alone, asked_alone = _search_fingerprints(
+        limits, layers, lambda s, weights, memo: spectrum_fingerprint(s, weights)
+    )
+    assert _outcome(alone) == _outcome(result)
+    assert asked_alone == asked
+    # c2 sentences try every renaming of their counted predicates, so a
+    # dict keyed without the renaming would mix the serials up
+    shared: dict = {}
+    for s in asked:
+        assert spectrum_fingerprint(s, memo=shared) == spectrum_fingerprint(s), s.render()
+    assert len(shared) < len(asked)

@@ -15,13 +15,15 @@ from combspec.engine import (
     build_cell_graph,
     compile_sentence,
     compute_spectrum,
+    evaluate_cell_sum,
     spectrum_fingerprint,
     wfomc,
 )
 from combspec.generator import GenLimits, _literal_options
 from combspec.logic import FORALL, FragmentError, Predicate, pair, parse_sentence, single
 from combspec.oracle import count_models, weighted_count
-from helpers import random_sentence, reference_cell_graph
+from combspec.polynomial import Poly, make
+from helpers import random_sentence, reference_cell_graph, reference_cell_order
 
 MAXN_ORACLE = 4
 
@@ -561,3 +563,42 @@ def test_canonical_form_separates_graphs_refinement_cannot():
     rng = random.Random(3)
     for g in (cycle, triangles):
         assert _graph_serial(_relabel(g, rng), ()) == _graph_serial(g, ())
+
+
+# the cell order against the reference greedy
+
+
+def _random_symbolic_graph(rng):
+    """Weights and edges drawn from a few polynomials in X and Y and small
+    ints, so that rows repeat and columns collapse."""
+    q = rng.randint(1, 6)
+    pool = [0, 1, 2, -1]
+    for _ in range(3):
+        mono = (rng.randint(0, 2), rng.randint(0, 1))
+        pool.append(make(("X", "Y"), {(0, 0): rng.randint(-1, 2), mono: rng.randint(1, 2)}))
+    w = [rng.choice(pool) for _ in range(q)]
+    r = [[0] * q for _ in range(q)]
+    for i in range(q):
+        for j in range(i, q):
+            r[i][j] = r[j][i] = rng.choice(pool)
+    return _graph(w, r)
+
+
+def test_cell_order_gives_the_values_of_the_reference_order(monkeypatch):
+    rng = random.Random(14)
+    cases = [(_random_cell_graph(rng), None) for _ in range(100)]
+    cases += [
+        (_random_symbolic_graph(rng), (rng.randint(1, 3), rng.randint(0, 2)))
+        for _ in range(100)
+    ]
+    packed = 0
+    for g, caps in cases:
+        length = rng.randint(1, 7)
+        got = evaluate_cell_sum(g, length, caps)
+        with monkeypatch.context() as m:
+            m.setattr(engine, "_greedy_cell_order", reference_cell_order)
+            want = evaluate_cell_sum(g, length, caps)
+        # Poly equality is by value, whatever order its terms were made in
+        assert got == want
+        packed += any(isinstance(v, Poly) for v in got)
+    assert packed > 20
