@@ -555,10 +555,12 @@ def evaluate_cell_sum(
     length: int,
     caps: Sequence[int] | None = None,
     deadline: float | None = None,
+    merged: tuple[list[Value], list[list[Value]]] | None = None,
 ) -> list[Value]:
     """Weighted sums over all assignments of n elements to cells, for every
     n = 1 .. length in one pass; item n-1 holds the sum for n, with the
-    monomials above caps dropped.
+    monomials above caps dropped.  merged is g's _merge_cells result, for
+    a caller that has it already; the pass merges g itself otherwise.
 
     Dynamic program over cells: a partial composition of the domain affects
     the rest of the sum only through how many elements it used and, for
@@ -593,7 +595,7 @@ def evaluate_cell_sum(
     edge weights, so their norms are at most Rm^N.  Sums of states and
     contributions sum distinct assignments, so the same bounds hold.
     """
-    weights, r = _merge_cells(g)
+    weights, r = merged or _merge_cells(g)
     q = len(weights)
     order = _greedy_cell_order(r, q, length)
     w = [weights[i] for i in order]
@@ -692,10 +694,11 @@ class CompiledSentence:
         The symbolic caps are the largest targets over the valid n, and each
         n reads its own coefficient.  A pass depends only on the merged
         graph (its weights and edges), the length and the caps, so with a
-        memo dict each branch is looked up under that key and
-        evaluate_cell_sum runs only on a miss.  The caller owns the dict
-        and decides how long it lives; a pass cut short by the deadline
-        stores nothing, so every stored pass is complete.
+        memo dict each branch is merged once and looked up under that key,
+        and evaluate_cell_sum runs on the merged graph only on a miss.  The
+        caller owns the dict and decides how long it lives; a pass cut
+        short by the deadline stores nothing, so every stored pass is
+        complete.
         """
         if length < 1:
             raise ValueError("length must be at least 1")
@@ -709,11 +712,13 @@ class CompiledSentence:
             if memo is None:
                 sums = evaluate_cell_sum(graph, length, caps, deadline)
             else:
-                weights, r = _merge_cells(graph)
+                weights, r = merged = _merge_cells(graph)
                 key = (tuple(weights), tuple(map(tuple, r)), length, caps)
                 sums = memo.get(key)
                 if sums is None:
-                    sums = memo[key] = evaluate_cell_sum(graph, length, caps, deadline)
+                    sums = memo[key] = evaluate_cell_sum(
+                        graph, length, caps, deadline, merged
+                    )
             for i, mono in enumerate(monos):
                 if mono is not None:
                     out[i] += factor * coeff_of(sums[i], mono)

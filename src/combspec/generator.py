@@ -6,7 +6,9 @@ by adding one literal to a clause or one fresh single-literal clause.
 Each candidate is classified once:
 
   dropped (not output, not refined): tautologous clause, refuted (a
-      ground abstraction decided unsatisfiable exactly, with no budget),
+      ground abstraction decided unsatisfiable exactly, with no budget;
+      a sentence whose one-element collapse is satisfiable cannot be,
+      and is settled without grounding),
       decomposable into predicate-disjoint parts, or duplicate canonical
       form of an earlier candidate
   hidden (not output, still refined): trivial full/empty predicate
@@ -362,15 +364,26 @@ def is_refuted(s: Sentence) -> bool:
 
     Grounds the sentence over a few abstract elements (existential
     quantifiers get witness elements, exactly-one weakens to at-least-one)
-    and decides the ground clause set exactly, with no budget: a set with
-    no complementary atom pair is satisfiable, any other goes to DPLL.
+    and decides the ground clause set exactly with DPLL, with no budget.
+
+    Most sentences are settled before grounding, on their one-element
+    collapse: each clause becomes the set of its predicates with their
+    signs, as if every atom of a predicate had one truth value.  A model
+    of the collapse gives each predicate a constant truth value.  Under
+    that interpretation a ground literal is true exactly when its
+    predicate's signed entry in the collapse is, so every ground instance
+    of a clause is true with the clause's collapse, and the ground set is
+    satisfiable.  An unsatisfiable collapse decides nothing, since
+    `(E x U(x)) & (E x ~U(x))` has one and is not refuted; those sentences
+    are grounded.
     """
-    ground = _refute_ground(s)
-    pos = {l[:2] for cl in ground for l in cl if not l[2]}
-    neg = {l[:2] for cl in ground for l in cl if l[2]}
-    if not pos & neg:
+    collapse = [
+        frozenset((lit.pred.name, (), lit.negated) for lit in c.body)
+        for c in s.clauses
+    ]
+    if _satisfiable(collapse):
         return False
-    return not _satisfiable(ground)
+    return not _satisfiable(_refute_ground(s))
 
 
 def _satisfiable(clauses: list[frozenset]) -> bool:

@@ -330,18 +330,27 @@ def _refine(colors: list[int], adj: Sequence[Sequence[tuple[int, int]]]) -> list
     """Split color classes by the multiset of (label, color) codes around
     each vertex, adjacency as in canonical_labelling, until the partition
     is stable.  Colors are ranks, so they depend only on the graph, never
-    on vertex numbering."""
+    on vertex numbering.
+
+    A vertex alone in its class keeps the key (c,) instead of (c, *codes):
+    no other key starts with c, so both rank the same and the ranks do
+    not change.  Once the keys make no new class, they rank every vertex
+    at its color, so the colors are returned as they are.
+    """
     q, ncolors = len(colors), max(colors) + 1
     while ncolors < q:
-        colors = _ranks(
-            [
-                (c, *sorted([off + colors[j] for j, off in row]))
-                for c, row in zip(colors, adj)
-            ]
-        )
-        if max(colors) + 1 == ncolors:
+        sizes = [0] * ncolors
+        for c in colors:
+            sizes[c] += 1
+        keys = [
+            (c, *sorted([off + colors[j] for j, off in row])) if sizes[c] > 1 else (c,)
+            for c, row in zip(colors, adj)
+        ]
+        rank = {k: i for i, k in enumerate(sorted(set(keys)))}
+        if len(rank) == ncolors:
             break
-        ncolors = max(colors) + 1
+        ncolors = len(rank)
+        colors = [rank[k] for k in keys]
     return colors
 
 

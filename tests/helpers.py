@@ -15,6 +15,8 @@ from combspec.generator import (
     GenLimits,
     GenResult,
     _literal_options,
+    _refute_ground,
+    _satisfiable,
     has_subsumed_clause,
     has_trivial_constraint,
     initial_clauses,
@@ -30,6 +32,7 @@ from combspec.logic import (
     Literal,
     Predicate,
     Sentence,
+    _ranks,
     pair,
     sentence,
     single,
@@ -193,6 +196,38 @@ def same_partition(keys_a, keys_b) -> bool:
     """The two key lists split their (common) items into the same classes."""
     pairs = set(zip(keys_a, keys_b))
     return len(pairs) == len(set(keys_a)) == len(set(keys_b))
+
+
+def grounded_refuted(s: Sentence) -> bool:
+    """The refuter without the one-element collapse: ground every
+    sentence, then decide the ground set (no complementary atom pair
+    means satisfiable, anything else goes to DPLL)."""
+    ground = _refute_ground(s)
+    pos = {l[:2] for cl in ground for l in cl if not l[2]}
+    neg = {l[:2] for cl in ground for l in cl if l[2]}
+    if not pos & neg:
+        return False
+    return not _satisfiable(ground)
+
+
+def reference_refine(
+    colors: list[int], adj: Sequence[Sequence[tuple[int, int]]]
+) -> list[int]:
+    """Color refinement that keys every vertex, singletons too, on its
+    color and its sorted (label, color) codes, and ranks the keys anew
+    each round until the number of classes stops growing."""
+    q, ncolors = len(colors), max(colors) + 1
+    while ncolors < q:
+        colors = _ranks(
+            [
+                (c, *sorted([off + colors[j] for j, off in row]))
+                for c, row in zip(colors, adj)
+            ]
+        )
+        if max(colors) + 1 == ncolors:
+            break
+        ncolors = max(colors) + 1
+    return colors
 
 
 def reference_cell_graph(
@@ -386,8 +421,8 @@ def recorded_passes(sentences, length):
     calls = []
     run = engine.evaluate_cell_sum
 
-    def recording(g, length, caps=None, deadline=None):
-        sums = run(g, length, caps, deadline)
+    def recording(g, length, caps=None, deadline=None, merged=None):
+        sums = run(g, length, caps, deadline, merged)
         calls.append((g, length, caps, sums))
         return sums
 

@@ -1,45 +1,81 @@
 """Whole-corpus checks over the fo2-paper L1-L4 and c2-paper L1-L3 searches:
-the bitmask cell graphs against the reference build, the engine against the
-brute-force oracle, spectra that share cell-DP passes against spectra
-computed one by one, the cell order against the reference greedy, and
-fingerprints that share cell-graph labellings against fingerprints
-computed one by one."""
+the bitmask cell graphs against the reference build, the refuter against
+the grounded decision, canonical labellings against the reference
+refinement, the engine against the brute-force oracle, spectra that share
+cell-DP passes against spectra computed one by one, the cell order against
+the reference greedy, and fingerprints that share cell-graph labellings
+against fingerprints computed one by one."""
+
+from typing import NamedTuple
 
 import pytest
 
-from combspec import engine, generator
+from combspec import engine, generator, logic
 from combspec.engine import compute_spectrum, spectrum_fingerprint
-from combspec.generator import GenLimits, generate
+from combspec.generator import GenLimits, GenResult, generate
 from combspec.oracle import count_models
 from helpers import (
     all_retained,
     dp_iterations,
+    grounded_refuted,
     recorded_passes,
     reference_cell_graph,
     reference_cell_order,
+    reference_refine,
 )
 
 FO2_LIMITS = GenLimits(max_literals=5, max_clauses=2, unary=1, binary=1, max_count=0)
 C2_LIMITS = GenLimits(max_literals=5, max_clauses=2, unary=1, binary=1, max_count=1)
 
 
+class Recorded(NamedTuple):
+    result: GenResult
+    # (args, kwargs, graph) of every build_cell_graph call
+    graphs: list
+    # (sentence, verdict) of every is_refuted call
+    refuted: list
+    # (caller module, invariants, adj) of every canonical_labelling call
+    labellings: list
+
+
 def _recorded_generate(limits, layers):
     """The search, with the arguments and result of every cell graph it
-    builds."""
-    calls = []
-    build = engine.build_cell_graph
+    builds, every refuter verdict and every labelling input."""
+    graphs, refuted, labellings = [], [], []
+    build, refute, label = (
+        engine.build_cell_graph,
+        generator.is_refuted,
+        logic.canonical_labelling,
+    )
 
-    def recording(*args, **kwargs):
+    def building(*args, **kwargs):
         g = build(*args, **kwargs)
-        calls.append((args, kwargs, g))
+        graphs.append((args, kwargs, g))
         return g
 
-    engine.build_cell_graph = recording
+    def refuting(s):
+        verdict = refute(s)
+        refuted.append((s, verdict))
+        return verdict
+
+    def labelling(caller):
+        def run(invariants, adj):
+            labellings.append((caller, invariants, adj))
+            return label(invariants, adj)
+
+        return run
+
+    engine.build_cell_graph = building
+    generator.is_refuted = refuting
+    logic.canonical_labelling = labelling("logic")
+    engine.canonical_labelling = labelling("engine")
     try:
         result = generate(limits, layers)
     finally:
         engine.build_cell_graph = build
-    return result, calls
+        generator.is_refuted = refute
+        logic.canonical_labelling = engine.canonical_labelling = label
+    return Recorded(result, graphs, refuted, labellings)
 
 
 @pytest.fixture(scope="module")
@@ -54,14 +90,35 @@ def c2():
 
 @pytest.mark.parametrize("search", ["fo2", "c2"])
 def test_bitmask_cell_graphs_match_the_reference(search, request):
-    _, calls = request.getfixturevalue(search)
+    calls = request.getfixturevalue(search).graphs
     assert calls
     for args, kwargs, g in calls:
         assert g == reference_cell_graph(*args, **kwargs), args
 
 
+@pytest.mark.parametrize("search", ["fo2", "c2"])
+def test_refuter_agrees_with_the_grounded_decision(search, request):
+    verdicts = request.getfixturevalue(search).refuted
+    # (calls, refuted) over the whole search
+    expected = {"fo2": (4812, 96), "c2": (1706, 100)}[search]
+    assert (len(verdicts), sum(v for _, v in verdicts)) == expected
+    bad = [s.render() for s, v in verdicts if v != grounded_refuted(s)]
+    assert not bad
+
+
+@pytest.mark.parametrize("search", ["fo2", "c2"])
+def test_labellings_match_the_reference_refinement(search, request, monkeypatch):
+    inputs = request.getfixturevalue(search).labellings
+    # both sentence keys and cell-graph serials
+    assert {caller for caller, _, _ in inputs} == {"logic", "engine"}
+    got = [logic.canonical_labelling(inv, adj) for _, inv, adj in inputs]
+    monkeypatch.setattr(logic, "_refine", reference_refine)
+    want = [logic.canonical_labelling(inv, adj) for _, inv, adj in inputs]
+    assert got == want
+
+
 def test_retained_fo2_sentences_match_the_oracle(fo2):
-    result, _ = fo2
+    result = fo2.result
     sentences = all_retained(result)
     assert len(sentences) == 2241
     bad = [
@@ -73,7 +130,7 @@ def test_retained_fo2_sentences_match_the_oracle(fo2):
 
 
 def test_kept_c2_sentences_match_the_oracle(c2):
-    result, _ = c2
+    result = c2.result
     sentences = result.all_kept()
     assert len(sentences) == 382
     bad = [
@@ -86,7 +143,7 @@ def test_kept_c2_sentences_match_the_oracle(c2):
 
 @pytest.mark.parametrize("search", ["fo2", "c2"])
 def test_shared_passes_give_the_spectra_of_separate_ones(search, request):
-    result, _ = request.getfixturevalue(search)
+    result = request.getfixturevalue(search).result
     # the first three layers; c2 sentences carry symbolic caps, so a key
     # without caps or length would mix passes up
     kept = [s for layer in result.kept[:3] for s in layer]
@@ -103,7 +160,7 @@ def test_shared_passes_give_the_spectra_of_separate_ones(search, request):
 
 @pytest.mark.parametrize("search", ["fo2", "c2"])
 def test_cell_order_gives_the_values_of_the_reference_order(search, request, monkeypatch):
-    result, _ = request.getfixturevalue(search)
+    result = request.getfixturevalue(search).result
     passes = recorded_passes([s for layer in result.kept[:3] for s in layer], 10)
     assert passes
     monkeypatch.setattr(engine, "_greedy_cell_order", reference_cell_order)
@@ -113,7 +170,7 @@ def test_cell_order_gives_the_values_of_the_reference_order(search, request, mon
 
 
 def test_cell_order_cuts_the_fo2_dp_iterations(fo2):
-    result, _ = fo2
+    result = fo2.result
     passes = recorded_passes(result.all_kept(), 10)
     assert len(passes) == 408
     new = sum(dp_iterations(g, n, caps) for g, n, caps, _ in passes)
@@ -148,7 +205,7 @@ def _outcome(result):
 
 @pytest.mark.parametrize("search", ["fo2", "c2"])
 def test_shared_labellings_give_the_fingerprints_of_separate_ones(search, request):
-    result, _ = request.getfixturevalue(search)
+    result = request.getfixturevalue(search).result
     limits = {"fo2": FO2_LIMITS, "c2": C2_LIMITS}[search]
     layers = len(result.kept)
     # a second search in the same process, with its own labelling dict

@@ -31,6 +31,7 @@ from helpers import (
     PredicateTransform,
     apply_transform,
     design_redundant,
+    grounded_refuted,
     kept_cumulative,
     random_sentence,
     same_partition,
@@ -165,6 +166,47 @@ def test_refutation_is_sound():
             for n in (1, 2, 3):
                 assert count_models(s, n) == 0, s.render()
     assert hits > 0
+
+
+def test_unsatisfiable_collapse_does_not_refute():
+    # no one-element interpretation satisfies it, but two elements do
+    s = parse("(E x U(x)) & (E x ~U(x))")
+    assert not is_refuted(s)
+    assert not grounded_refuted(s)
+    assert count_models(s, 1) == 0 and count_models(s, 2) > 0
+
+
+def test_refuter_agrees_with_the_grounded_decision_on_random_sentences(monkeypatch):
+    limits = GenLimits(max_literals=2, max_clauses=3, unary=2, binary=2, max_count=1)
+    rng = random.Random(15)
+    sentences = [random_sentence(rng, limits) for _ in range(300)]
+    grounded = []
+    ground = generator._refute_ground
+    monkeypatch.setattr(
+        generator, "_refute_ground", lambda s: grounded.append(s) or ground(s)
+    )
+    verdicts = [is_refuted(s) for s in sentences]
+    assert verdicts == [grounded_refuted(s) for s in sentences]
+    # most are settled on the collapse; of those grounded, some are refuted
+    # and some are not
+    refuted = sum(verdicts)
+    assert 0 < refuted < len(grounded) < len(sentences) // 10
+
+
+def test_refuter_agrees_with_the_grounded_decision_with_nullary_predicates():
+    cases = {
+        "(V x P | U(x)) & (V x ~P | U(x)) & (E x ~U(x))": True,
+        "(V x P | U(x)) & (E x ~P)": False,
+        "(E x P) & (E x ~P)": True,
+        "(V x V y P | B(x,y)) & (E x E y ~P | ~B(x,y))": False,
+        "(V x ~P | B(x,x)) & (E x ~B(x,x)) & (V x P | U(x)) & (E x ~U(x))": True,
+        "(V x ~P | B(x,x)) & (E x ~B(x,x)) & (V x P | U(x)) & (V x E y ~U(y))": True,
+        "(V x Q | ~P) & (V x P | U(x)) & (E x ~U(x)) & (E x ~Q)": True,
+        "(V x P | U(x)) & (E x ~U(x)) & (E x V y ~P | B(x,y))": False,
+    }
+    for text, refuted in cases.items():
+        s = parse(text)
+        assert is_refuted(s) == grounded_refuted(s) == refuted, text
 
 
 def test_every_refuted_c2_candidate_has_no_model(c2_limits, monkeypatch):

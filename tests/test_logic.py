@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from combspec import logic
 from combspec.logic import (
     EXISTS,
     FORALL,
@@ -12,13 +13,21 @@ from combspec.logic import (
     ParseError,
     Predicate,
     Sentence,
+    _ranks,
     canonical_key,
+    canonical_labelling,
     counting,
     make_clause,
     parse_sentence,
     sentence,
 )
-from helpers import PredicateTransform, apply_transform, same_partition, sweep_key
+from helpers import (
+    PredicateTransform,
+    apply_transform,
+    reference_refine,
+    same_partition,
+    sweep_key,
+)
 
 
 def rt(text):
@@ -257,3 +266,72 @@ def test_clause_helpers():
     assert not c.is_counting
     s = Sentence(frozenset([c]))
     assert s.render() == "(V x E y B(x,y))"
+
+
+# canonical labelling against the reference refinement
+
+
+def _adjacency(q, edges):
+    """Adjacency in canonical_labelling's form from {(a, b): label}."""
+    adj = [[] for _ in range(q)]
+    for (a, b), label in edges.items():
+        adj[a].append((b, label * q))
+        adj[b].append((a, label * q))
+    return adj
+
+
+def _random_colored_graph(rng):
+    q = rng.randint(1, 9)
+    colors = [rng.randint(0, 2) for _ in range(q)]
+    density = rng.random()
+    edges = {
+        (a, b): rng.randint(0, 2)
+        for a in range(q)
+        for b in range(a + 1, q)
+        if rng.random() < density
+    }
+    return colors, _adjacency(q, edges)
+
+
+def _labelled_both_ways(colors, adj, monkeypatch):
+    got = canonical_labelling(colors, adj)
+    with monkeypatch.context() as m:
+        m.setattr(logic, "_refine", reference_refine)
+        want = canonical_labelling(colors, adj)
+    return got, want
+
+
+def test_refinement_matches_the_reference_on_random_graphs(monkeypatch):
+    rng = random.Random(2026)
+    mixed = 0
+    for _ in range(200):
+        colors, adj = _random_colored_graph(rng)
+        start = _ranks(colors)
+        assert logic._refine(start, adj) == reference_refine(start, adj)
+        got, want = _labelled_both_ways(colors, adj, monkeypatch)
+        assert got == want
+        # vertex v of the copy is vertex perm[v] of the graph
+        q = len(colors)
+        perm = rng.sample(range(q), q)
+        where = {v: i for i, v in enumerate(perm)}
+        moved = [[(where[j], off) for j, off in adj[v]] for v in perm]
+        assert canonical_labelling([colors[v] for v in perm], moved) == got
+        sizes = [start.count(c) for c in set(start)]
+        mixed += 1 in sizes and max(sizes) > 1
+    # singleton classes beside larger ones, where the two keys differ
+    assert mixed > 20
+
+
+def test_refinement_matches_the_reference_on_the_cycle_and_triangles(monkeypatch):
+    cycle = _adjacency(6, {(i, (i + 1) % 6): 1 for i in range(6)})
+    triangles = _adjacency(
+        6, {(0, 1): 1, (1, 2): 1, (0, 2): 1, (3, 4): 1, (4, 5): 1, (3, 5): 1}
+    )
+    serials = []
+    for adj in (cycle, triangles):
+        # both 2-regular: refinement alone leaves one class
+        assert logic._refine([0] * 6, adj) == reference_refine([0] * 6, adj) == [0] * 6
+        got, want = _labelled_both_ways([0] * 6, adj, monkeypatch)
+        assert got == want
+        serials.append(got)
+    assert serials[0] != serials[1]
