@@ -693,12 +693,12 @@ class CompiledSentence:
 
         The symbolic caps are the largest targets over the valid n, and each
         n reads its own coefficient.  A pass depends only on the merged
-        graph (its weights and edges), the length and the caps, so with a
-        memo dict each branch is merged once and looked up under that key,
-        and evaluate_cell_sum runs on the merged graph only on a miss.  The
-        caller owns the dict and decides how long it lives; a pass cut
-        short by the deadline stores nothing, so every stored pass is
-        complete.
+        graph (its weights and edges), the length and the caps, so each
+        branch is merged once and looked up under that key in memo (a fresh
+        dict when None), and evaluate_cell_sum runs on the merged graph only
+        on a miss.  The caller owns the dict and decides how long it lives;
+        a pass cut short by the deadline stores nothing, so every stored
+        pass is complete.
         """
         if length < 1:
             raise ValueError("length must be at least 1")
@@ -707,18 +707,16 @@ class CompiledSentence:
         if not valid:
             return [0] * length
         caps = tuple(map(max, zip(*valid))) if self.cvars else None
+        memo = {} if memo is None else memo
         out = [0] * length
         for factor, graph in self.branches:
-            if memo is None:
-                sums = evaluate_cell_sum(graph, length, caps, deadline)
-            else:
-                weights, r = merged = _merge_cells(graph)
-                key = (tuple(weights), tuple(map(tuple, r)), length, caps)
-                sums = memo.get(key)
-                if sums is None:
-                    sums = memo[key] = evaluate_cell_sum(
-                        graph, length, caps, deadline, merged
-                    )
+            weights, r = merged = _merge_cells(graph)
+            key = (tuple(weights), tuple(map(tuple, r)), length, caps)
+            sums = memo.get(key)
+            if sums is None:
+                sums = memo[key] = evaluate_cell_sum(
+                    graph, length, caps, deadline, merged
+                )
             for i, mono in enumerate(monos):
                 if mono is not None:
                     out[i] += factor * coeff_of(sums[i], mono)
@@ -836,17 +834,17 @@ def spectrum_fingerprint(
     same sentences.
 
     A labelling depends only on the graph's weights and edges and on the
-    renaming, and a search meets the same cell graph many times, so with a
-    memo dict each _graph_serial is looked up under those three and runs
-    only on a miss.  The caller owns the dict and decides how long it
-    lives: generate keeps one per search in its GenState.
+    renaming, and a search meets the same cell graph many times, so each
+    _graph_serial is looked up under those three in memo (a fresh dict
+    when None) and runs only on a miss.  The caller owns the dict and
+    decides how long it lives: generate keeps one per search in its
+    GenState.
     """
     comp = compile_sentence(s, weights)
     k = len(comp.cvars)
+    memo = {} if memo is None else memo
 
     def label(g: CellGraph, perm: tuple[int, ...]) -> str:
-        if memo is None:
-            return _graph_serial(g, perm)
         key = (tuple(g.weights), tuple(map(tuple, g.r)), perm)
         out = memo.get(key)
         if out is None:

@@ -10,15 +10,13 @@ with `&` (V), `|` (E), or the "exactly k of them" mask for E=k, and the
 models are the set bits of the `&` of all clauses.  Weights enter through
 the same "exactly t true" masks, one set per weighted predicate.  The cost
 is exponential in k, so k is capped at MAX_ATOMS.  Used to validate the
-lifted engine and to spot-check generated sentences.
-
-reference_count is a deliberately naive second implementation kept around
-to cross-check the bitset one.
+lifted engine and to spot-check generated sentences.  The tests keep a
+deliberately naive second counter, helpers.reference_count, to
+cross-check this one.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 from functools import reduce
 from typing import Iterable, Mapping, Sequence
@@ -133,39 +131,3 @@ def weighted_count(s: Sentence, n: int, weights: Weights) -> int:
         ]
     return sum(coef * mask.bit_count() for mask, coef in parts)
 
-
-def reference_count(s: Sentence, n: int) -> int:
-    """Tiny dict-based model counter used to cross-check count_models."""
-    preds = sorted(s.predicates)
-    atoms = list(_ground_atoms(preds, n))
-    if len(atoms) > 16:
-        raise ValueError("reference counter handles at most 16 atoms")
-
-    def lit_true(world: set, lit, assignment) -> bool:
-        elems = tuple(assignment[a] for a in lit.args)
-        val = (lit.pred.name, elems) in world
-        return val != lit.negated
-
-    def clause_true(world: set, clause: Clause) -> bool:
-        def body(i: int, j: int) -> bool:
-            asg = {"x": i, "y": j}
-            return any(lit_true(world, lit, asg) for lit in clause.body)
-
-        def agg(vals: list[bool], q) -> bool:
-            if q.count is not None:
-                return sum(vals) == q.count
-            return all(vals) if q.kind == "V" else any(vals)
-
-        if clause.nvars == 1:
-            return agg([body(i, i) for i in range(n)], clause.prefix[0])
-        return agg(
-            [agg([body(i, j) for j in range(n)], clause.prefix[1]) for i in range(n)],
-            clause.prefix[0],
-        )
-
-    total = 0
-    for mask in itertools.product((False, True), repeat=len(atoms)):
-        world = {a for a, m in zip(atoms, mask) if m}
-        if all(clause_true(world, c) for c in s.clauses):
-            total += 1
-    return total

@@ -19,8 +19,6 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 MIN_OVERLAP = 5
-# mates tried per product lookup, so one query cannot take a quadratic pass
-PRODUCT_LOOKUPS = 20000
 
 
 @dataclass
@@ -160,13 +158,12 @@ class SpectrumDB:
         term divides the query's.  Dividing the query by a factor determines
         the cofactor head except at positions where both are zero, so mates
         are found by hash lookup on the masked head and verified over the
-        whole overlap.  At most PRODUCT_LOOKUPS eligible mates are tried per
-        query.  The all-ones factor is skipped (it would pair every spectrum
-        with itself times nothing).
+        whole overlap.  The all-ones factor is skipped (it would pair every
+        spectrum with itself times nothing).
         """
         if len(spectrum) < MIN_OVERLAP:
             return None
-        s1, s2, budget = spectrum[1], spectrum[2], PRODUCT_LOOKUPS
+        s1, s2 = spectrum[1], spectrum[2]
         factors = sorted(
             chain.from_iterable(
                 recs for d, recs in self._by_second.items()
@@ -187,12 +184,7 @@ class SpectrumDB:
             )
             mask = frozenset(i for i, k in enumerate(key) if k is None)
             for mate in self._head_index(mask).get(key, ()):
-                if not eligible(mate):
-                    continue
-                budget -= 1
-                if budget < 0:
-                    return None
-                if _verified(rec, mate, spectrum):
+                if eligible(mate) and _verified(rec, mate, spectrum):
                     return (rec.id, mate.id)
         return None
 

@@ -1,6 +1,13 @@
+import contextlib
+import io
+import json
+import time
+from typing import NamedTuple
+
 import pytest
 
-from combspec.generator import GenLimits
+from combspec import cli, generator
+from combspec.generator import GenLimits, GenResult
 
 
 @pytest.fixture
@@ -11,3 +18,52 @@ def fo2_limits():
 @pytest.fixture
 def c2_limits():
     return GenLimits(max_literals=5, max_clauses=2, unary=1, binary=1, max_count=1)
+
+
+class L5Run(NamedTuple):
+    code: int
+    # the --json output
+    doc: dict
+    db: str
+    result: GenResult
+    # (sentence, key) of every canonical_key call of the search
+    keys: list
+    # (sentence, verdict) of every is_refuted call of the search
+    refuted: list
+    secs: float
+
+
+@pytest.fixture(scope="session")
+def fo2_l5(tmp_path_factory):
+    """`combspec generate --profile fo2-paper --layers 5 --length 10 --db
+    --json`, run once for every test that checks the whole L5 search or its
+    database, with the search's key and refuter calls and its GenResult."""
+    db = str(tmp_path_factory.mktemp("l5") / "fo2.jsonl")
+    keys, refuted, results = [], [], []
+    key, refute, search = generator.canonical_key, generator.is_refuted, cli.generate
+
+    def keying(s):
+        keys.append((s, key(s)))
+        return keys[-1][1]
+
+    def refuting(s):
+        refuted.append((s, refute(s)))
+        return refuted[-1][1]
+
+    def searching(*args, **kwargs):
+        results.append(search(*args, **kwargs))
+        return results[-1]
+
+    out = io.StringIO()
+    t0 = time.perf_counter()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+        mp.setattr(generator, "canonical_key", keying)
+        mp.setattr(generator, "is_refuted", refuting)
+        mp.setattr(cli, "generate", searching)
+        code = cli.main([
+            "generate", "--profile", "fo2-paper", "--layers", "5",
+            "--length", "10", "--db", db, "--json",
+        ])
+    secs = time.perf_counter() - t0
+    (result,) = results
+    return L5Run(code, json.loads(out.getvalue()), db, result, keys, refuted, secs)

@@ -37,6 +37,7 @@ from combspec.logic import (
     sentence,
     single,
 )
+from combspec.oracle import _ground_atoms
 from combspec.polynomial import Packing, Poly, Value, mul_values
 
 
@@ -208,6 +209,43 @@ def grounded_refuted(s: Sentence) -> bool:
     if not pos & neg:
         return False
     return not _satisfiable(ground)
+
+
+def reference_count(s: Sentence, n: int) -> int:
+    """Tiny dict-based model counter used to cross-check count_models."""
+    preds = sorted(s.predicates)
+    atoms = list(_ground_atoms(preds, n))
+    if len(atoms) > 16:
+        raise ValueError("reference counter handles at most 16 atoms")
+
+    def lit_true(world: set, lit, assignment) -> bool:
+        elems = tuple(assignment[a] for a in lit.args)
+        val = (lit.pred.name, elems) in world
+        return val != lit.negated
+
+    def clause_true(world: set, clause: Clause) -> bool:
+        def body(i: int, j: int) -> bool:
+            asg = {"x": i, "y": j}
+            return any(lit_true(world, lit, asg) for lit in clause.body)
+
+        def agg(vals: list[bool], q) -> bool:
+            if q.count is not None:
+                return sum(vals) == q.count
+            return all(vals) if q.kind == "V" else any(vals)
+
+        if clause.nvars == 1:
+            return agg([body(i, i) for i in range(n)], clause.prefix[0])
+        return agg(
+            [agg([body(i, j) for j in range(n)], clause.prefix[1]) for i in range(n)],
+            clause.prefix[0],
+        )
+
+    total = 0
+    for mask in itertools.product((False, True), repeat=len(atoms)):
+        world = {a for a, m in zip(atoms, mask) if m}
+        if all(clause_true(world, c) for c in s.clauses):
+            total += 1
+    return total
 
 
 def reference_refine(

@@ -292,9 +292,9 @@ def test_classify_labels_a_cell_graph_with_many_equal_cells():
     assert compute_spectrum(a, 6).terms == compute_spectrum(b, 6).terms
 
 
-def test_canonical_key_partition_matches_the_sweep(fo2_limits, c2_limits, monkeypatch):
-    # every key of the fo2 L1-L4 and c2 L1-L3 searches splits the
-    # candidates as the exhaustive transform sweep does
+def test_canonical_key_partition_matches_the_sweep(c2_limits, monkeypatch):
+    # every key of the c2 L1-L3 search splits the candidates as the
+    # exhaustive transform sweep does; test_l5.py checks the fo2 L1-L5 one
     calls = []
 
     def recording(s):
@@ -302,12 +302,10 @@ def test_canonical_key_partition_matches_the_sweep(fo2_limits, c2_limits, monkey
         return canonical_key(s)
 
     monkeypatch.setattr(generator, "canonical_key", recording)
-    for limits, layers, n in ((fo2_limits, 4, 4520), (c2_limits, 3, 1399)):
-        calls.clear()
-        generate(limits, layers)
-        assert len(calls) == n
-        keys = [canonical_key(s) for s in calls]
-        assert same_partition(keys, [sweep_key(s) for s in calls])
+    generate(c2_limits, 3)
+    assert len(calls) == 1399
+    keys = [canonical_key(s) for s in calls]
+    assert same_partition(keys, [sweep_key(s) for s in calls])
 
 
 def test_verdict_partition():
@@ -405,6 +403,37 @@ C2_VERDICTS = [
 def test_verdict_counts_per_layer_are_pinned(fo2_limits, c2_limits):
     assert generate(fo2_limits, 3).counts == [Counter(c) for c in FO2_VERDICTS]
     assert generate(c2_limits, 3).counts == [Counter(c) for c in C2_VERDICTS]
+
+
+# layers 4 and 5 of the fo2 search, read off the one L5 run
+FO2_L4_L5_VERDICTS = [
+    {
+        "decomposable": 84,
+        "duplicate": 1792,
+        "new": 676,
+        "reflexive": 10,
+        "refuted": 31,
+        "spectrum_duplicate": 654,
+        "subsumed": 285,
+        "tautology": 1706,
+        "trivial": 160,
+    },
+    {
+        "decomposable": 52,
+        "duplicate": 6452,
+        "new": 1641,
+        "refuted": 13,
+        "spectrum_duplicate": 2676,
+        "subsumed": 810,
+        "tautology": 9111,
+        "trivial": 271,
+    },
+]
+
+
+def test_fo2_l5_verdict_counts_are_pinned(fo2_l5):
+    want = FO2_VERDICTS + FO2_L4_L5_VERDICTS
+    assert fo2_l5.result.counts == [Counter(c) for c in want]
 
 
 def test_generate_is_deterministic(fo2_limits):

@@ -1,0 +1,41 @@
+"""Checks over one `combspec generate --profile fo2-paper --layers 5
+--length 10 --db --json` run (the session fixture fo2_l5): its canonical
+keys against the transform sweep, its refuter against the grounded
+decision, its output and the spectra it stored."""
+
+from combspec.engine import compute_spectrum
+from combspec.logic import parse_sentence
+from combspec.seqdb import SpectrumDB
+from helpers import grounded_refuted, same_partition, sweep_key
+
+
+def test_l5_keys_split_the_candidates_as_the_sweep(fo2_l5):
+    assert len(fo2_l5.keys) == 16370
+    sentences, keys = zip(*fo2_l5.keys)
+    assert same_partition(keys, [sweep_key(s) for s in sentences])
+
+
+def test_l5_refuter_agrees_with_the_grounded_decision(fo2_l5):
+    # most verdicts are settled on the one-element collapse
+    assert len(fo2_l5.refuted) == 16727
+    assert fo2_l5.result.counts[-1]["refuted"] == 13
+    bad = [s.render() for s, v in fo2_l5.refuted if v != grounded_refuted(s)]
+    assert not bad
+
+
+def test_l5_run_keeps_the_pinned_counts(fo2_l5):
+    assert fo2_l5.code == 0
+    assert fo2_l5.doc["truncated"] is False
+    assert [row["kept"] for row in fo2_l5.doc["layers"]] == [4, 36, 179, 676, 1641]
+
+
+def test_l5_records_hold_the_spectra_computed_one_by_one(fo2_l5):
+    # the run's spectra share cell-DP passes; these run each one alone
+    records = SpectrumDB(fo2_l5.db).records()
+    assert len(records) == 2536
+    bad = [
+        r.sentence
+        for r in records
+        if list(r.spectrum) != compute_spectrum(parse_sentence(r.sentence), 10).terms
+    ]
+    assert not bad

@@ -21,7 +21,8 @@ from combspec.logic import (
     parse_sentence,
     sentence,
 )
-from combspec.oracle import MAX_ATOMS, count_models, reference_count, weighted_count
+from combspec.oracle import MAX_ATOMS, count_models, weighted_count
+from helpers import reference_count
 
 
 def count(text, n):

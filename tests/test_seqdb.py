@@ -6,7 +6,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from combspec import seqdb
 from combspec.seqdb import MIN_OVERLAP, SpectrumDB
 
 
@@ -202,19 +201,15 @@ class LinearReference:
     """Insert and reclassify by plain linear scans over the records.
 
     Same rules as `SpectrumDB`, with no index: every lookup walks the
-    eligible records in id order, and a product query spends one unit of
-    `cap` per eligible mate whose masked head fits the factor.
+    eligible records in id order.
     """
 
-    def __init__(self, cap):
+    def __init__(self):
         self.recs = []
-        self.cap = cap
-        self.capped = 0
 
     def _product(self, spectrum, carriers):
         if len(spectrum) < MIN_OVERLAP:
             return None
-        budget = self.cap
         for f in carriers:
             if min(len(f.spectrum), len(spectrum)) < MIN_OVERLAP:
                 continue
@@ -226,10 +221,6 @@ class LinearReference:
                     for i, d in enumerate(f.spectrum[:MIN_OVERLAP])
                 ):
                     continue
-                budget -= 1
-                if budget < 0:
-                    self.capped += 1
-                    return None
                 triples = list(zip(f.spectrum, m.spectrum, spectrum))
                 if (
                     len(triples) >= MIN_OVERLAP
@@ -299,13 +290,11 @@ def random_spectra(rng):
     return out
 
 
-def test_indexed_store_matches_linear_reference(tmp_path, monkeypatch):
+def test_indexed_store_matches_linear_reference(tmp_path):
     rng = random.Random(2023)
-    totals = {"duplicate": 0, "product_redundant": 0, "demoted": 0, "capped": 0}
+    totals = {"duplicate": 0, "product_redundant": 0, "demoted": 0}
     for store in range(300):
-        cap = rng.choice((1, 2, 3, 20000))
-        monkeypatch.setattr(seqdb, "PRODUCT_LOOKUPS", cap)
-        ref = LinearReference(cap)
+        ref = LinearReference()
         spectra = random_spectra(rng)
         path = tmp_path / f"store{store}.jsonl"
         db = SpectrumDB(path)
@@ -327,9 +316,7 @@ def test_indexed_store_matches_linear_reference(tmp_path, monkeypatch):
         for rec in ref.recs:
             totals[rec.status] = totals.get(rec.status, 0) + 1
         totals["demoted"] += demoted
-        totals["capped"] += ref.capped
-    # the random stores reach every rule, the lookup cap included
+    # the random stores reach every rule
     assert totals["duplicate"] >= 100
     assert totals["product_redundant"] >= 100
     assert totals["demoted"] >= 20
-    assert totals["capped"] >= 10
