@@ -159,7 +159,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     memo: dict = {}
     for i, kept in enumerate(result.kept):
         for s in kept:
-            sp = compute_spectrum(s, length, budget_secs=budget, memo=memo)
+            sp = compute_spectrum(result.forms[s], length, budget_secs=budget, memo=memo)
             truncated = truncated or sp.truncated
             if db is not None:
                 rec = db.insert(

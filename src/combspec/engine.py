@@ -35,6 +35,10 @@ A pass depends only on the merged cell graph, the length and the
 symbolic caps.  Many sentences share one, so a caller that computes many
 spectra can pass one memo dict to compute_spectrum, keyed on those three,
 and run each distinct pass once (`combspec generate` keeps one per run).
+A spectrum reads a MergedSentence, the compiled form with each branch's
+graph merged; compute_spectrum takes one in place of a sentence, so a
+sentence compiled once serves both its fingerprint and its spectrum, and
+CompiledSentence.merged stores equal merged graphs once per dict.
 Likewise spectrum_fingerprint takes a dict of cell-graph labellings, and
 generate keeps one per search.  There is no module-level cache.
 """
@@ -65,6 +69,8 @@ from .logic import (
 from .polynomial import Packing, Poly, Value, coeff_of, mul_values, norm1, pow_value
 
 WeightMap = Mapping[str, tuple[int, int]]
+# a merged cell graph: its weights and its edge rows (_merge_cells)
+Merged = tuple[tuple[Value, ...], tuple[tuple[Value, ...], ...]]
 
 # prefixes the cell-order search keeps per step (_greedy_cell_order)
 ORDER_BEAM = 4
@@ -441,12 +447,13 @@ def build_cell_graph(
     return CellGraph(atom_preds, cells, cell_weights, r)
 
 
-def _merge_cells(g: CellGraph) -> tuple[list[Value], list[list[Value]]]:
+def _merge_cells(g: CellGraph) -> Merged:
     """Collapse cells with identical edge rows, summing their weights.
 
     Cells i and j merge when r_ii = r_jj = r_ij and their edges agree on
     every other cell: splitting a block between them telescopes to a single
-    cell of weight w_i + w_j.  Zero-weight cells drop out entirely.
+    cell of weight w_i + w_j.  Zero-weight cells drop out entirely.  The
+    result is the weights and the edge rows, as tuples.
     """
     q = len(g.cells)
     live = [i for i in range(q) if g.weights[i]]
@@ -474,7 +481,7 @@ def _merge_cells(g: CellGraph) -> tuple[list[Value], list[list[Value]]]:
             weights.append(w)
             kept_groups.append(grp)
     reps = [grp[0] for grp in kept_groups]
-    return weights, [[r[a][b] for b in reps] for a in reps]
+    return tuple(weights), tuple(tuple(r[a][b] for b in reps) for a in reps)
 
 
 def _greedy_cell_order(r: list[list[Value]], q: int, length: int) -> list[int]:
@@ -551,16 +558,15 @@ def _slot_width(q: int, length: int, weights: list[Value], r: list[list[Value]])
 
 
 def evaluate_cell_sum(
-    g: CellGraph,
+    merged: Merged,
     length: int,
     caps: Sequence[int] | None = None,
     deadline: float | None = None,
-    merged: tuple[list[Value], list[list[Value]]] | None = None,
 ) -> list[Value]:
-    """Weighted sums over all assignments of n elements to cells, for every
-    n = 1 .. length in one pass; item n-1 holds the sum for n, with the
-    monomials above caps dropped.  merged is g's _merge_cells result, for
-    a caller that has it already; the pass merges g itself otherwise.
+    """Weighted sums over all assignments of n elements to the cells of a
+    merged cell graph (_merge_cells), for every n = 1 .. length in one
+    pass; item n-1 holds the sum for n, with the monomials above caps
+    dropped.
 
     Dynamic program over cells: a partial composition of the domain affects
     the rest of the sum only through how many elements it used and, for
@@ -595,7 +601,7 @@ def evaluate_cell_sum(
     edge weights, so their norms are at most Rm^N.  Sums of states and
     contributions sum distinct assignments, so the same bounds hold.
     """
-    weights, r = merged or _merge_cells(g)
+    weights, r = merged
     q = len(weights)
     order = _greedy_cell_order(r, q, length)
     w = [weights[i] for i in order]
@@ -667,12 +673,19 @@ def _powers(mul, base: Value, emax: int) -> list[Value]:
     return row
 
 
-@dataclass
-class CompiledSentence:
-    branches: list[tuple[int, CellGraph]]
-    constraints: list[CardinalityConstraint]
+@dataclass(slots=True)
+class MergedSentence:
+    """What a spectrum reads of a compiled sentence: per branch, its
+    nullary factor and its merged cell graph (_merge_cells), with the
+    cardinality constraints, the constrained predicates' base weights, and
+    how long the compile took, which counts against a spectrum's budget.
+    A search keeps one per kept sentence, hence the slots and tuples."""
+
+    branches: tuple[tuple[int, Merged], ...]
+    constraints: tuple[CardinalityConstraint, ...]
     cvars: tuple[str, ...]
     base_weights: dict[str, int]
+    compile_secs: float
 
     def _targets(self, n: int) -> tuple[int, ...] | None:
         """Per-cvar cardinality targets at n, or None if they cannot all hold."""
@@ -693,12 +706,11 @@ class CompiledSentence:
 
         The symbolic caps are the largest targets over the valid n, and each
         n reads its own coefficient.  A pass depends only on the merged
-        graph (its weights and edges), the length and the caps, so each
-        branch is merged once and looked up under that key in memo (a fresh
-        dict when None), and evaluate_cell_sum runs on the merged graph only
-        on a miss.  The caller owns the dict and decides how long it lives;
-        a pass cut short by the deadline stores nothing, so every stored
-        pass is complete.
+        graph, the length and the caps, so each branch is looked up under
+        those three in memo (a fresh dict when None), and evaluate_cell_sum
+        runs only on a miss.  The caller owns the dict and decides how long
+        it lives; a pass cut short by the deadline stores nothing, so every
+        stored pass is complete.
         """
         if length < 1:
             raise ValueError("length must be at least 1")
@@ -709,14 +721,11 @@ class CompiledSentence:
         caps = tuple(map(max, zip(*valid))) if self.cvars else None
         memo = {} if memo is None else memo
         out = [0] * length
-        for factor, graph in self.branches:
-            weights, r = merged = _merge_cells(graph)
-            key = (tuple(weights), tuple(map(tuple, r)), length, caps)
+        for factor, merged in self.branches:
+            key = (merged, length, caps)
             sums = memo.get(key)
             if sums is None:
-                sums = memo[key] = evaluate_cell_sum(
-                    graph, length, caps, deadline, merged
-                )
+                sums = memo[key] = evaluate_cell_sum(merged, length, caps, deadline)
             for i, mono in enumerate(monos):
                 if mono is not None:
                     out[i] += factor * coeff_of(sums[i], mono)
@@ -725,6 +734,48 @@ class CompiledSentence:
                 out[i] *= pow_value(self.base_weights[p], t)
         return out
 
+
+@dataclass
+class CompiledSentence:
+    """A sentence compiled to one cell graph per nullary branch, with the
+    cardinality constraints its counting quantifiers became."""
+
+    branches: list[tuple[int, CellGraph]]
+    constraints: list[CardinalityConstraint]
+    cvars: tuple[str, ...]
+    base_weights: dict[str, int]
+    compile_secs: float
+
+    def merged(self, shared: dict | None = None) -> MergedSentence:
+        """The form a spectrum reads, each branch's graph merged once.
+
+        Merged graphs are looked up in shared (a fresh dict when None), so
+        that the forms made with one dict hold one object per distinct
+        merged graph: a search keeps one dict, and its kept sentences'
+        forms share their graphs as their spectra share DP passes.
+        """
+        shared = {} if shared is None else shared
+        branches = []
+        for factor, g in self.branches:
+            m = _merge_cells(g)
+            branches.append((factor, shared.setdefault(m, m)))
+        return MergedSentence(
+            tuple(branches),
+            tuple(self.constraints),
+            self.cvars,
+            self.base_weights,
+            self.compile_secs,
+        )
+
+    def values(
+        self,
+        length: int,
+        deadline: float | None = None,
+        memo: dict | None = None,
+    ) -> list[int]:
+        """Weighted counts for n = 1 .. length (MergedSentence.values)."""
+        return self.merged().values(length, deadline, memo)
+
     def value_at(self, n: int, deadline: float | None = None) -> int:
         if n < 1:
             raise ValueError("domain size must be at least 1")
@@ -732,6 +783,7 @@ class CompiledSentence:
 
 
 def compile_sentence(s: Sentence, weights: WeightMap | None = None) -> CompiledSentence:
+    start = time.monotonic()
     w = {name: (int(a), int(b)) for name, (a, b) in (weights or {}).items()}
     used = {p.name for p in s.predicates}
     clauses = normalize_clauses(sorted(s.clauses, key=Clause.render))
@@ -749,7 +801,8 @@ def compile_sentence(s: Sentence, weights: WeightMap | None = None) -> CompiledS
         (factor, build_cell_graph(residual, w, sorted(sig), cvars, negated))
         for factor, residual in branches
     ]
-    return CompiledSentence(graphs, constraints, cvars, base_weights)
+    secs = time.monotonic() - start
+    return CompiledSentence(graphs, constraints, cvars, base_weights, secs)
 
 
 def wfomc(s: Sentence, n: int, weights: WeightMap | None = None) -> int:
@@ -758,7 +811,7 @@ def wfomc(s: Sentence, n: int, weights: WeightMap | None = None) -> int:
 
 
 def compute_spectrum(
-    s: Sentence,
+    s: Sentence | MergedSentence,
     length: int,
     weights: WeightMap | None = None,
     budget_secs: float | None = None,
@@ -766,17 +819,23 @@ def compute_spectrum(
 ) -> Spectrum:
     """Model counts for n = 1 .. length.
 
-    All terms come out of one pass, so a budget that runs out before the
-    pass ends leaves no terms and the spectrum is marked truncated.  memo
-    is passed to CompiledSentence.values, so that spectra computed with one
-    dict share their cell-DP passes.
+    s is a sentence, compiled here with weights, or the merged form of one
+    compiled already (CompiledSentence.merged), whose weights are in it.
+    Either way the compile counts against the budget: the deadline is the
+    budget after now, less the compile's recorded time.  All terms come
+    out of one pass, so a budget that runs out before the pass ends leaves
+    no terms and the spectrum is marked truncated.  memo is passed to
+    MergedSentence.values, so that spectra computed with one dict share
+    their cell-DP passes.
     """
-    deadline = time.monotonic() + budget_secs if budget_secs is not None else None
-    compiled = compile_sentence(s, weights)
-    if deadline is not None and time.monotonic() >= deadline:
-        return Spectrum([], truncated=True)
+    form = s if isinstance(s, MergedSentence) else compile_sentence(s, weights).merged()
+    deadline = None
+    if budget_secs is not None:
+        deadline = time.monotonic() + budget_secs - form.compile_secs
+        if time.monotonic() >= deadline:
+            return Spectrum([], truncated=True)
     try:
-        return Spectrum(compiled.values(length, deadline, memo))
+        return Spectrum(form.values(length, deadline, memo))
     except BudgetExceeded:
         return Spectrum([], truncated=True)
 
@@ -820,6 +879,7 @@ def spectrum_fingerprint(
     s: Sentence,
     weights: WeightMap | None = None,
     memo: dict | None = None,
+    compiled: CompiledSentence | None = None,
 ) -> bytes:
     """Key equal only for sentences whose spectra provably coincide.
 
@@ -838,9 +898,11 @@ def spectrum_fingerprint(
     _graph_serial is looked up under those three in memo (a fresh dict
     when None) and runs only on a miss.  The caller owns the dict and
     decides how long it lives: generate keeps one per search in its
-    GenState.
+    GenState.  compiled is s compiled with weights, for a caller that has
+    it already (classify keeps it for the spectrum); s is compiled here
+    otherwise.
     """
-    comp = compile_sentence(s, weights)
+    comp = compiled or compile_sentence(s, weights)
     k = len(comp.cvars)
     memo = {} if memo is None else memo
 

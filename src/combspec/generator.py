@@ -24,6 +24,12 @@ Both "the same" tests label a graph with one search,
 logic.canonical_labelling: canonical_key labels a graph of the sentence
 itself, spectrum_fingerprint the cell graphs of its compiled form.
 Neither has a size limit, so every candidate gets both checks.
+
+classify compiles a candidate once, for its fingerprint.  For a new
+sentence it keeps that compiled form, merged (CompiledSentence.merged)
+through one dict per search so that equal merged graphs are one object,
+and GenResult.forms hands it on: a spectrum computed from it compiles
+nothing again, and the compile's time still counts against its budget.
 """
 
 from __future__ import annotations
@@ -34,7 +40,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .engine import spectrum_fingerprint
+from . import engine
+from .engine import MergedSentence, spectrum_fingerprint
 from .logic import (
     EXISTS,
     FORALL,
@@ -415,10 +422,15 @@ class GenState:
     seen_spectrum: set[bytes] = field(default_factory=set)
     # cell-graph labellings, shared by the fingerprints of one search
     labels: dict = field(default_factory=dict)
+    # merged cell graphs, one object each, shared by the kept forms
+    merged: dict = field(default_factory=dict)
+    # the merged compiled form of each new sentence
+    forms: dict[Sentence, MergedSentence] = field(default_factory=dict)
 
 
 def classify(s: Sentence, state: GenState) -> str:
-    """Verdict for one candidate; registers its keys when retained."""
+    """Verdict for one candidate; registers its keys when retained, and
+    keeps a new sentence's merged compiled form in state.forms."""
     if is_tautological(s):
         return "tautology"
     if is_refuted(s):
@@ -436,11 +448,14 @@ def classify(s: Sentence, state: GenState) -> str:
     if has_subsumed_clause(s):
         return "subsumed"
     # cell-graph comparison is the costliest filter, so it runs last and
-    # indexes only sentences every cheaper filter passed
-    fkey = spectrum_fingerprint(s, memo=state.labels)
+    # indexes only sentences every cheaper filter passed; the compile goes
+    # through the engine module, so a wrapper installed there sees it
+    compiled = engine.compile_sentence(s)
+    fkey = spectrum_fingerprint(s, memo=state.labels, compiled=compiled)
     if fkey in state.seen_spectrum:
         return "spectrum_duplicate"
     state.seen_spectrum.add(fkey)
+    state.forms[s] = compiled.merged(state.merged)
     return "new"
 
 
@@ -450,6 +465,8 @@ class GenResult:
     hidden: list[list[tuple[Sentence, str]]]
     counts: list[Counter]
     truncated: bool = False
+    # each kept sentence's merged compiled form, for its spectrum
+    forms: dict[Sentence, MergedSentence] = field(default_factory=dict)
 
     def all_kept(self) -> list[Sentence]:
         return [s for layer in self.kept for s in layer]
@@ -464,7 +481,7 @@ def generate(
     pool = initial_clauses(limits)
     state = GenState()
     frontier = [Sentence(frozenset([c])) for c in pool]
-    result = GenResult([], [], [])
+    result = GenResult([], [], [], forms=state.forms)
     deadline = time.monotonic() + budget_secs if budget_secs is not None else None
 
     for layer in range(1, layers + 1):

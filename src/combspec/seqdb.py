@@ -138,7 +138,9 @@ class SpectrumDB:
         return list(self._records)
 
     def unique_records(self) -> list[Record]:
-        return [r for r in self._records if r.status == "unique"]
+        """Unique records with whole spectra; a truncated one is never
+        unique, as in stats."""
+        return [r for r in self._records if r.status == "unique" and not r.truncated]
 
     def _find_duplicate(self, spectrum: Sequence[int]) -> Record | None:
         # the empty mask keys on the first MIN_OVERLAP terms themselves

@@ -399,16 +399,16 @@ def reference_cell_order(r: list[list[Value]], q: int, length: int) -> list[int]
 
 
 def dp_iterations(
-    g: CellGraph,
+    merged: engine.Merged,
     length: int,
     caps: Sequence[int] | None = None,
     order_fn=None,
 ) -> int:
-    """The (state, count) pairs that evaluate_cell_sum visits, each state
-    of a step with each count of the step's cell that its inner loop
-    tries, with the cells in order_fn's order (the engine's by default):
-    the same merge, packing and DP, counted."""
-    weights, r = engine._merge_cells(g)
+    """The (state, count) pairs that evaluate_cell_sum visits on a merged
+    cell graph, each state of a step with each count of the step's cell
+    that its inner loop tries, with the cells in order_fn's order (the
+    engine's by default): the same packing and DP, counted."""
+    weights, r = merged
     q = len(weights)
     order = (order_fn or engine._greedy_cell_order)(r, q, length)
     w = [weights[i] for i in order]
@@ -453,15 +453,15 @@ def dp_iterations(
 
 
 def recorded_passes(sentences, length):
-    """(graph, length, caps, sums) of every cell-DP pass that the
+    """(merged graph, length, caps, sums) of every cell-DP pass that the
     sentences' spectra run with one shared memo, as generate --db runs
     them: each distinct pass once."""
     calls = []
     run = engine.evaluate_cell_sum
 
-    def recording(g, length, caps=None, deadline=None, merged=None):
-        sums = run(g, length, caps, deadline, merged)
-        calls.append((g, length, caps, sums))
+    def recording(merged, length, caps=None, deadline=None):
+        sums = run(merged, length, caps, deadline)
+        calls.append((merged, length, caps, sums))
         return sums
 
     engine.evaluate_cell_sum = recording

@@ -116,6 +116,18 @@ def test_generate_never_counts_a_truncated_spectrum_as_unique(tmp_path, capsys):
     assert json.loads(out) == {"total": 40, "truncated": 40, "matched": 0}
 
 
+def test_oeis_db_queries_no_truncated_spectrum(tmp_path, capsys):
+    db = tmp_path / "t.jsonl"
+    argv = ["generate", "--profile", "fo2-paper", "--layers", "2"]
+    code, _ = run(capsys, *argv, "--budget-secs", "0.000001", "--db", str(db))
+    assert code == 4
+    # 40 records, all truncated: nothing to look up
+    for flags in (["--json"], []):
+        code, out = run(capsys, "oeis", "--db", str(db), "--stripped", str(FIXTURE), *flags)
+        assert code == 0
+        assert out == ("[]\n" if flags else "")
+
+
 def test_generate_tallies_only_its_own_records(tmp_path, capsys):
     db = tmp_path / "t.jsonl"
     common = ["--layers", "2", "--db", str(db), "--json"]

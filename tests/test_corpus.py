@@ -2,7 +2,8 @@
 the bitmask cell graphs against the reference build, the refuter against
 the grounded decision, canonical labellings against the reference
 refinement, the engine against the brute-force oracle, spectra that share
-cell-DP passes against spectra computed one by one, the cell order against
+cell-DP passes against spectra computed one by one, the spectra of the
+search's carried compiled forms against fresh ones, the cell order against
 the reference greedy, and fingerprints that share cell-graph labellings
 against fingerprints computed one by one."""
 
@@ -164,18 +165,37 @@ def test_cell_order_gives_the_values_of_the_reference_order(search, request, mon
     passes = recorded_passes([s for layer in result.kept[:3] for s in layer], 10)
     assert passes
     monkeypatch.setattr(engine, "_greedy_cell_order", reference_cell_order)
-    for g, length, caps, sums in passes:
+    for merged, length, caps, sums in passes:
         # Poly equality is by value, whatever order its terms were made in
-        assert engine.evaluate_cell_sum(g, length, caps) == sums
+        assert engine.evaluate_cell_sum(merged, length, caps) == sums
 
 
 def test_cell_order_cuts_the_fo2_dp_iterations(fo2):
     result = fo2.result
     passes = recorded_passes(result.all_kept(), 10)
     assert len(passes) == 408
-    new = sum(dp_iterations(g, n, caps) for g, n, caps, _ in passes)
-    ref = sum(dp_iterations(g, n, caps, reference_cell_order) for g, n, caps, _ in passes)
+    new = sum(dp_iterations(m, n, caps) for m, n, caps, _ in passes)
+    ref = sum(dp_iterations(m, n, caps, reference_cell_order) for m, n, caps, _ in passes)
     assert new <= 0.7 * ref, (new, ref)
+
+
+@pytest.mark.parametrize("search", ["fo2", "c2"])
+def test_carried_forms_give_the_fresh_spectra(search, request):
+    result = request.getfixturevalue(search).result
+    kept = result.all_kept()
+    assert set(result.forms) == set(kept)
+    # shared passes, as generate --db runs them; c2 forms carry caps
+    memo: dict = {}
+    for s in kept:
+        carried = compute_spectrum(result.forms[s], 10, memo=memo)
+        assert carried == compute_spectrum(s, 10), s.render()
+
+
+def test_fo2_forms_share_one_object_per_merged_graph(fo2):
+    forms = fo2.result.forms.values()
+    graphs = [m for form in forms for _, m in form.branches]
+    assert len(graphs) == 2144
+    assert len({id(m) for m in graphs}) == len(set(graphs)) == 408
 
 
 def _search_fingerprints(limits, layers, fingerprint):
@@ -183,9 +203,9 @@ def _search_fingerprints(limits, layers, fingerprint):
     every sentence it was asked to fingerprint."""
     asked = []
 
-    def recording(s, weights=None, memo=None):
+    def recording(s, weights=None, memo=None, compiled=None):
         asked.append(s)
-        return fingerprint(s, weights, memo)
+        return fingerprint(s, weights, memo, compiled)
 
     real = generator.spectrum_fingerprint
     generator.spectrum_fingerprint = recording
@@ -213,7 +233,9 @@ def test_shared_labellings_give_the_fingerprints_of_separate_ones(search, reques
     assert _outcome(again) == _outcome(result)
     # and one that labels every cell graph afresh
     alone, asked_alone = _search_fingerprints(
-        limits, layers, lambda s, weights, memo: spectrum_fingerprint(s, weights)
+        limits,
+        layers,
+        lambda s, weights, memo, compiled: spectrum_fingerprint(s, weights, None, compiled),
     )
     assert _outcome(alone) == _outcome(result)
     assert asked_alone == asked

@@ -1,5 +1,6 @@
 """Lifted model counting: closed forms, oracle agreement, reductions."""
 
+import dataclasses
 import itertools
 import random
 
@@ -284,6 +285,27 @@ def test_no_budget_never_truncates():
     out = compute_spectrum(parse_sentence("(V x E y B(x,y))"), 10)
     assert not out.truncated
     assert len(out.terms) == 10
+
+
+def test_a_carried_compile_spends_the_budget(monkeypatch):
+    # a compile that took the whole budget leaves none for a pass
+    form = compile_sentence(parse_sentence("(V x E y B(x,y))")).merged()
+
+    def no_pass(*args):
+        raise AssertionError("a cell-DP pass ran")
+
+    monkeypatch.setattr(engine, "evaluate_cell_sum", no_pass)
+    for secs, budget in ((1.0, 1.0), (5.0, 2.0)):
+        carried = dataclasses.replace(form, compile_secs=secs)
+        assert compute_spectrum(carried, 10, budget_secs=budget) == Spectrum([], True)
+
+
+def test_a_carried_compile_without_a_budget_never_truncates():
+    form = compile_sentence(parse_sentence("(V x E y B(x,y))")).merged()
+    carried = dataclasses.replace(form, compile_secs=1e9)
+    out = compute_spectrum(carried, 10)
+    assert out == compute_spectrum(parse_sentence("(V x E y B(x,y))"), 10)
+    assert not out.truncated and len(out.terms) == 10
 
 
 def test_length_below_one_is_an_error():
@@ -594,10 +616,11 @@ def test_cell_order_gives_the_values_of_the_reference_order(monkeypatch):
     packed = 0
     for g, caps in cases:
         length = rng.randint(1, 7)
-        got = evaluate_cell_sum(g, length, caps)
+        merged = engine._merge_cells(g)
+        got = evaluate_cell_sum(merged, length, caps)
         with monkeypatch.context() as m:
             m.setattr(engine, "_greedy_cell_order", reference_cell_order)
-            want = evaluate_cell_sum(g, length, caps)
+            want = evaluate_cell_sum(merged, length, caps)
         # Poly equality is by value, whatever order its terms were made in
         assert got == want
         packed += any(isinstance(v, Poly) for v in got)

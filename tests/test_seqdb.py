@@ -197,6 +197,15 @@ def test_stats_counts_statuses(tmp_path):
     }
 
 
+def test_unique_records_leave_out_truncated_ones(tmp_path):
+    db = make_db(tmp_path)
+    whole = db.insert("a", [1, 3, 7, 15, 31, 63])
+    db.insert("b", [2, 5], truncated=True)
+    db.insert("c", [], truncated=True)
+    assert db.unique_records() == [whole]
+    assert db.stats()["unique"] == 1
+
+
 class LinearReference:
     """Insert and reclassify by plain linear scans over the records.
 
