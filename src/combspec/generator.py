@@ -30,6 +30,15 @@ sentence it keeps that compiled form, merged (CompiledSentence.merged)
 through one dict per search so that equal merged graphs are one object,
 and GenResult.forms hands it on: a spectrum computed from it compiles
 nothing again, and the compile's time still counts against its budget.
+
+Candidates are built from a small pool of clauses, so refinements interns
+each clause it builds in one dict per search (GenState.clauses): every
+candidate of a search shares one object per distinct clause.  The facts
+that depend on one clause alone (its text, validity, predicate names,
+one-element collapse, relaxed and diagonal forms and substitution
+images) are cached properties of Clause, so each is computed once per
+distinct clause and read by the filters; they live as long as the
+search's clauses do.
 """
 
 from __future__ import annotations
@@ -75,6 +84,14 @@ class GenLimits:
     unary: int
     binary: int
     max_count: int = 0
+
+    def __post_init__(self):
+        for name, least in (
+            ("max_literals", 1), ("max_clauses", 1), ("unary", 0), ("binary", 0)
+        ):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
 
     def predicates(self) -> list[Predicate]:
         unary = [Predicate(f"U{i}", 1) for i in range(self.unary)]
@@ -130,10 +147,17 @@ def _literal_options(preds: Sequence[Predicate], nvars: int) -> list[Literal]:
 
 
 def refinements(
-    s: Sentence, limits: GenLimits, pool: Sequence[Clause]
+    s: Sentence,
+    limits: GenLimits,
+    pool: Sequence[Clause],
+    clauses: dict[Clause, Clause] | None = None,
 ) -> list[Sentence]:
     """All one-step extensions of s, as built.  Children may repeat, here
-    and across parents; generate deduplicates the whole frontier."""
+    and across parents; generate deduplicates the whole frontier.  Each
+    extended clause is looked up in clauses, and added when new, so that
+    children sharing a dict share one object per distinct clause."""
+    if clauses is None:
+        clauses = {}
     preds = limits.predicates()
     out = []
     for c in s.clauses:
@@ -143,6 +167,7 @@ def refinements(
             if lit in c.body:
                 continue
             extended = Clause(c.prefix, c.body | {lit})
+            extended = clauses.setdefault(extended, extended)
             out.append(Sentence((s.clauses - {c}) | {extended}))
     if len(s.clauses) < limits.max_clauses:
         for c0 in pool:
@@ -155,33 +180,18 @@ def is_tautological(s: Sentence) -> bool:
     """Some clause is valid: it contains a complementary literal pair,
     or its trailing existential admits the diagonal witness y = x whose
     instance contains one."""
-    return any(
-        not lit.negated and lit.negate() in d.body
-        for c in s.clauses
-        for d in _diag_strengthenings(c)
-        for lit in d.body
-    )
+    return any(c.valid for c in s.clauses)
 
 
 def is_decomposable(s: Sentence) -> bool:
     """Predicates split into groups never sharing a clause, so the
     spectrum is a product of the groups' spectra."""
-    preds = sorted(p.name for p in s.predicates)
-    if len(preds) <= 1:
-        return False
-    parent = {p: p for p in preds}
-
-    def find(a: str) -> str:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    groups: list[frozenset[str]] = []
     for c in s.clauses:
-        names = sorted({lit.pred.name for lit in c.body})
-        for other in names[1:]:
-            parent[find(other)] = find(names[0])
-    return len({find(p) for p in preds}) > 1
+        joined = [g for g in groups if g & c.names]
+        groups = [g for g in groups if not g & c.names]
+        groups.append(c.names.union(*joined))
+    return len(groups) > 1
 
 
 def has_trivial_constraint(s: Sentence) -> bool:
@@ -218,11 +228,12 @@ def reflexive_only_binary(s: Sentence) -> bool:
     return False
 
 
+# (image of x, image of y) of each substitution of a two-variable clause
 _PAIR_THETAS = [
-    ({"x": "x", "y": "y"}, "id"),
-    ({"x": "y", "y": "x"}, "swap"),
-    ({"x": "x", "y": "x"}, "diagx"),
-    ({"x": "y", "y": "y"}, "diagy"),
+    (("x", "y"), "id"),
+    (("y", "x"), "swap"),
+    (("x", "x"), "diagx"),
+    (("y", "y"), "diagy"),
 ]
 
 
@@ -256,51 +267,29 @@ def _implies_clause(c1: Clause, c2: Clause) -> bool:
     thetas = []
     if c1.nvars == 1:
         targets = ("x",) if c2.nvars == 1 else ("x", "y")
-        for t in targets:
-            pos = 0 if t == "x" else 1
+        for pos, t in enumerate(targets):
             if k1 == ("V",) or k2[pos] == "E":
-                thetas.append({"x": t, "y": t})
+                thetas.append((t, t))
     elif c2.nvars == 2:
         thetas = [th for th, kind in _PAIR_THETAS if _pair_theta_ok(k1, k2, kind)]
     elif _pair_theta_ok(k1, (k2[0], k2[0]), "diagx"):
-        thetas = [{"x": "x", "y": "x"}]
-    for theta in thetas:
-        if {lit.substitute(theta) for lit in c1.body} <= c2.body:
-            return True
-    return False
-
-
-def _diag_strengthenings(c: Clause) -> list[Clause]:
-    """Clauses at least as strong as c: itself, plus the diagonal witness
-    form when the trailing quantifier is a plain existential."""
-    out = [c]
-    if c.nvars == 2 and c.prefix[1] == EXISTS:
-        body = {lit.substitute({"x": "x", "y": "x"}) for lit in c.body}
-        out.append(Clause((c.prefix[0],), frozenset(body)))
-    return out
-
-
-def _relax_counting(c: Clause) -> Clause:
-    """Weaken exactly-k (k >= 1) to a plain existential; implied by c."""
-    if not c.is_counting:
-        return c
-    return Clause(
-        tuple(EXISTS if q.is_counting else q for q in c.prefix), c.body
-    )
+        thetas = [("x", "x")]
+    return any(c1.images[theta] <= c2.body for theta in thetas)
 
 
 def has_subsumed_clause(s: Sentence) -> bool:
     """Some clause is implied by another clause of the sentence, so the
     sentence equals a shorter one already enumerated.  A counting clause
     may subsume through its at-least-one weakening but is never itself
-    subsumed (exactly-k is not monotone)."""
+    subsumed (exactly-k is not monotone).  A clause with a diagonal form
+    is subsumed when that form is, since the form implies it."""
     for c1, c2 in itertools.permutations(s.clauses, 2):
         if c2.is_counting:
             continue
-        c1r = _relax_counting(c1)
-        for target in _diag_strengthenings(c2):
-            if _implies_clause(c1r, target):
-                return True
+        if _implies_clause(c1.relaxed, c2):
+            return True
+        if c2.diagonal is not None and _implies_clause(c1.relaxed, c2.diagonal):
+            return True
     return False
 
 
@@ -384,11 +373,7 @@ def is_refuted(s: Sentence) -> bool:
     `(E x U(x)) & (E x ~U(x))` has one and is not refuted; those sentences
     are grounded.
     """
-    collapse = [
-        frozenset((lit.pred.name, (), lit.negated) for lit in c.body)
-        for c in s.clauses
-    ]
-    if _satisfiable(collapse):
+    if _satisfiable([c.collapse for c in s.clauses]):
         return False
     return not _satisfiable(_refute_ground(s))
 
@@ -426,6 +411,9 @@ class GenState:
     merged: dict = field(default_factory=dict)
     # the merged compiled form of each new sentence
     forms: dict[Sentence, MergedSentence] = field(default_factory=dict)
+    # one object per distinct clause built by refinements, so that each
+    # clause's cached facts are computed once per search
+    clauses: dict[Clause, Clause] = field(default_factory=dict)
 
 
 def classify(s: Sentence, state: GenState) -> str:
@@ -508,7 +496,7 @@ def generate(
         if layer < layers:
             frontier = []
             for s in kept:
-                frontier.extend(refinements(s, limits, pool))
+                frontier.extend(refinements(s, limits, pool, state.clauses))
             for s, _ in hidden:
-                frontier.extend(refinements(s, limits, pool))
+                frontier.extend(refinements(s, limits, pool, state.clauses))
     return result

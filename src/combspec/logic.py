@@ -114,6 +114,10 @@ class Clause:
     """A quantified disjunction, prefix variables fixed to x then y.
 
     Use make_clause to build one; it validates and alpha-normalizes.
+
+    Facts that depend on the clause alone are computed on first use and
+    kept on the object, so a search that shares one object per distinct
+    clause computes each once.
     """
 
     prefix: tuple[Quantifier, ...]
@@ -130,15 +134,63 @@ class Clause:
     def predicates(self) -> frozenset[Predicate]:
         return frozenset(lit.pred for lit in self.body)
 
-    def sorted_body(self) -> list[Literal]:
-        return sorted(self.body, key=Literal.render)
+    @cached_property
+    def names(self) -> frozenset[str]:
+        """The names of the predicates in the body."""
+        return frozenset(lit.pred.name for lit in self.body)
 
-    def render(self) -> str:
+    @cached_property
+    def collapse(self) -> frozenset[tuple[str, tuple, bool]]:
+        """The body with every atom of a predicate made one: a set of
+        (predicate name, (), negated)."""
+        return frozenset((lit.pred.name, (), lit.negated) for lit in self.body)
+
+    @cached_property
+    def images(self) -> dict[tuple[str, str], frozenset[Literal]]:
+        """The body under each substitution of x and y by variables,
+        keyed by the (image of x, image of y) pair."""
+        return {
+            (a, b): frozenset(lit.substitute({"x": a, "y": b}) for lit in self.body)
+            for a in VARS
+            for b in VARS
+        }
+
+    @cached_property
+    def diagonal(self) -> Clause | None:
+        """With a trailing plain existential, the clause at the witness
+        y = x, which implies it; None otherwise."""
+        if self.nvars == 2 and self.prefix[1] == EXISTS:
+            return Clause(self.prefix[:1], self.images["x", "x"])
+        return None
+
+    @cached_property
+    def relaxed(self) -> Clause:
+        """Exactly-k (k >= 1) weakened to a plain existential, which the
+        clause implies; the clause itself when it has no count."""
+        if not self.is_counting:
+            return self
+        return Clause(
+            tuple(EXISTS if q.is_counting else q for q in self.prefix), self.body
+        )
+
+    @cached_property
+    def valid(self) -> bool:
+        """The clause holds in every structure: its body, or its diagonal
+        form's, holds a literal and its complement."""
+        if any(not lit.negated and lit.negate() in self.body for lit in self.body):
+            return True
+        return self.diagonal is not None and self.diagonal.valid
+
+    @cached_property
+    def text(self) -> str:
         parts = []
         for q, v in zip(self.prefix, VARS):
             parts.append(f"{q.render()} {v}")
-        parts.append(" | ".join(lit.render() for lit in self.sorted_body()))
+        parts.append(" | ".join(sorted(lit.render() for lit in self.body)))
         return "(" + " ".join(parts) + ")"
+
+    def render(self) -> str:
+        return self.text
 
     def __str__(self) -> str:
         return self.render()

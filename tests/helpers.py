@@ -12,9 +12,11 @@ from combspec import engine
 from combspec.engine import CellGraph, WeightMap
 
 from combspec.generator import (
+    _PAIR_THETAS,
     GenLimits,
     GenResult,
     _literal_options,
+    _pair_theta_ok,
     _refute_ground,
     _satisfiable,
     has_subsumed_clause,
@@ -26,6 +28,7 @@ from combspec.generator import (
     reflexive_only_binary,
 )
 from combspec.logic import (
+    EXISTS,
     FORALL,
     VARS,
     Clause,
@@ -472,3 +475,101 @@ def recorded_passes(sentences, length):
     finally:
         engine.evaluate_cell_sum = run
     return calls
+
+
+def _reference_diag_strengthenings(c: Clause) -> list[Clause]:
+    """Clauses at least as strong as c: itself, plus the diagonal witness
+    form when the trailing quantifier is a plain existential."""
+    out = [c]
+    if c.nvars == 2 and c.prefix[1] == EXISTS:
+        body = {lit.substitute({"x": "x", "y": "x"}) for lit in c.body}
+        out.append(Clause((c.prefix[0],), frozenset(body)))
+    return out
+
+
+def reference_is_tautological(s: Sentence) -> bool:
+    """Reference for generator.is_tautological, from the literals on every
+    call rather than the clauses' cached validity."""
+    return any(
+        not lit.negated and lit.negate() in d.body
+        for c in s.clauses
+        for d in _reference_diag_strengthenings(c)
+        for lit in d.body
+    )
+
+
+def reference_is_decomposable(s: Sentence) -> bool:
+    """Reference for generator.is_decomposable: union-find over the
+    sentence's predicate names, joining the names of each clause."""
+    preds = sorted(p.name for p in s.predicates)
+    if len(preds) <= 1:
+        return False
+    parent = {p: p for p in preds}
+
+    def find(a: str) -> str:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for c in s.clauses:
+        names = sorted({lit.pred.name for lit in c.body})
+        for other in names[1:]:
+            parent[find(other)] = find(names[0])
+    return len({find(p) for p in preds}) > 1
+
+
+def reference_is_refuted(s: Sentence) -> bool:
+    """Reference for generator.is_refuted, collapsing each clause on every
+    call rather than reading its cached collapse."""
+    collapse = [
+        frozenset((lit.pred.name, (), lit.negated) for lit in c.body)
+        for c in s.clauses
+    ]
+    if _satisfiable(collapse):
+        return False
+    return not _satisfiable(_refute_ground(s))
+
+
+def _reference_implies_clause(c1: Clause, c2: Clause) -> bool:
+    """Reference for generator._implies_clause, substituting c1's literals
+    on every call."""
+    k1 = tuple(q.kind for q in c1.prefix)
+    k2 = tuple(q.kind for q in c2.prefix)
+    thetas = []
+    if c1.nvars == 1:
+        targets = ("x",) if c2.nvars == 1 else ("x", "y")
+        for t in targets:
+            pos = 0 if t == "x" else 1
+            if k1 == ("V",) or k2[pos] == "E":
+                thetas.append({"x": t, "y": t})
+    elif c2.nvars == 2:
+        thetas = [
+            dict(zip(VARS, th)) for th, kind in _PAIR_THETAS if _pair_theta_ok(k1, k2, kind)
+        ]
+    elif _pair_theta_ok(k1, (k2[0], k2[0]), "diagx"):
+        thetas = [{"x": "x", "y": "x"}]
+    for theta in thetas:
+        if {lit.substitute(theta) for lit in c1.body} <= c2.body:
+            return True
+    return False
+
+
+def _reference_relax_counting(c: Clause) -> Clause:
+    """Weaken exactly-k (k >= 1) to a plain existential; implied by c."""
+    if not c.is_counting:
+        return c
+    return Clause(tuple(EXISTS if q.is_counting else q for q in c.prefix), c.body)
+
+
+def reference_has_subsumed_clause(s: Sentence) -> bool:
+    """Reference for generator.has_subsumed_clause, building the relaxed
+    and diagonal forms and the substitution images on every call."""
+    for c1, c2 in itertools.permutations(s.clauses, 2):
+        if c2.is_counting:
+            continue
+        c1r = _reference_relax_counting(c1)
+        for target in _reference_diag_strengthenings(c2):
+            if _reference_implies_clause(c1r, target):
+                return True
+    return False

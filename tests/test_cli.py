@@ -455,6 +455,25 @@ def test_counts_below_one_are_errors(tmp_path, capsys, argv):
     assert not db.exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--ml", "0", "max_literals must be at least 1"),
+        ("--mc", "0", "max_clauses must be at least 1"),
+        ("--up", "-1", "unary must be at least 0"),
+        ("--bp", "-2", "binary must be at least 0"),
+    ],
+)
+def test_generate_rejects_limits_out_of_range(tmp_path, capsys, flag, value, message):
+    db = tmp_path / "t.jsonl"
+    argv = ["generate", "--profile", "fo2-paper", flag, value, "--layers", "2"]
+    code = main(argv + ["--db", str(db), "--json"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith(f"error: {message}")
+    assert not db.exists()
+
+
 def test_generate_runs_in_one_process_agree(tmp_path, capsys):
     # the cell-DP memo lives for one run, so nothing carries to the next
     outs = []

@@ -1,7 +1,10 @@
 """Layered sentence search and the pruning techniques behind it."""
 
+import dataclasses
 import random
 from collections import Counter
+
+import pytest
 
 from combspec import generator
 from combspec.engine import compute_spectrum
@@ -42,6 +45,20 @@ from helpers import (
 
 def parse(text):
     return parse_sentence(text)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("max_literals", 0), ("max_clauses", 0), ("unary", -1), ("binary", -2)],
+)
+def test_limits_out_of_range_are_refused(fo2_limits, field, value):
+    with pytest.raises(ValueError, match=f"{field} must be at least"):
+        dataclasses.replace(fo2_limits, **{field: value})
+
+
+def test_limits_may_leave_out_a_predicate_kind(fo2_limits):
+    limits = dataclasses.replace(fo2_limits, unary=0)
+    assert {p.arity for p in limits.predicates()} == {2}
 
 
 def test_initial_clause_counts(fo2_limits, c2_limits):

@@ -3,6 +3,9 @@
 keys against the transform sweep, its refuter against the grounded
 decision, its output and the spectra it stored."""
 
+import hashlib
+from pathlib import Path
+
 from combspec.engine import compute_spectrum
 from combspec.logic import parse_sentence
 from combspec.seqdb import SpectrumDB
@@ -27,6 +30,12 @@ def test_l5_run_keeps_the_pinned_counts(fo2_l5):
     assert fo2_l5.code == 0
     assert fo2_l5.doc["truncated"] is False
     assert [row["kept"] for row in fo2_l5.doc["layers"]] == [4, 36, 179, 676, 1641]
+
+
+def test_l5_db_is_the_pinned_file(fo2_l5):
+    # the digest recorded in BENCH_compile_once.json
+    digest = hashlib.sha256(Path(fo2_l5.db).read_bytes()).hexdigest()
+    assert digest == "a7c3934ff4ce06f75fd41838e6cd7f6f8d507585bfb1f9bf3ec07a8c61cc49c0"
 
 
 def test_l5_records_hold_the_spectra_computed_one_by_one(fo2_l5):
