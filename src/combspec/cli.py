@@ -97,8 +97,6 @@ def _limits_from_args(args: argparse.Namespace) -> GenLimits:
     missing = [k for k in ("ml", "mc", "up", "bp") if k not in base]
     if missing:
         raise ValueError(f"missing limits (set --profile or {missing})")
-    if base.get("k", 0) not in (0, 1):
-        raise ValueError(f"only E=1 counting is supported: --k {base['k']}")
     return GenLimits(
         max_literals=base["ml"],
         max_clauses=base["mc"],

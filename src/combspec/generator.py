@@ -34,11 +34,16 @@ nothing again, and the compile's time still counts against its budget.
 Candidates are built from a small pool of clauses, so refinements interns
 each clause it builds in one dict per search (GenState.clauses): every
 candidate of a search shares one object per distinct clause.  The facts
-that depend on one clause alone (its text, validity, predicate names,
-one-element collapse, relaxed and diagonal forms and substitution
+that depend on one clause alone (its text, validity, predicate set and
+names, one-element collapse, relaxed and diagonal forms and substitution
 images) are cached properties of Clause, so each is computed once per
 distinct clause and read by the filters; they live as long as the
-search's clauses do.
+search's clauses do.  A candidate holds only its clause set.
+
+The search holds one frontier at a time: a layer's refinements stream
+into one set, so their repeats are freed as they are found and never
+stand beside the deduplicated candidates.  Nothing the search builds
+refers back to itself, so it is all freed by reference counting.
 """
 
 from __future__ import annotations
@@ -77,7 +82,9 @@ PAIR_PREFIXES = [
 
 @dataclass(frozen=True)
 class GenLimits:
-    """Search bounds: literals per clause, clauses per sentence, pool size."""
+    """Search bounds: literals per clause, clauses per sentence, pool
+    size, and the largest k of an E=k quantifier (0 or 1: only E=1
+    counting is supported)."""
 
     max_literals: int
     max_clauses: int
@@ -92,6 +99,11 @@ class GenLimits:
             value = getattr(self, name)
             if value < least:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
+        if self.max_count not in (0, 1):
+            raise ValueError(
+                f"max_count must be 0 or 1 (only E=1 counting is supported), "
+                f"got {self.max_count}"
+            )
 
     def predicates(self) -> list[Predicate]:
         unary = [Predicate(f"U{i}", 1) for i in range(self.unary)]
@@ -468,7 +480,7 @@ def generate(
     """Run the layered search; deterministic for fixed limits and layers."""
     pool = initial_clauses(limits)
     state = GenState()
-    frontier = [Sentence(frozenset([c])) for c in pool]
+    frontier: Iterable[Sentence] = [Sentence(frozenset([c])) for c in pool]
     result = GenResult([], [], [], forms=state.forms)
     deadline = time.monotonic() + budget_secs if budget_secs is not None else None
 
@@ -494,9 +506,12 @@ def generate(
         if result.truncated:
             break
         if layer < layers:
-            frontier = []
-            for s in kept:
-                frontier.extend(refinements(s, limits, pool, state.clauses))
-            for s, _ in hidden:
-                frontier.extend(refinements(s, limits, pool, state.clauses))
+            # streamed, so the refinements with their repeats never exist
+            # as one list
+            parents = kept + [s for s, _ in hidden]
+            frontier = (
+                child
+                for s in parents
+                for child in refinements(s, limits, pool, state.clauses)
+            )
     return result

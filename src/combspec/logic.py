@@ -115,9 +115,10 @@ class Clause:
 
     Use make_clause to build one; it validates and alpha-normalizes.
 
-    Facts that depend on the clause alone are computed on first use and
-    kept on the object, so a search that shares one object per distinct
-    clause computes each once.
+    Facts that depend on the clause alone, its predicate set among them,
+    are computed on first use and kept on the object, so a search that
+    shares one object per distinct clause computes each once.  No fact
+    refers back to its clause, so a clause is freed by reference counting.
     """
 
     prefix: tuple[Quantifier, ...]
@@ -131,13 +132,15 @@ class Clause:
     def is_counting(self) -> bool:
         return any(q.is_counting for q in self.prefix)
 
+    @cached_property
     def predicates(self) -> frozenset[Predicate]:
+        """The predicates in the body."""
         return frozenset(lit.pred for lit in self.body)
 
     @cached_property
     def names(self) -> frozenset[str]:
         """The names of the predicates in the body."""
-        return frozenset(lit.pred.name for lit in self.body)
+        return frozenset(p.name for p in self.predicates)
 
     @cached_property
     def collapse(self) -> frozenset[tuple[str, tuple, bool]]:
@@ -163,12 +166,16 @@ class Clause:
             return Clause(self.prefix[:1], self.images["x", "x"])
         return None
 
-    @cached_property
+    @property
     def relaxed(self) -> Clause:
         """Exactly-k (k >= 1) weakened to a plain existential, which the
         clause implies; the clause itself when it has no count."""
-        if not self.is_counting:
-            return self
+        return self._weakened if self.is_counting else self
+
+    @cached_property
+    def _weakened(self) -> Clause:
+        """relaxed of a counting clause; only this form is cached, since
+        a clause holding itself would be a reference cycle."""
         return Clause(
             tuple(EXISTS if q.is_counting else q for q in self.prefix), self.body
         )
@@ -238,13 +245,18 @@ def pair(q1: Quantifier, q2: Quantifier, body: Iterable[Literal]) -> Clause:
     return make_clause([(q1, "x"), (q2, "y")], body)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sentence:
+    """A conjunction of clauses.  It holds its clause set and nothing
+    else: a search keeps many candidates alive at once, and what they
+    know about their clauses is kept on the shared clauses."""
+
     clauses: frozenset[Clause]
 
-    @cached_property
+    @property
     def predicates(self) -> frozenset[Predicate]:
-        return frozenset(p for c in self.clauses for p in c.predicates())
+        """The union of the clauses' predicate sets, computed on each read."""
+        return frozenset().union(*(c.predicates for c in self.clauses))
 
     def render(self) -> str:
         return " & ".join(sorted(c.render() for c in self.clauses))
@@ -430,33 +442,40 @@ def canonical_labelling(
     each other, equal those of a vertex already tried in the same class
     is skipped: swapping the two is an automorphism, so its subtree yields
     the same leaves.
+
+    The search recurses through the module-level _search, not through a
+    closure that refers to itself, so a labelling makes no reference
+    cycle: what it builds is freed by reference counting.
     """
-    q = len(invariants)
+    return _search(_refine(_ranks(invariants), adj), adj, len(invariants))
 
-    def twins(a: int, b: int) -> bool:
-        return all(k in (a, b) for k, _ in set(adj[a]) ^ set(adj[b]))
 
-    def search(colors: list[int]) -> tuple[int, ...]:
-        if max(colors) + 1 == q:
-            # a discrete coloring numbers the vertices 0 .. q-1
-            serial: list[int] = []
-            for a, v in sorted(zip(colors, range(q))):
-                serial += sorted(
-                    [off + colors[j] for j, off in adj[v] if colors[j] > a]
-                )
-                serial.append(-1)
-            return tuple(serial)
-        target = min(c for c, n in Counter(colors).items() if n > 1)
-        tried: list[int] = []
-        for v in range(q):
-            if colors[v] == target and not any(twins(v, t) for t in tried):
-                tried.append(v)
-        # v sorts just before the rest of its class; other classes keep
-        # their order
-        splits = ([2 * c + (i != v) for i, c in enumerate(colors)] for v in tried)
-        return min(search(_refine(_ranks(split), adj)) for split in splits)
+def _twins(a: int, b: int, adj: Sequence[Sequence[tuple[int, int]]]) -> bool:
+    """a and b have the same neighbours, apart from each other."""
+    return all(k in (a, b) for k, _ in set(adj[a]) ^ set(adj[b]))
 
-    return search(_refine(_ranks(invariants), adj))
+
+def _search(
+    colors: list[int], adj: Sequence[Sequence[tuple[int, int]]], q: int
+) -> tuple[int, ...]:
+    """The smallest leaf serial below an equitable coloring, as in
+    canonical_labelling."""
+    if max(colors) + 1 == q:
+        # a discrete coloring numbers the vertices 0 .. q-1
+        serial: list[int] = []
+        for a, v in sorted(zip(colors, range(q))):
+            serial += sorted([off + colors[j] for j, off in adj[v] if colors[j] > a])
+            serial.append(-1)
+        return tuple(serial)
+    target = min(c for c, n in Counter(colors).items() if n > 1)
+    tried: list[int] = []
+    for v in range(q):
+        if colors[v] == target and not any(_twins(v, t, adj) for t in tried):
+            tried.append(v)
+    # v sorts just before the rest of its class; other classes keep their
+    # order
+    splits = ([2 * c + (i != v) for i, c in enumerate(colors)] for v in tried)
+    return min(_search(_refine(_ranks(split), adj), adj, q) for split in splits)
 
 
 def canonical_key(s: Sentence) -> bytes:

@@ -426,6 +426,14 @@ def test_generate_rejects_unsupported_counting(capsys):
     assert "E=1" in captured.err
 
 
+@pytest.mark.parametrize("value", ["2", "-1"])
+def test_generate_refuses_counting_other_than_e1(capsys, value):
+    code = main(["generate", "--profile", "c2-paper", "--k", value, "--layers", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: max_count must be 0 or 1")
+
+
 def test_unknown_command_exits_nonzero(capsys):
     try:
         main(["frobnicate"])

@@ -1,7 +1,8 @@
 """Whole-corpus checks over the fo2-paper L1-L4 and c2-paper L1-L3 searches:
 the bitmask cell graphs against the reference build, the refuter against
 the grounded decision, the filters that read cached clause facts against
-references that compute them afresh, the spectra of dropped and hidden
+references that compute them afresh, candidates that hold only their
+clause set, the spectra of dropped and hidden
 candidates against the kept ones, canonical labellings against the reference
 refinement, the engine against the brute-force oracle, spectra that share
 cell-DP passes against spectra computed one by one, the spectra of the
@@ -153,6 +154,18 @@ def test_fo2_candidates_share_one_object_per_distinct_clause(fo2):
     clauses = [c for s, _ in fo2.classified for c in s.clauses]
     assert len(clauses) == 12889
     assert len({id(c) for c in clauses}) == len(set(clauses)) == 835
+
+
+def test_fo2_candidates_carry_only_their_clause_set(fo2):
+    sentences = [s for s, _ in fo2.classified]
+    assert not any(hasattr(s, "__dict__") for s in sentences)
+    shared = {}
+    for s in sentences:
+        assert s.predicates == {lit.pred for c in s.clauses for lit in c.body}
+        assert s.predicates == frozenset().union(*(c.predicates for c in s.clauses))
+        for c in s.clauses:
+            assert shared.setdefault(c, c.predicates) is c.predicates
+    assert len(shared) == 835
 
 
 def test_dropped_and_hidden_fo2_spectra_are_covered_by_kept_ones(fo2):

@@ -1,6 +1,7 @@
 """Layered sentence search and the pruning techniques behind it."""
 
 import dataclasses
+import gc
 import random
 from collections import Counter
 
@@ -54,6 +55,28 @@ def parse(text):
 def test_limits_out_of_range_are_refused(fo2_limits, field, value):
     with pytest.raises(ValueError, match=f"{field} must be at least"):
         dataclasses.replace(fo2_limits, **{field: value})
+
+
+@pytest.mark.parametrize("value", [-1, 2, 3])
+def test_counting_other_than_e1_is_refused(fo2_limits, value):
+    # E=k for k > 1 is not supported, and a negative k meant nothing
+    with pytest.raises(ValueError, match="max_count must be 0 or 1"):
+        dataclasses.replace(fo2_limits, max_count=value)
+
+
+def test_the_searches_leave_no_cyclic_garbage(fo2_limits, c2_limits):
+    # everything a search builds is freed by reference counting, so the
+    # cyclic collector finds nothing once the result is dropped
+    gc.collect()
+    gc.disable()
+    try:
+        for limits in (fo2_limits, c2_limits):
+            result = generate(limits, 3)
+            assert result.all_kept()
+            del result
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_limits_may_leave_out_a_predicate_kind(fo2_limits):

@@ -1,5 +1,6 @@
 """Sentence model: parsing, rendering, normalization, canonical keys."""
 
+import gc
 import random
 
 import pytest
@@ -320,6 +321,19 @@ def test_refinement_matches_the_reference_on_random_graphs(monkeypatch):
         mixed += 1 in sizes and max(sizes) > 1
     # singleton classes beside larger ones, where the two keys differ
     assert mixed > 20
+
+
+def test_labelling_leaves_no_cyclic_garbage():
+    # refinement leaves the 6-cycle one class, so the search individualises
+    cycle = _adjacency(6, {(i, (i + 1) % 6): 1 for i in range(6)})
+    assert logic._refine([0] * 6, cycle) == [0] * 6
+    gc.collect()
+    gc.disable()
+    try:
+        assert canonical_labelling([0] * 6, cycle)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_refinement_matches_the_reference_on_the_cycle_and_triangles(monkeypatch):
