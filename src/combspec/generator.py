@@ -25,15 +25,29 @@ logic.canonical_labelling: canonical_key labels a graph of the sentence
 itself, spectrum_fingerprint the cell graphs of its compiled form.
 Neither has a size limit, so every candidate gets both checks.
 
+Most duplicates are proved, not labelled.  The group canonical_key
+divides by is generated by flipping one pool predicate, transposing one
+binary one, exchanging two adjacent ones of one arity and swapping x and
+y in one swappable clause.  A candidate that reaches the duplicate check
+marks its image under each generator, when that image is a later
+candidate of its layer; a marked candidate has the key of one already
+seen, so classify calls it a duplicate without labelling it.  Only the
+verdict's cost changes.  The images of each clause are kept in one dict
+per search (GenState.images), not on the clause, since an image is often
+the clause itself.
+
 classify compiles a candidate once, for its fingerprint.  For a new
 sentence it keeps that compiled form, merged (CompiledSentence.merged)
 through one dict per search so that equal merged graphs are one object,
 and GenResult.forms hands it on: a spectrum computed from it compiles
 nothing again, and the compile's time still counts against its budget.
 
-Candidates are built from a small pool of clauses, so refinements interns
-each clause it builds in one dict per search (GenState.clauses): every
-candidate of a search shares one object per distinct clause.  The facts
+Candidates are built from a small pool of clauses, so the search interns
+each clause it builds in one dict per search (GenState.clauses), keyed by
+prefix and body so that a lookup builds nothing: every candidate of a
+search shares one object per distinct clause.  refinements builds a
+clause's one-literal extensions once per search (GenState.extensions),
+so a clause met again in another parent costs one lookup.  The facts
 that depend on one clause alone (its text, validity, predicate set and
 names, one-element collapse, relaxed and diagonal forms and substitution
 images) are cached properties of Clause, so each is computed once per
@@ -52,7 +66,7 @@ import itertools
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import engine
 from .engine import MergedSentence, spectrum_fingerprint
@@ -162,30 +176,52 @@ def refinements(
     s: Sentence,
     limits: GenLimits,
     pool: Sequence[Clause],
-    clauses: dict[Clause, Clause] | None = None,
+    state: GenState | None = None,
 ) -> list[Sentence]:
     """All one-step extensions of s, as built.  Children may repeat, here
-    and across parents; generate deduplicates the whole frontier.  Each
-    extended clause is looked up in clauses, and added when new, so that
-    children sharing a dict share one object per distinct clause."""
-    if clauses is None:
-        clauses = {}
-    preds = limits.predicates()
+    and across parents; generate deduplicates the whole frontier.  Children
+    built with one state share one object per distinct clause."""
+    if state is None:
+        state = GenState()
     out = []
     for c in s.clauses:
-        if c.is_counting or len(c.body) >= limits.max_literals:
-            continue
-        for lit in _literal_options(preds, c.nvars):
-            if lit in c.body:
-                continue
-            extended = Clause(c.prefix, c.body | {lit})
-            extended = clauses.setdefault(extended, extended)
+        for extended in _extensions(c, limits, state):
             out.append(Sentence((s.clauses - {c}) | {extended}))
     if len(s.clauses) < limits.max_clauses:
         for c0 in pool:
             if c0 not in s.clauses:
                 out.append(Sentence(s.clauses | {c0}))
     return out
+
+
+def _extensions(c: Clause, limits: GenLimits, state: GenState) -> list[Clause]:
+    """c with one literal added, each way the limits allow, interned.
+    They are built on the state's first request for c, and the literal
+    options once per number of variables."""
+    extended = state.extensions.get(c)
+    if extended is None:
+        extended = []
+        if not c.is_counting and len(c.body) < limits.max_literals:
+            options = state.options.get(c.nvars)
+            if options is None:
+                options = _literal_options(limits.predicates(), c.nvars)
+                state.options[c.nvars] = options
+            for lit in options:
+                if lit not in c.body:
+                    extended.append(_interned(c.prefix, c.body | {lit}, state))
+        state.extensions[c] = extended
+    return extended
+
+
+def _interned(
+    prefix: tuple[Quantifier, ...], body: frozenset[Literal], state: GenState
+) -> Clause:
+    """The state's one clause with this prefix and body, built on the
+    first request."""
+    c = state.clauses.get((prefix, body))
+    if c is None:
+        c = state.clauses[prefix, body] = Clause(prefix, body)
+    return c
 
 
 def is_tautological(s: Sentence) -> bool:
@@ -423,20 +459,101 @@ class GenState:
     merged: dict = field(default_factory=dict)
     # the merged compiled form of each new sentence
     forms: dict[Sentence, MergedSentence] = field(default_factory=dict)
-    # one object per distinct clause built by refinements, so that each
-    # clause's cached facts are computed once per search
-    clauses: dict[Clause, Clause] = field(default_factory=dict)
+    # one object per distinct clause the search builds, by prefix and
+    # body, so that each clause's cached facts are computed once
+    clauses: dict[tuple, Clause] = field(default_factory=dict)
+    # each refined clause's one-literal extensions, and the literals that
+    # a clause of one or of two variables may gain
+    extensions: dict[Clause, list[Clause]] = field(default_factory=dict)
+    options: dict[int, list[Literal]] = field(default_factory=dict)
+    # the literal maps of the key group's generators, set by generate; a
+    # state without them proves nothing and labels every candidate
+    generators: list[dict[Literal, Literal]] = field(default_factory=list)
+    # each clause's image under each generator, then under its x-y swap
+    images: dict[Clause, tuple[Clause, ...]] = field(default_factory=dict)
+    # the layer's unclassified candidates, by clause set, each True once
+    # proved a duplicate
+    pending: dict[frozenset[Clause], bool] = field(default_factory=dict)
+
+
+def _generators(limits: GenLimits) -> list[dict[Literal, Literal]]:
+    """Generators of the group canonical_key divides by, but for the x-y
+    swap of one clause: flipping one pool predicate, transposing one
+    binary one, exchanging two adjacent ones of one arity.  Each maps the
+    pool literals it moves to their images."""
+    preds = limits.predicates()
+    literals = _literal_options(preds, 2)
+
+    def moved(
+        p: Predicate, image: Callable[[Literal], Literal]
+    ) -> dict[Literal, Literal]:
+        return {lit: image(lit) for lit in literals if lit.pred == p}
+
+    maps = [moved(p, Literal.negate) for p in preds]
+    maps += [
+        moved(p, lambda lit: Literal(lit.pred, lit.args[::-1], lit.negated))
+        for p in preds
+        if p.arity == 2
+    ]
+    for p, q in zip(preds, preds[1:]):
+        if p.arity == q.arity:
+            maps.append(
+                moved(p, lambda lit, q=q: Literal(q, lit.args, lit.negated))
+                | moved(q, lambda lit, p=p: Literal(p, lit.args, lit.negated))
+            )
+    return maps
+
+
+def _clause_images(c: Clause, state: GenState) -> tuple[Clause, ...]:
+    """c under each of state.generators, then under the x-y swap, which
+    leaves c as it is unless c is swappable; interned."""
+    images = state.images.get(c)
+    if images is None:
+        bodies = [
+            frozenset(m.get(lit, lit) for lit in c.body) for m in state.generators
+        ]
+        bodies.append(c.images["y", "x"] if c.swappable else c.body)
+        images = tuple(_interned(c.prefix, body, state) for body in bodies)
+        state.images[c] = images
+    return images
+
+
+def _prove_images(s: Sentence, state: GenState) -> None:
+    """Mark every pending candidate that one generator maps s to: it has
+    s's key.  A swap that leaves a clause of s in s, or turns it into
+    another one, makes no image: the latter would merge two clauses,
+    which no generator does."""
+    rows = [(c, _clause_images(c, state)) for c in s.clauses]
+    images = [
+        frozenset(row[i] for _, row in rows) for i in range(len(state.generators))
+    ]
+    for c, row in rows:
+        if row[-1] not in s.clauses:
+            images.append((s.clauses - {c}) | {row[-1]})
+    for image in images:
+        if image in state.pending:
+            state.pending[image] = True
 
 
 def classify(s: Sentence, state: GenState) -> str:
     """Verdict for one candidate; registers its keys when retained, and
-    keeps a new sentence's merged compiled form in state.forms."""
+    keeps a new sentence's merged compiled form in state.forms.
+
+    A candidate that reaches the duplicate check marks its generator
+    images among the layer's unclassified candidates (state.pending).  A
+    marked candidate has the key of an earlier one, which is registered
+    already, so it is a duplicate without a labelling."""
+    proved = state.pending.pop(s.clauses, False)
     if is_tautological(s):
         return "tautology"
     if is_refuted(s):
         return "refuted"
     if is_decomposable(s):
         return "decomposable"
+    if state.generators:
+        _prove_images(s, state)
+    if proved:
+        return "duplicate"
     key = canonical_key(s)
     if key in state.seen_canonical:
         return "duplicate"
@@ -479,7 +596,7 @@ def generate(
 ) -> GenResult:
     """Run the layered search; deterministic for fixed limits and layers."""
     pool = initial_clauses(limits)
-    state = GenState()
+    state = GenState(generators=_generators(limits))
     frontier: Iterable[Sentence] = [Sentence(frozenset([c])) for c in pool]
     result = GenResult([], [], [], forms=state.forms)
     deadline = time.monotonic() + budget_secs if budget_secs is not None else None
@@ -487,6 +604,7 @@ def generate(
     for layer in range(1, layers + 1):
         # clauses are alpha-normalised, so value equality is text equality
         candidates = sorted(set(frontier), key=Sentence.render)
+        state.pending = dict.fromkeys((s.clauses for s in candidates), False)
         kept: list[Sentence] = []
         hidden: list[tuple[Sentence, str]] = []
         counts: Counter = Counter()
@@ -512,6 +630,6 @@ def generate(
             frontier = (
                 child
                 for s in parents
-                for child in refinements(s, limits, pool, state.clauses)
+                for child in refinements(s, limits, pool, state)
             )
     return result

@@ -132,6 +132,14 @@ class Clause:
     def is_counting(self) -> bool:
         return any(q.is_counting for q in self.prefix)
 
+    @property
+    def swappable(self) -> bool:
+        """Its prefix repeats one non-counting quantifier, so swapping x
+        and y throughout it keeps its meaning up to renaming."""
+        return (
+            self.nvars == 2 and self.prefix[0] == self.prefix[1] and not self.is_counting
+        )
+
     @cached_property
     def predicates(self) -> frozenset[Predicate]:
         """The predicates in the body."""
@@ -528,11 +536,8 @@ def canonical_key(s: Sentence) -> bytes:
                 join(a, neg)
     for c in s.clauses:
         prefix = " ".join(q.render() for q in c.prefix)
-        swappable = (
-            c.nvars == 2 and c.prefix[0] == c.prefix[1] and not c.is_counting
-        )
         var = {
-            v: vertex(f"{prefix}:{'*' if swappable else v}") for v in VARS[: c.nvars]
+            v: vertex(f"{prefix}:{'*' if c.swappable else v}") for v in VARS[: c.nvars]
         }
         if c.nvars == 2:
             join(var["x"], var["y"])

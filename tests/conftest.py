@@ -8,6 +8,7 @@ import pytest
 
 from combspec import cli, generator
 from combspec.generator import GenLimits, GenResult
+from helpers import record_duplicate_checks
 
 
 @pytest.fixture
@@ -26,8 +27,9 @@ class L5Run(NamedTuple):
     doc: dict
     db: str
     result: GenResult
-    # (sentence, key) of every canonical_key call of the search
-    keys: list
+    # (sentence, verdict, key or None) of every candidate of the search,
+    # as helpers.record_duplicate_checks records them
+    checks: list
     # (sentence, verdict) of every is_refuted call of the search
     refuted: list
     secs: float
@@ -37,14 +39,11 @@ class L5Run(NamedTuple):
 def fo2_l5(tmp_path_factory):
     """`combspec generate --profile fo2-paper --layers 5 --length 10 --db
     --json`, run once for every test that checks the whole L5 search or its
-    database, with the search's key and refuter calls and its GenResult."""
+    database, with the search's duplicate checks, its refuter calls and its
+    GenResult."""
     db = str(tmp_path_factory.mktemp("l5") / "fo2.jsonl")
-    keys, refuted, results = [], [], []
-    key, refute, search = generator.canonical_key, generator.is_refuted, cli.generate
-
-    def keying(s):
-        keys.append((s, key(s)))
-        return keys[-1][1]
+    refuted, results = [], []
+    refute, search = generator.is_refuted, cli.generate
 
     def refuting(s):
         refuted.append((s, refute(s)))
@@ -57,7 +56,7 @@ def fo2_l5(tmp_path_factory):
     out = io.StringIO()
     t0 = time.perf_counter()
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
-        mp.setattr(generator, "canonical_key", keying)
+        checks = record_duplicate_checks(mp)
         mp.setattr(generator, "is_refuted", refuting)
         mp.setattr(cli, "generate", searching)
         code = cli.main([
@@ -66,4 +65,4 @@ def fo2_l5(tmp_path_factory):
         ])
     secs = time.perf_counter() - t0
     (result,) = results
-    return L5Run(code, json.loads(out.getvalue()), db, result, keys, refuted, secs)
+    return L5Run(code, json.loads(out.getvalue()), db, result, checks, refuted, secs)

@@ -8,13 +8,14 @@ import random
 from dataclasses import dataclass
 from typing import Collection, Mapping, Sequence
 
-from combspec import engine
-from combspec.engine import CellGraph, WeightMap
+from combspec import engine, generator
+from combspec.engine import CellGraph, WeightMap, spectrum_fingerprint
 
 from combspec.generator import (
     _PAIR_THETAS,
     GenLimits,
     GenResult,
+    GenState,
     _literal_options,
     _pair_theta_ok,
     _refute_ground,
@@ -23,6 +24,7 @@ from combspec.generator import (
     has_trivial_constraint,
     initial_clauses,
     is_decomposable,
+    is_refuted,
     is_tautological,
     refinements,
     reflexive_only_binary,
@@ -36,6 +38,7 @@ from combspec.logic import (
     Predicate,
     Sentence,
     _ranks,
+    canonical_key,
     pair,
     sentence,
     single,
@@ -194,6 +197,85 @@ def sweep_key(s: Sentence) -> bytes:
                     best = text
     assert best is not None
     return best.encode()
+
+
+def record_duplicate_checks(mp) -> list:
+    """Wrap generator.classify and generator.canonical_key through the
+    monkeypatch mp.  The list returned gets (sentence, verdict, key) for
+    each classified candidate, in order: key is its canonical_key, or None
+    when it was not labelled."""
+    classify, key = generator.classify, generator.canonical_key
+    checks: list = []
+    keys: list = []
+
+    def keying(s):
+        keys.append(key(s))
+        return keys[-1]
+
+    def classifying(s, state):
+        keys.clear()
+        verdict = classify(s, state)
+        checks.append((s, verdict, keys[0] if keys else None))
+        return verdict
+
+    mp.setattr(generator, "canonical_key", keying)
+    mp.setattr(generator, "classify", classifying)
+    return checks
+
+
+def check_against_the_sweep(checks, counts) -> tuple[bool, list[str]]:
+    """Check a search's duplicate checks against sweep_key.  checks is
+    the list record_duplicate_checks filled, counts the search's per-layer
+    verdict counts.  Returns whether the labelled candidates' keys split them as
+    the sweep does, and the proved duplicates (those that reached the
+    check unlabelled) whose sweep key no earlier candidate of their layer
+    that reached it has."""
+    labelled, sweeps, unproved = [], [], []
+    start = 0
+    for layer in counts:
+        end = start + sum(layer.values())
+        seen = set()
+        for s, verdict, key in checks[start:end]:
+            if verdict in ("tautology", "refuted", "decomposable"):
+                continue
+            sweep = sweep_key(s)
+            if key is not None:
+                labelled.append(key)
+                sweeps.append(sweep)
+            elif verdict != "duplicate" or sweep not in seen:
+                unproved.append(s.render())
+            seen.add(sweep)
+        start = end
+    assert start == len(checks)
+    return same_partition(labelled, sweeps), unproved
+
+
+def reference_classify(s: Sentence, state: GenState) -> str:
+    """Reference for generator.classify: the duplicate check labels every
+    candidate that reaches it, and nothing is proved."""
+    for verdict, dropped in (
+        ("tautology", is_tautological),
+        ("refuted", is_refuted),
+        ("decomposable", is_decomposable),
+    ):
+        if dropped(s):
+            return verdict
+    key = canonical_key(s)
+    if key in state.seen_canonical:
+        return "duplicate"
+    state.seen_canonical.add(key)
+    for verdict, hidden in (
+        ("trivial", has_trivial_constraint),
+        ("reflexive", reflexive_only_binary),
+        ("subsumed", has_subsumed_clause),
+    ):
+        if hidden(s):
+            return verdict
+    fkey = spectrum_fingerprint(s, memo=state.labels)
+    if fkey in state.seen_spectrum:
+        return "spectrum_duplicate"
+    state.seen_spectrum.add(fkey)
+    return "new"
 
 
 def same_partition(keys_a, keys_b) -> bool:

@@ -1,6 +1,8 @@
 """Whole-corpus checks over the fo2-paper L1-L4 and c2-paper L1-L3 searches:
-the bitmask cell graphs against the reference build, the refuter against
-the grounded decision, the filters that read cached clause facts against
+the verdict sequence against the reference that labels every duplicate
+check (also over two predicates of each arity), the bitmask cell graphs
+against the reference build, the refuter against the grounded decision,
+the filters that read cached clause facts against
 references that compute them afresh, candidates that hold only their
 clause set, the spectra of dropped and hidden
 candidates against the kept ones, canonical labellings against the reference
@@ -16,7 +18,7 @@ import pytest
 
 from combspec import engine, generator, logic
 from combspec.engine import compute_spectrum, spectrum_fingerprint
-from combspec.generator import GenLimits, GenResult, generate
+from combspec.generator import GenLimits, GenResult, GenState, generate
 from combspec.logic import parse_sentence
 from combspec.oracle import count_models
 from helpers import (
@@ -26,6 +28,7 @@ from helpers import (
     recorded_passes,
     reference_cell_graph,
     reference_cell_order,
+    reference_classify,
     reference_has_subsumed_clause,
     reference_is_decomposable,
     reference_is_refuted,
@@ -35,6 +38,8 @@ from helpers import (
 
 FO2_LIMITS = GenLimits(max_literals=5, max_clauses=2, unary=1, binary=1, max_count=0)
 C2_LIMITS = GenLimits(max_literals=5, max_clauses=2, unary=1, binary=1, max_count=1)
+# two predicates of each arity, so that exchanging two of them is a proof
+WIDE_LIMITS = GenLimits(max_literals=3, max_clauses=2, unary=2, binary=2)
 
 
 class Recorded(NamedTuple):
@@ -106,6 +111,21 @@ def fo2():
 @pytest.fixture(scope="module")
 def c2():
     return _recorded_generate(C2_LIMITS, 3)
+
+
+@pytest.fixture(scope="module")
+def wide():
+    return _recorded_generate(WIDE_LIMITS, 3)
+
+
+@pytest.mark.parametrize("search", ["fo2", "c2", "wide"])
+def test_verdicts_match_the_reference_that_labels_every_candidate(search, request):
+    # the search's candidates, in order, through the reference classify
+    classified = request.getfixturevalue(search).classified
+    assert len(classified) == {"fo2": 6740, "c2": 2009, "wide": 3854}[search]
+    state = GenState()
+    want = [(s, reference_classify(s, state)) for s, _ in classified]
+    assert classified == want
 
 
 @pytest.mark.parametrize("search", ["fo2", "c2"])

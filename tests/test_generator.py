@@ -26,6 +26,7 @@ from combspec.generator import (
 )
 from combspec.logic import (
     FragmentError,
+    Sentence,
     canonical_key,
     parse_sentence,
     sentence,
@@ -34,12 +35,12 @@ from combspec.oracle import count_models
 from helpers import (
     PredicateTransform,
     apply_transform,
+    check_against_the_sweep,
     design_redundant,
     grounded_refuted,
     kept_cumulative,
     random_sentence,
-    same_partition,
-    sweep_key,
+    record_duplicate_checks,
     unpruned_layers,
 )
 
@@ -334,18 +335,80 @@ def test_classify_labels_a_cell_graph_with_many_equal_cells():
 
 def test_canonical_key_partition_matches_the_sweep(c2_limits, monkeypatch):
     # every key of the c2 L1-L3 search splits the candidates as the
-    # exhaustive transform sweep does; test_l5.py checks the fo2 L1-L5 one
-    calls = []
+    # exhaustive transform sweep does, and every proved duplicate has the
+    # sweep key of an earlier candidate of its layer; test_l5.py checks the
+    # fo2 L1-L5 search
+    checks = record_duplicate_checks(monkeypatch)
+    result = generate(c2_limits, 3)
+    checked = [v not in ("tautology", "refuted", "decomposable") for _, v, _ in checks]
+    assert sum(checked) == 1399
+    assert sum(key is not None for _, _, key in checks) == 846
+    partition, unproved = check_against_the_sweep(checks, result.counts)
+    assert partition
+    assert not unproved
 
-    def recording(s):
-        calls.append(s)
-        return canonical_key(s)
 
-    monkeypatch.setattr(generator, "canonical_key", recording)
-    generate(c2_limits, 3)
-    assert len(calls) == 1399
-    keys = [canonical_key(s) for s in calls]
-    assert same_partition(keys, [sweep_key(s) for s in calls])
+@pytest.mark.parametrize("max_count", [0, 1])
+def test_generator_images_keep_the_canonical_key(max_count):
+    # 2 unary and 2 binary predicates: 4 flips, 2 transpositions and 2
+    # exchanges, then each clause's x-y swap
+    limits = GenLimits(3, 2, 2, 2, max_count)
+    state = GenState(generators=generator._generators(limits))
+    transforms = [
+        PredicateTransform(flip_sign=frozenset({p})) for p in ("U0", "U1", "B0", "B1")
+    ]
+    transforms += [PredicateTransform(flip_args=frozenset({p})) for p in ("B0", "B1")]
+    transforms += [
+        PredicateTransform(rename={"U0": "U1", "U1": "U0"}),
+        PredicateTransform(rename={"B0": "B1", "B1": "B0"}),
+    ]
+    assert len(state.generators) == len(transforms)
+    rng = random.Random(20 + max_count)
+    prefixes = Counter()
+    for _ in range(150):
+        s = random_sentence(rng, limits)
+        key = canonical_key(s)
+        rows = {c: generator._clause_images(c, state) for c in s.clauses}
+        images = [
+            frozenset(row[i] for row in rows.values())
+            for i in range(len(state.generators))
+        ]
+        assert images == [apply_transform(s, t).clauses for t in transforms]
+        for c, row in rows.items():
+            kind = (
+                "counting" if c.is_counting
+                else "one variable" if c.nvars == 1
+                else "mixed" if c.prefix[0] != c.prefix[1]
+                else "swappable"
+            )
+            prefixes[kind] += 1
+            # only a repeated non-counting quantifier may swap x and y
+            if kind != "swappable":
+                assert row[-1] == c, c.render()
+            elif row[-1] not in s.clauses:
+                images.append((s.clauses - {c}) | {row[-1]})
+        for image in images:
+            assert canonical_key(Sentence(image)) == key, (s.render(), image)
+        # the proof marks each image that is pending, and only those
+        state.pending = dict.fromkeys(images, False) | {s.clauses: False}
+        generator._prove_images(s, state)
+        assert all(state.pending[image] for image in images)
+        assert state.pending[s.clauses] == (s.clauses in images)
+    assert all(prefixes[kind] for kind in ("one variable", "mixed", "swappable"))
+    assert bool(prefixes["counting"]) == bool(max_count)
+
+
+def test_a_swap_onto_another_clause_proves_nothing():
+    # swapping x and y in one clause gives the other, and the image set
+    # holds one clause: a different sentence, with another key
+    limits = GenLimits(3, 2, 1, 1)
+    state = GenState(generators=generator._generators(limits))
+    s = parse("(V x V y B0(x,y)) & (V x V y B0(y,x))")
+    merged = [frozenset({c}) for c in s.clauses]
+    assert all(canonical_key(Sentence(m)) != canonical_key(s) for m in merged)
+    state.pending = dict.fromkeys(merged, False)
+    generator._prove_images(s, state)
+    assert not any(state.pending.values())
 
 
 def test_verdict_partition():

@@ -1,7 +1,7 @@
 """Checks over one `combspec generate --profile fo2-paper --layers 5
 --length 10 --db --json` run (the session fixture fo2_l5): its canonical
-keys against the transform sweep, its refuter against the grounded
-decision, its output and the spectra it stored."""
+keys and proved duplicates against the transform sweep, its refuter
+against the grounded decision, its output and the spectra it stored."""
 
 import hashlib
 from pathlib import Path
@@ -9,13 +9,19 @@ from pathlib import Path
 from combspec.engine import compute_spectrum
 from combspec.logic import parse_sentence
 from combspec.seqdb import SpectrumDB
-from helpers import grounded_refuted, same_partition, sweep_key
+from helpers import check_against_the_sweep, grounded_refuted
 
 
 def test_l5_keys_split_the_candidates_as_the_sweep(fo2_l5):
-    assert len(fo2_l5.keys) == 16370
-    sentences, keys = zip(*fo2_l5.keys)
-    assert same_partition(keys, [sweep_key(s) for s in sentences])
+    checks = fo2_l5.checks
+    # of the 16 370 candidates that reach the duplicate check, 9 785 are
+    # labelled and the rest proved
+    checked = [v not in ("tautology", "refuted", "decomposable") for _, v, _ in checks]
+    assert sum(checked) == 16370
+    assert sum(key is not None for _, _, key in checks) == 9785
+    partition, unproved = check_against_the_sweep(checks, fo2_l5.result.counts)
+    assert partition
+    assert not unproved
 
 
 def test_l5_refuter_agrees_with_the_grounded_decision(fo2_l5):
