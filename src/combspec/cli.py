@@ -143,38 +143,31 @@ def cmd_generate(args: argparse.Namespace) -> int:
     budget = float(args.budget_secs) if args.budget_secs is not None else 30.0
     profile = args.profile or "custom"
 
-    result = generate(limits, layers)
+    result = generate(limits, layers, length=length, spectrum_secs=budget)
     db = SpectrumDB(args.db) if args.db else None
     per_layer: list[dict] = [
         {"layer": i + 1, "kept": len(kept), "unique": 0}
         for i, kept in enumerate(result.kept)
     ]
-    truncated = result.truncated
-    # each layer comes sorted by text, so records go in (layer, text) order
-    inserted = []
-    # kept sentences share many merged cell graphs; the memo lives for
-    # this run only
-    memo: dict = {}
-    for i, kept in enumerate(result.kept):
-        for s in kept:
-            sp = compute_spectrum(result.forms[s], length, budget_secs=budget, memo=memo)
-            truncated = truncated or sp.truncated
-            if db is not None:
+    truncated = result.truncated or any(
+        sp.truncated for sp in result.spectra.values()
+    )
+    if db is not None:
+        # each layer comes sorted by text, so records go in (layer, text) order
+        inserted = []
+        for i, kept in enumerate(result.kept):
+            for s in kept:
+                sp = result.spectra[s]
                 rec = db.insert(
-                    s.render(),
-                    sp.terms,
-                    truncated=sp.truncated,
-                    layer=i + 1,
-                    profile=profile,
+                    s.render(), sp.terms, truncated=sp.truncated, layer=i + 1, profile=profile
                 )
                 inserted.append((i, rec))
-    if db is not None:
         # insert-time product checks only see earlier records; settle order
         db.reclassify_products()
         # tally this run's sentences only, by this run's layer: the file may
         # hold records of earlier runs
         for i, rec in inserted:
-            if rec.status == "unique" and not rec.truncated:
+            if rec.status == "unique":
                 per_layer[i]["unique"] += 1
 
     if args.json:

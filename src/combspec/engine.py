@@ -34,13 +34,13 @@ exact integer arithmetic.
 A pass depends only on the merged cell graph, the length and the
 symbolic caps.  Many sentences share one, so a caller that computes many
 spectra can pass one memo dict to compute_spectrum, keyed on those three,
-and run each distinct pass once (`combspec generate` keeps one per run).
-A spectrum reads a MergedSentence, the compiled form with each branch's
-graph merged; compute_spectrum takes one in place of a sentence, so a
-sentence compiled once serves both its fingerprint and its spectrum, and
-CompiledSentence.merged stores equal merged graphs once per dict.
-Likewise spectrum_fingerprint takes a dict of cell-graph labellings, and
-generate keeps one per search.  There is no module-level cache.
+and run each distinct pass once (generate keeps one per search).
+compute_spectrum takes a CompiledSentence in place of a sentence, so a
+sentence compiled once serves both its fingerprint and its spectrum: the
+search computes a kept sentence's spectrum as it keeps it, and its
+budget_secs covers that time too.  Likewise spectrum_fingerprint takes a
+dict of cell-graph labellings, and generate keeps one per search.  There
+is no module-level cache.
 """
 
 from __future__ import annotations
@@ -673,16 +673,15 @@ def _powers(mul, base: Value, emax: int) -> list[Value]:
     return row
 
 
-@dataclass(slots=True)
-class MergedSentence:
-    """What a spectrum reads of a compiled sentence: per branch, its
-    nullary factor and its merged cell graph (_merge_cells), with the
-    cardinality constraints, the constrained predicates' base weights, and
-    how long the compile took, which counts against a spectrum's budget.
-    A search keeps one per kept sentence, hence the slots and tuples."""
+@dataclass
+class CompiledSentence:
+    """A sentence compiled to one cell graph per nullary branch, with the
+    cardinality constraints its counting quantifiers became, the
+    constrained predicates' base weights, and how long the compile took,
+    which counts against a spectrum's budget."""
 
-    branches: tuple[tuple[int, Merged], ...]
-    constraints: tuple[CardinalityConstraint, ...]
+    branches: list[tuple[int, CellGraph]]
+    constraints: list[CardinalityConstraint]
     cvars: tuple[str, ...]
     base_weights: dict[str, int]
     compile_secs: float
@@ -706,11 +705,11 @@ class MergedSentence:
 
         The symbolic caps are the largest targets over the valid n, and each
         n reads its own coefficient.  A pass depends only on the merged
-        graph, the length and the caps, so each branch is looked up under
-        those three in memo (a fresh dict when None), and evaluate_cell_sum
-        runs only on a miss.  The caller owns the dict and decides how long
-        it lives; a pass cut short by the deadline stores nothing, so every
-        stored pass is complete.
+        graph (_merge_cells), the length and the caps, so each branch is
+        merged and looked up under those three in memo (a fresh dict when
+        None), and evaluate_cell_sum runs only on a miss.  The caller owns
+        the dict and decides how long it lives; a pass cut short by the
+        deadline stores nothing, so every stored pass is complete.
         """
         if length < 1:
             raise ValueError("length must be at least 1")
@@ -721,7 +720,8 @@ class MergedSentence:
         caps = tuple(map(max, zip(*valid))) if self.cvars else None
         memo = {} if memo is None else memo
         out = [0] * length
-        for factor, merged in self.branches:
+        for factor, g in self.branches:
+            merged = _merge_cells(g)
             key = (merged, length, caps)
             sums = memo.get(key)
             if sums is None:
@@ -733,48 +733,6 @@ class MergedSentence:
             for p, t in zip(self.cvars, mono or ()):
                 out[i] *= pow_value(self.base_weights[p], t)
         return out
-
-
-@dataclass
-class CompiledSentence:
-    """A sentence compiled to one cell graph per nullary branch, with the
-    cardinality constraints its counting quantifiers became."""
-
-    branches: list[tuple[int, CellGraph]]
-    constraints: list[CardinalityConstraint]
-    cvars: tuple[str, ...]
-    base_weights: dict[str, int]
-    compile_secs: float
-
-    def merged(self, shared: dict | None = None) -> MergedSentence:
-        """The form a spectrum reads, each branch's graph merged once.
-
-        Merged graphs are looked up in shared (a fresh dict when None), so
-        that the forms made with one dict hold one object per distinct
-        merged graph: a search keeps one dict, and its kept sentences'
-        forms share their graphs as their spectra share DP passes.
-        """
-        shared = {} if shared is None else shared
-        branches = []
-        for factor, g in self.branches:
-            m = _merge_cells(g)
-            branches.append((factor, shared.setdefault(m, m)))
-        return MergedSentence(
-            tuple(branches),
-            tuple(self.constraints),
-            self.cvars,
-            self.base_weights,
-            self.compile_secs,
-        )
-
-    def values(
-        self,
-        length: int,
-        deadline: float | None = None,
-        memo: dict | None = None,
-    ) -> list[int]:
-        """Weighted counts for n = 1 .. length (MergedSentence.values)."""
-        return self.merged().values(length, deadline, memo)
 
     def value_at(self, n: int, deadline: float | None = None) -> int:
         if n < 1:
@@ -811,7 +769,7 @@ def wfomc(s: Sentence, n: int, weights: WeightMap | None = None) -> int:
 
 
 def compute_spectrum(
-    s: Sentence | MergedSentence,
+    s: Sentence | CompiledSentence,
     length: int,
     weights: WeightMap | None = None,
     budget_secs: float | None = None,
@@ -819,16 +777,15 @@ def compute_spectrum(
 ) -> Spectrum:
     """Model counts for n = 1 .. length.
 
-    s is a sentence, compiled here with weights, or the merged form of one
-    compiled already (CompiledSentence.merged), whose weights are in it.
-    Either way the compile counts against the budget: the deadline is the
-    budget after now, less the compile's recorded time.  All terms come
-    out of one pass, so a budget that runs out before the pass ends leaves
-    no terms and the spectrum is marked truncated.  memo is passed to
-    MergedSentence.values, so that spectra computed with one dict share
-    their cell-DP passes.
+    s is a sentence, compiled here with weights, or one compiled already,
+    whose weights are in it.  Either way the compile counts against the
+    budget: the deadline is the budget after now, less the compile's
+    recorded time.  All terms come out of one pass, so a budget that runs
+    out before the pass ends leaves no terms and the spectrum is marked
+    truncated.  memo is passed to CompiledSentence.values, so that spectra
+    computed with one dict share their cell-DP passes.
     """
-    form = s if isinstance(s, MergedSentence) else compile_sentence(s, weights).merged()
+    form = s if isinstance(s, CompiledSentence) else compile_sentence(s, weights)
     deadline = None
     if budget_secs is not None:
         deadline = time.monotonic() + budget_secs - form.compile_secs
@@ -877,7 +834,6 @@ def _graph_serial(g: CellGraph, perm: Sequence[int]) -> str:
 
 def spectrum_fingerprint(
     s: Sentence,
-    weights: WeightMap | None = None,
     memo: dict | None = None,
     compiled: CompiledSentence | None = None,
 ) -> bytes:
@@ -898,11 +854,11 @@ def spectrum_fingerprint(
     _graph_serial is looked up under those three in memo (a fresh dict
     when None) and runs only on a miss.  The caller owns the dict and
     decides how long it lives: generate keeps one per search in its
-    GenState.  compiled is s compiled with weights, for a caller that has
-    it already (classify keeps it for the spectrum); s is compiled here
+    GenState.  compiled is s compiled, for a caller that has it already
+    (classify computes the spectrum from it); s is compiled here
     otherwise.
     """
-    comp = compiled or compile_sentence(s, weights)
+    comp = compiled or compile_sentence(s)
     k = len(comp.cvars)
     memo = {} if memo is None else memo
 

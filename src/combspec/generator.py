@@ -36,11 +36,12 @@ verdict's cost changes.  The images of each clause are kept in one dict
 per search (GenState.images), not on the clause, since an image is often
 the clause itself.
 
-classify compiles a candidate once, for its fingerprint.  For a new
-sentence it keeps that compiled form, merged (CompiledSentence.merged)
-through one dict per search so that equal merged graphs are one object,
-and GenResult.forms hands it on: a spectrum computed from it compiles
-nothing again, and the compile's time still counts against its budget.
+classify compiles a candidate once, for its fingerprint.  When generate
+is given a spectrum length, classify computes a new sentence's spectrum
+from that compiled form as it keeps it, with one dict of cell-DP passes
+per search, so nothing compiled outlives its classification.  The
+compile's time counts against the spectrum's own budget, and the
+search's budget_secs covers the spectra as it covers the filters.
 
 Candidates are built from a small pool of clauses, so the search interns
 each clause it builds in one dict per search (GenState.clauses), keyed by
@@ -69,7 +70,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from . import engine
-from .engine import MergedSentence, spectrum_fingerprint
+from .engine import Spectrum, spectrum_fingerprint
 from .logic import (
     EXISTS,
     FORALL,
@@ -455,10 +456,13 @@ class GenState:
     seen_spectrum: set[bytes] = field(default_factory=set)
     # cell-graph labellings, shared by the fingerprints of one search
     labels: dict = field(default_factory=dict)
-    # merged cell graphs, one object each, shared by the kept forms
-    merged: dict = field(default_factory=dict)
-    # the merged compiled form of each new sentence
-    forms: dict[Sentence, MergedSentence] = field(default_factory=dict)
+    # the spectrum length and per-spectrum budget; no length, no spectra
+    length: int | None = None
+    spectrum_secs: float | None = None
+    # cell-DP passes, shared by the spectra of one search
+    passes: dict = field(default_factory=dict)
+    # the spectrum of each new sentence
+    spectra: dict[Sentence, Spectrum] = field(default_factory=dict)
     # one object per distinct clause the search builds, by prefix and
     # body, so that each clause's cached facts are computed once
     clauses: dict[tuple, Clause] = field(default_factory=dict)
@@ -537,7 +541,8 @@ def _prove_images(s: Sentence, state: GenState) -> None:
 
 def classify(s: Sentence, state: GenState) -> str:
     """Verdict for one candidate; registers its keys when retained, and
-    keeps a new sentence's merged compiled form in state.forms.
+    puts a new sentence's spectrum in state.spectra when state has a
+    length.
 
     A candidate that reaches the duplicate check marks its generator
     images among the layer's unclassified candidates (state.pending).  A
@@ -572,7 +577,10 @@ def classify(s: Sentence, state: GenState) -> str:
     if fkey in state.seen_spectrum:
         return "spectrum_duplicate"
     state.seen_spectrum.add(fkey)
-    state.forms[s] = compiled.merged(state.merged)
+    if state.length is not None:
+        state.spectra[s] = engine.compute_spectrum(
+            compiled, state.length, budget_secs=state.spectrum_secs, memo=state.passes
+        )
     return "new"
 
 
@@ -582,8 +590,8 @@ class GenResult:
     hidden: list[list[tuple[Sentence, str]]]
     counts: list[Counter]
     truncated: bool = False
-    # each kept sentence's merged compiled form, for its spectrum
-    forms: dict[Sentence, MergedSentence] = field(default_factory=dict)
+    # each kept sentence's spectrum, when generate was given a length
+    spectra: dict[Sentence, Spectrum] = field(default_factory=dict)
 
     def all_kept(self) -> list[Sentence]:
         return [s for layer in self.kept for s in layer]
@@ -593,12 +601,20 @@ def generate(
     limits: GenLimits,
     layers: int,
     budget_secs: float | None = None,
+    length: int | None = None,
+    spectrum_secs: float | None = None,
 ) -> GenResult:
-    """Run the layered search; deterministic for fixed limits and layers."""
+    """Run the layered search; deterministic for fixed limits and layers.
+
+    With a length, each kept sentence's spectrum of that length is
+    computed as it is kept (by layer, then by text within a layer), each
+    within spectrum_secs, and lands in GenResult.spectra."""
     pool = initial_clauses(limits)
-    state = GenState(generators=_generators(limits))
+    state = GenState(
+        generators=_generators(limits), length=length, spectrum_secs=spectrum_secs
+    )
     frontier: Iterable[Sentence] = [Sentence(frozenset([c])) for c in pool]
-    result = GenResult([], [], [], forms=state.forms)
+    result = GenResult([], [], [], spectra=state.spectra)
     deadline = time.monotonic() + budget_secs if budget_secs is not None else None
 
     for layer in range(1, layers + 1):

@@ -1,11 +1,15 @@
 """JSON-Lines store for computed spectra.
 
-One record per sentence, append-only.  A new spectrum is a duplicate when
-its prefix agrees with a stored unique record's on their common length (at
-least five terms), and product-redundant when it factors termwise into two
-stored unique spectra.  Both are found by hash lookup on indexes kept up to
-date as records arrive, so an insert does not scan the store.  Terms are
-serialized as decimal strings since they routinely exceed every
+Append-only, with one record per sentence, except that re-inserting a
+sentence whose latest record is truncated appends one that supersedes it.
+A new spectrum is a duplicate when its prefix agrees with a stored unique
+record's on their common length (at least five terms), and
+product-redundant when it factors termwise into two stored unique
+spectra.  A truncated spectrum that is neither takes the status
+truncated, never unique, so it neither stands for a sequence nor shadows
+a whole one.  Both relations are found by hash lookup on indexes kept up
+to date as records arrive, so an insert does not scan the store.  Terms
+are serialized as decimal strings since they routinely exceed every
 fixed-width integer.
 """
 
@@ -49,14 +53,18 @@ class Record:
 
     @classmethod
     def from_json(cls, line: str) -> "Record":
+        """The record on one line; a truncated unique one, as older files
+        hold, reads as truncated."""
         doc = json.loads(line)
         product = doc.get("product_of")
+        truncated = doc.get("truncated", False)
+        status = doc["status"]
         return cls(
             id=doc["id"],
             sentence=doc["sentence"],
             spectrum=tuple(int(t) for t in doc["spectrum"]),
-            truncated=doc.get("truncated", False),
-            status=doc["status"],
+            truncated=truncated,
+            status="truncated" if truncated and status == "unique" else status,
             duplicate_of=doc.get("duplicate_of"),
             product_of=tuple(product) if product else None,
             layer=doc.get("layer"),
@@ -100,6 +108,7 @@ class SpectrumDB:
         that is not a record raises OSError naming the file and line."""
         self.path = Path(path)
         self._records: list[Record] = []
+        # each sentence's latest record
         self._by_sentence: dict[str, Record] = {}
         self._heads: dict[frozenset[int], dict[tuple, list[Record]]] = {}
         self._by_second: dict[int, list[Record]] = {}
@@ -138,9 +147,8 @@ class SpectrumDB:
         return list(self._records)
 
     def unique_records(self) -> list[Record]:
-        """Unique records with whole spectra; a truncated one is never
-        unique, as in stats."""
-        return [r for r in self._records if r.status == "unique" and not r.truncated]
+        """Records that stand for a sequence of their own."""
+        return [r for r in self._records if r.status == "unique"]
 
     def _find_duplicate(self, spectrum: Sequence[int]) -> Record | None:
         # the empty mask keys on the first MIN_OVERLAP terms themselves
@@ -198,9 +206,11 @@ class SpectrumDB:
         layer: int | None = None,
         profile: str | None = None,
     ) -> Record:
-        """Classify and append; re-inserting a sentence returns its record."""
+        """Classify and append.  Re-inserting a sentence returns its
+        record when that is whole, and appends a new one when it is
+        truncated, so a later run can complete it."""
         existing = self._by_sentence.get(sentence)
-        if existing is not None:
+        if existing is not None and not existing.truncated:
             return existing
         spectrum = tuple(int(t) for t in spectrum)
         status, dup_of, prod_of = "unique", None, None
@@ -211,6 +221,8 @@ class SpectrumDB:
             prod = self._find_product(spectrum, lambda r: r.status == "unique")
             if prod is not None:
                 status, prod_of = "product_redundant", prod
+            elif truncated:
+                status = "truncated"
         rec = Record(
             id=len(self._records),
             sentence=sentence,

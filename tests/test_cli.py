@@ -111,9 +111,25 @@ def test_generate_never_counts_a_truncated_spectrum_as_unique(tmp_path, capsys):
     # the records themselves keep their truncation flag and status
     records = [json.loads(line) for line in db.read_text().splitlines()]
     assert records and all(r["truncated"] for r in records)
+    assert all(r["status"] == "truncated" for r in records)
     code, out = run(capsys, "db", "stats", "--db", str(db))
     assert code == 0
     assert json.loads(out) == {"total": 40, "truncated": 40, "matched": 0}
+
+
+def test_a_budgeted_run_does_not_hold_back_the_next_one(tmp_path, capsys):
+    argv = ["generate", "--profile", "fo2-paper", "--layers", "2", "--json"]
+    db = str(tmp_path / "t.jsonl")
+    code, _ = run(capsys, *argv, "--budget-secs", "0.000001", "--db", db)
+    assert code == 4
+    code, out = run(capsys, *argv, "--db", db)
+    assert code == 0
+    code, fresh = run(capsys, *argv, "--db", str(tmp_path / "fresh.jsonl"))
+    assert code == 0
+    assert json.loads(out)["layers"] == json.loads(fresh)["layers"]
+    # each sentence's latest record is whole
+    latest = {r.sentence: r for r in SpectrumDB(db).records()}
+    assert len(latest) == 40 and not any(r.truncated for r in latest.values())
 
 
 def test_oeis_db_queries_no_truncated_spectrum(tmp_path, capsys):

@@ -7,10 +7,10 @@ references that compute them afresh, candidates that hold only their
 clause set, the spectra of dropped and hidden
 candidates against the kept ones, canonical labellings against the reference
 refinement, the engine against the brute-force oracle, spectra that share
-cell-DP passes against spectra computed one by one, the spectra of the
-search's carried compiled forms against fresh ones, the cell order against
-the reference greedy, and fingerprints that share cell-graph labellings
-against fingerprints computed one by one."""
+cell-DP passes against spectra computed one by one, the spectra that the
+search computes as it keeps each sentence against fresh ones, the cell
+order against the reference greedy, and fingerprints that share
+cell-graph labellings against fingerprints computed one by one."""
 
 from typing import NamedTuple
 
@@ -54,10 +54,10 @@ class Recorded(NamedTuple):
     classified: list
 
 
-def _recorded_generate(limits, layers):
-    """The search, with the arguments and result of every cell graph it
-    builds, every refuter verdict, every labelling input and every
-    candidate's verdict."""
+def _recorded_generate(limits, layers, length=None):
+    """The search, computing spectra of length when given one, with the
+    arguments and result of every cell graph it builds, every refuter
+    verdict, every labelling input and every candidate's verdict."""
     graphs, refuted, labellings, classified = [], [], [], []
     build, refute, label, classify = (
         engine.build_cell_graph,
@@ -94,7 +94,7 @@ def _recorded_generate(limits, layers):
     logic.canonical_labelling = labelling("logic")
     engine.canonical_labelling = labelling("engine")
     try:
-        result = generate(limits, layers)
+        result = generate(limits, layers, length=length)
     finally:
         engine.build_cell_graph = build
         generator.is_refuted = refute
@@ -103,14 +103,15 @@ def _recorded_generate(limits, layers):
     return Recorded(result, graphs, refuted, labellings, classified)
 
 
+# the fo2 and c2 searches compute their spectra, as generate --db runs them
 @pytest.fixture(scope="module")
 def fo2():
-    return _recorded_generate(FO2_LIMITS, 4)
+    return _recorded_generate(FO2_LIMITS, 4, length=10)
 
 
 @pytest.fixture(scope="module")
 def c2():
-    return _recorded_generate(C2_LIMITS, 3)
+    return _recorded_generate(C2_LIMITS, 3, length=10)
 
 
 @pytest.fixture(scope="module")
@@ -294,22 +295,28 @@ def test_cell_order_cuts_the_fo2_dp_iterations(fo2):
 
 
 @pytest.mark.parametrize("search", ["fo2", "c2"])
-def test_carried_forms_give_the_fresh_spectra(search, request):
+def test_search_spectra_are_the_fresh_spectra(search, request):
     result = request.getfixturevalue(search).result
     kept = result.all_kept()
-    assert set(result.forms) == set(kept)
-    # shared passes, as generate --db runs them; c2 forms carry caps
-    memo: dict = {}
+    assert list(result.spectra) == kept
+    # the search shares its passes; c2 sentences carry symbolic caps
     for s in kept:
-        carried = compute_spectrum(result.forms[s], 10, memo=memo)
-        assert carried == compute_spectrum(s, 10), s.render()
+        assert result.spectra[s] == compute_spectrum(s, 10), s.render()
 
 
-def test_fo2_forms_share_one_object_per_merged_graph(fo2):
-    forms = fo2.result.forms.values()
-    graphs = [m for form in forms for _, m in form.branches]
-    assert len(graphs) == 2144
-    assert len({id(m) for m in graphs}) == len(set(graphs)) == 408
+def test_a_search_without_a_length_merges_no_cell_graph(monkeypatch):
+    merges = []
+    merge = engine._merge_cells
+
+    def merging(g):
+        merges.append(g)
+        return merge(g)
+
+    monkeypatch.setattr(engine, "_merge_cells", merging)
+    result = generate(C2_LIMITS, 3)
+    assert len(result.all_kept()) == 382
+    assert result.spectra == {}
+    assert merges == []
 
 
 def _search_fingerprints(limits, layers, fingerprint):
@@ -317,9 +324,9 @@ def _search_fingerprints(limits, layers, fingerprint):
     every sentence it was asked to fingerprint."""
     asked = []
 
-    def recording(s, weights=None, memo=None, compiled=None):
+    def recording(s, memo=None, compiled=None):
         asked.append(s)
-        return fingerprint(s, weights, memo, compiled)
+        return fingerprint(s, memo, compiled)
 
     real = generator.spectrum_fingerprint
     generator.spectrum_fingerprint = recording
@@ -349,7 +356,7 @@ def test_shared_labellings_give_the_fingerprints_of_separate_ones(search, reques
     alone, asked_alone = _search_fingerprints(
         limits,
         layers,
-        lambda s, weights, memo, compiled: spectrum_fingerprint(s, weights, None, compiled),
+        lambda s, memo, compiled: spectrum_fingerprint(s, None, compiled),
     )
     assert _outcome(alone) == _outcome(result)
     assert asked_alone == asked

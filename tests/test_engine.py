@@ -289,20 +289,20 @@ def test_no_budget_never_truncates():
 
 def test_a_carried_compile_spends_the_budget(monkeypatch):
     # a compile that took the whole budget leaves none for a pass
-    form = compile_sentence(parse_sentence("(V x E y B(x,y))")).merged()
+    compiled = compile_sentence(parse_sentence("(V x E y B(x,y))"))
 
     def no_pass(*args):
         raise AssertionError("a cell-DP pass ran")
 
     monkeypatch.setattr(engine, "evaluate_cell_sum", no_pass)
     for secs, budget in ((1.0, 1.0), (5.0, 2.0)):
-        carried = dataclasses.replace(form, compile_secs=secs)
+        carried = dataclasses.replace(compiled, compile_secs=secs)
         assert compute_spectrum(carried, 10, budget_secs=budget) == Spectrum([], True)
 
 
 def test_a_carried_compile_without_a_budget_never_truncates():
-    form = compile_sentence(parse_sentence("(V x E y B(x,y))")).merged()
-    carried = dataclasses.replace(form, compile_secs=1e9)
+    compiled = compile_sentence(parse_sentence("(V x E y B(x,y))"))
+    carried = dataclasses.replace(compiled, compile_secs=1e9)
     out = compute_spectrum(carried, 10)
     assert out == compute_spectrum(parse_sentence("(V x E y B(x,y))"), 10)
     assert not out.truncated and len(out.terms) == 10

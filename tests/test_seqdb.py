@@ -54,6 +54,40 @@ def test_truncated_record_matches_on_common_prefix(tmp_path):
     assert cut.status == "duplicate"
 
 
+def test_a_truncated_record_never_shadows_a_whole_one(tmp_path):
+    db = make_db(tmp_path)
+    cut = db.insert("cut", [2, 6, 26, 162, 1442], truncated=True)
+    long = db.insert("long", [2, 6, 26, 162, 1442, 18306, 330626])
+    assert cut.status == "truncated"
+    assert long.status == "unique" and long.duplicate_of is None
+    assert db.unique_records() == [long]
+    assert make_db(tmp_path).unique_records() == [long]
+
+
+def test_an_older_truncated_unique_record_reads_as_truncated(tmp_path):
+    path = tmp_path / "seq.jsonl"
+    path.write_text(
+        '{"id": 0, "sentence": "cut", "spectrum": ["2", "6", "26", "162", "1442"],'
+        ' "status": "unique", "truncated": true}\n'
+    )
+    db = SpectrumDB(path)
+    assert [r.status for r in db.records()] == ["truncated"]
+    assert db.insert("long", [2, 6, 26, 162, 1442, 18306]).status == "unique"
+
+
+def test_a_whole_spectrum_supersedes_a_truncated_record(tmp_path):
+    db = make_db(tmp_path)
+    cut = db.insert("(E x U(x))", [], truncated=True)
+    whole = db.insert("(E x U(x))", [1, 3, 7, 15, 31])
+    assert (cut.id, cut.status) == (0, "truncated")
+    assert (whole.id, whole.status) == (1, "unique")
+    # the file keeps both, and the latest record is the sentence's
+    again = make_db(tmp_path)
+    assert [r.status for r in again.records()] == ["truncated", "unique"]
+    assert again.insert("(E x U(x))", [1, 3, 7, 15, 31]) == whole
+    assert again.stats()["total"] == 2
+
+
 def test_square_is_product_redundant(tmp_path):
     db = make_db(tmp_path)
     base = db.insert("base", [1, 3, 7, 15, 31, 63])
@@ -240,7 +274,7 @@ class LinearReference:
                     return (f.id, m.id)
         return None
 
-    def insert(self, spectrum):
+    def insert(self, spectrum, truncated):
         rec = SimpleNamespace(
             id=len(self.recs), spectrum=tuple(spectrum), status="unique",
             duplicate_of=None, product_of=None,
@@ -255,6 +289,8 @@ class LinearReference:
             prod = self._product(rec.spectrum, unique)
             if prod is not None:
                 rec.status, rec.product_of = "product_redundant", prod
+            elif truncated:
+                rec.status = "truncated"
         self.recs.append(rec)
 
     def reclassify_products(self):
@@ -311,8 +347,9 @@ def test_indexed_store_matches_linear_reference(tmp_path):
         for i, terms in enumerate(spectra):
             if i == cut:
                 db = SpectrumDB(path)
-            db.insert(f"s{i}", terms, truncated=rng.random() < 0.2)
-            ref.insert(terms)
+            truncated = rng.random() < 0.2
+            db.insert(f"s{i}", terms, truncated=truncated)
+            ref.insert(terms, truncated)
 
         def fields(recs):
             return [(r.status, r.duplicate_of, r.product_of) for r in recs]
