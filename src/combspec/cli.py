@@ -194,7 +194,7 @@ def cmd_db(args: argparse.Namespace) -> int:
     if args.db_command == "stats":
         print(json.dumps(db.stats()))
         return EXIT_OK
-    records = db.records()
+    records = db.latest_records()
     if args.status:
         records = [r for r in records if r.status == args.status]
     for rec in records:

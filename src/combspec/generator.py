@@ -20,21 +20,35 @@ Dropping is reserved for cases whose refinements are provably covered
 elsewhere; hiding keeps the search complete while skipping output whose
 spectrum is derivable from a simpler sentence.
 
-Both "the same" tests label a graph with one search,
-logic.canonical_labelling: canonical_key labels a graph of the sentence
-itself, spectrum_fingerprint the cell graphs of its compiled form.
-Neither has a size limit, so every candidate gets both checks.
+spectrum_fingerprint labels the cell graphs of a candidate's compiled
+form with logic.canonical_labelling, which has no size limit.  The
+duplicate check gives two candidates one key exactly when canonical_key
+would, by one of two paths that generate chooses once per search from
+the pool:
 
-Most duplicates are proved, not labelled.  The group canonical_key
-divides by is generated by flipping one pool predicate, transposing one
-binary one, exchanging two adjacent ones of one arity and swapping x and
-y in one swappable clause.  A candidate that reaches the duplicate check
-marks its image under each generator, when that image is a later
-candidate of its layer; a marked candidate has the key of one already
-seen, so classify calls it a duplicate without labelling it.  Only the
-verdict's cost changes.  The images of each clause are kept in one dict
-per search (GenState.images), not on the clause, since an image is often
-the clause itself.
+  one predicate of each arity at most (both paper profiles): the group
+      canonical_key divides by is every product of flipping the unary
+      predicate, flipping the binary one and transposing it, at most 8
+      literal maps, with the x-y swap of each swappable clause, which
+      commutes with them.  A candidate's key is the least, over the
+      maps, of the sorted numbers of its clauses' images, where a
+      swappable image counts as the lesser of itself and its swap.  Each
+      clause's row of numbers is computed once per search
+      (GenState.rows), and nothing is labelled.
+  any other pool: the group also renames predicates and grows too large
+      to enumerate, so canonical_key labels a graph of the sentence, and
+      most duplicates are proved instead.  The group is generated by
+      flipping one pool predicate, transposing one binary one, exchanging
+      two adjacent ones of one arity and swapping x and y in one
+      swappable clause.  A candidate that reaches the duplicate check
+      marks its image under each generator, when that image is a later
+      candidate of its layer (GenState.pending); a marked candidate has
+      the key of one already seen, so classify calls it a duplicate
+      without labelling it.  The images of each clause are kept in one
+      dict per search (GenState.images), not on the clause, since an
+      image is often the clause itself.
+
+Only the verdict's cost depends on the path.
 
 classify compiles a candidate once, for its fingerprint.  When generate
 is given a spectrum length, classify computes a new sentence's spectrum
@@ -452,7 +466,16 @@ HIDDEN = ("trivial", "reflexive", "subsumed", "spectrum_duplicate")
 
 @dataclass
 class GenState:
-    seen_canonical: set[bytes] = field(default_factory=set)
+    """What one search learns as it classifies: the keys registered so
+    far, the interned clauses and their cached images, and, when generate
+    is given a length, the spectra.  The duplicate check takes one of two
+    paths, set by generate from the pool: group holds every element of
+    the key group on a pool with at most one predicate of each arity, and
+    generators holds the group's generators on any other.  A bare
+    GenState() has neither and labels every candidate."""
+
+    # canonical keys: labellings, or orbit keys on the group path
+    seen_canonical: set = field(default_factory=set)
     seen_spectrum: set[bytes] = field(default_factory=set)
     # cell-graph labellings, shared by the fingerprints of one search
     labels: dict = field(default_factory=dict)
@@ -470,13 +493,18 @@ class GenState:
     # a clause of one or of two variables may gain
     extensions: dict[Clause, list[Clause]] = field(default_factory=dict)
     options: dict[int, list[Literal]] = field(default_factory=dict)
-    # the literal maps of the key group's generators, set by generate; a
-    # state without them proves nothing and labels every candidate
-    generators: list[dict[Literal, Literal]] = field(default_factory=list)
-    # each clause's image under each generator, then under its x-y swap
-    images: dict[Clause, tuple[Clause, ...]] = field(default_factory=dict)
-    # the layer's unclassified candidates, by clause set, each True once
+    # group path: the literal map of each element of the key group, a
+    # number for each interned clause, and each clause's row of image
+    # numbers, one per element
+    group: list[dict[Literal, Literal]] = field(default_factory=list)
+    ids: dict[Clause, int] = field(default_factory=dict)
+    rows: dict[Clause, tuple[int, ...]] = field(default_factory=dict)
+    # labelling path: the literal maps of the key group's generators, each
+    # clause's image under each generator, then under its x-y swap, and the
+    # layer's unclassified candidates, by clause set, each True once
     # proved a duplicate
+    generators: list[dict[Literal, Literal]] = field(default_factory=list)
+    images: dict[Clause, tuple[Clause, ...]] = field(default_factory=dict)
     pending: dict[frozenset[Clause], bool] = field(default_factory=dict)
 
 
@@ -539,27 +567,75 @@ def _prove_images(s: Sentence, state: GenState) -> None:
             state.pending[image] = True
 
 
+def _key_group(
+    generators: list[dict[Literal, Literal]],
+) -> list[dict[Literal, Literal]]:
+    """Every product of commuting generators, each as the literal map of
+    its moved literals, the identity first."""
+    group: list[dict[Literal, Literal]] = [{}]
+    for m in generators:
+        for h in list(group):
+            product = {}
+            for lit in h.keys() | m.keys():
+                image = h.get(lit, lit)
+                product[lit] = m.get(image, image)
+            group.append(product)
+    return group
+
+
+def _orbit_row(c: Clause, state: GenState) -> tuple[int, ...]:
+    """The number of c's image under each element of state.group; a
+    swappable image counts as the lesser of itself and its x-y swap.
+    Images are interned and numbered in the order they are first met."""
+    row = state.rows.get(c)
+    if row is None:
+        numbers = []
+        for m in state.group:
+            body = frozenset(m.get(lit, lit) for lit in c.body)
+            image = _interned(c.prefix, body, state)
+            alike = [image]
+            if image.swappable:
+                alike.append(_interned(c.prefix, image.images["y", "x"], state))
+            numbers.append(min(state.ids.setdefault(a, len(state.ids)) for a in alike))
+        row = state.rows[c] = tuple(numbers)
+    return row
+
+
+def _orbit_key(s: Sentence, state: GenState) -> tuple[int, ...]:
+    """The least, over the elements of state.group, of the sorted numbers
+    of s's clause images.  The elements commute with every clause's x-y
+    swap, so two sentences share it exactly when canonical_key would
+    give them one key."""
+    rows = [_orbit_row(c, state) for c in s.clauses]
+    return min(tuple(sorted(column)) for column in zip(*rows))
+
+
 def classify(s: Sentence, state: GenState) -> str:
     """Verdict for one candidate; registers its keys when retained, and
     puts a new sentence's spectrum in state.spectra when state has a
     length.
 
-    A candidate that reaches the duplicate check marks its generator
-    images among the layer's unclassified candidates (state.pending).  A
-    marked candidate has the key of an earlier one, which is registered
-    already, so it is a duplicate without a labelling."""
-    proved = state.pending.pop(s.clauses, False)
+    The duplicate check keys a candidate by _orbit_key when state has a
+    group, and by canonical_key otherwise.  With generators, a candidate
+    that reaches the check first marks its generator images among the
+    layer's unclassified candidates (state.pending).  A marked candidate
+    has the key of an earlier one, which is registered already, so it is
+    a duplicate without a labelling."""
+    proved = state.pending.pop(s.clauses, False) if state.generators else False
     if is_tautological(s):
         return "tautology"
     if is_refuted(s):
         return "refuted"
     if is_decomposable(s):
         return "decomposable"
-    if state.generators:
-        _prove_images(s, state)
-    if proved:
-        return "duplicate"
-    key = canonical_key(s)
+    if state.group:
+        key = _orbit_key(s, state)
+    else:
+        if state.generators:
+            _prove_images(s, state)
+        if proved:
+            return "duplicate"
+        key = canonical_key(s)
     if key in state.seen_canonical:
         return "duplicate"
     state.seen_canonical.add(key)
@@ -608,11 +684,18 @@ def generate(
 
     With a length, each kept sentence's spectrum of that length is
     computed as it is kept (by layer, then by text within a layer), each
-    within spectrum_secs, and lands in GenResult.spectra."""
+    within spectrum_secs, and lands in GenResult.spectra.
+
+    A pool with at most one predicate of each arity has a key group of at
+    most 8 literal maps, which the duplicate check enumerates; any other
+    pool's group is larger, and the check labels."""
     pool = initial_clauses(limits)
-    state = GenState(
-        generators=_generators(limits), length=length, spectrum_secs=spectrum_secs
-    )
+    state = GenState(length=length, spectrum_secs=spectrum_secs)
+    generators = _generators(limits)
+    if limits.unary <= 1 and limits.binary <= 1:
+        state.group = _key_group(generators)
+    else:
+        state.generators = generators
     frontier: Iterable[Sentence] = [Sentence(frozenset([c])) for c in pool]
     result = GenResult([], [], [], spectra=state.spectra)
     deadline = time.monotonic() + budget_secs if budget_secs is not None else None
@@ -620,7 +703,8 @@ def generate(
     for layer in range(1, layers + 1):
         # clauses are alpha-normalised, so value equality is text equality
         candidates = sorted(set(frontier), key=Sentence.render)
-        state.pending = dict.fromkeys((s.clauses for s in candidates), False)
+        if state.generators:
+            state.pending = dict.fromkeys((s.clauses for s in candidates), False)
         kept: list[Sentence] = []
         hidden: list[tuple[Sentence, str]] = []
         counts: Counter = Counter()

@@ -146,6 +146,10 @@ class SpectrumDB:
     def records(self) -> list[Record]:
         return list(self._records)
 
+    def latest_records(self) -> list[Record]:
+        """Each sentence's latest record, in id order."""
+        return [r for r in self._records if self._by_sentence[r.sentence] is r]
+
     def unique_records(self) -> list[Record]:
         """Records that stand for a sequence of their own."""
         return [r for r in self._records if r.status == "unique"]
@@ -277,10 +281,15 @@ class SpectrumDB:
         tmp.replace(self.path)
 
     def stats(self) -> dict[str, int]:
-        """Record counts by status; a truncated record counts as truncated."""
+        """Counts by status of each sentence's latest record, where a
+        truncated record counts as truncated; a record that a later one
+        superseded counts as superseded, so total counts every record."""
         out = {"total": len(self._records)}
         for rec in self._records:
-            key = "truncated" if rec.truncated else rec.status
+            if self._by_sentence[rec.sentence] is not rec:
+                key = "superseded"
+            else:
+                key = "truncated" if rec.truncated else rec.status
             out[key] = out.get(key, 0) + 1
         out["matched"] = sum(1 for r in self._records if r.oeis)
         return out

@@ -157,6 +157,30 @@ class PredicateTransform:
         return Literal(Predicate(new_name, lit.pred.arity), args, negated)
 
 
+def random_transform(s: Sentence, rng: random.Random) -> Sentence:
+    """Rename within each arity, flip signs and transpose at random, then
+    swap the variables of each swappable clause with probability 1/2."""
+    rename = {}
+    for arity in (1, 2):
+        names = sorted(p.name for p in s.predicates if p.arity == arity)
+        rename.update(zip(names, rng.sample(names, len(names))))
+    names = [p.name for p in s.predicates]
+    binaries = [p.name for p in s.predicates if p.arity == 2]
+    t = PredicateTransform(
+        rename,
+        frozenset(n for n in names if rng.random() < 0.5),
+        frozenset(n for n in binaries if rng.random() < 0.5),
+    )
+    out = []
+    for c in apply_transform(s, t).clauses:
+        swappable = c.nvars == 2 and c.prefix[0] == c.prefix[1] and not c.is_counting
+        if swappable and rng.random() < 0.5:
+            swapped = frozenset(l.substitute({"x": "y", "y": "x"}) for l in c.body)
+            c = Clause(c.prefix, swapped)
+        out.append(c)
+    return sentence(out)
+
+
 def _clause_text(clause: Clause, t: PredicateTransform) -> str:
     lits = [t.apply_literal(l) for l in clause.body]
     head = " ".join(f"{q.render()} {v}" for q, v in zip(clause.prefix, VARS))
@@ -200,17 +224,21 @@ def sweep_key(s: Sentence) -> bytes:
 
 
 def record_duplicate_checks(mp) -> list:
-    """Wrap generator.classify and generator.canonical_key through the
+    """Wrap generator.classify and the two keys it may use,
+    generator.canonical_key and generator._orbit_key, through the
     monkeypatch mp.  The list returned gets (sentence, verdict, key) for
-    each classified candidate, in order: key is its canonical_key, or None
-    when it was not labelled."""
-    classify, key = generator.classify, generator.canonical_key
+    each classified candidate, in order: key is the key the search used,
+    or None when it used none."""
+    classify = generator.classify
     checks: list = []
     keys: list = []
 
-    def keying(s):
-        keys.append(key(s))
-        return keys[-1]
+    def recording(key):
+        def keying(*args):
+            keys.append(key(*args))
+            return keys[-1]
+
+        return keying
 
     def classifying(s, state):
         keys.clear()
@@ -218,7 +246,8 @@ def record_duplicate_checks(mp) -> list:
         checks.append((s, verdict, keys[0] if keys else None))
         return verdict
 
-    mp.setattr(generator, "canonical_key", keying)
+    for name in ("canonical_key", "_orbit_key"):
+        mp.setattr(generator, name, recording(getattr(generator, name)))
     mp.setattr(generator, "classify", classifying)
     return checks
 
@@ -226,11 +255,11 @@ def record_duplicate_checks(mp) -> list:
 def check_against_the_sweep(checks, counts) -> tuple[bool, list[str]]:
     """Check a search's duplicate checks against sweep_key.  checks is
     the list record_duplicate_checks filled, counts the search's per-layer
-    verdict counts.  Returns whether the labelled candidates' keys split them as
-    the sweep does, and the proved duplicates (those that reached the
-    check unlabelled) whose sweep key no earlier candidate of their layer
+    verdict counts.  Returns whether the keyed candidates' keys split them
+    as the sweep does, and the proved duplicates (those that reached the
+    check unkeyed) whose sweep key no earlier candidate of their layer
     that reached it has."""
-    labelled, sweeps, unproved = [], [], []
+    keyed, sweeps, unproved = [], [], []
     start = 0
     for layer in counts:
         end = start + sum(layer.values())
@@ -240,14 +269,14 @@ def check_against_the_sweep(checks, counts) -> tuple[bool, list[str]]:
                 continue
             sweep = sweep_key(s)
             if key is not None:
-                labelled.append(key)
+                keyed.append(key)
                 sweeps.append(sweep)
             elif verdict != "duplicate" or sweep not in seen:
                 unproved.append(s.render())
             seen.add(sweep)
         start = end
     assert start == len(checks)
-    return same_partition(labelled, sweeps), unproved
+    return same_partition(keyed, sweeps), unproved
 
 
 def reference_classify(s: Sentence, state: GenState) -> str:

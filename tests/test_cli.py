@@ -130,6 +130,18 @@ def test_a_budgeted_run_does_not_hold_back_the_next_one(tmp_path, capsys):
     # each sentence's latest record is whole
     latest = {r.sentence: r for r in SpectrumDB(db).records()}
     assert len(latest) == 40 and not any(r.truncated for r in latest.values())
+    # stats and export read the latest records; the 40 truncated ones are
+    # superseded
+    stats = json.loads(out)["db"]
+    code, out = run(capsys, "db", "stats", "--db", db)
+    assert code == 0
+    assert json.loads(out) == stats
+    fresh_stats = json.loads(fresh)["db"]
+    assert stats == fresh_stats | {"total": 80, "superseded": 40}
+    code, out = run(capsys, "db", "export", "--db", db)
+    assert code == 0
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [r["id"] for r in rows] == [r.id for r in latest.values()]
 
 
 def test_oeis_db_queries_no_truncated_spectrum(tmp_path, capsys):

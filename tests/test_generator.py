@@ -40,7 +40,10 @@ from helpers import (
     grounded_refuted,
     kept_cumulative,
     random_sentence,
+    random_transform,
     record_duplicate_checks,
+    same_partition,
+    sweep_key,
     unpruned_layers,
 )
 
@@ -333,16 +336,27 @@ def test_classify_labels_a_cell_graph_with_many_equal_cells():
     assert compute_spectrum(a, 6).terms == compute_spectrum(b, 6).terms
 
 
-def test_canonical_key_partition_matches_the_sweep(c2_limits, monkeypatch):
-    # every key of the c2 L1-L3 search splits the candidates as the
+@pytest.mark.parametrize(
+    "limits, checked, keyed",
+    [
+        # one predicate of each arity: every candidate that reaches the
+        # check is keyed by its orbit
+        (GenLimits(5, 2, 1, 1, 1), 1399, 1399),
+        # two of each: labelled, or proved a duplicate by an image
+        (GenLimits(3, 2, 2, 2), 2477, 937),
+    ],
+    ids=["c2", "wide"],
+)
+def test_canonical_key_partition_matches_the_sweep(limits, checked, keyed, monkeypatch):
+    # every key of the L1-L3 search splits the candidates as the
     # exhaustive transform sweep does, and every proved duplicate has the
     # sweep key of an earlier candidate of its layer; test_l5.py checks the
     # fo2 L1-L5 search
     checks = record_duplicate_checks(monkeypatch)
-    result = generate(c2_limits, 3)
-    checked = [v not in ("tautology", "refuted", "decomposable") for _, v, _ in checks]
-    assert sum(checked) == 1399
-    assert sum(key is not None for _, _, key in checks) == 846
+    result = generate(limits, 3)
+    reached = [v not in ("tautology", "refuted", "decomposable") for _, v, _ in checks]
+    assert sum(reached) == checked
+    assert sum(key is not None for _, _, key in checks) == keyed
     partition, unproved = check_against_the_sweep(checks, result.counts)
     assert partition
     assert not unproved
@@ -409,6 +423,47 @@ def test_a_swap_onto_another_clause_proves_nothing():
     state.pending = dict.fromkeys(merged, False)
     generator._prove_images(s, state)
     assert not any(state.pending.values())
+
+
+@pytest.mark.parametrize(
+    "limits",
+    [GenLimits(3, 2, 1, 1), GenLimits(3, 2, 1, 1, 1), GenLimits(3, 2, 0, 1)],
+    ids=["fo2", "c2", "binary only"],
+)
+def test_orbit_keys_split_sentences_as_the_sweep(limits):
+    # one predicate of each arity: the group holds every product of the
+    # flips and the transposition
+    generators = generator._generators(limits)
+    state = GenState(group=generator._key_group(generators))
+    assert len(state.group) == 2 ** len(generators) == 2 ** (limits.unary + 2)
+    rng = random.Random(30 + limits.unary + limits.max_count)
+    sentences = []
+    for _ in range(80):
+        s = random_sentence(rng, limits)
+        sentences += [s] + [random_transform(s, rng) for _ in range(3)]
+    keys = [generator._orbit_key(s, state) for s in sentences]
+    assert same_partition(keys, [sweep_key(s) for s in sentences])
+    assert 1 < len(set(keys)) < len(keys)
+    counted = any(c.is_counting for s in sentences for c in s.clauses)
+    assert counted == bool(limits.max_count)
+
+
+def test_orbit_key_tells_a_swapped_pair_from_either_clause():
+    # the two clauses are each other's x-y swap: the pair is one orbit,
+    # and each clause alone another
+    limits = GenLimits(3, 2, 1, 1)
+    state = GenState(group=generator._key_group(generator._generators(limits)))
+    texts = [
+        "(V x V y B0(x,y) | U0(x)) & (V x V y B0(y,x) | U0(y))",
+        "(V x V y ~B0(y,x) | ~U0(x)) & (V x V y ~B0(x,y) | ~U0(y))",
+        "(V x V y B0(x,y) | U0(x))",
+        "(V x V y B0(y,x) | U0(y))",
+        "(V x V y B0(x,y) | U0(x)) & (V x V y B0(x,y) | U0(y))",
+    ]
+    sentences = [parse(text) for text in texts]
+    keys = [generator._orbit_key(s, state) for s in sentences]
+    assert same_partition(keys, [sweep_key(s) for s in sentences])
+    assert keys[0] == keys[1] != keys[2] == keys[3] != keys[4] != keys[0]
 
 
 def test_verdict_partition():

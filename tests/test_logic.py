@@ -25,6 +25,7 @@ from combspec.logic import (
 from helpers import (
     PredicateTransform,
     apply_transform,
+    random_transform,
     reference_refine,
     same_partition,
     sweep_key,
@@ -204,36 +205,12 @@ FOUR_THREE = (
 )
 
 
-def _random_transform(s, rng):
-    """Rename within each arity, flip signs and transpose at random, then
-    swap the variables of each swappable clause with probability 1/2."""
-    rename = {}
-    for arity in (1, 2):
-        names = sorted(p.name for p in s.predicates if p.arity == arity)
-        rename.update(zip(names, rng.sample(names, len(names))))
-    names = [p.name for p in s.predicates]
-    binaries = [p.name for p in s.predicates if p.arity == 2]
-    t = PredicateTransform(
-        rename,
-        frozenset(n for n in names if rng.random() < 0.5),
-        frozenset(n for n in binaries if rng.random() < 0.5),
-    )
-    out = []
-    for c in apply_transform(s, t).clauses:
-        swappable = c.nvars == 2 and c.prefix[0] == c.prefix[1] and not c.is_counting
-        if swappable and rng.random() < 0.5:
-            swapped = frozenset(l.substitute({"x": "y", "y": "x"}) for l in c.body)
-            c = Clause(c.prefix, swapped)
-        out.append(c)
-    return sentence(out)
-
-
 def test_canonical_key_invariant_under_random_transforms():
     # 4 unary and 3 binary predicates: 147456 transforms, too many to sweep
     s = parse_sentence(FOUR_THREE)
     key = canonical_key(s)
     rng = random.Random(12)
-    images = {_random_transform(s, rng) for _ in range(60)}
+    images = {random_transform(s, rng) for _ in range(60)}
     assert len(images) > 50
     for t in images:
         assert canonical_key(t) == key, t.render()

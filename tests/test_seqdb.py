@@ -231,6 +231,20 @@ def test_stats_counts_statuses(tmp_path):
     }
 
 
+def test_stats_count_each_sentence_by_its_latest_record(tmp_path):
+    db = make_db(tmp_path)
+    db.insert("a", [1, 3], truncated=True)
+    cut = db.insert("b", [], truncated=True)
+    whole = db.insert("a", [1, 3, 7, 15, 31])
+    assert db.latest_records() == [cut, whole]
+    # the superseded record is still in the file, and in the total
+    want = {"total": 3, "superseded": 1, "truncated": 1, "unique": 1, "matched": 0}
+    assert db.stats() == want
+    again = make_db(tmp_path)
+    assert again.stats() == want
+    assert [r.id for r in again.latest_records()] == [1, 2]
+
+
 def test_unique_records_leave_out_truncated_ones(tmp_path):
     db = make_db(tmp_path)
     whole = db.insert("a", [1, 3, 7, 15, 31, 63])
