@@ -88,6 +88,18 @@ def _at_least_one(value: str | None, default: int, flag: str) -> int:
     return n
 
 
+def _budget(value: str | None, default: float | None) -> float | None:
+    """The --budget-secs option, or its default when unset; NaN or below
+    0 is an error."""
+    if value is None:
+        return default
+    secs = float(value)
+    # NaN compares false with everything, so `not secs >= 0` refuses it too
+    if not secs >= 0:
+        raise ValueError(f"--budget-secs must be at least 0, got {value}")
+    return secs
+
+
 def _limits_from_args(args: argparse.Namespace) -> GenLimits:
     base = dict(PROFILES[args.profile]) if args.profile else {}
     for key in ("ml", "mc", "up", "bp", "k"):
@@ -116,7 +128,7 @@ def cmd_wfomc(args: argparse.Namespace) -> int:
 def cmd_spectrum(args: argparse.Namespace) -> int:
     s = parse_sentence(args.sentence)
     length = _at_least_one(args.length, 10, "--length")
-    budget = float(args.budget_secs) if args.budget_secs is not None else None
+    budget = _budget(args.budget_secs, None)
     sp = compute_spectrum(
         s, length, weights=_weights_from_args(args), budget_secs=budget
     )
@@ -140,7 +152,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     limits = _limits_from_args(args)
     layers = _at_least_one(args.layers, 3, "--layers")
     length = _at_least_one(args.length, 10, "--length")
-    budget = float(args.budget_secs) if args.budget_secs is not None else 30.0
+    budget = _budget(args.budget_secs, 30.0)
     profile = args.profile or "custom"
 
     result = generate(limits, layers, length=length, spectrum_secs=budget)

@@ -23,32 +23,30 @@ spectrum is derivable from a simpler sentence.
 spectrum_fingerprint labels the cell graphs of a candidate's compiled
 form with logic.canonical_labelling, which has no size limit.  The
 duplicate check gives two candidates one key exactly when canonical_key
-would, by one of two paths that generate chooses once per search from
-the pool:
+would, with one mechanism for every pool.  Each interned clause gets a
+number, and a row: the number of its image under each literal map of
+GenState.group, where a swappable image counts as the lesser of itself
+and its x-y swap.  The rows are computed once per search
+(GenState.rows), and a candidate's column for a map is the sorted
+numbers of its clauses' images under it.  Equal columns mean images
+that agree up to the x-y swap of some clauses, so one orbit of the group
+canonical_key divides by.  generate chooses the group once per search
+from the pool:
 
-  one predicate of each arity at most (both paper profiles): the group
-      canonical_key divides by is every product of flipping the unary
-      predicate, flipping the binary one and transposing it, at most 8
-      literal maps, with the x-y swap of each swappable clause, which
-      commutes with them.  A candidate's key is the least, over the
-      maps, of the sorted numbers of its clauses' images, where a
-      swappable image counts as the lesser of itself and its swap.  Each
-      clause's row of numbers is computed once per search
-      (GenState.rows), and nothing is labelled.
+  one predicate of each arity at most (both paper profiles): every
+      product of flipping the unary predicate, flipping the binary one
+      and transposing it, at most 8 literal maps, which commute with
+      every clause's x-y swap.  This group is exact: a candidate's key
+      is its least column, and nothing is labelled.
   any other pool: the group also renames predicates and grows too large
-      to enumerate, so canonical_key labels a graph of the sentence, and
-      most duplicates are proved instead.  The group is generated by
-      flipping one pool predicate, transposing one binary one, exchanging
-      two adjacent ones of one arity and swapping x and y in one
-      swappable clause.  A candidate that reaches the duplicate check
-      marks its image under each generator, when that image is a later
-      candidate of its layer (GenState.pending); a marked candidate has
-      the key of one already seen, so classify calls it a duplicate
-      without labelling it.  The images of each clause are kept in one
-      dict per search (GenState.images), not on the clause, since an
-      image is often the clause itself.
-
-Only the verdict's cost depends on the path.
+      to enumerate (256 maps with two predicates of each arity), so it
+      holds the identity and the generators: flipping one pool predicate,
+      transposing one binary one, exchanging two adjacent ones of one
+      arity.  A candidate whose columns include the identity column of
+      one met before has that one's canonical_key (GenState.keys);
+      any other is labelled.  Each generator is its own inverse, so a
+      generator image of a candidate met before finds that candidate's
+      column.
 
 classify compiles a candidate once, for its fingerprint.  When generate
 is given a spectrum length, classify computes a new sentence's spectrum
@@ -467,14 +465,14 @@ HIDDEN = ("trivial", "reflexive", "subsumed", "spectrum_duplicate")
 @dataclass
 class GenState:
     """What one search learns as it classifies: the keys registered so
-    far, the interned clauses and their cached images, and, when generate
-    is given a length, the spectra.  The duplicate check takes one of two
-    paths, set by generate from the pool: group holds every element of
-    the key group on a pool with at most one predicate of each arity, and
-    generators holds the group's generators on any other.  A bare
-    GenState() has neither and labels every candidate."""
+    far, the interned clauses and their image rows, and, when generate
+    is given a length, the spectra.  group lists literal maps of the key
+    group, the identity first; exact says it holds every element, so that
+    the least orbit column is the key.  A bare GenState() has the
+    identity alone and labels every candidate whose column it has not
+    met."""
 
-    # canonical keys: labellings, or orbit keys on the group path
+    # canonical keys: orbit columns on an exact group, labellings else
     seen_canonical: set = field(default_factory=set)
     seen_spectrum: set[bytes] = field(default_factory=set)
     # cell-graph labellings, shared by the fingerprints of one search
@@ -493,19 +491,14 @@ class GenState:
     # a clause of one or of two variables may gain
     extensions: dict[Clause, list[Clause]] = field(default_factory=dict)
     options: dict[int, list[Literal]] = field(default_factory=dict)
-    # group path: the literal map of each element of the key group, a
-    # number for each interned clause, and each clause's row of image
-    # numbers, one per element
-    group: list[dict[Literal, Literal]] = field(default_factory=list)
+    # the literal map of each element of group, a number for each
+    # interned clause, and each clause's row of image numbers, one per map
+    group: list[dict[Literal, Literal]] = field(default_factory=lambda: [{}])
+    exact: bool = False
     ids: dict[Clause, int] = field(default_factory=dict)
     rows: dict[Clause, tuple[int, ...]] = field(default_factory=dict)
-    # labelling path: the literal maps of the key group's generators, each
-    # clause's image under each generator, then under its x-y swap, and the
-    # layer's unclassified candidates, by clause set, each True once
-    # proved a duplicate
-    generators: list[dict[Literal, Literal]] = field(default_factory=list)
-    images: dict[Clause, tuple[Clause, ...]] = field(default_factory=dict)
-    pending: dict[frozenset[Clause], bool] = field(default_factory=dict)
+    # inexact group: the labelling of each identity column met so far
+    keys: dict[tuple[int, ...], bytes] = field(default_factory=dict)
 
 
 def _generators(limits: GenLimits) -> list[dict[Literal, Literal]]:
@@ -534,37 +527,6 @@ def _generators(limits: GenLimits) -> list[dict[Literal, Literal]]:
                 | moved(q, lambda lit, p=p: Literal(p, lit.args, lit.negated))
             )
     return maps
-
-
-def _clause_images(c: Clause, state: GenState) -> tuple[Clause, ...]:
-    """c under each of state.generators, then under the x-y swap, which
-    leaves c as it is unless c is swappable; interned."""
-    images = state.images.get(c)
-    if images is None:
-        bodies = [
-            frozenset(m.get(lit, lit) for lit in c.body) for m in state.generators
-        ]
-        bodies.append(c.images["y", "x"] if c.swappable else c.body)
-        images = tuple(_interned(c.prefix, body, state) for body in bodies)
-        state.images[c] = images
-    return images
-
-
-def _prove_images(s: Sentence, state: GenState) -> None:
-    """Mark every pending candidate that one generator maps s to: it has
-    s's key.  A swap that leaves a clause of s in s, or turns it into
-    another one, makes no image: the latter would merge two clauses,
-    which no generator does."""
-    rows = [(c, _clause_images(c, state)) for c in s.clauses]
-    images = [
-        frozenset(row[i] for _, row in rows) for i in range(len(state.generators))
-    ]
-    for c, row in rows:
-        if row[-1] not in s.clauses:
-            images.append((s.clauses - {c}) | {row[-1]})
-    for image in images:
-        if image in state.pending:
-            state.pending[image] = True
 
 
 def _key_group(
@@ -601,41 +563,36 @@ def _orbit_row(c: Clause, state: GenState) -> tuple[int, ...]:
     return row
 
 
-def _orbit_key(s: Sentence, state: GenState) -> tuple[int, ...]:
-    """The least, over the elements of state.group, of the sorted numbers
-    of s's clause images.  The elements commute with every clause's x-y
-    swap, so two sentences share it exactly when canonical_key would
-    give them one key."""
+def _orbit_key(s: Sentence, state: GenState) -> tuple[int, ...] | bytes:
+    """s's duplicate key, which two sentences share exactly when
+    canonical_key would give them one.  s has a column for each element
+    of state.group: the sorted numbers of its clauses' images under it.
+    On an exact group the key is the least column.  On any other, it is
+    the labelling registered under one of the columns, or canonical_key(s)
+    when none is, and it is registered under s's identity column."""
     rows = [_orbit_row(c, state) for c in s.clauses]
-    return min(tuple(sorted(column)) for column in zip(*rows))
+    columns = [tuple(sorted(column)) for column in zip(*rows)]
+    if state.exact:
+        return min(columns)
+    key = next((state.keys[c] for c in columns if c in state.keys), None)
+    if key is None:
+        key = canonical_key(s)
+    state.keys[columns[0]] = key
+    return key
 
 
 def classify(s: Sentence, state: GenState) -> str:
     """Verdict for one candidate; registers its keys when retained, and
     puts a new sentence's spectrum in state.spectra when state has a
-    length.
-
-    The duplicate check keys a candidate by _orbit_key when state has a
-    group, and by canonical_key otherwise.  With generators, a candidate
-    that reaches the check first marks its generator images among the
-    layer's unclassified candidates (state.pending).  A marked candidate
-    has the key of an earlier one, which is registered already, so it is
-    a duplicate without a labelling."""
-    proved = state.pending.pop(s.clauses, False) if state.generators else False
+    length.  The duplicate check keys every candidate that reaches it by
+    _orbit_key."""
     if is_tautological(s):
         return "tautology"
     if is_refuted(s):
         return "refuted"
     if is_decomposable(s):
         return "decomposable"
-    if state.group:
-        key = _orbit_key(s, state)
-    else:
-        if state.generators:
-            _prove_images(s, state)
-        if proved:
-            return "duplicate"
-        key = canonical_key(s)
+    key = _orbit_key(s, state)
     if key in state.seen_canonical:
         return "duplicate"
     state.seen_canonical.add(key)
@@ -688,14 +645,17 @@ def generate(
 
     A pool with at most one predicate of each arity has a key group of at
     most 8 literal maps, which the duplicate check enumerates; any other
-    pool's group is larger, and the check labels."""
+    pool's group is larger, so the check maps each candidate by the
+    generators alone, and labels those it cannot key by an earlier one."""
     pool = initial_clauses(limits)
-    state = GenState(length=length, spectrum_secs=spectrum_secs)
     generators = _generators(limits)
-    if limits.unary <= 1 and limits.binary <= 1:
-        state.group = _key_group(generators)
-    else:
-        state.generators = generators
+    exact = limits.unary <= 1 and limits.binary <= 1
+    state = GenState(
+        length=length,
+        spectrum_secs=spectrum_secs,
+        group=_key_group(generators) if exact else [{}] + generators,
+        exact=exact,
+    )
     frontier: Iterable[Sentence] = [Sentence(frozenset([c])) for c in pool]
     result = GenResult([], [], [], spectra=state.spectra)
     deadline = time.monotonic() + budget_secs if budget_secs is not None else None
@@ -703,8 +663,6 @@ def generate(
     for layer in range(1, layers + 1):
         # clauses are alpha-normalised, so value equality is text equality
         candidates = sorted(set(frontier), key=Sentence.render)
-        if state.generators:
-            state.pending = dict.fromkeys((s.clauses for s in candidates), False)
         kept: list[Sentence] = []
         hidden: list[tuple[Sentence, str]] = []
         counts: Counter = Counter()

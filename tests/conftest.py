@@ -27,8 +27,8 @@ class L5Run(NamedTuple):
     doc: dict
     db: str
     result: GenResult
-    # (sentence, verdict, key or None) of every candidate of the search,
-    # as helpers.record_duplicate_checks records them
+    # (sentence, verdict, key or None, labelled) of every candidate of the
+    # search, as helpers.record_duplicate_checks records them
     checks: list
     # (sentence, verdict) of every is_refuted call of the search
     refuted: list

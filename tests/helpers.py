@@ -224,64 +224,60 @@ def sweep_key(s: Sentence) -> bytes:
 
 
 def record_duplicate_checks(mp) -> list:
-    """Wrap generator.classify and the two keys it may use,
-    generator.canonical_key and generator._orbit_key, through the
-    monkeypatch mp.  The list returned gets (sentence, verdict, key) for
-    each classified candidate, in order: key is the key the search used,
-    or None when it used none."""
-    classify = generator.classify
+    """Wrap generator.classify, generator._orbit_key and the labelling it
+    may call, generator.canonical_key, through the monkeypatch mp.  The
+    list returned gets (sentence, verdict, key, labelled) for each
+    classified candidate, in order: key is the candidate's duplicate key,
+    or None when it did not reach the check, and labelled says whether
+    canonical_key ran for it."""
+    classify, orbit_key, label = (
+        generator.classify,
+        generator._orbit_key,
+        generator.canonical_key,
+    )
     checks: list = []
     keys: list = []
+    labels: list = []
 
-    def recording(key):
-        def keying(*args):
-            keys.append(key(*args))
-            return keys[-1]
+    def keying(s, state):
+        keys.append(orbit_key(s, state))
+        return keys[-1]
 
-        return keying
+    def labelling(s):
+        labels.append(s)
+        return label(s)
 
     def classifying(s, state):
         keys.clear()
+        labels.clear()
         verdict = classify(s, state)
-        checks.append((s, verdict, keys[0] if keys else None))
+        checks.append((s, verdict, keys[0] if keys else None, bool(labels)))
         return verdict
 
-    for name in ("canonical_key", "_orbit_key"):
-        mp.setattr(generator, name, recording(getattr(generator, name)))
+    mp.setattr(generator, "_orbit_key", keying)
+    mp.setattr(generator, "canonical_key", labelling)
     mp.setattr(generator, "classify", classifying)
     return checks
 
 
-def check_against_the_sweep(checks, counts) -> tuple[bool, list[str]]:
-    """Check a search's duplicate checks against sweep_key.  checks is
-    the list record_duplicate_checks filled, counts the search's per-layer
-    verdict counts.  Returns whether the keyed candidates' keys split them
-    as the sweep does, and the proved duplicates (those that reached the
-    check unkeyed) whose sweep key no earlier candidate of their layer
-    that reached it has."""
-    keyed, sweeps, unproved = [], [], []
-    start = 0
-    for layer in counts:
-        end = start + sum(layer.values())
-        seen = set()
-        for s, verdict, key in checks[start:end]:
-            if verdict in ("tautology", "refuted", "decomposable"):
-                continue
-            sweep = sweep_key(s)
-            if key is not None:
-                keyed.append(key)
-                sweeps.append(sweep)
-            elif verdict != "duplicate" or sweep not in seen:
-                unproved.append(s.render())
-            seen.add(sweep)
-        start = end
-    assert start == len(checks)
-    return same_partition(keyed, sweeps), unproved
+def check_against_the_sweep(checks) -> bool:
+    """Whether the keys of a search's duplicate checks split the
+    candidates that reached the check as sweep_key does.  checks is the
+    list record_duplicate_checks filled; each such candidate has a key."""
+    reached = [
+        (s, key)
+        for s, verdict, key, _ in checks
+        if verdict not in ("tautology", "refuted", "decomposable")
+    ]
+    assert all(key is not None for _, key in reached)
+    return same_partition(
+        [key for _, key in reached], [sweep_key(s) for s, _ in reached]
+    )
 
 
 def reference_classify(s: Sentence, state: GenState) -> str:
     """Reference for generator.classify: the duplicate check labels every
-    candidate that reaches it, and nothing is proved."""
+    candidate that reaches it."""
     for verdict, dropped in (
         ("tautology", is_tautological),
         ("refuted", is_refuted),

@@ -90,6 +90,24 @@ def test_generate_budget_exit_code(capsys):
     assert json.loads(out)["truncated"] is True
 
 
+@pytest.mark.parametrize("budget", ["nan", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "(V x E y R(x,y))", "--length", "3"],
+        ["generate", "--profile", "fo2-paper", "--layers", "1"],
+    ],
+    ids=["spectrum", "generate"],
+)
+def test_a_budget_below_zero_or_nan_is_a_usage_error(argv, budget, capsys):
+    # NaN would disable the budget and a negative one truncate everything
+    code = main(argv + ["--budget-secs", budget])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "--budget-secs must be at least 0" in err
+
+
 def test_generate_never_counts_a_truncated_spectrum_as_unique(tmp_path, capsys):
     db = tmp_path / "t.jsonl"
     code, out = run(

@@ -38,7 +38,8 @@ from helpers import (
 
 FO2_LIMITS = GenLimits(max_literals=5, max_clauses=2, unary=1, binary=1, max_count=0)
 C2_LIMITS = GenLimits(max_literals=5, max_clauses=2, unary=1, binary=1, max_count=1)
-# two predicates of each arity, so that exchanging two of them is a proof
+# two predicates of each arity, so that the duplicate check's group is
+# not exact and it labels
 WIDE_LIMITS = GenLimits(max_literals=3, max_clauses=2, unary=2, binary=2)
 
 

@@ -25,6 +25,7 @@ from combspec.generator import (
     reflexive_only_binary,
 )
 from combspec.logic import (
+    Clause,
     FragmentError,
     Sentence,
     canonical_key,
@@ -336,38 +337,46 @@ def test_classify_labels_a_cell_graph_with_many_equal_cells():
     assert compute_spectrum(a, 6).terms == compute_spectrum(b, 6).terms
 
 
+def key_state(limits: GenLimits) -> GenState:
+    """A GenState with the key group generate gives the pool."""
+    generators = generator._generators(limits)
+    if limits.unary <= 1 and limits.binary <= 1:
+        return GenState(group=generator._key_group(generators), exact=True)
+    return GenState(group=[{}] + generators)
+
+
 @pytest.mark.parametrize(
-    "limits, checked, keyed",
+    "limits, checked, labelled",
     [
         # one predicate of each arity: every candidate that reaches the
-        # check is keyed by its orbit
-        (GenLimits(5, 2, 1, 1, 1), 1399, 1399),
-        # two of each: labelled, or proved a duplicate by an image
-        (GenLimits(3, 2, 2, 2), 2477, 937),
+        # check is keyed by its least orbit column
+        (GenLimits(5, 2, 1, 1, 1), 1399, 0),
+        # two of each: keyed by an earlier candidate's column, or labelled
+        (GenLimits(3, 2, 2, 2), 2477, 840),
     ],
     ids=["c2", "wide"],
 )
-def test_canonical_key_partition_matches_the_sweep(limits, checked, keyed, monkeypatch):
+def test_canonical_key_partition_matches_the_sweep(
+    limits, checked, labelled, monkeypatch
+):
     # every key of the L1-L3 search splits the candidates as the
-    # exhaustive transform sweep does, and every proved duplicate has the
-    # sweep key of an earlier candidate of its layer; test_l5.py checks the
-    # fo2 L1-L5 search
+    # exhaustive transform sweep does; test_l5.py checks the fo2 L1-L5
+    # search
     checks = record_duplicate_checks(monkeypatch)
-    result = generate(limits, 3)
-    reached = [v not in ("tautology", "refuted", "decomposable") for _, v, _ in checks]
+    generate(limits, 3)
+    reached = [v not in ("tautology", "refuted", "decomposable") for _, v, _, _ in checks]
     assert sum(reached) == checked
-    assert sum(key is not None for _, _, key in checks) == keyed
-    partition, unproved = check_against_the_sweep(checks, result.counts)
-    assert partition
-    assert not unproved
+    assert sum(key is not None for _, _, key, _ in checks) == checked
+    assert sum(labels for *_, labels in checks) == labelled
+    assert check_against_the_sweep(checks)
 
 
 @pytest.mark.parametrize("max_count", [0, 1])
 def test_generator_images_keep_the_canonical_key(max_count):
     # 2 unary and 2 binary predicates: 4 flips, 2 transpositions and 2
-    # exchanges, then each clause's x-y swap
+    # exchanges, each its own inverse, then each clause's x-y swap
     limits = GenLimits(3, 2, 2, 2, max_count)
-    state = GenState(generators=generator._generators(limits))
+    maps = generator._generators(limits)
     transforms = [
         PredicateTransform(flip_sign=frozenset({p})) for p in ("U0", "U1", "B0", "B1")
     ]
@@ -376,19 +385,22 @@ def test_generator_images_keep_the_canonical_key(max_count):
         PredicateTransform(rename={"U0": "U1", "U1": "U0"}),
         PredicateTransform(rename={"B0": "B1", "B1": "B0"}),
     ]
-    assert len(state.generators) == len(transforms)
+    assert len(maps) == len(transforms)
+    assert all(m[m[lit]] == lit for m in maps for lit in m)
     rng = random.Random(20 + max_count)
     prefixes = Counter()
     for _ in range(150):
         s = random_sentence(rng, limits)
         key = canonical_key(s)
-        rows = {c: generator._clause_images(c, state) for c in s.clauses}
         images = [
-            frozenset(row[i] for row in rows.values())
-            for i in range(len(state.generators))
+            frozenset(
+                Clause(c.prefix, frozenset(m.get(lit, lit) for lit in c.body))
+                for c in s.clauses
+            )
+            for m in maps
         ]
         assert images == [apply_transform(s, t).clauses for t in transforms]
-        for c, row in rows.items():
+        for c in s.clauses:
             kind = (
                 "counting" if c.is_counting
                 else "one variable" if c.nvars == 1
@@ -397,45 +409,37 @@ def test_generator_images_keep_the_canonical_key(max_count):
             )
             prefixes[kind] += 1
             # only a repeated non-counting quantifier may swap x and y
-            if kind != "swappable":
-                assert row[-1] == c, c.render()
-            elif row[-1] not in s.clauses:
-                images.append((s.clauses - {c}) | {row[-1]})
+            assert c.swappable == (kind == "swappable"), c.render()
+            swapped = Clause(c.prefix, c.images["y", "x"])
+            if c.swappable and swapped not in s.clauses:
+                images.append((s.clauses - {c}) | {swapped})
         for image in images:
             assert canonical_key(Sentence(image)) == key, (s.render(), image)
-        # the proof marks each image that is pending, and only those
-        state.pending = dict.fromkeys(images, False) | {s.clauses: False}
-        generator._prove_images(s, state)
-        assert all(state.pending[image] for image in images)
-        assert state.pending[s.clauses] == (s.clauses in images)
     assert all(prefixes[kind] for kind in ("one variable", "mixed", "swappable"))
     assert bool(prefixes["counting"]) == bool(max_count)
 
 
-def test_a_swap_onto_another_clause_proves_nothing():
-    # swapping x and y in one clause gives the other, and the image set
-    # holds one clause: a different sentence, with another key
-    limits = GenLimits(3, 2, 1, 1)
-    state = GenState(generators=generator._generators(limits))
-    s = parse("(V x V y B0(x,y)) & (V x V y B0(y,x))")
-    merged = [frozenset({c}) for c in s.clauses]
-    assert all(canonical_key(Sentence(m)) != canonical_key(s) for m in merged)
-    state.pending = dict.fromkeys(merged, False)
-    generator._prove_images(s, state)
-    assert not any(state.pending.values())
-
-
 @pytest.mark.parametrize(
     "limits",
-    [GenLimits(3, 2, 1, 1), GenLimits(3, 2, 1, 1, 1), GenLimits(3, 2, 0, 1)],
-    ids=["fo2", "c2", "binary only"],
+    [
+        GenLimits(3, 2, 1, 1),
+        GenLimits(3, 2, 1, 1, 1),
+        GenLimits(3, 2, 0, 1),
+        GenLimits(3, 2, 2, 2),
+        GenLimits(3, 2, 0, 2),
+    ],
+    ids=["fo2", "c2", "binary only", "wide", "two binary"],
 )
 def test_orbit_keys_split_sentences_as_the_sweep(limits):
     # one predicate of each arity: the group holds every product of the
-    # flips and the transposition
+    # flips and the transposition; more: the identity and the generators,
+    # and the keys are labellings or an earlier sentence's
     generators = generator._generators(limits)
-    state = GenState(group=generator._key_group(generators))
-    assert len(state.group) == 2 ** len(generators) == 2 ** (limits.unary + 2)
+    state = key_state(limits)
+    if state.exact:
+        assert len(state.group) == 2 ** len(generators) == 2 ** (limits.unary + 2)
+    else:
+        assert state.group == [{}] + generators
     rng = random.Random(30 + limits.unary + limits.max_count)
     sentences = []
     for _ in range(80):
@@ -448,11 +452,23 @@ def test_orbit_keys_split_sentences_as_the_sweep(limits):
     assert counted == bool(limits.max_count)
 
 
+def test_a_swap_onto_another_clause_proves_nothing():
+    # swapping x and y in one clause gives the other, so both count as one
+    # swap class; the pair's registered column still keys neither clause
+    # alone: a different sentence, with another key
+    limits = GenLimits(3, 2, 1, 1)
+    state = GenState(group=[{}] + generator._generators(limits))
+    s = parse("(V x V y B0(x,y)) & (V x V y B0(y,x))")
+    merged = [Sentence(frozenset({c})) for c in s.clauses]
+    assert all(canonical_key(m) != canonical_key(s) for m in merged)
+    assert generator._orbit_key(s, state) == canonical_key(s)
+    keys = [generator._orbit_key(m, state) for m in merged]
+    assert keys == [canonical_key(m) for m in merged]
+
+
 def test_orbit_key_tells_a_swapped_pair_from_either_clause():
     # the two clauses are each other's x-y swap: the pair is one orbit,
-    # and each clause alone another
-    limits = GenLimits(3, 2, 1, 1)
-    state = GenState(group=generator._key_group(generator._generators(limits)))
+    # and each clause alone another, whether the group is exact or not
     texts = [
         "(V x V y B0(x,y) | U0(x)) & (V x V y B0(y,x) | U0(y))",
         "(V x V y ~B0(y,x) | ~U0(x)) & (V x V y ~B0(x,y) | ~U0(y))",
@@ -461,9 +477,11 @@ def test_orbit_key_tells_a_swapped_pair_from_either_clause():
         "(V x V y B0(x,y) | U0(x)) & (V x V y B0(x,y) | U0(y))",
     ]
     sentences = [parse(text) for text in texts]
-    keys = [generator._orbit_key(s, state) for s in sentences]
-    assert same_partition(keys, [sweep_key(s) for s in sentences])
-    assert keys[0] == keys[1] != keys[2] == keys[3] != keys[4] != keys[0]
+    for limits in (GenLimits(3, 2, 1, 1), GenLimits(3, 2, 2, 2)):
+        state = key_state(limits)
+        keys = [generator._orbit_key(s, state) for s in sentences]
+        assert same_partition(keys, [sweep_key(s) for s in sentences])
+        assert keys[0] == keys[1] != keys[2] == keys[3] != keys[4] != keys[0]
 
 
 def test_verdict_partition():

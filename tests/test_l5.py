@@ -15,13 +15,12 @@ from helpers import check_against_the_sweep, grounded_refuted
 def test_l5_keys_split_the_candidates_as_the_sweep(fo2_l5):
     checks = fo2_l5.checks
     # each of the 16 370 candidates that reach the duplicate check is
-    # keyed by its orbit
-    checked = [v not in ("tautology", "refuted", "decomposable") for _, v, _ in checks]
+    # keyed by its least orbit column, and none is labelled
+    checked = [v not in ("tautology", "refuted", "decomposable") for _, v, _, _ in checks]
     assert sum(checked) == 16370
-    assert sum(key is not None for _, _, key in checks) == 16370
-    partition, unproved = check_against_the_sweep(checks, fo2_l5.result.counts)
-    assert partition
-    assert not unproved
+    assert sum(key is not None for _, _, key, _ in checks) == 16370
+    assert not any(labelled for *_, labelled in checks)
+    assert check_against_the_sweep(checks)
 
 
 def test_l5_refuter_agrees_with_the_grounded_decision(fo2_l5):
