@@ -768,6 +768,19 @@ def wfomc(s: Sentence, n: int, weights: WeightMap | None = None) -> int:
     return compile_sentence(s, weights).value_at(n)
 
 
+def budget_deadline(budget_secs: float | None, spent: float = 0.0) -> float | None:
+    """The time.monotonic() reading at which a budget of budget_secs, of
+    which spent is used already, runs out; None for no budget.  A NaN or
+    negative budget is a ValueError: NaN would never run out, and a
+    negative budget would be out before anything ran."""
+    if budget_secs is None:
+        return None
+    # NaN compares false with everything, so `not budget_secs >= 0` refuses it
+    if not budget_secs >= 0:
+        raise ValueError(f"a budget must be at least 0 seconds, got {budget_secs}")
+    return time.monotonic() + budget_secs - spent
+
+
 def compute_spectrum(
     s: Sentence | CompiledSentence,
     length: int,
@@ -779,18 +792,20 @@ def compute_spectrum(
 
     s is a sentence, compiled here with weights, or one compiled already,
     whose weights are in it.  Either way the compile counts against the
-    budget: the deadline is the budget after now, less the compile's
-    recorded time.  All terms come out of one pass, so a budget that runs
-    out before the pass ends leaves no terms and the spectrum is marked
-    truncated.  memo is passed to CompiledSentence.values, so that spectra
+    budget: the deadline is the budget after the compile starts, or after
+    now less a carried compile's recorded time.  A NaN or negative budget
+    is a ValueError, raised before compiling.  All terms come out of one
+    pass, so a budget that runs out before the pass ends leaves no terms
+    and the spectrum is marked truncated.  memo is passed to CompiledSentence.values, so that spectra
     computed with one dict share their cell-DP passes.
     """
-    form = s if isinstance(s, CompiledSentence) else compile_sentence(s, weights)
-    deadline = None
-    if budget_secs is not None:
-        deadline = time.monotonic() + budget_secs - form.compile_secs
-        if time.monotonic() >= deadline:
-            return Spectrum([], truncated=True)
+    if isinstance(s, CompiledSentence):
+        form, deadline = s, budget_deadline(budget_secs, s.compile_secs)
+    else:
+        deadline = budget_deadline(budget_secs)
+        form = compile_sentence(s, weights)
+    if deadline is not None and time.monotonic() >= deadline:
+        return Spectrum([], truncated=True)
     try:
         return Spectrum(form.values(length, deadline, memo))
     except BudgetExceeded:

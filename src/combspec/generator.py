@@ -30,8 +30,8 @@ and its x-y swap.  The rows are computed once per search
 (GenState.rows), and a candidate's column for a map is the sorted
 numbers of its clauses' images under it.  Equal columns mean images
 that agree up to the x-y swap of some clauses, so one orbit of the group
-canonical_key divides by.  generate chooses the group once per search
-from the pool:
+canonical_key divides by.  _key_group chooses the group from the pool,
+once per search:
 
   one predicate of each arity at most (both paper profiles): every
       product of flipping the unary predicate, flipping the binary one
@@ -62,10 +62,13 @@ search shares one object per distinct clause.  refinements builds a
 clause's one-literal extensions once per search (GenState.extensions),
 so a clause met again in another parent costs one lookup.  The facts
 that depend on one clause alone (its text, validity, predicate set and
-names, one-element collapse, relaxed and diagonal forms and substitution
-images) are cached properties of Clause, so each is computed once per
-distinct clause and read by the filters; they live as long as the
-search's clauses do.  A candidate holds only its clause set.
+names, one-element collapse, diagonal form and substitution images) are
+cached properties of Clause, so each is computed once per distinct
+clause and read by the filters; they live as long as the search's
+clauses do.  A candidate holds only its clause set.  The subsumption
+filter reads a clause's substitution images only: which substitutions
+show that one clause implies another depends on the two prefixes alone,
+and is tabulated once, at import, from one quantifier-order rule.
 
 The search holds one frontier at a time: a layer's refinements stream
 into one set, so their repeats are freed as they are found and never
@@ -152,22 +155,17 @@ class GenLimits:
 
 
 def initial_clauses(limits: GenLimits) -> list[Clause]:
-    """Single-literal clauses: one-variable bodies under one-variable
-    prefixes, two-variable bodies under two-variable prefixes."""
+    """Single-literal clauses: the one-variable literals under each
+    one-variable prefix, and the literals over both x and y under each
+    two-variable prefix."""
     preds = limits.predicates()
-    out = []
-    for q in limits.single_quants():
-        for p in preds:
-            args = ("x",) if p.arity == 1 else ("x", "x")
-            for neg in (False, True):
-                out.append(single(q, [Literal(p, args, neg)]))
-    for q1, q2 in limits.pair_quants():
-        for p in preds:
-            if p.arity != 2:
-                continue
-            for args in (("x", "y"), ("y", "x")):
-                for neg in (False, True):
-                    out.append(pair(q1, q2, [Literal(p, args, neg)]))
+    both = [lit for lit in _literal_options(preds, 2) if set(lit.args) == set(VARS)]
+    out = [
+        single(q, [lit])
+        for q in limits.single_quants()
+        for lit in _literal_options(preds, 1)
+    ]
+    out += [pair(q1, q2, [lit]) for q1, q2 in limits.pair_quants() for lit in both]
     return out
 
 
@@ -289,67 +287,61 @@ def reflexive_only_binary(s: Sentence) -> bool:
     return False
 
 
-# (image of x, image of y) of each substitution of a two-variable clause
-_PAIR_THETAS = [
-    (("x", "y"), "id"),
-    (("y", "x"), "swap"),
-    (("x", "x"), "diagx"),
-    (("y", "y"), "diagy"),
-]
+def _allowed(k1: tuple[str, ...], k2: tuple[str, ...], theta: tuple[int, ...]) -> bool:
+    """The quantifier-order rule.  k1 and k2 are two prefixes' kinds, and
+    theta[i] is the position in the second prefix of the image of the
+    first prefix's i-th variable.  theta is allowed when every existential
+    v of the first goes to an existential of the second, apart from the
+    images of the variables bound before v, and each of those images that
+    is universal is bound before v's."""
+    return all(
+        k2[t] == "E"
+        and all(u != t and (k2[u] == "E" or u < t) for u in theta[:i])
+        for i, (kind, t) in enumerate(zip(k1, theta))
+        if kind == "E"
+    )
 
 
-def _pair_theta_ok(k1: tuple, k2: tuple, kind: str) -> bool:
-    """Is 'instantiate the two-variable clause with kinds k1 through this
-    substitution kind into a clause with kinds k2' a valid implication?"""
-    if k1 == ("V", "V"):
-        return True
-    if k1 == ("V", "E"):
-        if kind == "id":
-            return k2 in (("V", "E"), ("E", "E"))
-        return kind == "swap" and k2 == ("E", "E")
-    if k1 == ("E", "V"):
-        if kind == "id":
-            return k2 in (("E", "V"), ("E", "E"))
-        if kind == "swap":
-            return k2 in (("V", "E"), ("E", "E"))
-        if kind == "diagx":
-            return k2[0] == "E"
-        return len(k2) == 2 and k2[1] == "E"
-    return kind in ("id", "swap") and k2 == ("E", "E")
+_KINDS = [kinds for n in (1, 2) for kinds in itertools.product("VE", repeat=n)]
+# the substitutions the rule allows from a clause with one pair of
+# quantifier kinds into a clause with the other, each as the (image of x,
+# image of y) key of Clause.images
+_IMPLYING = {
+    (k1, k2): [
+        (VARS[theta[0]], VARS[theta[-1]])
+        for theta in itertools.product(range(len(k2)), repeat=len(k1))
+        if _allowed(k1, k2, theta)
+    ]
+    for k1 in _KINDS
+    for k2 in _KINDS
+}
 
 
 def _implies_clause(c1: Clause, c2: Clause) -> bool:
-    """c1 semantically implies c2, via instantiating c1's variables into
-    c2's and checking the literal image lands inside c2's body.  Universal
-    variables instantiate freely; an existential variable must land on an
-    existential of the target.  Sound for every domain size."""
+    """c1 implies c2 in every structure when c1's body under a
+    substitution that _allowed allows lies inside c2's body.  A universal
+    of c1 is instantiated freely.  A witness for an existential v of c1
+    depends only on the variables bound before v, so c2 may take it for
+    v's image once the universal images of those are bound.  E=k reads
+    as E, since k >= 1 witnesses include one."""
     k1 = tuple(q.kind for q in c1.prefix)
     k2 = tuple(q.kind for q in c2.prefix)
-    thetas = []
-    if c1.nvars == 1:
-        targets = ("x",) if c2.nvars == 1 else ("x", "y")
-        for pos, t in enumerate(targets):
-            if k1 == ("V",) or k2[pos] == "E":
-                thetas.append((t, t))
-    elif c2.nvars == 2:
-        thetas = [th for th, kind in _PAIR_THETAS if _pair_theta_ok(k1, k2, kind)]
-    elif _pair_theta_ok(k1, (k2[0], k2[0]), "diagx"):
-        thetas = [("x", "x")]
-    return any(c1.images[theta] <= c2.body for theta in thetas)
+    return any(c1.images[theta] <= c2.body for theta in _IMPLYING[k1, k2])
 
 
 def has_subsumed_clause(s: Sentence) -> bool:
-    """Some clause is implied by another clause of the sentence, so the
-    sentence equals a shorter one already enumerated.  A counting clause
-    may subsume through its at-least-one weakening but is never itself
-    subsumed (exactly-k is not monotone).  A clause with a diagonal form
-    is subsumed when that form is, since the form implies it."""
+    """Some clause c2 is implied by another clause c1 of the sentence
+    (_implies_clause), so the sentence equals a shorter one already
+    enumerated.  A counting c1 subsumes as its at-least-one weakening, but
+    a counting c2 is never subsumed (exactly-k is not monotone).  A c2
+    with a diagonal form is subsumed when that form is, since the form
+    implies it."""
     for c1, c2 in itertools.permutations(s.clauses, 2):
         if c2.is_counting:
             continue
-        if _implies_clause(c1.relaxed, c2):
+        if _implies_clause(c1, c2):
             return True
-        if c2.diagonal is not None and _implies_clause(c1.relaxed, c2.diagonal):
+        if c2.diagonal is not None and _implies_clause(c1, c2.diagonal):
             return True
     return False
 
@@ -363,10 +355,10 @@ def _refute_ground(s: Sentence) -> list[frozenset]:
         elements.append(len(elements))
         return elements[-1]
 
-    covered = []
-    for c in sorted(s.clauses, key=Clause.render):
-        kinds = tuple("E" if q.kind == "E" else "V" for q in c.prefix)
-        covered.append((c, kinds))
+    covered = [
+        (c, tuple(q.kind for q in c.prefix))
+        for c in sorted(s.clauses, key=Clause.render)
+    ]
 
     # Allocate every witness before grounding so universal parts range
     # over all of them.  Forall-exists witnesses go one level deep: each
@@ -529,11 +521,15 @@ def _generators(limits: GenLimits) -> list[dict[Literal, Literal]]:
     return maps
 
 
-def _key_group(
-    generators: list[dict[Literal, Literal]],
-) -> list[dict[Literal, Literal]]:
-    """Every product of commuting generators, each as the literal map of
-    its moved literals, the identity first."""
+def _key_group(limits: GenLimits) -> tuple[list[dict[Literal, Literal]], bool]:
+    """The literal maps of the pool's duplicate check, the identity first,
+    and whether they are its whole key group.  With at most one predicate
+    of each arity the generators commute, and every product of them is
+    listed; with more the group grows too large to enumerate, and the
+    maps are the identity and the generators."""
+    generators = _generators(limits)
+    if limits.unary > 1 or limits.binary > 1:
+        return [{}] + generators, False
     group: list[dict[Literal, Literal]] = [{}]
     for m in generators:
         for h in list(group):
@@ -542,7 +538,7 @@ def _key_group(
                 image = h.get(lit, lit)
                 product[lit] = m.get(image, image)
             group.append(product)
-    return group
+    return group, True
 
 
 def _orbit_row(c: Clause, state: GenState) -> tuple[int, ...]:
@@ -641,24 +637,21 @@ def generate(
 
     With a length, each kept sentence's spectrum of that length is
     computed as it is kept (by layer, then by text within a layer), each
-    within spectrum_secs, and lands in GenResult.spectra.
+    within spectrum_secs, and lands in GenResult.spectra.  A NaN or
+    negative budget_secs or spectrum_secs is a ValueError, raised before
+    the first candidate.
 
-    A pool with at most one predicate of each arity has a key group of at
-    most 8 literal maps, which the duplicate check enumerates; any other
-    pool's group is larger, so the check maps each candidate by the
-    generators alone, and labels those it cannot key by an earlier one."""
+    _key_group chooses the duplicate check's literal maps from the pool."""
+    deadline = engine.budget_deadline(budget_secs)
+    # refuse a bad per-spectrum budget before the first candidate
+    engine.budget_deadline(spectrum_secs)
     pool = initial_clauses(limits)
-    generators = _generators(limits)
-    exact = limits.unary <= 1 and limits.binary <= 1
+    group, exact = _key_group(limits)
     state = GenState(
-        length=length,
-        spectrum_secs=spectrum_secs,
-        group=_key_group(generators) if exact else [{}] + generators,
-        exact=exact,
+        length=length, spectrum_secs=spectrum_secs, group=group, exact=exact
     )
     frontier: Iterable[Sentence] = [Sentence(frozenset([c])) for c in pool]
     result = GenResult([], [], [], spectra=state.spectra)
-    deadline = time.monotonic() + budget_secs if budget_secs is not None else None
 
     for layer in range(1, layers + 1):
         # clauses are alpha-normalised, so value equality is text equality

@@ -174,20 +174,6 @@ class Clause:
             return Clause(self.prefix[:1], self.images["x", "x"])
         return None
 
-    @property
-    def relaxed(self) -> Clause:
-        """Exactly-k (k >= 1) weakened to a plain existential, which the
-        clause implies; the clause itself when it has no count."""
-        return self._weakened if self.is_counting else self
-
-    @cached_property
-    def _weakened(self) -> Clause:
-        """relaxed of a counting clause; only this form is cached, since
-        a clause holding itself would be a reference cycle."""
-        return Clause(
-            tuple(EXISTS if q.is_counting else q for q in self.prefix), self.body
-        )
-
     @cached_property
     def valid(self) -> bool:
         """The clause holds in every structure: its body, or its diagonal

@@ -12,12 +12,10 @@ from combspec import engine, generator
 from combspec.engine import CellGraph, WeightMap, spectrum_fingerprint
 
 from combspec.generator import (
-    _PAIR_THETAS,
     GenLimits,
     GenResult,
     GenState,
     _literal_options,
-    _pair_theta_ok,
     _refute_ground,
     _satisfiable,
     has_subsumed_clause,
@@ -638,9 +636,38 @@ def reference_is_refuted(s: Sentence) -> bool:
     return not _satisfiable(_refute_ground(s))
 
 
-def _reference_implies_clause(c1: Clause, c2: Clause) -> bool:
-    """Reference for generator._implies_clause, substituting c1's literals
-    on every call."""
+# (image of x, image of y) of each substitution of a two-variable clause
+_PAIR_THETAS = [
+    (("x", "y"), "id"),
+    (("y", "x"), "swap"),
+    (("x", "x"), "diagx"),
+    (("y", "y"), "diagy"),
+]
+
+
+def _pair_theta_ok(k1: tuple, k2: tuple, kind: str) -> bool:
+    """Is 'instantiate the two-variable clause with kinds k1 through this
+    substitution kind into a clause with kinds k2' a valid implication?"""
+    if k1 == ("V", "V"):
+        return True
+    if k1 == ("V", "E"):
+        if kind == "id":
+            return k2 in (("V", "E"), ("E", "E"))
+        return kind == "swap" and k2 == ("E", "E")
+    if k1 == ("E", "V"):
+        if kind == "id":
+            return k2 in (("E", "V"), ("E", "E"))
+        if kind == "swap":
+            return k2 in (("V", "E"), ("E", "E"))
+        if kind == "diagx":
+            return k2[0] == "E"
+        return len(k2) == 2 and k2[1] == "E"
+    return kind in ("id", "swap") and k2 == ("E", "E")
+
+
+def reference_substitutions(c1: Clause, c2: Clause) -> list[dict[str, str]]:
+    """The substitutions of c1's variables into c2's that the case table
+    above allows, by the two prefixes' quantifier kinds."""
     k1 = tuple(q.kind for q in c1.prefix)
     k2 = tuple(q.kind for q in c2.prefix)
     thetas = []
@@ -656,13 +683,19 @@ def _reference_implies_clause(c1: Clause, c2: Clause) -> bool:
         ]
     elif _pair_theta_ok(k1, (k2[0], k2[0]), "diagx"):
         thetas = [{"x": "x", "y": "x"}]
-    for theta in thetas:
+    return thetas
+
+
+def _reference_implies_clause(c1: Clause, c2: Clause) -> bool:
+    """Reference for generator._implies_clause, substituting c1's literals
+    on every call."""
+    for theta in reference_substitutions(c1, c2):
         if {lit.substitute(theta) for lit in c1.body} <= c2.body:
             return True
     return False
 
 
-def _reference_relax_counting(c: Clause) -> Clause:
+def reference_relax_counting(c: Clause) -> Clause:
     """Weaken exactly-k (k >= 1) to a plain existential; implied by c."""
     if not c.is_counting:
         return c
@@ -675,7 +708,7 @@ def reference_has_subsumed_clause(s: Sentence) -> bool:
     for c1, c2 in itertools.permutations(s.clauses, 2):
         if c2.is_counting:
             continue
-        c1r = _reference_relax_counting(c1)
+        c1r = reference_relax_counting(c1)
         for target in _reference_diag_strengthenings(c2):
             if _reference_implies_clause(c1r, target):
                 return True

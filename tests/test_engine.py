@@ -308,6 +308,20 @@ def test_a_carried_compile_without_a_budget_never_truncates():
     assert not out.truncated and len(out.terms) == 10
 
 
+@pytest.mark.parametrize("secs", [float("nan"), -1.0])
+def test_a_budget_below_zero_or_nan_is_refused(secs, monkeypatch):
+    # refused before compiling, and for a carried compile too
+    compiled = compile_sentence(parse_sentence("(V x E y B(x,y))"))
+
+    def no_compile(*args):
+        raise AssertionError("the sentence was compiled")
+
+    monkeypatch.setattr(engine, "compile_sentence", no_compile)
+    for s in (parse_sentence("(V x E y B(x,y))"), compiled):
+        with pytest.raises(ValueError, match="budget must be at least 0"):
+            compute_spectrum(s, 5, budget_secs=secs)
+
+
 def test_length_below_one_is_an_error():
     compiled = compile_sentence(parse_sentence("(V x E y B(x,y))"))
     for length in (0, -3):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import itertools
 import random
 from collections import Counter
 
@@ -25,10 +26,16 @@ from combspec.generator import (
     reflexive_only_binary,
 )
 from combspec.logic import (
+    EXISTS,
+    FORALL,
+    VARS,
     Clause,
     FragmentError,
+    Literal,
+    Predicate,
     Sentence,
     canonical_key,
+    counting,
     parse_sentence,
     sentence,
 )
@@ -43,6 +50,9 @@ from helpers import (
     random_sentence,
     random_transform,
     record_duplicate_checks,
+    reference_has_subsumed_clause,
+    reference_relax_counting,
+    reference_substitutions,
     same_partition,
     sweep_key,
     unpruned_layers,
@@ -171,6 +181,51 @@ def test_subsumption_counting_relaxation():
     assert not has_subsumed_clause(
         parse("(V x E=1 y B(x,y)) & (V x E y ~B(x,y))")
     )
+
+
+def test_the_quantifier_order_rule_allows_the_reference_substitutions():
+    # c1 has one literal whose images under the substitutions are all
+    # distinct, so c1 implies a clause holding one image exactly when that
+    # substitution is allowed; the reference table reads c1 relaxed
+    quants = [FORALL, EXISTS, counting(1)]
+    prefixes = [(q,) for q in quants] + list(itertools.product(quants, repeat=2))
+    unary, binary = Predicate("U", 1), Predicate("B", 2)
+    allowed = Counter()
+    for p1, p2 in itertools.product(prefixes, repeat=2):
+        lit = Literal(unary, ("x",)) if len(p1) == 1 else Literal(binary, ("x", "y"))
+        c1 = Clause(p1, frozenset([lit]))
+        got = set()
+        for theta in itertools.product(VARS[: len(p2)], repeat=len(p1)):
+            image = lit.substitute(dict(zip(VARS, theta)))
+            if generator._implies_clause(c1, Clause(p2, frozenset([image]))):
+                got.add(theta)
+        relaxed = reference_relax_counting(c1)
+        want = {
+            tuple(m[v] for v in VARS[: len(p1)])
+            for m in reference_substitutions(relaxed, Clause(p2, frozenset([lit])))
+        }
+        assert got == want, (p1, p2)
+        allowed[len(got)] += 1
+    # from no substitution to all four, over the 144 pairs
+    assert sum(allowed.values()) == 144
+    assert allowed[0] and allowed[4]
+
+
+def test_subsumption_matches_the_reference_on_three_clauses():
+    # no search fixture reaches three clauses; about half of the
+    # three-clause hits here need a counting clause to subsume
+    limits = GenLimits(3, 3, 2, 2, 1)
+    rng = random.Random(24)
+    hits = counted = 0
+    for _ in range(2000):
+        s = random_sentence(rng, limits)
+        verdict = has_subsumed_clause(s)
+        assert verdict == reference_has_subsumed_clause(s), s.render()
+        if verdict and len(s.clauses) == 3:
+            hits += 1
+            plain = [c for c in s.clauses if not c.is_counting]
+            counted += len(plain) < 2 or not has_subsumed_clause(Sentence(frozenset(plain)))
+    assert (hits, counted) == (166, 81)
 
 
 def test_refuted_positive():
@@ -339,10 +394,8 @@ def test_classify_labels_a_cell_graph_with_many_equal_cells():
 
 def key_state(limits: GenLimits) -> GenState:
     """A GenState with the key group generate gives the pool."""
-    generators = generator._generators(limits)
-    if limits.unary <= 1 and limits.binary <= 1:
-        return GenState(group=generator._key_group(generators), exact=True)
-    return GenState(group=[{}] + generators)
+    group, exact = generator._key_group(limits)
+    return GenState(group=group, exact=exact)
 
 
 @pytest.mark.parametrize(
@@ -646,6 +699,19 @@ def test_hidden_sentences_are_still_refined(fo2_limits):
 def test_generate_budget_truncates(fo2_limits):
     out = generate(fo2_limits, 3, budget_secs=0)
     assert out.truncated
+
+
+@pytest.mark.parametrize("secs", [float("nan"), -1.0])
+@pytest.mark.parametrize("budget", ["budget_secs", "spectrum_secs"])
+def test_a_budget_below_zero_or_nan_is_refused(fo2_limits, budget, secs, monkeypatch):
+    # NaN would disable the budget and a negative one run out at once;
+    # either is refused before the first candidate
+    def no_candidate(*args):
+        raise AssertionError("a candidate was classified")
+
+    monkeypatch.setattr(generator, "classify", no_candidate)
+    with pytest.raises(ValueError, match="budget must be at least 0"):
+        generate(fo2_limits, 2, length=3, **{budget: secs})
 
 
 def test_structural_mode_keeps_more(fo2_limits):
