@@ -31,16 +31,16 @@ program carries each one truncated at the target degrees and packed in a
 single int, so that a product is one big-int multiply.  All arithmetic is
 exact integer arithmetic.
 
-A pass depends only on the merged cell graph, the length and the
+compute_spectrum and spectrum_fingerprint each take either a Sentence,
+which they compile, or a CompiledSentence, so a sentence compiled once
+serves both its fingerprint and its spectrum: the search computes a kept
+sentence's spectrum as it keeps it, and its budget_secs covers that time
+too.  A pass depends only on the merged cell graph, the length and the
 symbolic caps.  Many sentences share one, so a caller that computes many
 spectra can pass one memo dict to compute_spectrum, keyed on those three,
 and run each distinct pass once (generate keeps one per search).
-compute_spectrum takes a CompiledSentence in place of a sentence, so a
-sentence compiled once serves both its fingerprint and its spectrum: the
-search computes a kept sentence's spectrum as it keeps it, and its
-budget_secs covers that time too.  Likewise spectrum_fingerprint takes a
-dict of cell-graph labellings, and generate keeps one per search.  There
-is no module-level cache.
+Likewise spectrum_fingerprint takes a dict of cell-graph labellings, and
+generate keeps one per search.  There is no module-level cache.
 """
 
 from __future__ import annotations
@@ -139,15 +139,14 @@ def normalize_clauses(clauses: Sequence[Clause]) -> list[Clause]:
 
 
 def reduce_counting(
-    clauses: Sequence[Clause],
-    weights: dict[str, tuple[int, int]],
-    used: set[str],
+    clauses: Sequence[Clause], used: set[str]
 ) -> tuple[list[Clause], list[CardinalityConstraint]]:
     """Rewrite E=1 quantifiers into cardinality constraints.
 
-    Adds fresh defining predicates (weights (1, 1)) to weights/used when a
-    counted reflexive atom or an E=1 x V y prefix needs one.  Only k = 1 is
-    supported; mixed counting/existential prefixes are rejected.
+    Adds fresh defining predicates to used when a counted reflexive atom or
+    an E=1 x V y prefix needs one; they take no weight entry, since every
+    reader of a weight map defaults a missing name to (1, 1).  Only k = 1
+    is supported; mixed counting/existential prefixes are rejected.
 
     Each constraint counts the atoms on the counted literal's own polarity,
     whose target (n for a binary atom, 1 for a unary one) has the lowest
@@ -186,7 +185,6 @@ def reduce_counting(
             else:
                 # counted reflexive atom: define D(x) <-> lit(x,x), count D
                 d = Predicate(_fresh(used, "D"), 1)
-                weights[d.name] = (1, 1)
                 datom = Literal(d, ("x",))
                 ratom = Literal(lit.pred, ("x", "x"), lit.negated)
                 out.append(single(FORALL, [datom, ratom.negate()]))
@@ -194,7 +192,6 @@ def reduce_counting(
                 constraints.append(CardinalityConstraint(d.name, (0, 0, 1)))
         else:  # ("C", "V"): exactly one x where the literal holds for all y
             a = Predicate(_fresh(used, "A"), 1)
-            weights[a.name] = (1, 1)
             aatom = Literal(a, ("x",))
             out.append(pair(FORALL, FORALL, [aatom.negate(), lit]))
             out.append(pair(FORALL, EXISTS, [aatom, lit.negate()]))
@@ -299,15 +296,15 @@ def condition_nullary(
 class CellGraph:
     """Vertex-weighted graph over the consistent cells of a signature.
 
-    cells[i] assigns a truth value to each single-element atom (one per
-    unary predicate, one per binary predicate's reflexive atom, ordered as
-    atom_preds).  weights[i] is the product of those atoms' weights; r[i][j]
-    is the weighted count of cross-atom assignments consistent with every
-    two-variable clause read in both directions between cells i and j.
+    cells[i] is an int whose bit k-1-a holds the truth value of the a-th
+    of the k single-element atoms: one per unary predicate, then one per
+    binary predicate's reflexive atom, each sorted.  weights[i] is the
+    product of those atoms' weights; r[i][j] is the weighted count of
+    cross-atom assignments consistent with every two-variable clause read
+    in both directions between cells i and j.
     """
 
-    atom_preds: list[Predicate]
-    cells: list[tuple[bool, ...]]
+    cells: list[int]
     weights: list[Value]
     r: list[list[Value]]
 
@@ -404,14 +401,12 @@ def build_cell_graph(
             w = mul(w, wt if a >> p & 1 else wf)
         assign_w.append(w)
 
-    every = list(itertools.product((False, True), repeat=k))
-    live = [c for c in range(1 << k) if all(c & pos or ~c & neg for pos, neg in diag)]
-    cells = [every[c] for c in live]
+    cells = [c for c in range(1 << k) if all(c & pos or ~c & neg for pos, neg in diag)]
     cell_weights = []
-    for bits in cells:
+    for c in cells:
         w = 1
-        for val, (wt, wf) in zip(bits, atom_w):
-            w = mul(w, wt if val else wf)
+        for p, (wt, wf) in zip(atom_preds, atom_w):
+            w = mul(w, wt if c & bit[p.name] else wf)
         cell_weights.append(w)
 
     def falsified(c: int, side: int) -> int:
@@ -422,8 +417,8 @@ def build_cell_graph(
                 out |= 1 << t
         return out
 
-    xs = [falsified(c, 0) for c in live]
-    ys = [falsified(c, 1) for c in live]
+    xs = [falsified(c, 0) for c in cells]
+    ys = [falsified(c, 1) for c in cells]
     totals: dict[int, Value] = {}
     q = len(cells)
     r: list[list[Value]] = [[0] * q for _ in range(q)]
@@ -444,7 +439,7 @@ def build_cell_graph(
                         total = total + assign_w[a]
                 totals[key] = total
             row[j] = r[j][i] = total
-    return CellGraph(atom_preds, cells, cell_weights, r)
+    return CellGraph(cells, cell_weights, r)
 
 
 def _merge_cells(g: CellGraph) -> Merged:
@@ -734,18 +729,14 @@ class CompiledSentence:
                 out[i] *= pow_value(self.base_weights[p], t)
         return out
 
-    def value_at(self, n: int, deadline: float | None = None) -> int:
-        if n < 1:
-            raise ValueError("domain size must be at least 1")
-        return self.values(n, deadline)[-1]
-
 
 def compile_sentence(s: Sentence, weights: WeightMap | None = None) -> CompiledSentence:
     start = time.monotonic()
-    w = {name: (int(a), int(b)) for name, (a, b) in (weights or {}).items()}
     used = {p.name for p in s.predicates}
+    # a weight for a name s does not use could fall on a fresh predicate
+    w = {n: (int(a), int(b)) for n, (a, b) in (weights or {}).items() if n in used}
     clauses = normalize_clauses(sorted(s.clauses, key=Clause.render))
-    clauses, constraints = reduce_counting(clauses, w, used)
+    clauses, constraints = reduce_counting(clauses, used)
     clauses = skolemize_clauses(clauses, w, used)
     branches = condition_nullary(clauses, w)
 
@@ -764,8 +755,11 @@ def compile_sentence(s: Sentence, weights: WeightMap | None = None) -> CompiledS
 
 
 def wfomc(s: Sentence, n: int, weights: WeightMap | None = None) -> int:
-    """Weighted first-order model count of s at domain size n."""
-    return compile_sentence(s, weights).value_at(n)
+    """Weighted first-order model count of s at domain size n; n below 1
+    is a ValueError, raised before compiling."""
+    if n < 1:
+        raise ValueError("domain size must be at least 1")
+    return compile_sentence(s, weights).values(n)[-1]
 
 
 def budget_deadline(budget_secs: float | None, spent: float = 0.0) -> float | None:
@@ -791,15 +785,21 @@ def compute_spectrum(
     """Model counts for n = 1 .. length.
 
     s is a sentence, compiled here with weights, or one compiled already,
-    whose weights are in it.  Either way the compile counts against the
-    budget: the deadline is the budget after the compile starts, or after
-    now less a carried compile's recorded time.  A NaN or negative budget
-    is a ValueError, raised before compiling.  All terms come out of one
-    pass, so a budget that runs out before the pass ends leaves no terms
-    and the spectrum is marked truncated.  memo is passed to CompiledSentence.values, so that spectra
-    computed with one dict share their cell-DP passes.
+    whose weights are in it, so passing weights with it is a ValueError.
+    Either way the compile counts against the budget: the deadline is the
+    budget after the compile starts, or after now less a carried compile's
+    recorded time.  A length below 1 and a NaN or negative budget are
+    ValueErrors, raised before compiling.  All terms come out of one pass,
+    so a budget that runs out before the pass ends leaves no terms and the
+    spectrum is marked truncated.  memo is passed to
+    CompiledSentence.values, so that spectra computed with one dict share
+    their cell-DP passes.
     """
+    if length < 1:
+        raise ValueError("length must be at least 1")
     if isinstance(s, CompiledSentence):
+        if weights is not None:
+            raise ValueError("a compiled sentence carries its own weights")
         form, deadline = s, budget_deadline(budget_secs, s.compile_secs)
     else:
         deadline = budget_deadline(budget_secs)
@@ -848,9 +848,7 @@ def _graph_serial(g: CellGraph, perm: Sequence[int]) -> str:
 
 
 def spectrum_fingerprint(
-    s: Sentence,
-    memo: dict | None = None,
-    compiled: CompiledSentence | None = None,
+    s: Sentence | CompiledSentence, memo: dict | None = None
 ) -> bytes:
     """Key equal only for sentences whose spectra provably coincide.
 
@@ -869,11 +867,10 @@ def spectrum_fingerprint(
     _graph_serial is looked up under those three in memo (a fresh dict
     when None) and runs only on a miss.  The caller owns the dict and
     decides how long it lives: generate keeps one per search in its
-    GenState.  compiled is s compiled, for a caller that has it already
-    (classify computes the spectrum from it); s is compiled here
-    otherwise.
+    GenState.  s is a sentence, compiled here, or one compiled already
+    (classify computes the spectrum from the same compiled form).
     """
-    comp = compiled or compile_sentence(s)
+    comp = s if isinstance(s, CompiledSentence) else compile_sentence(s)
     k = len(comp.cvars)
     memo = {} if memo is None else memo
 

@@ -187,13 +187,11 @@ def refinements(
     s: Sentence,
     limits: GenLimits,
     pool: Sequence[Clause],
-    state: GenState | None = None,
+    state: GenState,
 ) -> list[Sentence]:
     """All one-step extensions of s, as built.  Children may repeat, here
     and across parents; generate deduplicates the whole frontier.  Children
     built with one state share one object per distinct clause."""
-    if state is None:
-        state = GenState()
     out = []
     for c in s.clauses:
         for extended in _extensions(c, limits, state):
@@ -602,7 +600,7 @@ def classify(s: Sentence, state: GenState) -> str:
     # indexes only sentences every cheaper filter passed; the compile goes
     # through the engine module, so a wrapper installed there sees it
     compiled = engine.compile_sentence(s)
-    fkey = spectrum_fingerprint(s, memo=state.labels, compiled=compiled)
+    fkey = spectrum_fingerprint(compiled, memo=state.labels)
     if fkey in state.seen_spectrum:
         return "spectrum_duplicate"
     state.seen_spectrum.add(fkey)
@@ -637,11 +635,14 @@ def generate(
 
     With a length, each kept sentence's spectrum of that length is
     computed as it is kept (by layer, then by text within a layer), each
-    within spectrum_secs, and lands in GenResult.spectra.  A NaN or
-    negative budget_secs or spectrum_secs is a ValueError, raised before
-    the first candidate.
+    within spectrum_secs, and lands in GenResult.spectra.  layers or a
+    length below 1, and a NaN or negative budget_secs or spectrum_secs,
+    are ValueErrors, raised before the first candidate.
 
     _key_group chooses the duplicate check's literal maps from the pool."""
+    for name, value in (("layers", layers), ("length", length)):
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     deadline = engine.budget_deadline(budget_secs)
     # refuse a bad per-spectrum budget before the first candidate
     engine.budget_deadline(spectrum_secs)

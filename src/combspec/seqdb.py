@@ -6,11 +6,11 @@ A new spectrum is a duplicate when its prefix agrees with a stored unique
 record's on their common length (at least five terms), and
 product-redundant when it factors termwise into two stored unique
 spectra.  A truncated spectrum that is neither takes the status
-truncated, never unique, so it neither stands for a sequence nor shadows
-a whole one.  Both relations are found by hash lookup on indexes kept up
-to date as records arrive, so an insert does not scan the store.  Terms
-are serialized as decimal strings since they routinely exceed every
-fixed-width integer.
+truncated, never unique, so it neither stands for a sequence, nor
+shadows a whole one, nor is a factor of a product.  Both relations are
+found by hash lookup on indexes kept up to date as records arrive, so an
+insert does not scan the store.  Terms are serialized as decimal strings
+since they routinely exceed every fixed-width integer.
 """
 
 from __future__ import annotations
@@ -248,16 +248,18 @@ class SpectrumDB:
 
         Insert-time detection only sees factors stored before the query, so
         a product whose factors arrive later stays unique until this pass.
-        Factors are drawn from all non-duplicate records but the query,
-        since a redundant sequence still witnesses the factorization of
-        another.  Returns the number of records demoted.
+        Factors are drawn from the unique and product-redundant records
+        but the query, since a redundant sequence still witnesses the
+        factorization of another; a duplicate or truncated record is never
+        a factor.  Returns the number of records demoted.
         """
         demoted = 0
         for rec in self._records:
             if rec.status != "unique":
                 continue
             prod = self._find_product(
-                rec.spectrum, lambda r: r.status != "duplicate" and r is not rec
+                rec.spectrum,
+                lambda r: r.status in ("unique", "product_redundant") and r is not rec,
             )
             if prod is not None:
                 rec.status = "product_redundant"

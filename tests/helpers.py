@@ -129,11 +129,12 @@ def unpruned_layers(limits: GenLimits, layers: int) -> list[list[Sentence]]:
     """The layered search with no classification: every distinct candidate
     is kept and refined."""
     pool = initial_clauses(limits)
+    state = GenState()
     frontier = [Sentence(frozenset([c])) for c in pool]
     out: list[list[Sentence]] = []
     for _ in range(layers):
         out.append(sorted(set(frontier), key=Sentence.render))
-        frontier = [t for s in out[-1] for t in refinements(s, limits, pool)]
+        frontier = [t for s in out[-1] for t in refinements(s, limits, pool, state)]
     return out
 
 
@@ -385,7 +386,8 @@ def reference_cell_graph(
 ) -> CellGraph:
     """Reference for engine.build_cell_graph: the same graph built by testing
     every oriented clause against every cell pair, with cells as tuples and
-    cross-literal masks from a loop over the assignments."""
+    cross-literal masks from a loop over the assignments.  The cells come
+    back as the engine's ints, whose bit k-1-i holds atom i of k."""
     unary = sorted(p for p in sig_preds if p.arity == 1)
     binary = sorted(p for p in sig_preds if p.arity == 2)
     atom_preds = unary + binary
@@ -480,7 +482,9 @@ def reference_cell_graph(
                 mask >>= 1
                 a += 1
             r[i][j] = r[j][i] = total
-    return CellGraph(atom_preds, cells, cell_weights, r)
+    k = len(atom_preds)
+    ints = [sum(1 << (k - 1 - i) for i, b in enumerate(bits) if b) for bits in cells]
+    return CellGraph(ints, cell_weights, r)
 
 
 def reference_cell_order(r: list[list[Value]], q: int, length: int) -> list[int]:

@@ -12,6 +12,7 @@ search computes as it keeps each sentence against fresh ones, the cell
 order against the reference greedy, and fingerprints that share
 cell-graph labellings against fingerprints computed one by one."""
 
+import dataclasses
 from typing import NamedTuple
 
 import pytest
@@ -324,12 +325,13 @@ def test_a_search_without_a_length_merges_no_cell_graph(monkeypatch):
 
 def _search_fingerprints(limits, layers, fingerprint):
     """The search with fingerprint in place of spectrum_fingerprint, and
-    every sentence it was asked to fingerprint."""
+    every compiled sentence it was asked to fingerprint, without its
+    compile time."""
     asked = []
 
-    def recording(s, memo=None, compiled=None):
-        asked.append(s)
-        return fingerprint(s, memo, compiled)
+    def recording(s, memo=None):
+        asked.append(dataclasses.replace(s, compile_secs=0.0))
+        return fingerprint(s, memo)
 
     real = generator.spectrum_fingerprint
     generator.spectrum_fingerprint = recording
@@ -359,7 +361,7 @@ def test_shared_labellings_give_the_fingerprints_of_separate_ones(search, reques
     alone, asked_alone = _search_fingerprints(
         limits,
         layers,
-        lambda s, memo, compiled: spectrum_fingerprint(s, None, compiled),
+        lambda s, memo: spectrum_fingerprint(s),
     )
     assert _outcome(alone) == _outcome(result)
     assert asked_alone == asked

@@ -308,27 +308,61 @@ def test_a_carried_compile_without_a_budget_never_truncates():
     assert not out.truncated and len(out.terms) == 10
 
 
+def _no_compile(*args):
+    raise AssertionError("the sentence was compiled")
+
+
 @pytest.mark.parametrize("secs", [float("nan"), -1.0])
 def test_a_budget_below_zero_or_nan_is_refused(secs, monkeypatch):
     # refused before compiling, and for a carried compile too
     compiled = compile_sentence(parse_sentence("(V x E y B(x,y))"))
-
-    def no_compile(*args):
-        raise AssertionError("the sentence was compiled")
-
-    monkeypatch.setattr(engine, "compile_sentence", no_compile)
+    monkeypatch.setattr(engine, "compile_sentence", _no_compile)
     for s in (parse_sentence("(V x E y B(x,y))"), compiled):
         with pytest.raises(ValueError, match="budget must be at least 0"):
             compute_spectrum(s, 5, budget_secs=secs)
 
 
-def test_length_below_one_is_an_error():
+@pytest.mark.parametrize(
+    "text, stray",
+    [
+        ("(E=1 x B(x,x))", "D0"),
+        ("(E=1 x V y B(x,y))", "A0"),
+        ("(V x E y B(x,y))", "S0"),
+        ("(E x U(x))", "Z0"),
+    ],
+)
+def test_a_weight_for_a_name_the_sentence_does_not_use_is_ignored(text, stray):
+    # the compile's fresh predicate of that name keeps its own weight
+    s = parse_sentence(text)
+    plain = compute_spectrum(s, 4)
+    assert compute_spectrum(s, 4, weights={stray: (5, 2)}) == plain
+    assert [wfomc(s, n, {stray: (5, 2)}) for n in range(1, 5)] == plain.terms
+
+
+def test_weights_beside_a_compiled_sentence_are_refused():
+    # the compiled form carries the weights it was compiled with
+    compiled = compile_sentence(parse_sentence("(E x Heads(x))"), {"Heads": (4, 1)})
+    with pytest.raises(ValueError, match="carries its own weights"):
+        compute_spectrum(compiled, 3, weights={"Heads": (2, 1)})
+    assert compute_spectrum(compiled, 3).terms == [4, 24, 124]
+
+
+def test_length_below_one_is_an_error(monkeypatch):
     compiled = compile_sentence(parse_sentence("(V x E y B(x,y))"))
     for length in (0, -3):
         with pytest.raises(ValueError):
             compiled.values(length)
-        with pytest.raises(ValueError):
-            compute_spectrum(parse_sentence("(V x U(x))"), length)
+    # refused before the budget and the compile, for both kinds of input,
+    # so a spent budget does not turn a bad length into a truncated spectrum
+    monkeypatch.setattr(engine, "compile_sentence", _no_compile)
+    for s in (parse_sentence("(V x U(x))"), compiled):
+        for length in (0, -3):
+            for secs in (None, 0.0, 60.0):
+                with pytest.raises(ValueError, match="length must be at least 1"):
+                    compute_spectrum(s, length, budget_secs=secs)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="domain size must be at least 1"):
+            wfomc(parse_sentence("(V x U(x))"), n)
 
 
 # cell-DP passes shared through a memo
@@ -498,7 +532,7 @@ def _reference_serial(g, perm):
 
 
 def _graph(weights, r):
-    return CellGraph([], [(i,) for i in range(len(weights))], list(weights), r)
+    return CellGraph(list(range(len(weights))), list(weights), r)
 
 
 def _relabel(g, rng):

@@ -714,6 +714,19 @@ def test_a_budget_below_zero_or_nan_is_refused(fo2_limits, budget, secs, monkeyp
         generate(fo2_limits, 2, length=3, **{budget: secs})
 
 
+@pytest.mark.parametrize("layers, length", [(0, None), (-2, None), (3, 0), (3, -1)])
+def test_layers_or_length_below_one_is_refused(fo2_limits, layers, length, monkeypatch):
+    # refused before the first candidate, as a bad budget is, not answered
+    # with an empty search or an error at the first kept sentence
+    def no_candidate(*args):
+        raise AssertionError("a candidate was classified")
+
+    monkeypatch.setattr(generator, "classify", no_candidate)
+    name = "layers" if layers < 1 else "length"
+    with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+        generate(fo2_limits, layers, length=length)
+
+
 def test_structural_mode_keeps_more(fo2_limits):
     full = generate(fo2_limits, 1)
     raw = unpruned_layers(fo2_limits, 1)

@@ -164,6 +164,20 @@ def test_reclassify_is_idempotent(tmp_path):
     assert db.reclassify_products() == 0
 
 
+def test_reclassify_never_takes_a_truncated_factor(tmp_path):
+    db = make_db(tmp_path)
+    prod = db.insert("prod", [2, 6, 24, 120, 720, 5040])
+    cut = db.insert("cut", [1, 2, 6, 24, 120], truncated=True)
+    two = db.insert("two", [2, 3, 4, 5, 6, 7])
+    # prod is cut times two on their five common terms, but cut is truncated
+    assert (cut.status, two.status) == ("truncated", "unique")
+    assert db.reclassify_products() == 0
+    assert (db.records()[prod.id].status, db.records()[prod.id].product_of) == (
+        "unique",
+        None,
+    )
+
+
 def test_persistence_round_trip(tmp_path):
     path = tmp_path / "seq.jsonl"
     db = SpectrumDB(path)
@@ -308,7 +322,7 @@ class LinearReference:
         self.recs.append(rec)
 
     def reclassify_products(self):
-        carriers = [r for r in self.recs if r.status != "duplicate"]
+        carriers = [r for r in self.recs if r.status in ("unique", "product_redundant")]
         demoted = 0
         for rec in carriers:
             if rec.status != "unique":
