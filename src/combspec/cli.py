@@ -119,6 +119,8 @@ def _limits_from_args(args: argparse.Namespace) -> GenLimits:
 
 
 def cmd_wfomc(args: argparse.Namespace) -> int:
+    if args.n < 1:
+        raise ValueError(f"--n must be at least 1, got {args.n}")
     s = parse_sentence(args.sentence)
     value = wfomc(s, args.n, weights=_weights_from_args(args))
     print(value)

@@ -542,14 +542,56 @@ def _greedy_cell_order(r: list[list[Value]], q: int, length: int) -> list[int]:
     return beam[0][1]
 
 
-def _slot_width(q: int, length: int, weights: list[Value], r: list[list[Value]]) -> int:
-    """Slot width that holds every coefficient of a cell-DP pass; the bound
-    is proved in evaluate_cell_sum."""
+def _slot_width(
+    q: int, length: int, caps: Sequence[int], weights: list[Value], r: list[list[Value]]
+) -> int:
+    """Slot width that holds every kept coefficient of a cell-DP pass; the
+    bounds are proved in evaluate_cell_sum."""
+    n = length
+    k = max(n * (n - 1) // 2, n)
     wm = max([1, *map(norm1, weights)])
     rm = max([1, *(norm1(v) for row in r for v in row)])
-    n = length
-    bound = q**n * wm**n * rm ** max(n * (n - 1) // 2, n)
-    return bound.bit_length() + 1
+    bound = wm**n * rm**k
+    if len(caps) == 1:
+        bound = min(bound, _kept_majorant(caps[0], n, k, weights, r))
+    return (q**n * bound).bit_length() + 1
+
+
+def _kept_majorant(
+    cap: int, n: int, k: int, weights: list[Value], r: list[list[Value]]
+) -> int:
+    """max over e <= cap of [x^e](Mw^n * Mr^k), where Mw (Mr) is the
+    coefficientwise largest |coefficient| of the weights (edges) in one
+    variable x, with constant term at least 1.  The powers are big ints
+    with one nonnegative slot per exponent, truncated at the cap; a slot
+    holds every coefficient, as each is at most |Mw|^n * |Mr|^k."""
+    majorants = []
+    for values in (weights, [v for row in r for v in row]):
+        m = [1] + [0] * cap
+        for v in values:
+            terms = v.terms if isinstance(v, Poly) else {(0,): v}
+            for (e,), c in terms.items():
+                if e <= cap:
+                    m[e] = max(m[e], abs(c))
+        majorants.append(m)
+    mw, mr = majorants
+    width = (sum(mw) ** n * sum(mr) ** k).bit_length()
+    keep = (1 << width * (cap + 1)) - 1
+
+    def power(m: list[int], e: int) -> int:
+        base = sum(c << width * i for i, c in enumerate(m))
+        out = 1
+        while True:
+            if e & 1:
+                out = out * base & keep
+            e >>= 1
+            if not e:
+                return out
+            base = base * base & keep
+
+    x = power(mw, n) * power(mr, k) & keep
+    slot = (1 << width) - 1
+    return max(x >> width * i & slot for i in range(cap + 1))
 
 
 def evaluate_cell_sum(
@@ -569,32 +611,73 @@ def evaluate_cell_sum(
     partial compositions with equal summaries merge and their coefficients
     add.  The multinomial over element labels is built one cell at a time
     as comb(used + c, c), so the states left after the last cell are the
-    sums for all domain sizes at once.
+    sums for all domain sizes at once.  A step computes the factor of
+    count c of its cell, g[c] = comb(used + c, c) * f[c] with f[c] the
+    cell's own atoms, once per used bucket, and carries run = coeff * a0^c
+    as a running product.  Count 0 (g[0] = 1) passes a state on as it is,
+    and a larger count costs contrib = g[c] * run and one step of run,
+    besides its accumulators.
 
     With caps, every weight is packed into one int (polynomial.Packing)
     before the pass and the sums are unpacked after it.  Equal values are
     equal ints, so states still merge by value, and the DP body is the
-    same on both paths: only mul differs.  The slot width W is fixed for
-    the pass by _slot_width:
+    same on both paths: only the products differ.  mul is the packed
+    product; emul, the product of edge values (accumulators and their
+    powers, and running products, which are states times accumulators),
+    is mul too unless every edge is a plain int.  Then the accumulators
+    are plain ints, and a packed value times a plain int is the native
+    product: each digit is multiplied in its own slot, and nothing lands
+    above the caps, so there is nothing to truncate.
 
-        B = q^N * Wm^N * Rm^max(C(N, 2), N),   W = bit_length(B) + 1
+    The slot width W is fixed for the pass by _slot_width as
+    W = bit_length(q^N * M) + 1, with N = length, q merged cells,
+    K = max(C(N, 2), N), and M the least of two bounds:
 
-    with N = length, q merged cells, Wm = max(1, |w_i|) and
-    Rm = max(1, |r_ij|), where |v| is the sum of the absolute values of
-    v's coefficients.  Proof that every digit fits: |.| is subadditive and
-    submultiplicative, truncation never raises it, and a coefficient is at
-    most its value's norm, so it is enough that every operand of mul and
-    every product before truncation has norm at most B < 2^(W-1).  A state
-    coefficient before cell i sums, over the labelled assignments of its
-    used elements to cells 0 .. i-1 (at most i^used of them), products of
-    used vertex weights and C(used, 2) edge weights.  contrib, which is
-    coeff * comb(used + c, c) * f[c] * a0^c, does the same for used + c
-    elements: comb(used + c, c) * i^used <= (i + 1)^(used + c) <= q^N and
+        M1 = Wm^N * Rm^K, with Wm = max(1, |w_i|) and Rm = max(1, |r_ij|),
+             where |v| is the sum of the absolute values of v's
+             coefficients;
+        M2 = max_{e <= cap} [x^e](Mw^N * Mr^K), for one constrained
+             variable x only, where Mw (Mr) is the coefficientwise largest
+             |coefficient| of the weights (edges), with constant term at
+             least 1.
+
+    Proof that every kept digit fits.  A state coefficient before cell i
+    sums, over the labelled assignments of its used elements to cells
+    0 .. i-1 (at most i^used of them), products of used vertex weights and
+    C(used, 2) edge weights.  contrib does the same for used + c elements:
+    comb(used + c, c) * i^used <= (i + 1)^(used + c) <= q^N and
     C(used, 2) + C(c, 2) + used * c = C(used + c, 2) <= C(N, 2).  Its
-    partial products (f, apow, fc) are factors of the same terms.  The
+    factors g[c] (comb(used + c, c) <= q^N copies of c weights and
+    C(c, 2) edges) and run = coeff * a0^c (C(used, 2) + used * c edges),
+    and the products that build f, are parts of the same terms.  The
     accumulators, the rows of powers and their products carry at most N
-    edge weights, so their norms are at most Rm^N.  Sums of states and
-    contributions sum distinct assignments, so the same bounds hold.
+    edge weights.  Sums of states and contributions sum distinct
+    assignments.  So every value of the pass is the truncation of a sum of
+    at most q^N terms, each a product of a <= N vertex weights and b <= K
+    edge weights, and every product of two values before truncation is
+    the product of two such truncations, whose pairs of terms are again at
+    most q^N such terms.  It is enough that every coefficient the pass
+    reads is at most q^N * M in absolute value: that is below 2^(W-1),
+    the slot's signed range.
+
+    M1: |.| is subadditive and submultiplicative and truncation never
+    raises it, so the norm of a value or a product is at most
+    q^N * Wm^a * Rm^b <= q^N * M1 (Wm, Rm >= 1), and a norm bounds every
+    coefficient, kept or not.  M2: the kept coefficients, of x^e with
+    e <= cap, of a value or a product are those of its untruncated sum of
+    terms, and depend only on the factors' coefficients up to x^cap.  The
+    coefficients of a term are at most those of the product of its
+    factors' coefficientwise absolute values, hence of Mw^a * Mr^b; with
+    nonnegative coefficients and constant terms at least 1, a further
+    factor Mw or Mr never lowers a coefficient, so the kept ones are at
+    most [x^e](Mw^N * Mr^K) <= M2.  M2 bounds only the kept
+    exponents, which is enough for one variable: Packing keeps slots
+    0 .. cap, the low (cap + 1) * W bits, so the mask in mul is a
+    reduction modulo 2^((cap + 1) * W), and the digits of the slots above
+    the cap, however large, are multiples of that modulus and drop out
+    without touching the kept ones.  With two or more variables, discarded
+    slots lie between kept ones and a carry out of them would land in a
+    kept digit, so only M1 applies.
     """
     weights, r = merged
     q = len(weights)
@@ -602,30 +685,38 @@ def evaluate_cell_sum(
     w = [weights[i] for i in order]
     rr = [[r[a][b] for b in order] for a in order]
     # plain ints multiply natively; symbolic values multiply packed
-    if caps is None:
-        mul = operator.mul
-    else:
+    mul = emul = operator.mul
+    if caps is not None:
         cvars = next(
             (v.vars for v in itertools.chain(w, *rr) if isinstance(v, Poly)), ()
         )
-        packing = Packing(cvars, caps, _slot_width(q, length, w, rr))
+        packing = Packing(cvars, caps, _slot_width(q, length, caps, w, rr))
         w = [packing.pack(v) for v in w]
-        rr = [[packing.pack(v) for v in row] for row in rr]
         mul = packing.mul
+        if any(isinstance(v, Poly) for row in rr for v in row):
+            rr = [[packing.pack(v) for v in row] for row in rr]
+            emul = mul
 
     # states[used] maps accs to the summed coefficient; accs[t] holds the
     # product over processed cells p of rr[p][i+t] ** count_p
     states: dict[int, dict[tuple, Value]] = {0: {(1,) * q: 1}}
     ticker = 0
     for i in range(q):
-        rows = [_powers(mul, rr[i][j], length) for j in range(i, q)]
+        rows = [_powers(emul, rr[i][j], length) for j in range(i, q)]
         # f[c] = rr[i][i] ** C(c, 2) * w[i] ** c: the cell's own atoms
         f = [1]
         for c in range(1, length + 1):
-            f.append(mul(mul(f[-1], rows[0][c - 1]), w[i]))
+            f.append(mul(emul(f[-1], rows[0][c - 1]), w[i]))
         mults = [tuple(row[c] for row in rows[1:]) for c in range(length + 1)]
         nxt: dict[int, dict[tuple, Value]] = {u: {} for u in range(length + 1)}
         for used, bucket in states.items():
+            g = []
+            for c in range(length - used + 1):
+                # every larger count keeps a zero factor
+                if not f[c]:
+                    break
+                # a packed value times a plain int needs no truncation
+                g.append(math.comb(used + c, c) * f[c])
             for accs, coeff in bucket.items():
                 ticker += 1
                 if deadline is not None and ticker % 256 == 0:
@@ -633,21 +724,19 @@ def evaluate_cell_sum(
                         raise BudgetExceeded
                 a0 = accs[0]
                 rest = accs[1:]
-                apow: Value = 1
-                binom = 1
-                for c in range(length - used + 1):
-                    if c:
-                        apow = mul(apow, a0)
-                        binom = binom * (used + c) // c
-                    fc = mul(f[c], apow)
-                    # every larger count keeps a zero factor
-                    if not fc:
+                # count 0: g[0] = 1 and the accumulators stay
+                slot = nxt[used]
+                prev = slot.get(rest)
+                slot[rest] = coeff if prev is None else prev + coeff
+                run = coeff
+                for c in range(1, len(g)):
+                    run = emul(run, a0)
+                    if not run:
                         break
-                    # binom is a plain int on either path
-                    contrib = mul(coeff * binom, fc)
+                    contrib = mul(g[c], run)
                     if not contrib:
                         continue
-                    na = tuple(map(mul, rest, mults[c])) if c else rest
+                    na = tuple(map(emul, rest, mults[c]))
                     slot = nxt[used + c]
                     prev = slot.get(na)
                     slot[na] = contrib if prev is None else prev + contrib
@@ -731,8 +820,14 @@ class CompiledSentence:
 
 
 def compile_sentence(s: Sentence, weights: WeightMap | None = None) -> CompiledSentence:
+    """s compiled under weights, a map from predicate names to (true,
+    false) weights, which must be integers: a weight w with int(w) != w,
+    such as 2.5, is a ValueError naming its predicate."""
     start = time.monotonic()
     used = {p.name for p in s.predicates}
+    for name, pair_w in (weights or {}).items():
+        if any(int(x) != x for x in pair_w):
+            raise ValueError(f"weights of {name} must be integers, got {pair_w}")
     # a weight for a name s does not use could fall on a fresh predicate
     w = {n: (int(a), int(b)) for n, (a, b) in (weights or {}).items() if n in used}
     clauses = normalize_clauses(sorted(s.clauses, key=Clause.render))

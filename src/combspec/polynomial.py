@@ -121,7 +121,10 @@ class Packing:
     field with no borrow from below, keeps the slots within the caps and
     takes their offset off again.  Exact as long as every coefficient of
     the operands and of the untruncated product lies in
-    [-2**(width - 1), 2**(width - 1)).
+    [-2**(width - 1), 2**(width - 1)).  With one variable the kept slots
+    are the lowest, so the mask reduces modulo a power of two that every
+    slot above the caps is a multiple of, and only the coefficients within
+    the caps need lie in that range.
     """
 
     def __init__(self, vars: tuple[str, ...], caps: Sequence[int], width: int):

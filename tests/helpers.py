@@ -516,10 +516,13 @@ def dp_iterations(
     caps: Sequence[int] | None = None,
     order_fn=None,
 ) -> int:
-    """The (state, count) pairs that evaluate_cell_sum visits on a merged
-    cell graph, each state of a step with each count of the step's cell
-    that its inner loop tries, with the cells in order_fn's order (the
-    engine's by default): the same packing and DP, counted."""
+    """The (state, count) pairs of the cell DP on a merged cell graph, each
+    state of a step with each count of the step's cell up to and including
+    the first whose own-cell factor times the accumulator power is zero,
+    with the cells in order_fn's order (the engine's by default): the
+    engine's packing, states and sums, counted.  The engine skips that zero
+    count, so this is a fixed measure of the states and counts, not of its
+    loop."""
     weights, r = merged
     q = len(weights)
     order = (order_fn or engine._greedy_cell_order)(r, q, length)
@@ -530,7 +533,7 @@ def dp_iterations(
         cvars = next(
             (v.vars for v in itertools.chain(w, *rr) if isinstance(v, Poly)), ()
         )
-        packing = Packing(cvars, caps, engine._slot_width(q, length, w, rr))
+        packing = Packing(cvars, caps, engine._slot_width(q, length, caps, w, rr))
         w = [packing.pack(v) for v in w]
         rr = [[packing.pack(v) for v in row] for row in rr]
         mul = packing.mul

@@ -509,6 +509,14 @@ def test_counts_below_one_are_errors(tmp_path, capsys, argv):
     assert not db.exists()
 
 
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_a_domain_size_below_one_names_its_flag(capsys, n):
+    code = main(["wfomc", "(V x E=1 y R(x,y))", "--n", n])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: --n must be at least 1, got {n}\n"
+
+
 @pytest.mark.parametrize(
     "flag, value, message",
     [

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 import random
 
 import pytest
@@ -23,7 +24,7 @@ from combspec.engine import (
 from combspec.generator import GenLimits, _literal_options
 from combspec.logic import FORALL, FragmentError, Predicate, pair, parse_sentence, single
 from combspec.oracle import count_models, weighted_count
-from combspec.polynomial import Poly, make
+from combspec.polynomial import Poly, make, norm1
 from helpers import random_sentence, reference_cell_graph, reference_cell_order
 
 MAXN_ORACLE = 4
@@ -347,6 +348,18 @@ def test_weights_beside_a_compiled_sentence_are_refused():
     assert compute_spectrum(compiled, 3).terms == [4, 24, 124]
 
 
+@pytest.mark.parametrize("weight", [(2.5, 1), (2, 0.5), (2, -1.5)])
+def test_a_fractional_weight_is_an_error(weight):
+    # int() would truncate 2.5 to 2 and count as if the weight were 2
+    s = parse_sentence("(E x Heads(x))")
+    with pytest.raises(ValueError, match="Heads"):
+        wfomc(s, 2, {"Heads": weight})
+    with pytest.raises(ValueError, match="Heads"):
+        compute_spectrum(s, 2, weights={"Heads": weight})
+    # integral values of any numeric type are integers
+    assert wfomc(s, 2, {"Heads": (2.0, 1)}) == wfomc(s, 2, {"Heads": (2, 1)}) == 8
+
+
 def test_length_below_one_is_an_error(monkeypatch):
     compiled = compile_sentence(parse_sentence("(V x E y B(x,y))"))
     for length in (0, -3):
@@ -654,15 +667,20 @@ def _random_symbolic_graph(rng):
     return _graph(w, r)
 
 
-def test_cell_order_gives_the_values_of_the_reference_order(monkeypatch):
-    rng = random.Random(14)
+def _order_cases(rng):
+    """100 integer and 100 symbolic cell graphs, the latter with caps."""
     cases = [(_random_cell_graph(rng), None) for _ in range(100)]
     cases += [
         (_random_symbolic_graph(rng), (rng.randint(1, 3), rng.randint(0, 2)))
         for _ in range(100)
     ]
+    return cases
+
+
+def test_cell_order_gives_the_values_of_the_reference_order(monkeypatch):
+    rng = random.Random(14)
     packed = 0
-    for g, caps in cases:
+    for g, caps in _order_cases(rng):
         length = rng.randint(1, 7)
         merged = engine._merge_cells(g)
         got = evaluate_cell_sum(merged, length, caps)
@@ -673,3 +691,69 @@ def test_cell_order_gives_the_values_of_the_reference_order(monkeypatch):
         assert got == want
         packed += any(isinstance(v, Poly) for v in got)
     assert packed > 20
+
+
+# the slot width of a packed pass
+
+
+def _norm_width(q, length, caps, weights, r):
+    """The slot width of the norm bound alone, for any number of
+    variables: bit_length(q^N * Wm^N * Rm^max(C(N, 2), N)) + 1."""
+    wm = max([1, *map(norm1, weights)])
+    rm = max([1, *(norm1(v) for row in r for v in row)])
+    k = max(length * (length - 1) // 2, length)
+    return (q**length * wm**length * rm**k).bit_length() + 1
+
+
+def _recorded_widths(monkeypatch):
+    """Record (width, norm width) of every packed pass from now on."""
+    widths = []
+    width = engine._slot_width
+
+    def recording(*args):
+        widths.append((width(*args), _norm_width(*args)))
+        return widths[-1][0]
+
+    monkeypatch.setattr(engine, "_slot_width", recording)
+    return widths
+
+
+def test_one_constrained_variable_narrows_the_slots(monkeypatch):
+    widths = _recorded_widths(monkeypatch)
+    s = parse_sentence("(V x E=1 y B(x,y)) & (V x E=1 y B(y,x))")
+    compiled = compile_sentence(s)
+    assert compiled.cvars == ("B",)
+    assert compiled.values(10) == [math.factorial(n) for n in range(1, 11)]
+    assert widths
+    # the (10,)-cap passes need slots for x^0 .. x^10 only
+    assert all(new < norm for new, norm in widths), widths
+
+
+def _one_variable(v):
+    """v with Y set to X: a polynomial in X alone."""
+    if not isinstance(v, Poly):
+        return v
+    terms = {}
+    for (a, b), c in v.terms.items():
+        terms[(a + b,)] = terms.get((a + b,), 0) + c
+    return make(("X",), terms)
+
+
+def test_the_kept_coefficient_width_gives_the_norm_width_sums(monkeypatch):
+    rng = random.Random(14)
+    cases = _order_cases(rng)
+    widths = _recorded_widths(monkeypatch)
+    for g, _ in cases:
+        g = _graph(
+            [_one_variable(v) for v in g.weights],
+            [[_one_variable(v) for v in row] for row in g.r],
+        )
+        merged = engine._merge_cells(g)
+        length, caps = rng.randint(1, 7), (rng.randint(0, 4),)
+        got = evaluate_cell_sum(merged, length, caps)
+        with monkeypatch.context() as m:
+            m.setattr(engine, "_slot_width", _norm_width)
+            want = evaluate_cell_sum(merged, length, caps)
+        assert got == want
+    assert len(widths) == len(cases)
+    assert sum(new < norm for new, norm in widths) > 50

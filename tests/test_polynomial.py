@@ -1,7 +1,9 @@
-"""Sparse polynomial arithmetic used for cardinality-constrained counting."""
+"""Sparse polynomial arithmetic used for cardinality-constrained counting.
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
+The property tests draw their examples from seeded random.Random streams,
+so every run checks the same examples."""
+
+import random
 
 from combspec.polynomial import (
     Packing,
@@ -20,8 +22,17 @@ def poly_from(terms):
     return make(VARS, terms)
 
 
-monomials = st.tuples(st.integers(0, 4), st.integers(0, 4))
-polys = st.dictionaries(monomials, st.integers(-9, 9), max_size=5).map(poly_from)
+def random_terms(rng, nvars, degree=4, coeff=9):
+    """Up to five monomials in nvars variables of exponents 0..degree, with
+    coefficients in -coeff..coeff."""
+    return {
+        tuple(rng.randint(0, degree) for _ in range(nvars)): rng.randint(-coeff, coeff)
+        for _ in range(rng.randint(0, 5))
+    }
+
+
+def random_poly(rng):
+    return poly_from(random_terms(rng, 2))
 
 
 def as_func(p):
@@ -40,43 +51,49 @@ def is_normal(p):
     return all(p.terms.values()) and any(any(m) for m in p.terms)
 
 
-@given(polys, polys, st.integers(-3, 3), st.integers(-3, 3))
-@settings(max_examples=200)
-def test_add_and_mul_agree_with_evaluation(p, q, u, v):
-    assert as_func(p + q)(u, v) == as_func(p)(u, v) + as_func(q)(u, v)
-    assert as_func(mul_values(p, q))(u, v) == as_func(p)(u, v) * as_func(q)(u, v)
+def test_add_and_mul_agree_with_evaluation():
+    rng = random.Random(1)
+    for _ in range(200):
+        p, q = random_poly(rng), random_poly(rng)
+        u, v = rng.randint(-3, 3), rng.randint(-3, 3)
+        assert as_func(p + q)(u, v) == as_func(p)(u, v) + as_func(q)(u, v)
+        assert as_func(mul_values(p, q))(u, v) == as_func(p)(u, v) * as_func(q)(u, v)
 
 
-@given(polys, polys, polys)
-@settings(max_examples=100)
-def test_ring_laws(p, q, r):
+def test_ring_laws():
+    rng = random.Random(2)
     mul = mul_values
-    assert p + q == q + p
-    assert mul(p, q) == mul(q, p)
-    assert (p + q) + r == p + (q + r)
-    assert mul(mul(p, q), r) == mul(p, mul(q, r))
-    assert mul(p, q + r) == mul(p, q) + mul(p, r)
+    for _ in range(100):
+        p, q, r = random_poly(rng), random_poly(rng), random_poly(rng)
+        assert p + q == q + p
+        assert mul(p, q) == mul(q, p)
+        assert (p + q) + r == p + (q + r)
+        assert mul(mul(p, q), r) == mul(p, mul(q, r))
+        assert mul(p, q + r) == mul(p, q) + mul(p, r)
 
 
-@given(polys, polys)
-@settings(max_examples=200)
-def test_results_are_in_normal_form(p, q):
+def test_results_are_in_normal_form():
     """A result with no monomial in a variable is an int, so equal values
     compare and hash equal however they were reached."""
-    for got in (p + q, mul_values(p, q)):
-        assert is_normal(got)
-    s = p + q
-    assert s == q + p and hash(s) == hash(q + p)
-    diff = s + mul_values(-1, q)
-    assert diff == p and hash(diff) == hash(p)
+    rng = random.Random(3)
+    for _ in range(200):
+        p, q = random_poly(rng), random_poly(rng)
+        for got in (p + q, mul_values(p, q)):
+            assert is_normal(got)
+        s = p + q
+        assert s == q + p and hash(s) == hash(q + p)
+        diff = s + mul_values(-1, q)
+        assert diff == p and hash(diff) == hash(p)
 
 
-@given(st.integers(-5, 5), st.integers(0, 4))
-def test_pow_matches_repeated_mul(a, e):
-    expect = 1
-    for _ in range(e):
-        expect = mul_values(expect, a)
-    assert pow_value(a, e) == expect
+def test_pow_matches_repeated_mul():
+    # every base and exponent of the range
+    for a in range(-5, 6):
+        for e in range(5):
+            expect = 1
+            for _ in range(e):
+                expect = mul_values(expect, a)
+            assert pow_value(a, e) == expect
 
 
 def test_zero_coefficients_are_pruned():
@@ -133,27 +150,51 @@ def convolution(vars, p, q):
     return make(vars, out)
 
 
-@st.composite
-def packed_operands(draw):
-    """One or two variables, caps 0..4, and two polynomials over them."""
-    k = draw(st.integers(1, 2))
-    vars = VARS[:k]
-    exps = st.tuples(*[st.integers(0, 4)] * k)
-    poly = st.dictionaries(exps, st.integers(-9, 9), max_size=5)
-    caps = draw(st.tuples(*[st.integers(0, 4)] * k))
-    return vars, caps, make(vars, draw(poly)), make(vars, draw(poly))
+def test_packed_product_matches_truncated_convolution():
+    rng = random.Random(4)
+    for _ in range(300):
+        # one or two variables, caps 0..4, and two polynomials over them
+        k = rng.randint(1, 2)
+        vars = VARS[:k]
+        caps = tuple(rng.randint(0, 4) for _ in range(k))
+        p, q = (make(vars, random_terms(rng, k)) for _ in range(2))
+        # the width the cell DP's norm bound gives for one product
+        width = (max(1, norm1(p)) * max(1, norm1(q))).bit_length() + 1
+        packing = Packing(vars, caps, width)
+        for v in (p, q):
+            assert packing.unpack(packing.pack(v)) == truncated(v, caps)
+        assert packed_mul(packing, p, q) == truncated(convolution(vars, p, q), caps)
 
 
-@given(packed_operands())
-@settings(max_examples=300)
-def test_packed_product_matches_truncated_convolution(operands):
-    vars, caps, p, q = operands
-    # the width the cell DP's bound gives for one product
-    width = (max(1, norm1(p)) * max(1, norm1(q))).bit_length() + 1
-    packing = Packing(vars, caps, width)
-    for v in (p, q):
-        assert packing.unpack(packing.pack(v)) == truncated(v, caps)
-    assert packed_mul(packing, p, q) == truncated(convolution(vars, p, q), caps)
+def test_one_variable_slots_need_hold_only_the_kept_coefficients():
+    """With one variable the kept slots are the low bits, so a product's
+    coefficients above the cap may overflow their slots: the mask drops
+    them whole, without a carry into a kept slot."""
+    rng = random.Random(5)
+    vars = VARS[:1]
+
+    def graded():
+        # exponents up to cap + 2, and x^e's coefficient up to 9 * 10^e, so
+        # that the products of the top kept coefficients dominate
+        exps = [rng.randint(0, cap + 2) for _ in range(rng.randint(0, 5))]
+        return make(vars, {(e,): rng.randint(-9, 9) * 10**e for e in exps})
+
+    overflowed = 0
+    for _ in range(300):
+        cap = rng.randint(0, 4)
+        p, q = graded(), graded()
+        want = convolution(vars, p, q)
+        kept = [truncated(v, (cap,)) for v in (p, q, want)]
+        top = max(abs(coeff_of(v, (e,))) for v in kept for e in range(cap + 1))
+        width = max(1, top).bit_length() + 1
+        packing = Packing(vars, (cap,), width)
+        assert packed_mul(packing, p, q) == kept[2]
+        # a dropped coefficient of the product of the packed operands
+        dropped = convolution(vars, *kept[:2])
+        overflowed += isinstance(dropped, Poly) and any(
+            abs(c) >= 1 << (width - 1) for m, c in dropped.terms.items() if m[0] > cap
+        )
+    assert overflowed > 50
 
 
 def test_value_helpers_int_fast_path():
