@@ -15,7 +15,7 @@ from .engine import compute_spectrum, wfomc
 from .generator import GenLimits, generate
 from .logic import FragmentError, ParseError, parse_sentence
 from .oeis import StrippedIndex, online_search
-from .seqdb import SpectrumDB
+from .seqdb import STATUSES, SpectrumDB
 
 PROFILES = {
     "fo2-paper": {"ml": 5, "mc": 2, "up": 1, "bp": 1, "k": 0},
@@ -201,6 +201,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_db(args: argparse.Namespace) -> int:
+    # a misspelt status would match nothing, which reads as an empty result
+    if args.status is not None and args.status not in STATUSES:
+        allowed = ", ".join(STATUSES)
+        raise ValueError(f"--status must be one of {allowed}, got {args.status!r}")
     # inspection never creates a database, so a missing path is an error
     if not Path(args.db).exists():
         raise FileNotFoundError(args.db)
@@ -209,7 +213,7 @@ def cmd_db(args: argparse.Namespace) -> int:
         print(json.dumps(db.stats()))
         return EXIT_OK
     records = db.latest_records()
-    if args.status:
+    if args.status is not None:
         records = [r for r in records if r.status == args.status]
     for rec in records:
         print(rec.to_json())
@@ -217,6 +221,9 @@ def cmd_db(args: argparse.Namespace) -> int:
 
 
 def cmd_oeis(args: argparse.Namespace) -> int:
+    # without a source every lookup would miss, which reads as no match
+    if not (args.stripped or args.online):
+        raise ValueError("oeis needs --stripped or --online")
     # every query is known before the dump is read, so only the entries
     # that can match them are kept
     if args.terms:

@@ -11,17 +11,18 @@ never enumerates worlds:
                 where needed
 3. skolemize:   eliminate existential quantifiers with fresh predicates
                 weighted (1, -1), leaving only universal clauses
-4. condition:   branch on the truth of nullary predicates
-5. cell graph:  one vertex per consistent cell, vertex weight from the
-                single-element atoms, edge weight from the model count of
-                the cross atoms between two elements
+4. cell graphs: branch on the truth of nullary predicates, and give each
+                branch one vertex per consistent cell, vertex weight from
+                the single-element atoms, edge weight from the model count
+                of the cross atoms between two elements
 
-The cell graph is built on bitmasks: a cell is an int with one bit per
-single-element atom, a clause is a positive and a negative literal mask,
-and each cell carries two bitsets, X and Y, of the oriented two-variable
-clauses whose x-side (y-side) literals it falsifies.  The edge weight of a
-pair of cells i, j depends only on X[i] & Y[j], and is computed once per
-distinct key.
+The cell graphs are built on bitmasks, from one reading of each clause
+shared by all branches: a cell is an int with one bit per single-element
+atom, a clause is a positive and a negative literal mask, and each cell
+carries two bitsets, X and Y, of the oriented two-variable clauses whose
+x-side (y-side) literals it falsifies.  The edge weight of a pair of
+cells i, j depends only on X[i] & Y[j], and is computed once per distinct
+key.
 
 One pass of the dynamic program yields every domain size up to the
 requested length.  Cardinality constraints ride through the computation as
@@ -219,6 +220,7 @@ def skolemize_clauses(
     the -1 branch.
     """
     out: list[Clause] = []
+    one, two = (FORALL,), (FORALL, FORALL)
     for c in clauses:
         kinds = tuple(q.kind for q in c.prefix)
         if any(q.is_counting for q in c.prefix):
@@ -229,67 +231,25 @@ def skolemize_clauses(
             z = Literal(Predicate(_fresh(used, "Z"), 0), ())
             weights[z.pred.name] = (1, -1)
             for lit in c.body:
-                out.append(single(FORALL, [z, lit.negate()]))
+                out.append(Clause(one, frozenset((z, lit.negate()))))
         elif kinds == ("E", "E"):
             z = Literal(Predicate(_fresh(used, "Z"), 0), ())
             weights[z.pred.name] = (1, -1)
             for lit in c.body:
-                out.append(pair(FORALL, FORALL, [z, lit.negate()]))
+                out.append(Clause(two, frozenset((z, lit.negate()))))
         elif kinds == ("V", "E"):
             s = Literal(Predicate(_fresh(used, "S"), 1), ("x",))
             weights[s.pred.name] = (1, -1)
             for lit in c.body:
-                out.append(pair(FORALL, FORALL, [s, lit.negate()]))
+                out.append(Clause(two, frozenset((s, lit.negate()))))
         else:  # ("E", "V")
             s = Literal(Predicate(_fresh(used, "S"), 1), ("x",))
             z = Literal(Predicate(_fresh(used, "Z"), 0), ())
             weights[s.pred.name] = (1, -1)
             weights[z.pred.name] = (1, -1)
-            out.append(single(FORALL, [z.negate(), s]))
-            out.append(pair(FORALL, FORALL, [s, *c.body]))
+            out.append(Clause(one, frozenset((z.negate(), s))))
+            out.append(Clause(two, frozenset((s, *c.body))))
     return out
-
-
-def condition_nullary(
-    clauses: Sequence[Clause],
-    weights: WeightMap,
-) -> list[tuple[int, list[Clause]]]:
-    """Branch on nullary predicate truth: (weight factor, residual clauses)."""
-    names = sorted(
-        {lit.pred.name for c in clauses for lit in c.body if lit.pred.arity == 0}
-    )
-    if not names:
-        return [(1, list(clauses))]
-    branches = []
-    for values in itertools.product((True, False), repeat=len(names)):
-        assign = dict(zip(names, values))
-        factor = 1
-        for name, val in assign.items():
-            w, wbar = weights.get(name, (1, 1))
-            factor *= w if val else wbar
-        if factor == 0:
-            continue
-        residual = []
-        dead = False
-        for c in clauses:
-            body = []
-            satisfied = False
-            for lit in c.body:
-                if lit.pred.arity == 0:
-                    if assign[lit.pred.name] != lit.negated:
-                        satisfied = True
-                        break
-                else:
-                    body.append(lit)
-            if satisfied:
-                continue
-            if not body:
-                dead = True
-                break
-            residual.append(Clause(c.prefix, frozenset(body)))
-        if not dead:
-            branches.append((factor, residual))
-    return branches
 
 
 @dataclass
@@ -315,27 +275,46 @@ def build_cell_graph(
     sig_preds: Sequence[Predicate],
     cvars: tuple[str, ...] = (),
     negated: Collection[str] = (),
-) -> CellGraph:
-    """Cell graph whose constrained predicates cvars carry a symbolic weight
-    on their true atoms, or on their false atoms for those in negated.
+) -> list[tuple[int, CellGraph]]:
+    """The (weight factor, cell graph) of each branch on the truth of the
+    nullary predicates in the universal clauses, whose constrained
+    predicates cvars carry a symbolic weight on their true atoms, or on
+    their false atoms for those in negated.
 
-    Everything is a bitmask.  A cell is the int whose bit k-1-i holds atom
-    i of k, so counting up from 0 visits the cells in itertools.product
-    order.  A clause read at one element is a positive and a negative atom
-    mask, and a cell satisfies it when cell & pos or ~cell & neg.  Each
-    two-variable clause, read in both orientations, splits into its x-side
-    and y-side cell literals and a mask over the 4^b assignments of the b
-    binary predicates' cross atoms, (x,y) then (y,x) per predicate, taken
-    from per-position tables.  X[i] is the set of oriented clauses whose
-    x-side literals cell i falsifies, Y[j] likewise for the y-side, so the
-    clauses that constrain the cross atoms of the pair (i, j) are
-    X[i] & Y[j], and the edge weight is memoised on that key.
+    A branch assigns every nullary predicate, true first, the first one
+    varying slowest, and its factor is the product of their weights.  A
+    branch of factor 0 is skipped.  It keeps the clauses that its
+    assignment leaves unsatisfied, and it is dead, with no graph, when one
+    of them has no cell literal.
+
+    Everything is a bitmask, and each clause is read once, into one record
+    for all branches.  A cell is the int whose bit k-1-i holds atom i of
+    k, so counting up from 0 visits the cells in itertools.product order.
+    A record holds the clause's nullary literals, as a positive and a
+    negative mask over the nullary predicates, and the clause read at one
+    element, where all arguments collapse, as a positive and a negative
+    atom mask: a cell satisfies it when cell & pos or ~cell & neg.  A
+    two-variable clause also gives two oriented clauses, one per reading,
+    each split into its x-side and y-side cell literals and a mask over
+    the 4^b assignments of the b binary predicates' cross atoms, (x,y)
+    then (y,x) per predicate, taken from per-position tables.
+
+    Every branch keeps the clauses without nullary literals, so its cells
+    are among the cells that satisfy those at one element, and each of
+    these is read once: its weight, and the sets X and Y of oriented
+    clauses whose x-side (y-side) literals it falsifies.  A branch keeps
+    the cells that satisfy its other kept records at one element, and
+    masks X to its kept oriented clauses, so the clauses that constrain
+    the cross atoms of the pair (i, j) are X[i] & Y[j].  The edge weight
+    depends only on that key, and is memoised on it for all branches.
     """
     unary = sorted(p for p in sig_preds if p.arity == 1)
     binary = sorted(p for p in sig_preds if p.arity == 2)
     atom_preds = unary + binary
     k = len(atom_preds)
     bit = {p.name: 1 << (k - 1 - i) for i, p in enumerate(atom_preds)}
+    names = sorted({l.pred.name for c in clauses for l in c.body if not l.pred.arity})
+    nbit = {name: 1 << (len(names) - 1 - i) for i, name in enumerate(names)}
     cvar_set = set(cvars)
 
     def wpair(p: Predicate) -> tuple[Value, Value]:
@@ -349,25 +328,6 @@ def build_cell_graph(
     # without symbolic weights every weight is a plain int
     mul = mul_values if cvars else operator.mul
 
-    for c in clauses:
-        for lit in c.body:
-            if lit.pred.arity == 0:
-                raise ValueError("nullary literal reached the cell graph")
-        if any(q != FORALL for q in c.prefix):
-            raise ValueError("non-universal clause reached the cell graph")
-
-    def masks(lits) -> tuple[int, int]:
-        pos = neg = 0
-        for l in lits:
-            if l.negated:
-                neg |= bit[l.pred.name]
-            else:
-                pos |= bit[l.pred.name]
-        return pos, neg
-
-    # every clause read at a single element, where all arguments collapse
-    diag = [masks(c.body) for c in clauses]
-
     npos = 2 * len(binary)
     bpos = {p.name: 2 * i for i, p in enumerate(binary)}
     nassign = 1 << npos
@@ -375,23 +335,42 @@ def build_cell_graph(
     # holds[p]: the assignments whose cross atom at position p is true
     holds = [sum(1 << a for a in range(nassign) if a >> p & 1) for p in range(npos)]
 
-    # per two-variable clause and orientation: (x-side masks, y-side masks,
-    # the assignments that satisfy one of its cross literals)
-    oriented = []
+    # per clause: its nullary masks, its masks at one element and the bits
+    # of its oriented clauses; per oriented clause: its x-side and y-side
+    # masks, and the assignments that satisfy one of its cross literals.
+    # Masks are [positive, negative].
+    records = []
+    oriented: list[tuple[list[int], list[int]]] = []
+    cross: list[int] = []
     for c in clauses:
-        if c.nvars < 2:
-            continue
-        for flip in (False, True):
-            sides: tuple[list[Literal], list[Literal]] = ([], [])
-            cross_mask = 0
-            for l in c.body:
-                args = l.args
-                if l.pred.arity == 1 or args[0] == args[1]:
-                    sides[(args[0] == "y") ^ flip].append(l)
-                else:
-                    p = bpos[l.pred.name] + ((args == ("y", "x")) ^ flip)
-                    cross_mask |= full_mask ^ holds[p] if l.negated else holds[p]
-            oriented.append((masks(sides[0]), masks(sides[1]), cross_mask))
+        if any(q != FORALL for q in c.prefix):
+            raise ValueError("non-universal clause reached the cell graph")
+        null, diag = [0, 0], [0, 0]
+        sides, crosses = ([0, 0], [0, 0]), [0, 0]
+        for l in c.body:
+            name = l.pred.name
+            if not l.pred.arity:
+                null[l.negated] |= nbit[name]
+                continue
+            diag[l.negated] |= bit[name]
+            if c.nvars < 2:
+                continue
+            args = l.args
+            if l.pred.arity == 1 or args[0] == args[1]:
+                sides[args[0] == "y"][l.negated] |= bit[name]
+            else:
+                p = bpos[name] + (args[0] == "y")
+                # the flipped reading swaps the cross atoms' positions
+                for flip in (0, 1):
+                    h = holds[p ^ flip]
+                    crosses[flip] |= full_mask ^ h if l.negated else h
+        tbits = 0
+        if c.nvars == 2:
+            tbits = 3 << len(cross)
+            # the flipped reading swaps the sides
+            oriented += [sides, sides[::-1]]
+            cross += crosses
+        records.append((null, diag, tbits))
 
     assign_w: list[Value] = []
     for a in range(nassign):
@@ -401,45 +380,70 @@ def build_cell_graph(
             w = mul(w, wt if a >> p & 1 else wf)
         assign_w.append(w)
 
-    cells = [c for c in range(1 << k) if all(c & pos or ~c & neg for pos, neg in diag)]
-    cell_weights = []
-    for c in cells:
+    # every branch keeps the clauses without nullary literals, so its cells
+    # are among theirs, and each of those is read once: (weight, X, Y) over
+    # all oriented clauses
+    shared = range(1 << k)
+    for null, (pos, neg), _ in records:
+        if not null[0] | null[1]:
+            shared = [c for c in shared if c & pos or ~c & neg]
+    facts = {}
+    for c in shared:
         w = 1
-        for p, (wt, wf) in zip(atom_preds, atom_w):
-            w = mul(w, wt if c & bit[p.name] else wf)
-        cell_weights.append(w)
+        for b, (wt, wf) in zip(bit.values(), atom_w):
+            w = mul(w, wt if c & b else wf)
+        x = y = 0
+        for t, ((xpos, xneg), (ypos, yneg)) in enumerate(oriented):
+            if not (c & xpos or ~c & xneg):
+                x |= 1 << t
+            if not (c & ypos or ~c & yneg):
+                y |= 1 << t
+        facts[c] = (w, x, y)
 
-    def falsified(c: int, side: int) -> int:
-        out = 0
-        for t, clause in enumerate(oriented):
-            pos, neg = clause[side]
-            if not (c & pos or ~c & neg):
-                out |= 1 << t
-        return out
-
-    xs = [falsified(c, 0) for c in cells]
-    ys = [falsified(c, 1) for c in cells]
     totals: dict[int, Value] = {}
-    q = len(cells)
-    r: list[list[Value]] = [[0] * q for _ in range(q)]
-    for i in range(q):
-        x = xs[i]
-        row = r[i]
-        for j in range(i, q):
-            key = x & ys[j]
-            total = totals.get(key)
-            if total is None:
-                mask = full_mask
-                for t, clause in enumerate(oriented):
-                    if key >> t & 1:
-                        mask &= clause[2]
-                total = 0
-                for a in range(nassign):
-                    if mask >> a & 1:
-                        total = total + assign_w[a]
-                totals[key] = total
-            row[j] = r[j][i] = total
-    return CellGraph(cells, cell_weights, r)
+    branches = []
+    # counting down from all true visits itertools.product((True, False)) order
+    for truth in range((1 << len(names)) - 1, -1, -1):
+        factor = 1
+        for name in names:
+            w, wbar = weights.get(name, (1, 1))
+            factor *= w if truth & nbit[name] else wbar
+        if factor == 0:
+            continue
+        kept = [r for r in records if not (truth & r[0][0] or ~truth & r[0][1])]
+        # a kept clause with no cell literal is false
+        if not all(pos | neg for _, (pos, neg), _ in kept):
+            continue
+        cells = shared
+        tkept = 0
+        for null, (pos, neg), tbits in kept:
+            tkept |= tbits
+            if null[0] | null[1]:
+                cells = [c for c in cells if c & pos or ~c & neg]
+        q = len(cells)
+        xs = [facts[c][1] & tkept for c in cells]
+        ys = [facts[c][2] for c in cells]
+        r: list[list[Value]] = [[0] * q for _ in range(q)]
+        for i in range(q):
+            x = xs[i]
+            row = r[i]
+            for j in range(i, q):
+                key = x & ys[j]
+                total = totals.get(key)
+                if total is None:
+                    mask = full_mask
+                    for t, clause_mask in enumerate(cross):
+                        if key >> t & 1:
+                            mask &= clause_mask
+                    total = 0
+                    for a in range(nassign):
+                        if mask >> a & 1:
+                            total = total + assign_w[a]
+                    totals[key] = total
+                row[j] = r[j][i] = total
+        graph = CellGraph(list(cells), [facts[c][0] for c in cells], r)
+        branches.append((factor, graph))
+    return branches
 
 
 def _merge_cells(g: CellGraph) -> Merged:
@@ -822,9 +826,15 @@ class CompiledSentence:
 def compile_sentence(s: Sentence, weights: WeightMap | None = None) -> CompiledSentence:
     """s compiled under weights, a map from predicate names to (true,
     false) weights, which must be integers: a weight w with int(w) != w,
-    such as 2.5, is a ValueError naming its predicate."""
+    such as 2.5, is a ValueError naming its predicate.
+
+    The clauses are normalized, their counting quantifiers reduced and
+    their existentials skolemized, and one build_cell_graph call reads the
+    resulting universal clauses once, against one bit layout over the
+    sentence's predicates and the fresh ones, for all nullary branches."""
     start = time.monotonic()
-    used = {p.name for p in s.predicates}
+    preds = s.predicates
+    used = {p.name for p in preds}
     for name, pair_w in (weights or {}).items():
         if any(int(x) != x for x in pair_w):
             raise ValueError(f"weights of {name} must be integers, got {pair_w}")
@@ -833,20 +843,16 @@ def compile_sentence(s: Sentence, weights: WeightMap | None = None) -> CompiledS
     clauses = normalize_clauses(sorted(s.clauses, key=Clause.render))
     clauses, constraints = reduce_counting(clauses, used)
     clauses = skolemize_clauses(clauses, w, used)
-    branches = condition_nullary(clauses, w)
 
-    sig = {p for p in s.predicates if p.arity > 0}
+    sig = {p for p in preds if p.arity > 0}
     sig |= {lit.pred for c in clauses for lit in c.body if lit.pred.arity > 0}
     cvars = tuple(sorted({c.pred for c in constraints}))
     negated = {c.pred for c in constraints if c.negated}
     base_weights = {p: w.get(p, (1, 1))[p in negated] for p in cvars}
 
-    graphs = [
-        (factor, build_cell_graph(residual, w, sorted(sig), cvars, negated))
-        for factor, residual in branches
-    ]
+    branches = build_cell_graph(clauses, w, sorted(sig), cvars, negated)
     secs = time.monotonic() - start
-    return CompiledSentence(graphs, constraints, cvars, base_weights, secs)
+    return CompiledSentence(branches, constraints, cvars, base_weights, secs)
 
 
 def wfomc(s: Sentence, n: int, weights: WeightMap | None = None) -> int:

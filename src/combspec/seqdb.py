@@ -23,6 +23,8 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 MIN_OVERLAP = 5
+# every status a record can take
+STATUSES = ("unique", "duplicate", "product_redundant", "truncated")
 
 
 @dataclass

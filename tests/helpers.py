@@ -377,6 +377,48 @@ def reference_refine(
     return colors
 
 
+def reference_condition_nullary(
+    clauses: Sequence[Clause],
+    weights: WeightMap,
+) -> list[tuple[int, list[Clause]]]:
+    """Branch on nullary predicate truth: (weight factor, residual clauses)."""
+    names = sorted(
+        {lit.pred.name for c in clauses for lit in c.body if lit.pred.arity == 0}
+    )
+    if not names:
+        return [(1, list(clauses))]
+    branches = []
+    for values in itertools.product((True, False), repeat=len(names)):
+        assign = dict(zip(names, values))
+        factor = 1
+        for name, val in assign.items():
+            w, wbar = weights.get(name, (1, 1))
+            factor *= w if val else wbar
+        if factor == 0:
+            continue
+        residual = []
+        dead = False
+        for c in clauses:
+            body = []
+            satisfied = False
+            for lit in c.body:
+                if lit.pred.arity == 0:
+                    if assign[lit.pred.name] != lit.negated:
+                        satisfied = True
+                        break
+                else:
+                    body.append(lit)
+            if satisfied:
+                continue
+            if not body:
+                dead = True
+                break
+            residual.append(Clause(c.prefix, frozenset(body)))
+        if not dead:
+            branches.append((factor, residual))
+    return branches
+
+
 def reference_cell_graph(
     clauses: Sequence[Clause],
     weights: WeightMap,
@@ -384,7 +426,8 @@ def reference_cell_graph(
     cvars: tuple[str, ...] = (),
     negated: Collection[str] = (),
 ) -> CellGraph:
-    """Reference for engine.build_cell_graph: the same graph built by testing
+    """Reference for one branch of engine.build_cell_graph, on the residual
+    clauses of reference_condition_nullary: the same graph built by testing
     every oriented clause against every cell pair, with cells as tuples and
     cross-literal masks from a loop over the assignments.  The cells come
     back as the engine's ints, whose bit k-1-i holds atom i of k."""
@@ -485,6 +528,21 @@ def reference_cell_graph(
     k = len(atom_preds)
     ints = [sum(1 << (k - 1 - i) for i, b in enumerate(bits) if b) for bits in cells]
     return CellGraph(ints, cell_weights, r)
+
+
+def reference_branches(
+    clauses: Sequence[Clause],
+    weights: WeightMap,
+    sig_preds: Sequence[Predicate],
+    cvars: tuple[str, ...] = (),
+    negated: Collection[str] = (),
+) -> list[tuple[int, CellGraph]]:
+    """Reference for engine.build_cell_graph: reference_condition_nullary,
+    then reference_cell_graph on each branch's residual clauses."""
+    return [
+        (factor, reference_cell_graph(residual, weights, sig_preds, cvars, negated))
+        for factor, residual in reference_condition_nullary(clauses, weights)
+    ]
 
 
 def reference_cell_order(r: list[list[Value]], q: int, length: int) -> list[int]:

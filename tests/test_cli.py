@@ -260,6 +260,26 @@ def test_db_stats_and_export(tmp_path, capsys):
     assert all(r["status"] == "unique" for r in rows)
 
 
+
+@pytest.mark.parametrize("via_config", [False, True])
+def test_db_export_refuses_an_unknown_status(tmp_path, capsys, via_config):
+    db = tmp_path / "seq.jsonl"
+    SpectrumDB(db).insert("(V x U(x))", [1, 1, 1, 1, 1])
+    argv = ["db", "export", "--db", str(db)]
+    if via_config:
+        cfg = tmp_path / "db.cfg"
+        cfg.write_text("status = uniqe\n")
+        argv += ["--config", str(cfg)]
+    else:
+        argv += ["--status", "uniqe"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (
+        "error: --status must be one of unique, duplicate, product_redundant, "
+        "truncated, got 'uniqe'\n"
+    )
+
 def test_oeis_terms_against_fixture(capsys):
     code, out = run(
         capsys,
@@ -272,6 +292,19 @@ def test_oeis_terms_against_fixture(capsys):
     assert code == 0
     assert out.strip() == "A000142"
 
+
+
+def test_oeis_without_a_source_is_a_usage_error(tmp_path, capsys):
+    # every lookup would miss, and no output would read as no match
+    code = main(["oeis", "--terms", "1,2,6,24,120,720"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: oeis needs --stripped or --online\n"
+    # the check follows the --config merge, so a config file can name the dump
+    cfg = tmp_path / "oeis.cfg"
+    cfg.write_text(f"stripped = {FIXTURE}\n")
+    code, out = run(capsys, "oeis", "--terms", "1,2,6,24,120,720", "--config", str(cfg))
+    assert (code, out) == (0, "A000142\n")
 
 def test_oeis_db_annotates_matches(tmp_path, capsys):
 

@@ -27,7 +27,7 @@ from helpers import (
     dp_iterations,
     grounded_refuted,
     recorded_passes,
-    reference_cell_graph,
+    reference_branches,
     reference_cell_order,
     reference_classify,
     reference_has_subsumed_clause,
@@ -46,7 +46,7 @@ WIDE_LIMITS = GenLimits(max_literals=3, max_clauses=2, unary=2, binary=2)
 
 class Recorded(NamedTuple):
     result: GenResult
-    # (args, kwargs, graph) of every build_cell_graph call
+    # (args, kwargs, branches) of every build_cell_graph call
     graphs: list
     # (sentence, verdict) of every is_refuted call
     refuted: list
@@ -69,9 +69,9 @@ def _recorded_generate(limits, layers, length=None):
     )
 
     def building(*args, **kwargs):
-        g = build(*args, **kwargs)
-        graphs.append((args, kwargs, g))
-        return g
+        branches = build(*args, **kwargs)
+        graphs.append((args, kwargs, branches))
+        return branches
 
     def refuting(s):
         verdict = refute(s)
@@ -135,8 +135,8 @@ def test_verdicts_match_the_reference_that_labels_every_candidate(search, reques
 def test_bitmask_cell_graphs_match_the_reference(search, request):
     calls = request.getfixturevalue(search).graphs
     assert calls
-    for args, kwargs, g in calls:
-        assert g == reference_cell_graph(*args, **kwargs), args
+    for args, kwargs, branches in calls:
+        assert branches == reference_branches(*args, **kwargs), args
 
 
 @pytest.mark.parametrize("search", ["fo2", "c2"])

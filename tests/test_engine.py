@@ -25,7 +25,12 @@ from combspec.generator import GenLimits, _literal_options
 from combspec.logic import FORALL, FragmentError, Predicate, pair, parse_sentence, single
 from combspec.oracle import count_models, weighted_count
 from combspec.polynomial import Poly, make, norm1
-from helpers import random_sentence, reference_cell_graph, reference_cell_order
+from helpers import (
+    random_sentence,
+    reference_branches,
+    reference_cell_graph,
+    reference_cell_order,
+)
 
 MAXN_ORACLE = 4
 
@@ -466,12 +471,94 @@ def test_bitmask_cell_graph_matches_the_reference_on_random_clauses():
     seen = set()
     for _ in range(300):
         clauses, weights, sig, cvars, negated = _random_universal_clauses(rng)
-        g = build_cell_graph(clauses, weights, sig, cvars, negated)
+        # without nullary literals there is one branch, of factor 1
+        [(factor, g)] = build_cell_graph(clauses, weights, sig, cvars, negated)
+        assert factor == 1
         assert g == reference_cell_graph(clauses, weights, sig, cvars, negated)
         seen.add(len(g.cells) == 0)
         seen.add("symbolic" if negated else None)
         seen.add("two binary" if sum(p.arity == 2 for p in sig) == 2 else None)
     assert {True, False, "symbolic", "two binary"} <= seen
+
+
+# nullary branches against the reference pipeline
+
+# (prefix, counted atom) of the counting clauses the random sentences draw
+COUNTING_SHAPES = [
+    ("E=1 x", "U(x)"),
+    ("E=1 x", "B(x,x)"),
+    ("V x E=1 y", "B(x,y)"),
+    ("E=1 x V y", "B(x,y)"),
+]
+PREFIXES = ["E x", "E x E y", "V x E y", "E x V y", "E=1", "V x", "V x V y"]
+
+
+def _random_nullary_sentence(rng):
+    """A sentence over U, B and one or two nullary predicates, with clauses
+    under E, E E, V E, E V, E=1, V and V V, and random weights that put 0
+    on a nullary predicate about one time in three."""
+    nullary = ["P", "Q"][: rng.randint(1, 2)]
+    clauses = []
+    for _ in range(rng.randint(1, 3)):
+        prefix = rng.choice(PREFIXES)
+        if prefix == "E=1":
+            prefix, atom = rng.choice(COUNTING_SHAPES)
+            body = [atom]
+        else:
+            options = ["U(x)", "B(x,x)", *nullary]
+            if "y" in prefix:
+                options += ["U(y)", "B(y,y)", "B(x,y)", "B(y,x)"]
+            body = rng.sample(options, rng.randint(1, 3))
+        body = [("~" if rng.random() < 0.5 else "") + lit for lit in body]
+        clauses.append(f"({prefix} {' | '.join(body)})")
+    names = ["U", "B", *nullary]
+    weights = {p: (rng.randint(-2, 3), rng.randint(-2, 3)) for p in names}
+    if rng.random() < 0.35:
+        w, wbar = weights[nullary[0]]
+        weights[nullary[0]] = (0, wbar) if rng.random() < 0.5 else (w, 0)
+    return parse_sentence(" & ".join(clauses)), weights
+
+
+def test_one_pass_compile_matches_the_reference_pipeline_on_random_sentences(
+    monkeypatch,
+):
+    calls = []
+    build = engine.build_cell_graph
+
+    def building(*args):
+        branches = build(*args)
+        calls.append((args, branches))
+        return branches
+
+    monkeypatch.setattr(engine, "build_cell_graph", building)
+    rng = random.Random(27)
+    seen = set()
+    checked = 0
+    while checked < 300:
+        s, weights = _random_nullary_sentence(rng)
+        try:
+            compiled = compile_sentence(s, weights)
+        except FragmentError:
+            continue
+        (args, branches) = calls[-1]
+        assert compiled.branches is branches
+        assert branches == reference_branches(*args), s.render()
+        clauses, w = args[:2]
+        names = sorted(
+            {l.pred.name for c in clauses for l in c.body if not l.pred.arity}
+        )
+        nonzero = 0
+        for values in itertools.product((0, 1), repeat=len(names)):
+            factor = math.prod(w.get(p, (1, 1))[v] for p, v in zip(names, values))
+            nonzero += factor != 0
+        seen.add("factor 0" if nonzero < 2 ** len(names) else None)
+        seen.add("dead" if len(branches) < nonzero else None)
+        seen.add("four branches" if len(branches) == 4 else None)
+        for n in range(1, 4):
+            want = weighted_count(s, n, weights)
+            assert wfomc(s, n, weights) == want, (s.render(), weights, n)
+        checked += 1
+    assert {"factor 0", "dead", "four branches"} <= seen
 
 
 # fingerprints
