@@ -201,6 +201,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_db(args: argparse.Namespace) -> int:
+    # stats counts every status, so a filter would read as applied
+    if args.status is not None and args.db_command == "stats":
+        raise ValueError("--status applies to db export only")
     # a misspelt status would match nothing, which reads as an empty result
     if args.status is not None and args.status not in STATUSES:
         allowed = ", ".join(STATUSES)

@@ -449,37 +449,26 @@ def build_cell_graph(
 def _merge_cells(g: CellGraph) -> Merged:
     """Collapse cells with identical edge rows, summing their weights.
 
-    Cells i and j merge when r_ii = r_jj = r_ij and their edges agree on
-    every other cell: splitting a block between them telescopes to a single
-    cell of weight w_i + w_j.  Zero-weight cells drop out entirely.  The
-    result is the weights and the edge rows, as tuples.
+    Zero-weight cells drop out first, and the live cells are grouped by
+    their rows restricted to the live cells.  As r is symmetric, two
+    cells i and j have equal rows exactly when r_ii = r_jj = r_ij and
+    their edges agree on every other cell: splitting a block between them
+    telescopes to a single cell of weight w_i + w_j.  A group whose
+    weights sum to zero drops out too.  The result is the weights and the
+    edge rows, as tuples, in the order of each group's first cell.
     """
-    q = len(g.cells)
-    live = [i for i in range(q) if g.weights[i]]
+    live = [i for i in range(len(g.cells)) if g.weights[i]]
     r = g.r
-    groups: list[list[int]] = []
+    groups: dict[tuple, list[int]] = {}
     for i in live:
-        for grp in groups:
-            rep = grp[0]
-            if r[i][i] == r[rep][rep] == r[rep][i] and all(
-                r[i][k] == r[rep][k]
-                for k in live
-                if k != i and k != rep
-            ):
-                grp.append(i)
-                break
-        else:
-            groups.append([i])
+        groups.setdefault(tuple(r[i][k] for k in live), []).append(i)
     weights = []
-    kept_groups = []
-    for grp in groups:
-        w: Value = 0
-        for i in grp:
-            w = w + g.weights[i]
+    reps = []
+    for grp in groups.values():
+        w = sum(g.weights[i] for i in grp)
         if w:
             weights.append(w)
-            kept_groups.append(grp)
-    reps = [grp[0] for grp in kept_groups]
+            reps.append(grp[0])
     return tuple(weights), tuple(tuple(r[a][b] for b in reps) for a in reps)
 
 
@@ -614,13 +603,23 @@ def evaluate_cell_sum(
     each later cell, the accumulated product of cross-edge powers, so
     partial compositions with equal summaries merge and their coefficients
     add.  The multinomial over element labels is built one cell at a time
-    as comb(used + c, c), so the states left after the last cell are the
-    sums for all domain sizes at once.  A step computes the factor of
-    count c of its cell, g[c] = comb(used + c, c) * f[c] with f[c] the
-    cell's own atoms, once per used bucket, and carries run = coeff * a0^c
-    as a running product.  Count 0 (g[0] = 1) passes a state on as it is,
-    and a larger count costs contrib = g[c] * run and one step of run,
-    besides its accumulators.
+    as comb(used + c, c), so what the last cell leaves are the sums for
+    all domain sizes at once.  A step computes the factor of count c of
+    its cell, g[c] = comb(used + c, c) * f[c] with f[c] the cell's own
+    atoms, once per used bucket.
+
+    The states of a bucket that differ only in a0, the step's own
+    accumulator, reach the same keys, so they are stored as one group
+    under their later accumulators, and a step expands each group once.
+    Per member it carries run = coeff * a0^c as a running product, and per
+    count c it sums the members' runs into total, then makes one product
+    contrib = g[c] * total and one write.  The write's key is the later
+    accumulators times the count's edge powers: the first of them, the
+    next cell's, keys the entry within its group, and the rest key the
+    group.  Count 0 (g[0] = 1) passes the group's total on as it is.  The
+    last cell leaves no accumulators, so its contributions go straight
+    into the sums.  A state whose coefficient cancelled to zero stays in
+    its group and adds nothing.
 
     With caps, every weight is packed into one int (polynomial.Packing)
     before the pass and the sums are unpacked after it.  Equal values are
@@ -654,15 +653,18 @@ def evaluate_cell_sum(
     factors g[c] (comb(used + c, c) <= q^N copies of c weights and
     C(c, 2) edges) and run = coeff * a0^c (C(used, 2) + used * c edges),
     and the products that build f, are parts of the same terms.  The
-    accumulators, the rows of powers and their products carry at most N
-    edge weights.  Sums of states and contributions sum distinct
-    assignments.  So every value of the pass is the truncation of a sum of
-    at most q^N terms, each a product of a <= N vertex weights and b <= K
-    edge weights, and every product of two values before truncation is
-    the product of two such truncations, whose pairs of terms are again at
-    most q^N such terms.  It is enough that every coefficient the pass
-    reads is at most q^N * M in absolute value: that is below 2^(W-1),
-    the slot's signed range.
+    members of a group hold disjoint sets of partial assignments, so a
+    group's total for count c sums at most i^used of them too, each times
+    the edges to the c new elements, and contrib = g[c] * total is the
+    same sum as above.  The accumulators, the rows of powers and their
+    products carry at most N edge weights.  Sums of states, group totals
+    and contributions sum distinct assignments.  So every value of the
+    pass is the truncation of a sum of at most q^N terms, each a product
+    of a <= N vertex weights and b <= K edge weights, and every product of
+    two values before truncation is the product of two such truncations,
+    whose pairs of terms are again at most q^N such terms.  It is enough
+    that every coefficient the pass reads is at most q^N * M in absolute
+    value: that is below 2^(W-1), the slot's signed range.
 
     M1: |.| is subadditive and submultiplicative and truncation never
     raises it, so the norm of a value or a product is at most
@@ -685,7 +687,8 @@ def evaluate_cell_sum(
     """
     weights, r = merged
     q = len(weights)
-    order = _greedy_cell_order(r, q, length)
+    # with at most two cells the search returns the given order anyway
+    order = _greedy_cell_order(r, q, length) if q > 2 else list(range(q))
     w = [weights[i] for i in order]
     rr = [[r[a][b] for b in order] for a in order]
     # plain ints multiply natively; symbolic values multiply packed
@@ -701,9 +704,12 @@ def evaluate_cell_sum(
             rr = [[packing.pack(v) for v in row] for row in rr]
             emul = mul
 
-    # states[used] maps accs to the summed coefficient; accs[t] holds the
+    # states[used] maps the later accumulators accs[1:] to a group, which
+    # maps a0 = accs[0] to the summed coefficient; accs[t] holds the
     # product over processed cells p of rr[p][i+t] ** count_p
-    states: dict[int, dict[tuple, Value]] = {0: {(1,) * q: 1}}
+    states: dict[int, dict[tuple, dict]] = {0: {(1,) * (q - 1): {1: 1}}}
+    # sums[n]: the sum for n elements, added to at the last cell
+    sums: list[Value] = [0] * (length + 1)
     ticker = 0
     for i in range(q):
         rows = [_powers(emul, rr[i][j], length) for j in range(i, q)]
@@ -711,8 +717,13 @@ def evaluate_cell_sum(
         f = [1]
         for c in range(1, length + 1):
             f.append(mul(emul(f[-1], rows[0][c - 1]), w[i]))
-        mults = [tuple(row[c] for row in rows[1:]) for c in range(length + 1)]
-        nxt: dict[int, dict[tuple, Value]] = {u: {} for u in range(length + 1)}
+        last = i == q - 1
+        if not last:
+            # a count's factors on the next cell's accumulator, and on the
+            # ones after it
+            heads = rows[1]
+            tails = [tuple(row[c] for row in rows[2:]) for c in range(length + 1)]
+        nxt: dict[int, dict[tuple, dict]] = {u: {} for u in range(length + 1)}
         for used, bucket in states.items():
             g = []
             for c in range(length - used + 1):
@@ -721,36 +732,45 @@ def evaluate_cell_sum(
                     break
                 # a packed value times a plain int needs no truncation
                 g.append(math.comb(used + c, c) * f[c])
-            for accs, coeff in bucket.items():
-                ticker += 1
-                if deadline is not None and ticker % 256 == 0:
+            counts = range(1, len(g))
+            for later, group in bucket.items():
+                ticker += len(group)
+                if deadline is not None and ticker >= 256:
+                    ticker = 0
                     if time.monotonic() > deadline:
                         raise BudgetExceeded
-                a0 = accs[0]
-                rest = accs[1:]
-                # count 0: g[0] = 1 and the accumulators stay
-                slot = nxt[used]
-                prev = slot.get(rest)
-                slot[rest] = coeff if prev is None else prev + coeff
-                run = coeff
-                for c in range(1, len(g)):
-                    run = emul(run, a0)
-                    if not run:
-                        break
-                    contrib = mul(g[c], run)
+                # totals[c] sums coeff * a0 ** c over the group
+                totals = [0] * len(g)
+                for a0, run in group.items():
+                    totals[0] += run
+                    for c in counts:
+                        run = emul(run, a0)
+                        if not run:
+                            break
+                        totals[c] += run
+                if not last:
+                    head, tail = later[0], later[1:]
+                for c, total in enumerate(totals):
+                    if not total:
+                        continue
+                    # count 0: g[0] = 1 and the accumulators stay
+                    contrib = mul(g[c], total) if c else total
                     if not contrib:
                         continue
-                    na = tuple(map(emul, rest, mults[c]))
+                    if last:
+                        sums[used + c] += contrib
+                        continue
+                    key = tuple(map(emul, tail, tails[c])) if c else tail
+                    a = emul(head, heads[c]) if c else head
                     slot = nxt[used + c]
-                    prev = slot.get(na)
-                    slot[na] = contrib if prev is None else prev + contrib
-        states = {
-            used: {k: v for k, v in bucket.items() if v}
-            for used, bucket in nxt.items()
-        }
-    # after the last cell no accumulators remain: one state per size
-    sums = {used: v for used, bucket in states.items() for v in bucket.values()}
-    out = [sums.get(n, 0) for n in range(1, length + 1)]
+                    into = slot.get(key)
+                    if into is None:
+                        slot[key] = {a: contrib}
+                    else:
+                        prev = into.get(a)
+                        into[a] = contrib if prev is None else prev + contrib
+        states = nxt
+    out = sums[1:]
     return out if caps is None else [packing.unpack(v) for v in out]
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import random
 from dataclasses import dataclass
@@ -574,55 +575,162 @@ def dp_iterations(
     caps: Sequence[int] | None = None,
     order_fn=None,
 ) -> int:
-    """The (state, count) pairs of the cell DP on a merged cell graph, each
-    state of a step with each count of the step's cell up to and including
-    the first whose own-cell factor times the accumulator power is zero,
-    with the cells in order_fn's order (the engine's by default): the
-    engine's packing, states and sums, counted.  The engine skips that zero
-    count, so this is a fixed measure of the states and counts, not of its
-    loop."""
+    """The (state, count) pairs of reference_cell_sum's per-state loop on a
+    merged cell graph, each state of a step with each count of the step's
+    cell up to and including the first whose own-cell factor times the
+    accumulator power is zero, with the cells in order_fn's order (the
+    engine's search by default).  The engine expands each group of states
+    with equal later accumulators once per count (dp_keyed_updates counts
+    its writes), so this is a fixed measure of the states and counts, not
+    of its loop."""
+    ticks = 0
+
+    def visit(used, bucket, g, last, mul, emul):
+        nonlocal ticks
+        for accs in bucket:
+            apow = 1
+            for c in range(length - used + 1):
+                ticks += 1
+                if c:
+                    apow = emul(apow, accs[0])
+                # g is cut at the first zero own-cell factor
+                if c >= len(g) or not mul(g[c], apow):
+                    break
+
+    reference_cell_sum(merged, length, caps, visit, order_fn)
+    return ticks
+
+
+def reference_cell_sum(
+    merged: engine.Merged,
+    length: int,
+    caps: Sequence[int] | None = None,
+    visit=None,
+    order_fn=None,
+) -> list[Value]:
+    """Reference for engine.evaluate_cell_sum: the same packing and states,
+    expanded one state at a time, with the cells in order_fn's order (the
+    engine's search by default).  Every state writes its coefficient for
+    count 0, and for each larger count c its running product coeff * a0^c
+    times g[c] under its own key; the states left after the last cell are
+    the sums.  visit, when given, is called with (used, bucket, g, last,
+    mul, emul) before each bucket of each step is expanded."""
     weights, r = merged
     q = len(weights)
     order = (order_fn or engine._greedy_cell_order)(r, q, length)
     w = [weights[i] for i in order]
     rr = [[r[a][b] for b in order] for a in order]
-    mul = operator.mul
+    mul = emul = operator.mul
     if caps is not None:
         cvars = next(
             (v.vars for v in itertools.chain(w, *rr) if isinstance(v, Poly)), ()
         )
         packing = Packing(cvars, caps, engine._slot_width(q, length, caps, w, rr))
         w = [packing.pack(v) for v in w]
-        rr = [[packing.pack(v) for v in row] for row in rr]
         mul = packing.mul
-    states: dict = {0: {(1,) * q: 1}}
-    ticks = 0
+        if any(isinstance(v, Poly) for row in rr for v in row):
+            rr = [[packing.pack(v) for v in row] for row in rr]
+            emul = mul
+    states: dict[int, dict[tuple, Value]] = {0: {(1,) * q: 1}}
     for i in range(q):
-        rows = [engine._powers(mul, rr[i][j], length) for j in range(i, q)]
+        rows = [engine._powers(emul, rr[i][j], length) for j in range(i, q)]
         f = [1]
         for c in range(1, length + 1):
-            f.append(mul(mul(f[-1], rows[0][c - 1]), w[i]))
+            f.append(mul(emul(f[-1], rows[0][c - 1]), w[i]))
         mults = [tuple(row[c] for row in rows[1:]) for c in range(length + 1)]
-        nxt: dict = {u: {} for u in range(length + 1)}
+        nxt: dict[int, dict[tuple, Value]] = {u: {} for u in range(length + 1)}
         for used, bucket in states.items():
+            g = []
+            for c in range(length - used + 1):
+                if not f[c]:
+                    break
+                g.append(math.comb(used + c, c) * f[c])
+            if visit is not None:
+                visit(used, bucket, g, i == q - 1, mul, emul)
             for accs, coeff in bucket.items():
-                apow, binom = 1, 1
-                for c in range(length - used + 1):
-                    ticks += 1
-                    if c:
-                        apow = mul(apow, accs[0])
-                        binom = binom * (used + c) // c
-                    fc = mul(f[c], apow)
-                    if not fc:
+                a0 = accs[0]
+                rest = accs[1:]
+                slot = nxt[used]
+                slot[rest] = slot.get(rest, 0) + coeff
+                run = coeff
+                for c in range(1, len(g)):
+                    run = emul(run, a0)
+                    if not run:
                         break
-                    contrib = mul(coeff * binom, fc)
+                    contrib = mul(g[c], run)
                     if not contrib:
                         continue
-                    na = tuple(map(mul, accs[1:], mults[c])) if c else accs[1:]
+                    na = tuple(map(emul, rest, mults[c]))
                     slot = nxt[used + c]
                     slot[na] = slot.get(na, 0) + contrib
         states = {u: {k: v for k, v in b.items() if v} for u, b in nxt.items()}
-    return ticks
+    sums = {used: v for used, bucket in states.items() for v in bucket.values()}
+    out = [sums.get(n, 0) for n in range(1, length + 1)]
+    return out if caps is None else [packing.unpack(v) for v in out]
+
+
+def dp_keyed_updates(
+    merged: engine.Merged, length: int, caps: Sequence[int] | None = None
+) -> int:
+    """The keyed state writes that engine.evaluate_cell_sum makes on a
+    merged cell graph: at every cell but the last, whose sums go straight
+    into the terms, one per group of a used bucket's states with equal
+    later accumulators and per count c whose group sum of coeff * a0^c,
+    times g[c], is not zero.  Counted on reference_cell_sum's states; the
+    engine keeps the states whose coefficients cancelled to zero too, but
+    they add nothing to a group sum and write nothing."""
+    writes = 0
+
+    def visit(used, bucket, g, last, mul, emul):
+        nonlocal writes
+        if last:
+            return
+        totals: dict[tuple, list] = {}
+        for accs, coeff in bucket.items():
+            t = totals.setdefault(accs[1:], [0] * len(g))
+            run = coeff
+            for c in range(len(g)):
+                if c:
+                    run = emul(run, accs[0])
+                t[c] += run
+        for t in totals.values():
+            writes += bool(t[0]) + sum(1 for c in range(1, len(g)) if mul(g[c], t[c]))
+
+    reference_cell_sum(merged, length, caps, visit)
+    return writes
+
+
+def reference_merge_cells(g: CellGraph) -> engine.Merged:
+    """Reference for engine._merge_cells: each live cell joins the first
+    group whose first cell i has r_ii = r_jj = r_ij and agrees with it on
+    every other live cell, compared pairwise."""
+    q = len(g.cells)
+    live = [i for i in range(q) if g.weights[i]]
+    r = g.r
+    groups: list[list[int]] = []
+    for i in live:
+        for grp in groups:
+            rep = grp[0]
+            if r[i][i] == r[rep][rep] == r[rep][i] and all(
+                r[i][k] == r[rep][k]
+                for k in live
+                if k != i and k != rep
+            ):
+                grp.append(i)
+                break
+        else:
+            groups.append([i])
+    weights = []
+    kept_groups = []
+    for grp in groups:
+        w: Value = 0
+        for i in grp:
+            w = w + g.weights[i]
+        if w:
+            weights.append(w)
+            kept_groups.append(grp)
+    reps = [grp[0] for grp in kept_groups]
+    return tuple(weights), tuple(tuple(r[a][b] for b in reps) for a in reps)
 
 
 def recorded_passes(sentences, length):

@@ -280,6 +280,24 @@ def test_db_export_refuses_an_unknown_status(tmp_path, capsys, via_config):
         "truncated, got 'uniqe'\n"
     )
 
+
+@pytest.mark.parametrize("via_config", [False, True])
+def test_db_stats_refuses_a_status(tmp_path, capsys, via_config):
+    # stats counts every status, so a filter would read as applied
+    db = tmp_path / "seq.jsonl"
+    SpectrumDB(db).insert("(V x U(x))", [1, 1, 1, 1, 1])
+    argv = ["db", "stats", "--db", str(db)]
+    if via_config:
+        cfg = tmp_path / "db.cfg"
+        cfg.write_text("status = truncated\n")
+        argv += ["--config", str(cfg)]
+    else:
+        argv += ["--status", "truncated"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: --status applies to db export only\n"
+
 def test_oeis_terms_against_fixture(capsys):
     code, out = run(
         capsys,

@@ -25,15 +25,18 @@ from combspec.oracle import count_models
 from helpers import (
     all_retained,
     dp_iterations,
+    dp_keyed_updates,
     grounded_refuted,
     recorded_passes,
     reference_branches,
     reference_cell_order,
+    reference_cell_sum,
     reference_classify,
     reference_has_subsumed_clause,
     reference_is_decomposable,
     reference_is_refuted,
     reference_is_tautological,
+    reference_merge_cells,
     reference_refine,
 )
 
@@ -296,6 +299,32 @@ def test_cell_order_cuts_the_fo2_dp_iterations(fo2):
     new = sum(dp_iterations(m, n, caps) for m, n, caps, _ in passes)
     ref = sum(dp_iterations(m, n, caps, reference_cell_order) for m, n, caps, _ in passes)
     assert new <= 0.7 * ref, (new, ref)
+
+
+@pytest.mark.parametrize("search", ["fo2", "c2"])
+def test_grouped_cell_sum_gives_the_sums_of_the_per_state_loop(search, request):
+    passes = recorded_passes(request.getfixturevalue(search).result.all_kept(), 10)
+    assert len(passes) == {"fo2": 408, "c2": 231}[search]
+    for merged, length, caps, sums in passes:
+        assert reference_cell_sum(merged, length, caps) == sums
+
+
+def test_grouped_steps_cut_the_fo2_keyed_writes(fo2):
+    # the per-state loop writes a key for nearly every (state, count) pair
+    passes = recorded_passes(fo2.result.all_kept(), 10)
+    iterations = sum(dp_iterations(m, n, caps) for m, n, caps, _ in passes)
+    writes = sum(dp_keyed_updates(m, n, caps) for m, n, caps, _ in passes)
+    assert iterations == 352_158
+    assert writes <= 0.6 * iterations, writes
+
+
+@pytest.mark.parametrize("search", ["fo2", "c2"])
+def test_merge_cells_merges_as_the_pairwise_reference(search, request):
+    calls = request.getfixturevalue(search).graphs
+    graphs = [g for *_, branches in calls for _, g in branches]
+    assert len(graphs) == {"fo2": 3771, "c2": 935}[search]
+    for g in graphs:
+        assert engine._merge_cells(g) == reference_merge_cells(g)
 
 
 @pytest.mark.parametrize("search", ["fo2", "c2"])

@@ -30,6 +30,8 @@ from helpers import (
     reference_branches,
     reference_cell_graph,
     reference_cell_order,
+    reference_cell_sum,
+    reference_merge_cells,
 )
 
 MAXN_ORACLE = 4
@@ -844,3 +846,127 @@ def test_the_kept_coefficient_width_gives_the_norm_width_sums(monkeypatch):
         assert got == want
     assert len(widths) == len(cases)
     assert sum(new < norm for new, norm in widths) > 50
+
+
+# grouped cell-DP steps against the per-state reference
+
+
+def _typed_graph(rng, weights, edges, q):
+    """Weights and symmetric edge rows of q cells, each of one of a few
+    types, with the edge between cells of two types (a loop too) taken
+    from one table but for a few drawn alone: cells of one type have equal
+    rows on most cells, so they often merge, and the states of a step that
+    differ only in the current cell's accumulator often share the later
+    ones."""
+    types = [rng.randrange(rng.randint(1, 3)) for _ in range(q)]
+    table = {}
+    r = [[0] * q for _ in range(q)]
+    for i in range(q):
+        for j in range(i, q):
+            pair = tuple(sorted((types[i], types[j])))
+            if rng.random() < 0.2:
+                r[i][j] = r[j][i] = rng.choice(edges)
+            else:
+                r[i][j] = r[j][i] = table.setdefault(pair, rng.choice(edges))
+    return [rng.choice(weights) for _ in range(q)], r
+
+
+def _grouped_cases(rng):
+    """200 merged graphs with the length and caps of a pass: plain ints,
+    symbolic weights and edges, and symbolic weights with plain-int edges
+    (packed, with edges multiplied natively)."""
+    ints = [-2, -1, 1, 2]
+    polys = [
+        make(("X", "Y"), {(0, 0): rng.randint(-1, 1), (a, b): rng.choice([-1, 1, 2])})
+        for a, b in ((1, 0), (0, 1), (1, 1), (2, 0))
+    ]
+    cases = []
+    for k in range(200):
+        q = rng.randint(1, 6)
+        if k % 3 == 0:
+            (w, r), caps = _typed_graph(rng, ints, [0, 1, 2, -1, 3], q), None
+        elif k % 3 == 1:
+            w, r = _typed_graph(rng, ints + polys, [0, 1, -1, 2] + polys, q)
+            caps = (rng.randint(1, 3), rng.randint(0, 2))
+        else:
+            w, r = _typed_graph(rng, ints + polys, [0, 1, -1, 2], q)
+            caps = (rng.randint(1, 3), rng.randint(0, 2))
+        cases.append(((tuple(w), tuple(map(tuple, r))), rng.randint(1, 7), caps))
+    return cases
+
+
+def test_grouped_cell_sum_gives_the_sums_of_the_per_state_loop():
+    rng = random.Random(28)
+    shared = cancelled = 0
+
+    def visit(used, bucket, g, last, mul, emul):
+        # groups of states with equal later accumulators, and the group
+        # sums of coeff * a0^c that cancel while a member's term does not
+        nonlocal shared, cancelled
+        groups: dict = {}
+        for accs, coeff in bucket.items():
+            groups.setdefault(accs[1:], []).append((accs[0], coeff))
+        for members in groups.values():
+            shared += len(members) > 1
+            runs = [coeff for _, coeff in members]
+            for c in range(len(g)):
+                if c:
+                    runs = [emul(run, a0) for run, (a0, _) in zip(runs, members)]
+                cancelled += any(runs) and not sum(runs)
+
+    packed = 0
+    for merged, length, caps in _grouped_cases(rng):
+        want = reference_cell_sum(merged, length, caps, visit)
+        assert evaluate_cell_sum(merged, length, caps) == want
+        packed += any(isinstance(v, Poly) for v in want)
+    assert shared > 300 and cancelled > 20 and packed > 50, (shared, cancelled, packed)
+
+
+def test_a_passed_deadline_stops_a_grouped_pass():
+    # five cells with distinct edges: far more than 256 states
+    r = [[2, 3, 5, 7, 11], [3, 2, 13, 17, 19], [5, 13, 3, 23, 29],
+         [7, 17, 23, 2, 31], [11, 19, 29, 31, 3]]
+    merged = ((1, 1, 1, 1, 1), tuple(map(tuple, r)))
+    states = 0
+
+    def visit(used, bucket, *rest):
+        nonlocal states
+        states += len(bucket)
+
+    want = reference_cell_sum(merged, 10, None, visit)
+    assert states > 256
+    assert evaluate_cell_sum(merged, 10) == want
+    with pytest.raises(BudgetExceeded):
+        evaluate_cell_sum(merged, 10, deadline=0.0)
+
+
+def test_merge_cells_merges_as_the_pairwise_reference():
+    rng = random.Random(2028)
+    # zero weights, and a polynomial beside its negation, so that the
+    # weights of a group of equal rows often sum to zero
+    p, minus_p = make(("X",), {(1,): 2}), make(("X",), {(1,): -2})
+    edges = [0, 1, 2, -1, make(("X",), {(0,): 1, (1,): 1}), make(("X",), {(2,): -1})]
+    dropped = cancelled = 0
+    for _ in range(300):
+        g = _graph(*_typed_graph(rng, [-1, 0, 1, p, minus_p], edges, rng.randint(1, 7)))
+        merged = engine._merge_cells(g)
+        assert merged == reference_merge_cells(g)
+        live = [i for i in range(len(g.cells)) if g.weights[i]]
+        dropped += len(live) < len(g.cells)
+        rows = {tuple(g.r[i][k] for k in live) for i in live}
+        cancelled += len(merged[0]) < len(rows)
+    assert dropped > 100 and cancelled > 15, (dropped, cancelled)
+
+
+def test_two_cells_need_no_order_search():
+    # the engine skips the search for one or two cells, as its tie-break
+    # keeps the given order there; the reverse order is no substitute, as
+    # it visits other (state, count) pairs when one loop is zero
+    rng = random.Random(2)
+    for _ in range(300):
+        q = rng.randint(0, 2)
+        r = [[0] * q for _ in range(q)]
+        for i in range(q):
+            for j in range(i, q):
+                r[i][j] = r[j][i] = rng.choice([0, 1, 2, -1, 3])
+        assert engine._greedy_cell_order(r, q, rng.randint(1, 8)) == list(range(q))
