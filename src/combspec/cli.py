@@ -88,15 +88,15 @@ def _at_least_one(value: str | None, default: int, flag: str) -> int:
     return n
 
 
-def _budget(value: str | None, default: float | None) -> float | None:
-    """The --budget-secs option, or its default when unset; NaN or below
+def _budget(value: str | None, default: float | None, flag: str) -> float | None:
+    """A budget option in seconds, or its default when unset; NaN or below
     0 is an error."""
     if value is None:
         return default
     secs = float(value)
     # NaN compares false with everything, so `not secs >= 0` refuses it too
     if not secs >= 0:
-        raise ValueError(f"--budget-secs must be at least 0, got {value}")
+        raise ValueError(f"{flag} must be at least 0, got {value}")
     return secs
 
 
@@ -130,7 +130,7 @@ def cmd_wfomc(args: argparse.Namespace) -> int:
 def cmd_spectrum(args: argparse.Namespace) -> int:
     s = parse_sentence(args.sentence)
     length = _at_least_one(args.length, 10, "--length")
-    budget = _budget(args.budget_secs, None)
+    budget = _budget(args.budget_secs, None, "--budget-secs")
     sp = compute_spectrum(
         s, length, weights=_weights_from_args(args), budget_secs=budget
     )
@@ -154,10 +154,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
     limits = _limits_from_args(args)
     layers = _at_least_one(args.layers, 3, "--layers")
     length = _at_least_one(args.length, 10, "--length")
-    budget = _budget(args.budget_secs, 30.0)
+    budget = _budget(args.budget_secs, 30.0, "--budget-secs")
+    search_budget = _budget(args.search_budget_secs, None, "--search-budget-secs")
     profile = args.profile or "custom"
 
-    result = generate(limits, layers, length=length, spectrum_secs=budget)
+    result = generate(
+        limits, layers, budget_secs=search_budget, length=length, spectrum_secs=budget
+    )
     db = SpectrumDB(args.db) if args.db else None
     per_layer: list[dict] = [
         {"layer": i + 1, "kept": len(kept), "unique": 0}
@@ -184,8 +187,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
             if rec.status == "unique":
                 per_layer[i]["unique"] += 1
 
+    # the search stops inside the last layer it reports
+    stopped_layer = len(result.kept) if result.truncated else None
     if args.json:
         doc = {"layers": per_layer, "truncated": truncated}
+        if stopped_layer is not None:
+            doc["stopped_layer"] = stopped_layer
         if db is not None:
             doc["db"] = db.stats()
         print(json.dumps(doc))
@@ -195,6 +202,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
             if db is not None:
                 line += f", unique {row['unique']}"
             print(line)
+        if stopped_layer is not None:
+            print(f"search budget ran out in layer {stopped_layer}")
         if db is not None:
             print(f"db: {db.stats()}")
     return EXIT_BUDGET if truncated else EXIT_OK
@@ -227,6 +236,9 @@ def cmd_oeis(args: argparse.Namespace) -> int:
     # without a source every lookup would miss, which reads as no match
     if not (args.stripped or args.online):
         raise ValueError("oeis needs --stripped or --online")
+    # --terms would run alone and leave the database as it was
+    if args.terms and args.db:
+        raise ValueError("oeis takes --terms or --db, not both")
     # every query is known before the dump is read, so only the entries
     # that can match them are kept
     if args.terms:
@@ -316,6 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layers", help="refinement depth (default 3)")
     p.add_argument("--length", help="spectrum length (default 10)")
     p.add_argument("--budget-secs", dest="budget_secs", help="per-spectrum budget")
+    p.add_argument(
+        "--search-budget-secs", dest="search_budget_secs", help="whole-search budget"
+    )
     p.add_argument("--db", help="JSONL database path")
     add_common(p)
     p.set_defaults(func=cmd_generate)

@@ -9,8 +9,12 @@ spectra.  A truncated spectrum that is neither takes the status
 truncated, never unique, so it neither stands for a sequence, nor
 shadows a whole one, nor is a factor of a product.  Both relations are
 found by hash lookup on indexes kept up to date as records arrive, so an
-insert does not scan the store.  Terms are serialized as decimal strings
-since they routinely exceed every fixed-width integer.
+insert does not scan the store: a duplicate is looked up by its first
+terms, and a product's factors by the divisors of its second term, which
+are enumerated when that is cheaper than walking the distinct second
+terms stored.  Terms are serialized as decimal strings since they
+routinely exceed every fixed-width integer, and each line is written
+straight from a record's fields.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import chain
+from math import isqrt
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -25,6 +30,9 @@ from typing import Callable, Mapping, Sequence
 MIN_OVERLAP = 5
 # every status a record can take
 STATUSES = ("unique", "duplicate", "product_redundant", "truncated")
+# the types an optional field of a record may hold
+_INT_OR_NONE = (int, type(None))
+_STR_OR_NONE = (str, type(None))
 
 
 @dataclass
@@ -41,30 +49,43 @@ class Record:
     oeis: str | None = None
 
     def to_json(self) -> str:
-        doc = {
-            "id": self.id,
-            "sentence": self.sentence,
-            "spectrum": [str(t) for t in self.spectrum],
-            "truncated": self.truncated,
-            "status": self.status,
-        }
-        for key in ("duplicate_of", "product_of", "layer", "profile", "oeis"):
-            if getattr(self, key) is not None:
-                doc[key] = getattr(self, key)
-        return json.dumps(doc, sort_keys=True)
+        """The record as one JSON line: the bytes that json.dumps writes,
+        with sort_keys, for a dict of the fields that are set.  The line is
+        written straight from the fields, so a record must hold the types
+        declared above, as from_json checks."""
+        parts = []
+        if self.duplicate_of is not None:
+            parts.append(f'"duplicate_of": {self.duplicate_of}')
+        parts.append(f'"id": {self.id}')
+        if self.layer is not None:
+            parts.append(f'"layer": {self.layer}')
+        if self.oeis is not None:
+            parts.append(f'"oeis": {json.dumps(self.oeis)}')
+        if self.product_of is not None:
+            parts.append(f'"product_of": [{self.product_of[0]}, {self.product_of[1]}]')
+        if self.profile is not None:
+            parts.append(f'"profile": {json.dumps(self.profile)}')
+        parts.append(f'"sentence": {json.dumps(self.sentence)}')
+        # a term is a decimal string, which JSON needs no escape for
+        terms = '", "'.join(map(str, self.spectrum))
+        parts.append(f'"spectrum": ["{terms}"]' if self.spectrum else '"spectrum": []')
+        parts.append(f'"status": {json.dumps(self.status)}')
+        parts.append(f'"truncated": {"true" if self.truncated else "false"}')
+        return "{" + ", ".join(parts) + "}"
 
     @classmethod
     def from_json(cls, line: str) -> "Record":
         """The record on one line; a truncated unique one, as older files
-        hold, reads as truncated."""
+        hold, reads as truncated.  A field of another type than declared
+        is a TypeError, so that to_json can write the record back."""
         doc = json.loads(line)
         product = doc.get("product_of")
         truncated = doc.get("truncated", False)
         status = doc["status"]
-        return cls(
+        rec = cls(
             id=doc["id"],
             sentence=doc["sentence"],
-            spectrum=tuple(int(t) for t in doc["spectrum"]),
+            spectrum=tuple(map(int, doc["spectrum"])),
             truncated=truncated,
             status="truncated" if truncated and status == "unique" else status,
             duplicate_of=doc.get("duplicate_of"),
@@ -73,6 +94,20 @@ class Record:
             profile=doc.get("profile"),
             oeis=doc.get("oeis"),
         )
+        # bool is a subclass of int, so the types are compared exactly
+        if not (
+            type(rec.id) is int
+            and type(rec.sentence) is str
+            and type(rec.truncated) is bool
+            and type(rec.status) is str
+            and type(rec.duplicate_of) in _INT_OR_NONE
+            and type(rec.layer) in _INT_OR_NONE
+            and type(rec.profile) in _STR_OR_NONE
+            and type(rec.oeis) in _STR_OR_NONE
+            and (rec.product_of is None or list(map(type, rec.product_of)) == [int, int])
+        ):
+            raise TypeError("a field holds a value of an undeclared type")
+        return rec
 
 
 def _common_prefix_match(a: Sequence[int], b: Sequence[int]) -> bool:
@@ -171,21 +206,30 @@ class SpectrumDB:
         """A pair of eligible stored spectra whose termwise product matches.
 
         Factors are tried in id order, drawn from the records whose second
-        term divides the query's.  Dividing the query by a factor determines
-        the cofactor head except at positions where both are zero, so mates
-        are found by hash lookup on the masked head and verified over the
-        whole overlap.  The all-ones factor is skipped (it would pair every
-        spectrum with itself times nothing).
+        term divides the query's second term s1.  Those second terms are
+        found from s1's side: the divisors of |s1| up to isqrt(|s1|) by
+        trial division, their cofactors, and the negatives of both (a
+        weighted spectrum can be negative), each looked up in `_by_second`.
+        When that takes at least as many steps as there are distinct
+        stored second terms, and when s1 is 0 (which every term divides),
+        each stored term is tested instead.  Dividing the query by a factor
+        determines the cofactor head except at positions where both are
+        zero, so mates are found by hash lookup on the masked head and
+        verified over the whole overlap.  The all-ones factor is skipped
+        (it would pair every spectrum with itself times nothing).
         """
         if len(spectrum) < MIN_OVERLAP:
             return None
         s1, s2 = spectrum[1], spectrum[2]
+        by_second = self._by_second
+        n, root = abs(s1), isqrt(abs(s1))
+        if s1 and root < len(by_second):
+            divisors = {q for d in range(1, root + 1) if n % d == 0 for q in (d, n // d)}
+            keys = [k for d in divisors for k in (d, -d) if k in by_second]
+        else:
+            keys = [d for d in by_second if (s1 % d == 0 if d else s1 == 0)]
         factors = sorted(
-            chain.from_iterable(
-                recs for d, recs in self._by_second.items()
-                if (s1 % d == 0 if d else s1 == 0)
-            ),
-            key=attrgetter("id"),
+            chain.from_iterable(by_second[k] for k in keys), key=attrgetter("id")
         )
         for rec in factors:
             f2 = rec.spectrum[2]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import operator
 import random
@@ -44,6 +45,7 @@ from combspec.logic import (
 )
 from combspec.oracle import _ground_atoms
 from combspec.polynomial import Packing, Poly, Value, mul_values
+from combspec.seqdb import Record
 
 
 def random_sentence(rng: random.Random, limits: GenLimits) -> Sentence:
@@ -886,3 +888,20 @@ def reference_has_subsumed_clause(s: Sentence) -> bool:
             if _reference_implies_clause(c1r, target):
                 return True
     return False
+
+
+def reference_record_json(rec: Record) -> str:
+    """The record's line as a dict of its set fields, dumped with sorted
+    keys: the encoding that `Record.to_json` must reproduce byte for
+    byte."""
+    doc = {
+        "id": rec.id,
+        "sentence": rec.sentence,
+        "spectrum": [str(t) for t in rec.spectrum],
+        "truncated": rec.truncated,
+        "status": rec.status,
+    }
+    for key in ("duplicate_of", "product_of", "layer", "profile", "oeis"):
+        if getattr(rec, key) is not None:
+            doc[key] = getattr(rec, key)
+    return json.dumps(doc, sort_keys=True)

@@ -3,10 +3,13 @@
 import gzip
 import io
 import json
+import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from combspec import generator
 from combspec.cli import main
 from combspec.engine import compute_spectrum
 from combspec.generator import GenLimits, generate
@@ -106,6 +109,51 @@ def test_a_budget_below_zero_or_nan_is_a_usage_error(argv, budget, capsys):
     assert code == 2
     assert out == ""
     assert "--budget-secs must be at least 0" in err
+
+
+@pytest.mark.parametrize("budget", ["nan", "-1"])
+def test_a_search_budget_below_zero_or_nan_is_a_usage_error(budget, capsys):
+    argv = ["generate", "--profile", "fo2-paper", "--layers", "1"]
+    code = main(argv + ["--search-budget-secs", budget])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert "--search-budget-secs must be at least 0" in err
+
+
+def test_a_search_budget_names_the_layer_where_the_search_stopped(
+    tmp_path, capsys, monkeypatch
+):
+    # a clock that runs out after the 24 layer-1 candidates and 100 of
+    # layer 2's 210, so the search stops inside layer 2
+    reads = []
+
+    def clock():
+        reads.append(None)
+        return 0.0 if len(reads) <= 124 else math.inf
+
+    monkeypatch.setattr(generator, "time", SimpleNamespace(monotonic=clock))
+    argv = ["generate", "--profile", "fo2-paper", "--layers", "3"]
+    db = tmp_path / "t.jsonl"
+    code, out = run(capsys, *argv, "--search-budget-secs", "60", "--db", str(db), "--json")
+    doc = json.loads(out)
+    assert (code, doc["truncated"], doc["stopped_layer"]) == (4, True, 2)
+    kept = [row["kept"] for row in doc["layers"]]
+    assert kept[0] == 4 and 0 < kept[1] < 36 and len(kept) == 2
+    # the partial layer's kept sentences are stored like the others
+    layers = [rec.layer for rec in SpectrumDB(db).records()]
+    assert (layers.count(1), layers.count(2)) == (4, kept[1])
+    reads.clear()
+    code, out = run(capsys, *argv, "--search-budget-secs", "60")
+    assert code == 4
+    assert out.splitlines()[-1] == "search budget ran out in layer 2"
+
+
+def test_a_search_budget_that_holds_changes_no_output(capsys):
+    argv = ["generate", "--profile", "fo2-paper", "--layers", "2"]
+    for flags in ([], ["--json"]):
+        plain = run(capsys, *argv, *flags)
+        assert run(capsys, *argv, *flags, "--search-budget-secs", "600") == plain
+        assert plain[0] == 0
 
 
 def test_generate_never_counts_a_truncated_spectrum_as_unique(tmp_path, capsys):
@@ -323,6 +371,22 @@ def test_oeis_without_a_source_is_a_usage_error(tmp_path, capsys):
     cfg.write_text(f"stripped = {FIXTURE}\n")
     code, out = run(capsys, "oeis", "--terms", "1,2,6,24,120,720", "--config", str(cfg))
     assert (code, out) == (0, "A000142\n")
+
+def test_oeis_terms_beside_db_is_a_usage_error(tmp_path, capsys):
+    # --terms would be looked up alone and the database left as it was
+    db = tmp_path / "seq.jsonl"
+    SpectrumDB(db).insert("(E x U(x))", [1, 3, 7, 15, 31])
+    before = db.read_bytes()
+    argv = ["oeis", "--terms", "1,1,2,6,24,120,720", "--stripped", str(FIXTURE)]
+    cfg = tmp_path / "oeis.cfg"
+    cfg.write_text(f"db = {db}\n")
+    for extra in (["--db", str(db)], ["--config", str(cfg)]):
+        code = main(argv + extra)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: oeis takes --terms or --db, not both\n"
+    assert db.read_bytes() == before
+
 
 def test_oeis_db_annotates_matches(tmp_path, capsys):
 

@@ -1,12 +1,14 @@
 """Append-only spectrum store: duplicates, products, persistence."""
 
+import math
 import random
 import re
 from types import SimpleNamespace
 
 import pytest
 
-from combspec.seqdb import MIN_OVERLAP, SpectrumDB
+from combspec.seqdb import MIN_OVERLAP, STATUSES, Record, SpectrumDB
+from helpers import reference_record_json
 
 
 def make_db(tmp_path, name="seq.jsonl"):
@@ -204,7 +206,17 @@ def test_big_integers_survive_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "bad", ['{"id": 1, bad', '{"id": 1}', "[1, 2]", '{"spectrum": 5}']
+    "bad",
+    [
+        '{"id": 1, bad',
+        '{"id": 1}',
+        "[1, 2]",
+        '{"spectrum": 5}',
+        # fields that to_json could not write back as they were read
+        '{"id": "1", "sentence": "s", "spectrum": [], "status": "unique"}',
+        '{"id": 1, "sentence": "s", "spectrum": [], "status": "unique", "layer": true}',
+        '{"id": 1, "sentence": "s", "spectrum": [], "status": "unique", "product_of": [0]}',
+    ],
 )
 def test_malformed_line_names_file_and_line(tmp_path, bad):
     path = tmp_path / "seq.jsonl"
@@ -213,6 +225,59 @@ def test_malformed_line_names_file_and_line(tmp_path, bad):
         fh.write("\n" + bad + "\n")
     with pytest.raises(OSError, match=re.escape(f"{path}:3: malformed record")):
         SpectrumDB(path)
+
+
+def random_records(rng):
+    """Records with plain, non-ASCII, quoted and backslashed sentences,
+    negative, 300-digit and empty spectra, and each optional field set in
+    about half of them."""
+    sentences = [
+        "(V x E y B(x,y))",
+        "(E x Größe(x)) & (V x ~Ω(x,x))",
+        'say "hi" \\ or \\"',
+        "tab\there\nnewline\u0001 and \u2028",
+    ]
+    for i in range(400):
+        size = rng.randint(0, 8)
+        spectrum = tuple(
+            rng.choice((-1, 1)) * rng.randrange(10 ** rng.choice((1, 3, 300)))
+            for _ in range(size)
+        )
+
+        def maybe(value):
+            return value if rng.random() < 0.5 else None
+
+        yield Record(
+            id=i,
+            sentence=rng.choice(sentences),
+            spectrum=spectrum,
+            truncated=rng.random() < 0.5,
+            status=rng.choice(STATUSES),
+            duplicate_of=maybe(rng.randrange(1000)),
+            product_of=maybe((rng.randrange(1000), rng.randrange(1000))),
+            layer=maybe(rng.randint(0, 5)),
+            profile=maybe(rng.choice(("fo2-paper", "c2-paper", "ünïcode \"p\""))),
+            oeis=maybe(rng.choice(("A000142", "A000225"))),
+        )
+
+
+def test_record_json_matches_the_dict_encoder_and_round_trips():
+    records = list(random_records(random.Random(29)))
+    fields = ("duplicate_of", "product_of", "layer", "profile", "oeis")
+    # the draws reach every case the encoder writes apart
+    for name in fields:
+        assert {getattr(r, name) is None for r in records} == {True, False}, name
+    assert any(r.spectrum == () for r in records)
+    assert any(t < 0 for r in records for t in r.spectrum)
+    assert any(len(str(abs(t))) >= 290 for r in records for t in r.spectrum)
+    for rec in records:
+        line = rec.to_json()
+        assert line == reference_record_json(rec)
+        # a truncated unique record reads back as truncated, as older files do
+        want = rec
+        if rec.truncated and rec.status == "unique":
+            want = Record(**{**vars(rec), "status": "truncated"})
+        assert Record.from_json(line) == want
 
 
 def test_set_oeis_and_stats(tmp_path):
@@ -337,7 +402,9 @@ class LinearReference:
 def random_spectra(rng):
     """Small-integer spectra with zeros, short and all-ones ones, cut-off
     duplicates, shared heads and termwise products, sometimes placed before
-    their factors."""
+    their factors.  Some second terms are negative, and some are so large
+    that a product lookup walks the stored second terms rather than
+    enumerate the divisors of its own."""
     out = []
     for _ in range(rng.randint(3, 30)):
         roll = rng.random()
@@ -355,17 +422,37 @@ def random_spectra(rng):
             out.append((1,) * rng.randint(4, 7))
         else:
             terms = [rng.choice((0, 0, 1, 1, 2, 3, 4, 6, -1)) for _ in range(rng.randint(3, 8))]
-            if rng.random() < 0.3:
+            second = rng.random()
+            if second < 0.3:
                 terms[1] = 0
+            elif second < 0.45:
+                # isqrt of each is above the 30 keys a store can hold
+                terms[1] = rng.choice((960, 1920, 5760, -2880))
+            elif second < 0.6:
+                terms[1] = -rng.choice((1, 2, 3, 4, 6, 12))
             out.append(tuple(terms))
     if rng.random() < 0.5:
         rng.shuffle(out)
     return out
 
 
-def test_indexed_store_matches_linear_reference(tmp_path):
+def test_indexed_store_matches_linear_reference(tmp_path, monkeypatch):
     rng = random.Random(2023)
     totals = {"duplicate": 0, "product_redundant": 0, "demoted": 0}
+    # product lookups by the way SpectrumDB finds their factors' second
+    # terms: by enumerating the divisors of a nonzero second term s1, or by
+    # walking the stored second terms when isqrt(|s1|) is at least their
+    # number
+    paths = {"enumerated": 0, "walked": 0}
+    find_product = SpectrumDB._find_product
+
+    def counted(self, spectrum, eligible):
+        if len(spectrum) >= MIN_OVERLAP and spectrum[1]:
+            walk = math.isqrt(abs(spectrum[1])) >= len(self._by_second)
+            paths["walked" if walk else "enumerated"] += 1
+        return find_product(self, spectrum, eligible)
+
+    monkeypatch.setattr(SpectrumDB, "_find_product", counted)
     for store in range(300):
         ref = LinearReference()
         spectra = random_spectra(rng)
@@ -394,3 +481,4 @@ def test_indexed_store_matches_linear_reference(tmp_path):
     assert totals["duplicate"] >= 100
     assert totals["product_redundant"] >= 100
     assert totals["demoted"] >= 20
+    assert min(paths.values()) >= 50, paths
