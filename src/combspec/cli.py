@@ -156,56 +156,33 @@ def cmd_generate(args: argparse.Namespace) -> int:
     length = _at_least_one(args.length, 10, "--length")
     budget = _budget(args.budget_secs, 30.0, "--budget-secs")
     search_budget = _budget(args.search_budget_secs, None, "--search-budget-secs")
-    profile = args.profile or "custom"
+    # a malformed file fails before the search, not after it
+    db = SpectrumDB(args.db) if args.db else None
 
     result = generate(
         limits, layers, budget_secs=search_budget, length=length, spectrum_secs=budget
     )
-    db = SpectrumDB(args.db) if args.db else None
-    per_layer: list[dict] = [
-        {"layer": i + 1, "kept": len(kept), "unique": 0}
-        for i, kept in enumerate(result.kept)
-    ]
-    truncated = result.truncated or any(
-        sp.truncated for sp in result.spectra.values()
-    )
-    if db is not None:
-        # each layer comes sorted by text, so records go in (layer, text) order
-        inserted = []
-        for i, kept in enumerate(result.kept):
-            for s in kept:
-                sp = result.spectra[s]
-                rec = db.insert(
-                    s.render(), sp.terms, truncated=sp.truncated, layer=i + 1, profile=profile
-                )
-                inserted.append((i, rec))
-        # insert-time product checks only see earlier records; settle order
-        db.reclassify_products()
-        # tally this run's sentences only, by this run's layer: the file may
-        # hold records of earlier runs
-        for i, rec in inserted:
-            if rec.status == "unique":
-                per_layer[i]["unique"] += 1
-
+    rows = [{"layer": i + 1, "kept": len(kept)} for i, kept in enumerate(result.kept)]
+    truncated = result.truncated or any(sp.truncated for sp in result.spectra.values())
+    doc: dict = {"layers": rows, "truncated": truncated}
     # the search stops inside the last layer it reports
-    stopped_layer = len(result.kept) if result.truncated else None
+    if result.truncated:
+        doc["stopped_layer"] = len(result.kept)
+    if db is not None:
+        for row, unique in zip(rows, result.store(db, args.profile or "custom")):
+            row["unique"] = unique
+        doc["db"] = db.stats()
+
     if args.json:
-        doc = {"layers": per_layer, "truncated": truncated}
-        if stopped_layer is not None:
-            doc["stopped_layer"] = stopped_layer
-        if db is not None:
-            doc["db"] = db.stats()
         print(json.dumps(doc))
     else:
-        for row in per_layer:
-            line = f"layer {row['layer']}: kept {row['kept']}"
-            if db is not None:
-                line += f", unique {row['unique']}"
-            print(line)
-        if stopped_layer is not None:
-            print(f"search budget ran out in layer {stopped_layer}")
-        if db is not None:
-            print(f"db: {db.stats()}")
+        for row in rows:
+            unique = f", unique {row['unique']}" if "unique" in row else ""
+            print(f"layer {row['layer']}: kept {row['kept']}{unique}")
+        if "stopped_layer" in doc:
+            print(f"search budget ran out in layer {doc['stopped_layer']}")
+        if "db" in doc:
+            print(f"db: {doc['db']}")
     return EXIT_BUDGET if truncated else EXIT_OK
 
 

@@ -623,6 +623,30 @@ class GenResult:
     def all_kept(self) -> list[Sentence]:
         return [s for layer in self.kept for s in layer]
 
+    def store(self, db, profile: str | None = None) -> list[int]:
+        """Insert each kept sentence's spectrum into db, in (layer, text)
+        order, settle products once, and return per layer how many of
+        this run's records are unique after that.
+
+        db is a seqdb.SpectrumDB, or anything with its insert and
+        reclassify_products.  The result must come from generate(...,
+        length=N): a kept sentence without a spectrum is a ValueError,
+        raised before anything is written.  Only this run's records are
+        tallied, by this run's layer, since db may hold earlier runs'."""
+        if any(s not in self.spectra for s in self.all_kept()):
+            raise ValueError("store needs the spectra of generate(..., length=N)")
+        stored: list[list] = []
+        for i, kept in enumerate(self.kept):
+            stored.append([])
+            for s in kept:
+                sp = self.spectra[s]
+                stored[i].append(db.insert(
+                    s.render(), sp.terms, truncated=sp.truncated, layer=i + 1, profile=profile
+                ))
+        # an insert's product check sees only the records before it
+        db.reclassify_products()
+        return [sum(rec.status == "unique" for rec in records) for records in stored]
+
 
 def generate(
     limits: GenLimits,

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from combspec import generator
+from combspec import cli, generator
 from combspec.cli import main
 from combspec.engine import compute_spectrum
 from combspec.generator import GenLimits, generate
@@ -434,8 +434,6 @@ def test_oeis_db_writes_every_match_in_one_rewrite(tmp_path, capsys, monkeypatch
 
 
 def test_oeis_db_keeps_matches_before_a_failed_lookup(tmp_path, capsys, monkeypatch):
-    from combspec import cli
-
     db_path = tmp_path / "seq.jsonl"
     db = SpectrumDB(db_path)
     db.insert("a", [1, 3, 7, 15, 31, 63])
@@ -514,6 +512,36 @@ def test_malformed_db_is_a_file_error(tmp_path, capsys, line, argv):
     assert code == 5
     assert err.startswith(f"file error: {db}:1: ")
     assert db.read_text() == line + "\n"
+
+
+def test_generate_opens_the_db_before_the_search(tmp_path, capsys, monkeypatch):
+    # a malformed file exits 5 at once, not after a search it cannot store
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(cli, "generate", no_search)
+    db = tmp_path / "bad.jsonl"
+    db.write_text("not json\n")
+    code = main(["generate", "--profile", "fo2-paper", "--layers", "5", "--db", str(db)])
+    assert code == 5
+    assert capsys.readouterr().err.startswith(f"file error: {db}:1: ")
+
+
+def test_generate_rows_carry_unique_only_with_a_db(tmp_path, capsys):
+    argv = ["generate", "--profile", "fo2-paper", "--layers", "2", "--json"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    # nothing was stored, so nothing was counted
+    assert json.loads(out)["layers"] == [
+        {"layer": 1, "kept": 4},
+        {"layer": 2, "kept": 36},
+    ]
+    code, out = run(capsys, *argv, "--db", str(tmp_path / "t.jsonl"))
+    assert code == 0
+    assert json.loads(out)["layers"] == [
+        {"layer": 1, "kept": 4, "unique": 4},
+        {"layer": 2, "kept": 36, "unique": 35},
+    ]
 
 
 def test_oeis_missing_dump_is_a_file_error_without_queries(tmp_path, capsys):

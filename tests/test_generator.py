@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -9,6 +10,7 @@ from collections import Counter
 import pytest
 
 from combspec import generator
+from combspec.cli import main
 from combspec.engine import compute_spectrum
 from combspec.generator import (
     DROPPED,
@@ -40,6 +42,7 @@ from combspec.logic import (
     sentence,
 )
 from combspec.oracle import count_models
+from combspec.seqdb import SpectrumDB
 from helpers import (
     PredicateTransform,
     apply_transform,
@@ -725,6 +728,29 @@ def test_layers_or_length_below_one_is_refused(fo2_limits, layers, length, monke
     name = "layers" if layers < 1 else "length"
     with pytest.raises(ValueError, match=f"{name} must be at least 1"):
         generate(fo2_limits, layers, length=length)
+
+
+# sha256 of the file `combspec generate --profile fo2-paper --layers 2 --db`
+# writes
+FO2_L2_DB_SHA256 = "cfaf383512adad8a62ff5e9d6d0040e38c157df09fb3f3d72e64e890b5b6f049"
+
+
+def test_store_writes_what_generate_db_writes(fo2_limits, tmp_path, capsys):
+    path = tmp_path / "p.jsonl"
+    result = generate(fo2_limits, 2, length=10)
+    # the unique count per layer after products are settled
+    assert result.store(SpectrumDB(path), "fo2-paper") == [4, 35]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == FO2_L2_DB_SHA256
+    q = tmp_path / "q.jsonl"
+    assert main(["generate", "--profile", "fo2-paper", "--layers", "2", "--db", str(q)]) == 0
+    assert q.read_bytes() == path.read_bytes()
+
+
+def test_store_needs_spectra(fo2_limits, tmp_path):
+    path = tmp_path / "p.jsonl"
+    with pytest.raises(ValueError, match="length=N"):
+        generate(fo2_limits, 2).store(SpectrumDB(path))
+    assert not path.exists()
 
 
 def test_structural_mode_keeps_more(fo2_limits):
