@@ -156,7 +156,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
     length = _at_least_one(args.length, 10, "--length")
     budget = _budget(args.budget_secs, 30.0, "--budget-secs")
     search_budget = _budget(args.search_budget_secs, None, "--search-budget-secs")
-    # a malformed file fails before the search, not after it
+    # a malformed file, or a new one in a missing directory, fails before
+    # the search, not after it
+    if args.db and not Path(args.db).parent.is_dir():
+        raise FileNotFoundError(f"no directory for --db {args.db}")
     db = SpectrumDB(args.db) if args.db else None
 
     result = generate(

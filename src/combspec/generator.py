@@ -23,15 +23,16 @@ spectrum is derivable from a simpler sentence.
 spectrum_fingerprint labels the cell graphs of a candidate's compiled
 form with logic.canonical_labelling, which has no size limit.  The
 duplicate check gives two candidates one key exactly when canonical_key
-would, with one mechanism for every pool.  Each interned clause gets a
-number, and a row: the number of its image under each literal map of
-GenState.group, where a swappable image counts as the lesser of itself
-and its x-y swap.  The rows are computed once per search
-(GenState.rows), and a candidate's column for a map is the sorted
-numbers of its clauses' images under it.  Equal columns mean images
-that agree up to the x-y swap of some clauses, so one orbit of the group
-canonical_key divides by.  _key_group chooses the group from the pool,
-once per search:
+would, with one mechanism for every pool.  Each clause gets a row: the
+number of its image under each literal map of GenState.group, where a
+swappable image counts as the lesser of itself and its x-y swap.  An
+image is a prefix and a body of mapped literals, numbered as it is first
+met (GenState.ids) and never built as a Clause.  The rows are computed
+once per search (GenState.rows), and a candidate's column for a map is
+the sorted numbers of its clauses' images under it.  Equal columns mean
+images that agree up to the x-y swap of some clauses, so one orbit of
+the group canonical_key divides by.  _key_group chooses the group from
+the pool, once per search:
 
   one predicate of each arity at most (both paper profiles): every
       product of flipping the unary predicate, flipping the binary one
@@ -455,12 +456,15 @@ HIDDEN = ("trivial", "reflexive", "subsumed", "spectrum_duplicate")
 @dataclass
 class GenState:
     """What one search learns as it classifies: the keys registered so
-    far, the interned clauses and their image rows, and, when generate
-    is given a length, the spectra.  group lists literal maps of the key
-    group, the identity first; exact says it holds every element, so that
-    the least orbit column is the key.  A bare GenState() has the
-    identity alone and labels every candidate whose column it has not
-    met."""
+    far, the interned clauses, the numbered images and each clause's row
+    of them, and, when generate is given a length, the spectra.  group
+    lists literal maps of the key group, the identity first; exact says
+    it holds every element, so that the least orbit column is the key.
+    Only the clauses the search builds are interned: an image is keyed
+    in ids by its (prefix, body), and its x-y swap is read from swaps,
+    which gains each literal as _orbit_row first meets it.  A bare
+    GenState() has the identity alone, starts with no swaps, and labels
+    every candidate whose column it has not met."""
 
     # canonical keys: orbit columns on an exact group, labellings else
     seen_canonical: set = field(default_factory=set)
@@ -481,12 +485,15 @@ class GenState:
     # a clause of one or of two variables may gain
     extensions: dict[Clause, list[Clause]] = field(default_factory=dict)
     options: dict[int, list[Literal]] = field(default_factory=dict)
-    # the literal map of each element of group, a number for each
-    # interned clause, and each clause's row of image numbers, one per map
+    # the literal map of each element of group; a number for each image
+    # met, keyed by its (prefix, body), and each clause's row of image
+    # numbers, one per map
     group: list[dict[Literal, Literal]] = field(default_factory=lambda: [{}])
     exact: bool = False
-    ids: dict[Clause, int] = field(default_factory=dict)
+    ids: dict[tuple, int] = field(default_factory=dict)
     rows: dict[Clause, tuple[int, ...]] = field(default_factory=dict)
+    # each literal's x-y swap, added as the literal is first met
+    swaps: dict[Literal, Literal] = field(default_factory=dict)
     # inexact group: the labelling of each identity column met so far
     keys: dict[tuple[int, ...], bytes] = field(default_factory=dict)
 
@@ -542,17 +549,23 @@ def _key_group(limits: GenLimits) -> tuple[list[dict[Literal, Literal]], bool]:
 def _orbit_row(c: Clause, state: GenState) -> tuple[int, ...]:
     """The number of c's image under each element of state.group; a
     swappable image counts as the lesser of itself and its x-y swap.
-    Images are interned and numbered in the order they are first met."""
+    Images are numbered by prefix and body, in the order they are first
+    met, an image before its swap, and none is built as a Clause: each
+    is a frozenset of mapped literals, its swap mapped through
+    state.swaps."""
     row = state.rows.get(c)
     if row is None:
+        ids, swaps, prefix, swappable = state.ids, state.swaps, c.prefix, c.swappable
         numbers = []
         for m in state.group:
             body = frozenset(m.get(lit, lit) for lit in c.body)
-            image = _interned(c.prefix, body, state)
-            alike = [image]
-            if image.swappable:
-                alike.append(_interned(c.prefix, image.images["y", "x"], state))
-            numbers.append(min(state.ids.setdefault(a, len(state.ids)) for a in alike))
+            alike = [(prefix, body)]
+            if swappable:
+                for lit in body:
+                    if lit not in swaps:
+                        swaps[lit] = lit.substitute({"x": "y", "y": "x"})
+                alike.append((prefix, frozenset(swaps[lit] for lit in body)))
+            numbers.append(min(ids.setdefault(a, len(ids)) for a in alike))
         row = state.rows[c] = tuple(numbers)
     return row
 

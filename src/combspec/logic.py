@@ -7,6 +7,15 @@ counting (E=k, "there exist exactly k").
 
 Clauses are alpha-normalized on construction: the first bound variable is
 always x, so two clauses differing only in variable naming compare equal.
+
+A search hashes the same predicates, quantifiers and literals again and
+again, as it builds clause bodies and looks clauses up, so Predicate,
+Quantifier and Literal compute their hash once, on construction, and
+return it from __hash__.  It is the hash of the tuple of their fields,
+the one the generated __hash__ would give, so sets and dicts of them
+iterate in the same order as before.  A str's hash is only valid in the
+process that computed it, so the stored hash is never pickled: each of
+the three pickles as a call to its constructor, which hashes anew.
 """
 
 from __future__ import annotations
@@ -37,6 +46,13 @@ class Predicate:
     def __post_init__(self):
         if self.arity not in (0, 1, 2):
             raise ValueError(f"unsupported arity {self.arity} for {self.name}")
+        object.__setattr__(self, "_hash", hash((self.name, self.arity)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Predicate, (self.name, self.arity)
 
 
 @dataclass(frozen=True)
@@ -54,6 +70,13 @@ class Quantifier:
                 raise ValueError("only E takes a count")
             if self.count < 1:
                 raise ValueError("count must be at least 1")
+        object.__setattr__(self, "_hash", hash((self.kind, self.count)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Quantifier, (self.kind, self.count)
 
     @property
     def is_counting(self) -> bool:
@@ -87,6 +110,13 @@ class Literal:
         for a in self.args:
             if a not in VARS:
                 raise ValueError(f"bad variable {a!r}")
+        object.__setattr__(self, "_hash", hash((self.pred, self.args, self.negated)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Literal, (self.pred, self.args, self.negated)
 
     def negate(self) -> "Literal":
         return Literal(self.pred, self.args, not self.negated)

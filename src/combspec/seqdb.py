@@ -215,8 +215,11 @@ class SpectrumDB:
         each stored term is tested instead.  Dividing the query by a factor
         determines the cofactor head except at positions where both are
         zero, so mates are found by hash lookup on the masked head and
-        verified over the whole overlap.  The all-ones factor is skipped
-        (it would pair every spectrum with itself times nothing).
+        verified over the whole overlap.  Each bucket of `_by_second` is in
+        id order, so the factors of one bucket are read as they stand, and
+        only the factors of several buckets are sorted together.  The
+        all-ones factor is skipped (it would pair every spectrum with
+        itself times nothing).
         """
         if len(spectrum) < MIN_OVERLAP:
             return None
@@ -228,8 +231,9 @@ class SpectrumDB:
             keys = [k for d in divisors for k in (d, -d) if k in by_second]
         else:
             keys = [d for d in by_second if (s1 % d == 0 if d else s1 == 0)]
-        factors = sorted(
-            chain.from_iterable(by_second[k] for k in keys), key=attrgetter("id")
+        buckets = [by_second[k] for k in keys]
+        factors = buckets[0] if len(buckets) == 1 else sorted(
+            chain.from_iterable(buckets), key=attrgetter("id")
         )
         for rec in factors:
             f2 = rec.spectrum[2]

@@ -17,6 +17,7 @@ from combspec.generator import (
     GenLimits,
     GenResult,
     GenState,
+    _interned,
     _literal_options,
     _refute_ground,
     _satisfiable,
@@ -303,6 +304,45 @@ def reference_classify(s: Sentence, state: GenState) -> str:
         return "spectrum_duplicate"
     state.seen_spectrum.add(fkey)
     return "new"
+
+
+def reference_orbit_row(c: Clause, ref: GenState) -> tuple[int, ...]:
+    """Reference for generator._orbit_row: each image is interned as a
+    Clause in ref.clauses and numbered by that Clause in ref.ids, and a
+    swappable image's swap is read from Clause.images.  ref is a GenState
+    of its own with the search's group, asked for the clauses the search
+    asks for in the same order, so that its numbers are the search's."""
+    row = ref.rows.get(c)
+    if row is None:
+        numbers = []
+        for m in ref.group:
+            body = frozenset(m.get(lit, lit) for lit in c.body)
+            image = _interned(c.prefix, body, ref)
+            alike = [image]
+            if image.swappable:
+                alike.append(_interned(c.prefix, image.images["y", "x"], ref))
+            numbers.append(min(ref.ids.setdefault(a, len(ref.ids)) for a in alike))
+        row = ref.rows[c] = tuple(numbers)
+    return row
+
+
+def record_orbit_rows(mp) -> list:
+    """Wrap generator._orbit_row through the monkeypatch mp.  The list
+    returned gets (row, reference row) for each call, in order, the
+    reference from reference_orbit_row with one GenState of its own per
+    search state, holding that state's group."""
+    orbit_row = generator._orbit_row
+    refs: dict[int, tuple[GenState, GenState]] = {}
+    rows: list = []
+
+    def checking(c, state):
+        # the state is held beside its reference, so its id is not reused
+        _, ref = refs.setdefault(id(state), (state, GenState(group=state.group)))
+        rows.append((orbit_row(c, state), reference_orbit_row(c, ref)))
+        return rows[-1][0]
+
+    mp.setattr(generator, "_orbit_row", checking)
+    return rows
 
 
 def same_partition(keys_a, keys_b) -> bool:

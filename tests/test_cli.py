@@ -527,6 +527,25 @@ def test_generate_opens_the_db_before_the_search(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith(f"file error: {db}:1: ")
 
 
+@pytest.mark.parametrize("parent", ["missing", "a file"])
+def test_generate_refuses_a_db_it_cannot_create_before_the_search(
+    tmp_path, capsys, monkeypatch, parent
+):
+    # the first insert would fail only after the whole search
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(cli, "generate", no_search)
+    if parent == "a file":
+        (tmp_path / parent).write_text("")
+    before = sorted(tmp_path.rglob("*"))
+    db = tmp_path / parent / "x.jsonl"
+    code = main(["generate", "--profile", "fo2-paper", "--layers", "5", "--db", str(db)])
+    assert code == 5
+    assert capsys.readouterr().err.startswith("file error: ")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_generate_rows_carry_unique_only_with_a_db(tmp_path, capsys):
     argv = ["generate", "--profile", "fo2-paper", "--layers", "2", "--json"]
     code, out = run(capsys, *argv)

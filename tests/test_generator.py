@@ -53,6 +53,7 @@ from helpers import (
     random_sentence,
     random_transform,
     record_duplicate_checks,
+    record_orbit_rows,
     reference_has_subsumed_clause,
     reference_relax_counting,
     reference_substitutions,
@@ -538,6 +539,31 @@ def test_orbit_key_tells_a_swapped_pair_from_either_clause():
         keys = [generator._orbit_key(s, state) for s in sentences]
         assert same_partition(keys, [sweep_key(s) for s in sentences])
         assert keys[0] == keys[1] != keys[2] == keys[3] != keys[4] != keys[0]
+
+
+@pytest.mark.parametrize(
+    "limits, layers",
+    [(GenLimits(5, 2, 1, 1), 4), (GenLimits(5, 2, 1, 1, 1), 3), (GenLimits(3, 2, 2, 2), 3)],
+    ids=["fo2", "c2", "wide"],
+)
+def test_orbit_rows_match_the_interning_reference(limits, layers, monkeypatch):
+    # numbered image bodies give every row that interned image clauses do
+    rows = record_orbit_rows(monkeypatch)
+    generate(limits, layers)
+    assert len(rows) > 1000
+    assert all(row == ref for row, ref in rows)
+
+
+def test_orbit_rows_of_a_bare_state_match_the_interning_reference(monkeypatch):
+    # the identity alone, and a swap table that starts empty
+    rows = record_orbit_rows(monkeypatch)
+    state = GenState()
+    rng = random.Random(51)
+    for limits in (GenLimits(3, 2, 1, 1), GenLimits(3, 2, 2, 2, 1)):
+        for _ in range(60):
+            generator._orbit_key(random_sentence(rng, limits), state)
+    assert state.swaps and len(rows) > 100
+    assert all(row == ref for row, ref in rows)
 
 
 def test_verdict_partition():

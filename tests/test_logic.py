@@ -1,11 +1,18 @@
 """Sentence model: parsing, rendering, normalization, canonical keys."""
 
+import dataclasses
 import gc
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from combspec import logic
+from combspec.generator import GenLimits
 from combspec.logic import (
     EXISTS,
     FORALL,
@@ -13,6 +20,7 @@ from combspec.logic import (
     Literal,
     ParseError,
     Predicate,
+    Quantifier,
     Sentence,
     _ranks,
     canonical_key,
@@ -25,6 +33,7 @@ from combspec.logic import (
 from helpers import (
     PredicateTransform,
     apply_transform,
+    random_sentence,
     random_transform,
     reference_refine,
     same_partition,
@@ -244,6 +253,79 @@ def test_clause_helpers():
     assert not c.is_counting
     s = Sentence(frozenset([c]))
     assert s.render() == "(V x E y B(x,y))"
+
+
+# stored hashes
+
+
+def _syntax_objects(s):
+    """Every Predicate, Quantifier and Literal of the sentence s."""
+    out = set()
+    for c in s.clauses:
+        out.update(c.prefix)
+        for lit in c.body:
+            out.update((lit, lit.pred))
+    return out
+
+
+def test_equal_syntax_objects_hash_equal():
+    # each object is built twice, at random and by the parser; equal
+    # objects hash equal, and as the tuple of their fields, which is the
+    # hash the generated __hash__ gives, so sets iterate as they did
+    rng = random.Random(61)
+    pairs = []
+    for _ in range(300):
+        name, arity = rng.choice(["P", "U0", "U1", "B0", "Heads"]), rng.randint(0, 2)
+        args = tuple(rng.choice("xy") for _ in range(arity))
+        count = rng.choice([None, None, 1, 3])
+        kind = "E" if count else rng.choice("VE")
+        negated = rng.random() < 0.5
+        pairs.append((Predicate(name, arity), Predicate(name, arity)))
+        pairs.append((Quantifier(kind, count), Quantifier(kind, count)))
+        pairs.append((
+            Literal(Predicate(name, arity), args, negated),
+            Literal(Predicate(name, arity), args, negated),
+        ))
+    for limits in (GenLimits(3, 2, 1, 1, 1), GenLimits(3, 2, 2, 2, 1)):
+        for _ in range(100):
+            s = random_sentence(rng, limits)
+            parsed = parse_sentence(s.render())
+            assert parsed == s and hash(parsed) == hash(s)
+            mine = {repr(o): o for o in _syntax_objects(s)}
+            theirs = {repr(o): o for o in _syntax_objects(parsed)}
+            assert mine.keys() == theirs.keys()
+            pairs += [(mine[k], theirs[k]) for k in mine]
+    for a, b in pairs:
+        assert a == b and a is not b
+        assert hash(a) == hash(b) == hash(dataclasses.astuple(a))
+
+
+def test_a_pickled_literal_is_found_under_another_hash_seed():
+    # a stored str hash is valid only in the process that computed it, so
+    # unpickling must hash anew
+    text = "(V x E y ~B0(x,y) | U0(y) | P) & (E=1 x U0(x))"
+    seed = os.environ.get("PYTHONHASHSEED", "")
+    env = dict(os.environ, PYTHONHASHSEED=str(int(seed) + 1) if seed.isdigit() else "1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(logic.__file__).parent.parent), env.get("PYTHONPATH", "")]
+    )
+    code = (
+        "import pickle, sys\n"
+        "from combspec.logic import parse_sentence\n"
+        f"s = parse_sentence({text!r})\n"
+        "literals = [lit for c in s.clauses for lit in c.body]\n"
+        "sys.stdout.buffer.write(pickle.dumps((hash('B0'), s, literals)))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, check=True, timeout=60
+    ).stdout
+    foreign_hash, s, literals = pickle.loads(out)
+    assert foreign_hash != hash("B0")
+    here = parse_sentence(text)
+    assert s == here and hash(s) == hash(here)
+    mine = {lit for c in here.clauses for lit in c.body}
+    assert len(literals) == len(mine) and all(lit in mine for lit in literals)
+    assert all(q in {FORALL, EXISTS, counting(1)} for c in s.clauses for q in c.prefix)
 
 
 # canonical labelling against the reference refinement
