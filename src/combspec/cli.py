@@ -33,9 +33,14 @@ WEIGHT_OPTIONS = ("w", "wbar")
 
 
 def read_config(path: str) -> dict[str, str]:
-    """key=value file, one per line, # comments."""
+    """key=value file, one per line, # comments; a file that is not
+    UTF-8 is a file error."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: not UTF-8: {exc}") from exc
     out = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

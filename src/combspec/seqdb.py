@@ -14,14 +14,21 @@ terms, and a product's factors by the divisors of its second term, which
 are enumerated when that is cheaper than walking the distinct second
 terms stored.  Terms are serialized as decimal strings since they
 routinely exceed every fixed-width integer, and each line is written
-straight from a record's fields.
+straight from a record's fields.  An insert appends its line with one
+write (more only when a write is short) on a descriptor opened for it
+alone, so the line is in the file, for any other reader to see, when
+insert returns, though not synced to disk; nothing stays open between
+inserts.  The file is read as bytes and decoded line by
+line, so a line that is not UTF-8 is a malformed record like any other.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from math import isqrt
 from operator import attrgetter
 from pathlib import Path
@@ -49,10 +56,11 @@ class Record:
     oeis: str | None = None
 
     def to_json(self) -> str:
-        """The record as one JSON line: the bytes that json.dumps writes,
-        with sort_keys, for a dict of the fields that are set.  The line is
-        written straight from the fields, so a record must hold the types
-        declared above, as from_json checks."""
+        """The record as one ASCII JSON line: the bytes that json.dumps
+        writes, with sort_keys, for a dict of the fields that are set.  The
+        line is written straight from the fields, with strings quoted by
+        the function json.dumps quotes them with, so a record must hold
+        the types declared above, as from_json checks."""
         parts = []
         if self.duplicate_of is not None:
             parts.append(f'"duplicate_of": {self.duplicate_of}')
@@ -60,36 +68,43 @@ class Record:
         if self.layer is not None:
             parts.append(f'"layer": {self.layer}')
         if self.oeis is not None:
-            parts.append(f'"oeis": {json.dumps(self.oeis)}')
+            parts.append(f'"oeis": {encode_basestring_ascii(self.oeis)}')
         if self.product_of is not None:
             parts.append(f'"product_of": [{self.product_of[0]}, {self.product_of[1]}]')
         if self.profile is not None:
-            parts.append(f'"profile": {json.dumps(self.profile)}')
-        parts.append(f'"sentence": {json.dumps(self.sentence)}')
+            parts.append(f'"profile": {encode_basestring_ascii(self.profile)}')
+        parts.append(f'"sentence": {encode_basestring_ascii(self.sentence)}')
         # a term is a decimal string, which JSON needs no escape for
         terms = '", "'.join(map(str, self.spectrum))
         parts.append(f'"spectrum": ["{terms}"]' if self.spectrum else '"spectrum": []')
-        parts.append(f'"status": {json.dumps(self.status)}')
+        parts.append(f'"status": {encode_basestring_ascii(self.status)}')
         parts.append(f'"truncated": {"true" if self.truncated else "false"}')
         return "{" + ", ".join(parts) + "}"
 
     @classmethod
     def from_json(cls, line: str) -> "Record":
         """The record on one line; a truncated unique one, as older files
-        hold, reads as truncated.  A field of another type than declared
-        is a TypeError, so that to_json can write the record back."""
+        hold, reads as truncated.  A field of another type than declared,
+        a spectrum other than a list of strings and a status outside
+        STATUSES are a TypeError, so that to_json can write the record
+        back."""
         doc = json.loads(line)
+        terms = doc["spectrum"]
+        # join tests that each term is a str, one C-level check per term
+        if type(terms) is not list:
+            raise TypeError("the spectrum is not a list")
+        "".join(terms)
         product = doc.get("product_of")
         truncated = doc.get("truncated", False)
         status = doc["status"]
         rec = cls(
             id=doc["id"],
             sentence=doc["sentence"],
-            spectrum=tuple(map(int, doc["spectrum"])),
+            spectrum=tuple(map(int, terms)),
             truncated=truncated,
             status="truncated" if truncated and status == "unique" else status,
             duplicate_of=doc.get("duplicate_of"),
-            product_of=tuple(product) if product else None,
+            product_of=None if product is None else tuple(product),
             layer=doc.get("layer"),
             profile=doc.get("profile"),
             oeis=doc.get("oeis"),
@@ -99,7 +114,7 @@ class Record:
             type(rec.id) is int
             and type(rec.sentence) is str
             and type(rec.truncated) is bool
-            and type(rec.status) is str
+            and status in STATUSES
             and type(rec.duplicate_of) in _INT_OR_NONE
             and type(rec.layer) in _INT_OR_NONE
             and type(rec.profile) in _STR_OR_NONE
@@ -142,7 +157,8 @@ class SpectrumDB:
 
     def __init__(self, path: str | Path):
         """Open the file at path, or start empty if there is none; a line
-        that is not a record raises OSError naming the file and line."""
+        that is not a UTF-8 record raises OSError naming the file and
+        line."""
         self.path = Path(path)
         self._records: list[Record] = []
         # each sentence's latest record
@@ -150,18 +166,19 @@ class SpectrumDB:
         self._heads: dict[frozenset[int], dict[tuple, list[Record]]] = {}
         self._by_second: dict[int, list[Record]] = {}
         if self.path.exists():
-            with self.path.open() as fh:
-                for lineno, line in enumerate(fh, 1):
-                    line = line.strip()
+            # bytes split where text-mode iteration does: \n, \r and \r\n
+            lines = self.path.read_bytes().splitlines()
+            for lineno, raw in enumerate(lines, 1):
+                try:
+                    line = raw.decode().strip()
                     if not line:
                         continue
-                    try:
-                        rec = Record.from_json(line)
-                    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-                        raise OSError(
-                            f"{self.path}:{lineno}: malformed record: {exc!r}"
-                        ) from exc
-                    self._add(rec)
+                    rec = Record.from_json(line)
+                except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                    raise OSError(
+                        f"{self.path}:{lineno}: malformed record: {exc!r}"
+                    ) from exc
+                self._add(rec)
 
     def _add(self, rec: Record) -> None:
         self._records.append(rec)
@@ -262,7 +279,9 @@ class SpectrumDB:
     ) -> Record:
         """Classify and append.  Re-inserting a sentence returns its
         record when that is whole, and appends a new one when it is
-        truncated, so a later run can complete it."""
+        truncated, so a later run can complete it.  The record is held
+        only once its line is written, so a failed write leaves the store
+        as it was."""
         existing = self._by_sentence.get(sentence)
         if existing is not None and not existing.truncated:
             return existing
@@ -288,9 +307,15 @@ class SpectrumDB:
             layer=layer,
             profile=profile,
         )
+        data = (rec.to_json() + "\n").encode()
+        # the flags and mode that open(path, "a") uses, without its stream
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         self._add(rec)
-        with self.path.open("a") as fh:
-            fh.write(rec.to_json() + "\n")
         return rec
 
     def reclassify_products(self) -> int:

@@ -945,3 +945,21 @@ def reference_record_json(rec: Record) -> str:
         if getattr(rec, key) is not None:
             doc[key] = getattr(rec, key)
     return json.dumps(doc, sort_keys=True)
+
+
+class ReferenceWriter:
+    """Writes a store's file as SpectrumDB once did, through text
+    streams: each new record appended with open("a"), and each rewrite
+    with open("w"), every line encoded by reference_record_json."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def append(self, rec: Record) -> None:
+        with self.path.open("a") as fh:
+            fh.write(reference_record_json(rec) + "\n")
+
+    def rewrite(self, records: Sequence[Record]) -> None:
+        with self.path.open("w") as fh:
+            for rec in records:
+                fh.write(reference_record_json(rec) + "\n")

@@ -494,24 +494,28 @@ def test_oeis_missing_db_is_a_file_error(tmp_path, capsys):
     assert not db_path.exists()
 
 
-@pytest.mark.parametrize("line", ['{"id": 0, bad', '{"id": 0}'])
+@pytest.mark.parametrize(
+    "line", [b'{"id": 0, bad', b'{"id": 0}', b'{"id": 0, "sentence": "\xff"']
+)
 @pytest.mark.parametrize(
     "argv",
     [
         ["db", "stats"],
         ["oeis", "--stripped", str(FIXTURE)],
         ["generate", "--profile", "fo2-paper", "--layers", "1"],
+        ["db", "export"],
     ],
 )
 def test_malformed_db_is_a_file_error(tmp_path, capsys, line, argv):
-    # bad JSON, and good JSON that is not a record: both name the file
+    # bad JSON, good JSON that is not a record, and a line that is not
+    # UTF-8: each names the file and line
     db = tmp_path / "bad.jsonl"
-    db.write_text(line + "\n")
+    db.write_bytes(line + b"\n")
     code = main(argv + ["--db", str(db)])
     err = capsys.readouterr().err
     assert code == 5
     assert err.startswith(f"file error: {db}:1: ")
-    assert db.read_text() == line + "\n"
+    assert db.read_bytes() == line + b"\n"
 
 
 def test_generate_opens_the_db_before_the_search(tmp_path, capsys, monkeypatch):
@@ -618,6 +622,13 @@ def test_unreadable_config_is_a_file_error(tmp_path, capsys):
     cfg = tmp_path / "missing.cfg"
     assert main(["wfomc", "(E x U(x))", "--n", "2", "--config", str(cfg)]) == 5
     assert capsys.readouterr().err.startswith("file error: ")
+
+
+def test_a_config_file_that_is_not_utf8_is_a_file_error(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes("# Größe\nn=2\n".encode("latin-1"))
+    assert main(["wfomc", "(E x U(x))", "--n", "2", "--config", str(cfg)]) == 5
+    assert capsys.readouterr().err.startswith(f"file error: {cfg}: not UTF-8: ")
 
 
 def test_malformed_config_line_is_a_parse_error(tmp_path, capsys):

@@ -1,14 +1,16 @@
 """Append-only spectrum store: duplicates, products, persistence."""
 
 import math
+import os
 import random
 import re
 from types import SimpleNamespace
 
 import pytest
 
+from combspec import seqdb
 from combspec.seqdb import MIN_OVERLAP, STATUSES, Record, SpectrumDB
-from helpers import reference_record_json
+from helpers import ReferenceWriter, reference_record_json
 
 
 def make_db(tmp_path, name="seq.jsonl"):
@@ -216,6 +218,15 @@ def test_big_integers_survive_round_trip(tmp_path):
         '{"id": "1", "sentence": "s", "spectrum": [], "status": "unique"}',
         '{"id": 1, "sentence": "s", "spectrum": [], "status": "unique", "layer": true}',
         '{"id": 1, "sentence": "s", "spectrum": [], "status": "unique", "product_of": [0]}',
+        '{"id": 1, "sentence": "s", "spectrum": "11111", "status": "unique"}',
+        '{"id": 1, "sentence": "s", "spectrum": "", "status": "unique"}',
+        '{"id": 1, "sentence": "s", "spectrum": ["1", 1.5], "status": "unique"}',
+        '{"id": 1, "sentence": "s", "spectrum": [true], "status": "unique"}',
+        '{"id": 1, "sentence": "s", "spectrum": [], "status": "unique", "product_of": 0}',
+        '{"id": 1, "sentence": "s", "spectrum": [], "status": "unique", "product_of": false}',
+        '{"id": 1, "sentence": "s", "spectrum": [], "status": "unique", "product_of": ""}',
+        '{"id": 1, "sentence": "s", "spectrum": [], "status": "unique", "product_of": []}',
+        '{"id": 1, "sentence": "s", "spectrum": [], "status": "bogus"}',
     ],
 )
 def test_malformed_line_names_file_and_line(tmp_path, bad):
@@ -225,6 +236,32 @@ def test_malformed_line_names_file_and_line(tmp_path, bad):
         fh.write("\n" + bad + "\n")
     with pytest.raises(OSError, match=re.escape(f"{path}:3: malformed record")):
         SpectrumDB(path)
+
+
+def test_a_line_that_is_not_utf8_names_file_and_line(tmp_path):
+    path = tmp_path / "seq.jsonl"
+    SpectrumDB(path).insert("(E x U(x))", [1, 3, 7, 15, 31])
+    with path.open("ab") as fh:
+        fh.write(b'{"id": 1, "sentence": "\xff", "spectrum": [], "status": "unique"}\n')
+    with pytest.raises(OSError, match=re.escape(f"{path}:2: malformed record")):
+        SpectrumDB(path)
+
+
+def test_lines_are_numbered_as_text_mode_numbers_them(tmp_path):
+    # \n, \r\n and a lone \r each end a line, as when the file was read
+    # as text, so a malformed line keeps its number
+    path = tmp_path / "seq.jsonl"
+    db = SpectrumDB(path)
+    lines = [db.insert(f"s{i}", [i, 3, 7, 15, 31]).to_json() for i in range(3)]
+    path.write_bytes(
+        (lines[0] + "\r\n" + lines[1] + "\r" + lines[2] + "\n\r\nbad\n").encode()
+    )
+    with path.open() as fh:
+        assert [n for n, text in enumerate(fh, 1) if text.strip() == "bad"] == [5]
+    with pytest.raises(OSError, match=re.escape(f"{path}:5: malformed record")):
+        SpectrumDB(path)
+    path.write_bytes(path.read_bytes()[: -len("bad\n")])
+    assert [r.to_json() for r in SpectrumDB(path).records()] == lines
 
 
 def random_records(rng):
@@ -278,6 +315,91 @@ def test_record_json_matches_the_dict_encoder_and_round_trips():
         if rec.truncated and rec.status == "unique":
             want = Record(**{**vars(rec), "status": "truncated"})
         assert Record.from_json(line) == want
+
+
+def test_writes_match_the_text_stream_reference(tmp_path):
+    # inserts, a rewrite that demotes a product, more inserts (some of
+    # them supersede a truncated record) and an OEIS rewrite, written
+    # byte for byte as text-mode appends and rewrites wrote them
+    db = SpectrumDB(tmp_path / "db.jsonl")
+    ref = ReferenceWriter(tmp_path / "ref.jsonl")
+    records = list(random_records(random.Random(32)))
+
+    def insert(sentence, spectrum, truncated=False, layer=None, profile=None):
+        total = len(db.records())
+        rec = db.insert(sentence, spectrum, truncated, layer, profile)
+        if len(db.records()) > total:
+            ref.append(rec)
+
+    # the product arrives before its factors, so only the rewrite finds it
+    insert("product", [1, 6, 42, 360, 3720, 45360])
+    insert("a", [1, 2, 6, 24, 120, 720])
+    insert("b", [1, 3, 7, 15, 31, 63])
+    for r in records[:200]:
+        insert(f"{r.sentence} {r.id}", r.spectrum, r.truncated, r.layer, r.profile)
+    assert db.path.read_bytes() == ref.path.read_bytes()
+    assert db.reclassify_products() >= 1
+    ref.rewrite(db.records())
+    assert db.path.read_bytes() == ref.path.read_bytes()
+    for r in records[100:]:
+        insert(f"{r.sentence} {r.id}", r.spectrum, r.truncated, r.layer, r.profile)
+    assert any(r.truncated for r in records[100:200])
+    db.set_oeis({rec.id: "A000142" for rec in db.records()[::7]})
+    ref.rewrite(db.records())
+    assert db.path.read_bytes() == ref.path.read_bytes()
+    assert any(not r.sentence.isascii() for r in records[:200])
+
+
+def test_a_store_opened_between_inserts_sees_every_record(tmp_path):
+    path = tmp_path / "seq.jsonl"
+    db = SpectrumDB(path)
+    for i, terms in enumerate(random_spectra(random.Random(7))):
+        db.insert(f"s{i}", terms, truncated=i % 3 == 0)
+        assert [r.to_json() for r in SpectrumDB(path).records()] == [
+            r.to_json() for r in db.records()
+        ]
+
+
+def test_an_insert_after_a_rewrite_lands_in_the_new_file(tmp_path):
+    path = tmp_path / "seq.jsonl"
+    db = SpectrumDB(path)
+    rec = db.insert("a", [1, 3, 7, 15, 31])
+    inode = path.stat().st_ino
+    db.set_oeis({rec.id: "A000225"})
+    # the rewrite replaced the file, so a descriptor kept from before it
+    # would append to a file that no name reaches
+    assert path.stat().st_ino != inode
+    db.insert("b", [1, 9, 343, 50625, 28629151])
+    again = SpectrumDB(path).records()
+    assert [(r.sentence, r.oeis) for r in again] == [("a", "A000225"), ("b", None)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["seq.jsonl"]
+
+
+def test_an_insert_writes_its_whole_line_through_short_writes(tmp_path, monkeypatch):
+    write, calls = os.write, []
+
+    def one_byte(fd, data):
+        calls.append(fd)
+        return write(fd, data[:1])
+
+    monkeypatch.setattr(seqdb.os, "write", one_byte)
+    path = tmp_path / "seq.jsonl"
+    db = SpectrumDB(path)
+    db.insert("(E x Größe(x))", [1, 3, 7, 15, 31], layer=1, profile="fo2-paper")
+    db.insert("big", [10**300, 3, 7, 15, 31], truncated=True)
+    monkeypatch.undo()
+    lines = [r.to_json() + "\n" for r in db.records()]
+    assert path.read_text() == "".join(lines)
+    assert len(calls) == sum(map(len, lines))
+
+
+def test_an_insert_into_a_missing_directory_creates_nothing(tmp_path):
+    db = SpectrumDB(tmp_path / "missing" / "seq.jsonl")
+    with pytest.raises(FileNotFoundError):
+        db.insert("a", [1, 3, 7, 15, 31])
+    assert list(tmp_path.iterdir()) == []
+    # the record that was not written is not held either
+    assert db.records() == []
 
 
 def test_set_oeis_and_stats(tmp_path):
