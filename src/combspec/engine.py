@@ -73,7 +73,7 @@ WeightMap = Mapping[str, tuple[int, int]]
 # a merged cell graph: its weights and its edge rows (_merge_cells)
 Merged = tuple[tuple[Value, ...], tuple[tuple[Value, ...], ...]]
 
-# prefixes the cell-order search keeps per step (_greedy_cell_order)
+# prefixes the cell-order search keeps per step at first (_greedy_cell_order)
 ORDER_BEAM = 4
 
 
@@ -472,6 +472,17 @@ def _merge_cells(g: CellGraph) -> Merged:
     return tuple(weights), tuple(tuple(r[a][b] for b in reps) for a in reps)
 
 
+def _accumulator_values(nonzero: int, zero: bool, length: int) -> int:
+    """The values that _greedy_cell_order counts for a later cell's
+    accumulator at one used count up to length, when the prefix's entries
+    in its column are nonzero distinct nonzero values, and 0 too when
+    zero: 1 for a constant column, whose accumulator is a power fixed by
+    used, else length * (nonzero - 1) + 1, and 1 more with 0."""
+    if nonzero + zero == 1:
+        return 1
+    return length * (nonzero - 1) + 1 + zero
+
+
 def _greedy_cell_order(r: list[list[Value]], q: int, length: int) -> list[int]:
     """Pick a processing order that keeps DP state counts small.
 
@@ -487,52 +498,96 @@ def _greedy_cell_order(r: list[list[Value]], q: int, length: int) -> list[int]:
     comb(length + k + 1, k + 1).
 
     The second term is a measure, not a bound: length + 1 used counts
-    times, per column of F, the distinct values it takes on P.  A column
-    constant on P leaves its accumulator a power fixed by used, and equal
+    times, per column j of F, the values its accumulator takes at one used
+    count.  A column constant on P counts 1, as its accumulator is a power
+    fixed by used.  Otherwise, with m distinct nonzero values on P, it
+    counts length * (m - 1) + 1, and 1 more when 0 occurs on P, since a
+    cell with 0 zeroes the accumulator whatever its count.  For powers
+    b^e of one base, u counts over m exponents give at least
+    u * (m - 1) + 1 distinct sums of exponents, and exactly that many when
+    the exponents are evenly spaced, so the count is exact for 1, 2, 4
+    (2 * length + 1 values) and a measure otherwise.  Counting the column's
+    m distinct values, as the search did before, put 3 there: an
+    undercount that min() trusted, so on the fo2 L1-L4 passes at length
+    10 its orders visited 352 158 pairs where these visit 272 753.  Equal
     products of different powers (2 * 2 = 4) merge states, so the measure
     sees collapses the rows miss.  A step costs about its pairs times |F|
     accumulator products, so a prefix scores
 
         min(comb(length + k + 1, k + 1),
-            (length + 1) * prod_{j in F} |{r[p][j] : p in P}|) * |F|
+            (length + 1) * prod_{j in F} values_j) * |F|
 
-    and an order costs the sum of its prefixes' scores.  A beam search
-    keeps the ORDER_BEAM cheapest prefixes of each length, ties to the
-    smaller order list.  A row is an int with one digit per column, the
-    index of its value among that column's distinct values, so restricting
-    it to F is one AND; each beam entry carries, per column, the bitmask
-    of the value indexes seen on P.
+    and an order costs the sum of its prefixes' scores, its predicted cost.
+
+    A beam search keeps the cheapest prefixes of each length, ties to the
+    smaller order list.  Every term depends on P as a set, so two prefixes
+    of one cell set have the same costs to come, and the beam keeps the
+    cheaper.  It starts ORDER_BEAM wide.  A beam b wide makes at most
+    b * q^3 column updates, and while the best order's predicted cost is
+    more than 16 times the updates of a beam 4 times wider, the search
+    runs again that wide and keeps the wider order while it predicts less.
+    So the search spends on an order in step with what the pass will cost:
+    at length 10 no fo2 L1-L5 pass widens.
+
+    A row is an int with one digit per column, the index of its value
+    among that column's distinct values, so restricting it to F is one
+    AND.  Index 0 stands for the value 0 in every column, and each beam
+    entry carries, per column, the bitmask of the value indexes seen on P,
+    so a bitmask's bit 0 says whether 0 occurs.
     """
-    index: list[dict] = [{} for _ in range(q)]
+    index: list[dict] = [{0: 0} for _ in range(q)]
     ids = [
         [index[j].setdefault(r[t][j], len(index[j])) for j in range(q)]
         for t in range(q)
     ]
-    width = max(map(len, index), default=1).bit_length()
+    most = max(map(len, index), default=1)
+    width = most.bit_length()
     digit = [((1 << width) - 1) << (width * j) for j in range(q)]
     rows = [sum(v << (width * j) for j, v in enumerate(row)) for row in ids]
-    # (cost, order, digits of the columns still to come, column value sets)
-    beam = [(0, [], sum(digit), [0] * q)]
-    for _ in range(q):
-        grown = []
-        for cost, order, future, cols in beam:
-            ahead = [j for j in range(q) if future & digit[j]]
-            for cand in ahead:
-                fut = future & ~digit[cand]
-                pref = order + [cand]
-                k = len({rows[t] & fut for t in pref})
-                ncols = cols[:]
-                prod = length + 1
-                for j in ahead:
-                    if j != cand:
-                        ncols[j] |= 1 << ids[cand][j]
-                        prod *= ncols[j].bit_count()
-                score = min(math.comb(length + k + 1, k + 1), prod) * (len(ahead) - 1)
-                grown.append((cost + score, pref, fut, ncols))
-        # the prefixes are distinct, so ties break on the order list
-        grown.sort()
-        beam = grown[:ORDER_BEAM]
-    return beam[0][1]
+    bound = [math.comb(length + k + 1, k + 1) for k in range(q + 1)]
+    # values[b][z]: a column whose bitmask has b bits, bit 0 (the value 0) z
+    values = [
+        [_accumulator_values(b - z, bool(z), length) for z in (0, 1)]
+        for b in range(most + 1)
+    ]
+
+    def search(beam_width: int) -> tuple[int, list[int]]:
+        # (cost, order, digits of the columns still to come, column value sets)
+        beam = [(0, [], sum(digit), [0] * q)]
+        # the last cell adds 0 to every order's cost
+        for _ in range(q - 1):
+            grown: dict[int, tuple] = {}
+            for cost, order, future, cols in beam:
+                ahead = [j for j in range(q) if future & digit[j]]
+                for cand in ahead:
+                    fut = future & ~digit[cand]
+                    pref = order + [cand]
+                    k = len({rows[t] & fut for t in pref})
+                    ncols = cols[:]
+                    prod = length + 1
+                    for j in ahead:
+                        if j != cand:
+                            seen = ncols[j] = cols[j] | 1 << ids[cand][j]
+                            prod *= values[seen.bit_count()][seen & 1]
+                    score = min(bound[k], prod) * (len(ahead) - 1)
+                    # the prefixes are distinct, so ties break on the order list
+                    entry = (cost + score, pref, fut, ncols)
+                    held = grown.get(fut)
+                    if held is None or entry < held:
+                        grown[fut] = entry
+            beam = sorted(grown.values())[:beam_width]
+        cost, order, future, _ = beam[0]
+        return cost, order + [j for j in range(q) if future & digit[j]]
+
+    beam_width = ORDER_BEAM
+    cost, order = search(beam_width)
+    while cost > 16 * 4 * beam_width * q**3:
+        beam_width *= 4
+        wider = search(beam_width)
+        if wider[0] >= cost:
+            break
+        cost, order = wider
+    return order
 
 
 def _slot_width(

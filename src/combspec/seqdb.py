@@ -158,7 +158,8 @@ class SpectrumDB:
     def __init__(self, path: str | Path):
         """Open the file at path, or start empty if there is none; a line
         that is not a UTF-8 record raises OSError naming the file and
-        line."""
+        line, and for a line that is not UTF-8, the offset of its first
+        bad byte, counted from 0."""
         self.path = Path(path)
         self._records: list[Record] = []
         # each sentence's latest record
@@ -174,6 +175,12 @@ class SpectrumDB:
                     if not line:
                         continue
                     rec = Record.from_json(line)
+                except UnicodeDecodeError as exc:
+                    # the error's repr would repeat the whole raw line
+                    raise OSError(
+                        f"{self.path}:{lineno}: malformed record: "
+                        f"not UTF-8 at byte {exc.start}"
+                    ) from exc
                 except (ValueError, KeyError, TypeError, AttributeError) as exc:
                     raise OSError(
                         f"{self.path}:{lineno}: malformed record: {exc!r}"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
 import math
@@ -609,6 +610,73 @@ def reference_cell_order(r: list[list[Value]], q: int, length: int) -> list[int]
         order.append(best)
         remaining.remove(best)
     return order
+
+
+def optimal_cell_order(r: list[list[Value]], q: int, length: int) -> list[int]:
+    """The cell order whose pass visits the fewest (state, count) pairs,
+    coefficients aside: a shortest path from the empty set of cells to
+    the full one, over cell subsets, by Dijkstra's rule.
+
+    The states after a set S of cells are (used, the accumulators of the
+    cells not in S) and do not depend on the order S was processed in, so
+    each subset's state set is built once, from the state set of the
+    subset it was first reached from.  A step on cell i visits, per state,
+    its counts up to and including the first whose contribution is zero,
+    as dp_iterations counts them: the merged weights are nonzero, so that
+    is count 1 when the state's accumulator for i is 0, and count 2 when
+    r[i][i] is 0.  States whose coefficients cancel are kept, so where
+    coefficients can cancel, the order is optimal for an upper bound of
+    dp_iterations's count."""
+    full = (1 << q) - 1
+    states: dict[int, set] = {0: {(0, (1,) * q)}}
+    best = {0: 0}
+    heap: list[tuple[int, list[int], int]] = [(0, [], 0)]
+    while True:
+        pairs, order, done = heapq.heappop(heap)
+        if done == full:
+            return order
+        if best[done] < pairs:
+            continue
+        ahead = [j for j in range(q) if not done >> j & 1]
+        if done not in states:
+            i = order[-1]
+            before = done & ~(1 << i)
+            pos = [j for j in range(q) if not before >> j & 1].index(i)
+            mults = [tuple(r[i][j] ** c for j in ahead) for c in range(length + 1)]
+            built = set()
+            for used, accs in states[before]:
+                # the last count whose contribution is not zero
+                if not accs[pos]:
+                    top = 0
+                elif not r[i][i]:
+                    top = min(length - used, 1)
+                else:
+                    top = length - used
+                rest = accs[:pos] + accs[pos + 1 :]
+                for c in range(top + 1):
+                    built.add((used + c, tuple(map(operator.mul, rest, mults[c]))))
+            states[done] = built
+        # per used count: the states, and per cell ahead those whose
+        # accumulator for it is 0
+        per_used: dict[int, int] = {}
+        zeros: dict[tuple[int, int], int] = {}
+        for used, accs in states[done]:
+            per_used[used] = per_used.get(used, 0) + 1
+            if 0 in accs:
+                for pos, a in enumerate(accs):
+                    if not a:
+                        zeros[pos, used] = zeros.get((pos, used), 0) + 1
+        for pos, i in enumerate(ahead):
+            step = 0
+            for used, n in per_used.items():
+                top = length - used
+                z = zeros.get((pos, used), 0)
+                step += (n - z) * ((top if r[i][i] else min(top, 2)) + 1)
+                step += z * (min(top, 1) + 1)
+            nxt = done | 1 << i
+            if nxt not in best or pairs + step < best[nxt]:
+                best[nxt] = pairs + step
+                heapq.heappush(heap, (pairs + step, order + [i], nxt))
 
 
 def dp_iterations(

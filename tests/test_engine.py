@@ -26,6 +26,8 @@ from combspec.logic import FORALL, FragmentError, Predicate, pair, parse_sentenc
 from combspec.oracle import count_models, weighted_count
 from combspec.polynomial import Poly, make, norm1
 from helpers import (
+    dp_iterations,
+    optimal_cell_order,
     random_sentence,
     reference_branches,
     reference_cell_graph,
@@ -970,3 +972,60 @@ def test_two_cells_need_no_order_search():
             for j in range(i, q):
                 r[i][j] = r[j][i] = rng.choice([0, 1, 2, -1, 3])
         assert engine._greedy_cell_order(r, q, rng.randint(1, 8)) == list(range(q))
+
+
+def _accumulator_values_brute(entries, length):
+    """The most values that prod_v v ** count_v takes over counts of one
+    total up to length: the accumulator of a later cell at one used count,
+    with each distinct entry of its column standing for the class of
+    processed cells that have it."""
+    return max(
+        len({math.prod(ms) for ms in itertools.combinations_with_replacement(entries, used)})
+        for used in range(length + 1)
+    )
+
+
+def test_accumulator_values_against_brute_force():
+    rng = random.Random(33)
+    for _ in range(300):
+        length = rng.randint(1, 6)
+        m = rng.randint(1, 4)
+        start, step = rng.randint(0, 2), rng.randint(1, 2)
+        spaced = [2 ** (start + step * i) for i in range(m)]
+        powers = [2**e for e in rng.sample(range(6), m)]
+        mixed = rng.sample(range(1, 8), m)
+        for entries in (spaced, powers, mixed):
+            brute = _accumulator_values_brute(entries, length)
+            count = engine._accumulator_values(m, False, length)
+            # u counts over m distinct values in a torsion-free group give
+            # at least u * (m - 1) + 1 products
+            assert count <= brute, (entries, length)
+            # a 0 adds exactly one value, the accumulator of any count of it
+            assert _accumulator_values_brute(entries + [0], length) == brute + 1
+            assert engine._accumulator_values(m, True, length) == count + 1
+        # exact for powers of one base with evenly spaced exponents
+        assert engine._accumulator_values(m, False, length) == _accumulator_values_brute(
+            spaced, length
+        ), (spaced, length)
+    # a constant column, 0 or not, leaves one value per used count
+    assert engine._accumulator_values(1, False, 9) == engine._accumulator_values(0, True, 9) == 1
+
+
+def test_optimal_cell_order_visits_the_fewest_pairs():
+    # positive weights and nonnegative edges: no coefficient cancels, so
+    # dp_iterations counts the pairs that the helper minimizes
+    rng = random.Random(33)
+    for _ in range(60):
+        q = rng.randint(1, 5)
+        r = [[0] * q for _ in range(q)]
+        for i in range(q):
+            for j in range(i, q):
+                r[i][j] = r[j][i] = rng.choice([0, 1, 2, 3, 4])
+        merged = (tuple(rng.randint(1, 2) for _ in range(q)), tuple(map(tuple, r)))
+        length = rng.randint(1, 5)
+        fewest = min(
+            dp_iterations(merged, length, None, lambda r, q, n, order=order: list(order))
+            for order in itertools.permutations(range(q))
+        )
+        assert dp_iterations(merged, length, None, optimal_cell_order) == fewest
+        assert dp_iterations(merged, length) >= fewest

@@ -241,10 +241,16 @@ def test_malformed_line_names_file_and_line(tmp_path, bad):
 def test_a_line_that_is_not_utf8_names_file_and_line(tmp_path):
     path = tmp_path / "seq.jsonl"
     SpectrumDB(path).insert("(E x U(x))", [1, 3, 7, 15, 31])
+    line = b'{"id": 1, "sentence": "\xff", "spectrum": [], "status": "unique"}'
     with path.open("ab") as fh:
-        fh.write(b'{"id": 1, "sentence": "\xff", "spectrum": [], "status": "unique"}\n')
-    with pytest.raises(OSError, match=re.escape(f"{path}:2: malformed record")):
+        fh.write(line + b"\n")
+    with pytest.raises(OSError) as info:
         SpectrumDB(path)
+    message = str(info.value)
+    assert message == f"{path}:2: malformed record: not UTF-8 at byte {line.index(0xFF)}"
+    # nothing of the line is repeated, in any spelling of its bytes
+    for chunk in (line[:12], line[-12:]):
+        assert chunk.decode() not in message and repr(chunk)[2:-1] not in message
 
 
 def test_lines_are_numbered_as_text_mode_numbers_them(tmp_path):
