@@ -156,28 +156,36 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    # spectra are computed only to be stored, so without --db these would
+    # read as applied
+    if not args.db and (args.length is not None or args.budget_secs is not None):
+        raise ValueError("--length and --budget-secs apply with --db only")
     limits = _limits_from_args(args)
     layers = _at_least_one(args.layers, 3, "--layers")
-    length = _at_least_one(args.length, 10, "--length")
-    budget = _budget(args.budget_secs, 30.0, "--budget-secs")
     search_budget = _budget(args.search_budget_secs, None, "--search-budget-secs")
-    # a malformed file, or a new one in a missing directory, fails before
-    # the search, not after it
-    if args.db and not Path(args.db).parent.is_dir():
-        raise FileNotFoundError(f"no directory for --db {args.db}")
-    db = SpectrumDB(args.db) if args.db else None
-
-    result = generate(
-        limits, layers, budget_secs=search_budget, length=length, spectrum_secs=budget
-    )
+    if args.db:
+        length = _at_least_one(args.length, 10, "--length")
+        budget = _budget(args.budget_secs, 30.0, "--budget-secs")
+        # a malformed file, or a new one in a missing directory, fails
+        # before the search, not after it
+        if not Path(args.db).parent.is_dir():
+            raise FileNotFoundError(f"no directory for --db {args.db}")
+        db = SpectrumDB(args.db)
+        result = generate(
+            limits, layers, budget_secs=search_budget, length=length, spectrum_secs=budget
+        )
+        uniques = result.store(db, args.profile or "custom")
+        truncated = result.truncated or any(sp.truncated for sp in result.spectra.values())
+    else:
+        result = generate(limits, layers, budget_secs=search_budget)
+        truncated = result.truncated
     rows = [{"layer": i + 1, "kept": len(kept)} for i, kept in enumerate(result.kept)]
-    truncated = result.truncated or any(sp.truncated for sp in result.spectra.values())
     doc: dict = {"layers": rows, "truncated": truncated}
     # the search stops inside the last layer it reports
     if result.truncated:
         doc["stopped_layer"] = len(result.kept)
-    if db is not None:
-        for row, unique in zip(rows, result.store(db, args.profile or "custom")):
+    if args.db:
+        for row, unique in zip(rows, uniques):
             row["unique"] = unique
         doc["db"] = db.stats()
 
@@ -303,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("generate", help="enumerate sentences, store spectra")
+    p = sub.add_parser("generate", help="enumerate sentences, store spectra with --db")
     p.add_argument("--profile", choices=sorted(PROFILES))
     p.add_argument("--ml", help="max literals per clause")
     p.add_argument("--mc", help="max clauses")
@@ -311,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bp", help="binary predicates")
     p.add_argument("--k", help="counting parameter: 1 allows E=1, 0 disables")
     p.add_argument("--layers", help="refinement depth (default 3)")
-    p.add_argument("--length", help="spectrum length (default 10)")
-    p.add_argument("--budget-secs", dest="budget_secs", help="per-spectrum budget")
+    p.add_argument("--length", help="spectrum length, with --db (default 10)")
+    p.add_argument("--budget-secs", dest="budget_secs", help="per-spectrum budget, with --db")
     p.add_argument(
         "--search-budget-secs", dest="search_budget_secs", help="whole-search budget"
     )

@@ -98,7 +98,6 @@ from .logic import (
     Sentence,
     canonical_key,
     counting,
-    make_clause,
     pair,
     single,
 )
@@ -673,13 +672,17 @@ def generate(
     With a length, each kept sentence's spectrum of that length is
     computed as it is kept (by layer, then by text within a layer), each
     within spectrum_secs, and lands in GenResult.spectra.  layers or a
-    length below 1, and a NaN or negative budget_secs or spectrum_secs,
-    are ValueErrors, raised before the first candidate.
+    length below 1, a NaN or negative budget_secs or spectrum_secs, and a
+    spectrum_secs without a length, are ValueErrors, raised before the
+    first candidate.
 
     _key_group chooses the duplicate check's literal maps from the pool."""
     for name, value in (("layers", layers), ("length", length)):
         if value is not None and value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
+    # without a length no spectrum is computed, so its budget would be unused
+    if spectrum_secs is not None and length is None:
+        raise ValueError("spectrum_secs needs a length")
     deadline = engine.budget_deadline(budget_secs)
     # refuse a bad per-spectrum budget before the first candidate
     engine.budget_deadline(spectrum_secs)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -40,6 +41,10 @@ STATUSES = ("unique", "duplicate", "product_redundant", "truncated")
 # the types an optional field of a record may hold
 _INT_OR_NONE = (int, type(None))
 _STR_OR_NONE = (str, type(None))
+# a spectrum's terms, joined by commas, as str(int) writes each: no sign
+# but a leading minus, no leading zero, no space, underscore or non-ASCII
+# digit; the empty string is the spectrum []
+_TERMS = re.compile(r"(?:(?:0|-?[1-9][0-9]*)(?:,(?:0|-?[1-9][0-9]*))*)?")
 
 
 @dataclass
@@ -85,15 +90,17 @@ class Record:
     def from_json(cls, line: str) -> "Record":
         """The record on one line; a truncated unique one, as older files
         hold, reads as truncated.  A field of another type than declared,
-        a spectrum other than a list of strings and a status outside
-        STATUSES are a TypeError, so that to_json can write the record
-        back."""
+        a spectrum other than a list of decimal strings as str(int) writes
+        them, and a status outside STATUSES are a TypeError, so that
+        to_json can write the record back as it was read."""
         doc = json.loads(line)
         terms = doc["spectrum"]
-        # join tests that each term is a str, one C-level check per term
         if type(terms) is not list:
             raise TypeError("the spectrum is not a list")
-        "".join(terms)
+        # join tests that each term is a str, and one match over the joined
+        # terms that each is written as to_json writes its int back
+        if not _TERMS.fullmatch(",".join(terms)):
+            raise TypeError("a term is not a decimal integer as to_json writes it")
         product = doc.get("product_of")
         truncated = doc.get("truncated", False)
         status = doc["status"]
@@ -358,22 +365,21 @@ class SpectrumDB:
         self._rewrite()
 
     def _rewrite(self) -> None:
-        tmp = self.path.with_suffix(".tmp")
+        # the name gains a suffix, so no sibling such as results.tmp is touched
+        tmp = self.path.with_name(self.path.name + ".tmp")
         with tmp.open("w") as fh:
             for rec in self._records:
                 fh.write(rec.to_json() + "\n")
         tmp.replace(self.path)
 
     def stats(self) -> dict[str, int]:
-        """Counts by status of each sentence's latest record, where a
-        truncated record counts as truncated; a record that a later one
+        """Counts by status of each sentence's latest record, the records
+        that db export --status lists; a record that a later one
         superseded counts as superseded, so total counts every record."""
         out = {"total": len(self._records)}
         for rec in self._records:
-            if self._by_sentence[rec.sentence] is not rec:
-                key = "superseded"
-            else:
-                key = "truncated" if rec.truncated else rec.status
+            latest = self._by_sentence[rec.sentence] is rec
+            key = rec.status if latest else "superseded"
             out[key] = out.get(key, 0) + 1
         out["matched"] = sum(1 for r in self._records if r.oeis)
         return out

@@ -9,12 +9,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from combspec import cli, generator
+from combspec import cli, engine, generator
 from combspec.cli import main
 from combspec.engine import compute_spectrum
 from combspec.generator import GenLimits, generate
 from combspec.logic import parse_sentence
-from combspec.seqdb import SpectrumDB
+from combspec.seqdb import STATUSES, SpectrumDB
 
 FIXTURE = Path(__file__).parent / "fixtures" / "oeis_stripped.txt"
 
@@ -75,7 +75,7 @@ def test_budget_exit_code_with_partial_output(capsys):
     assert len(out.split()) < 10
 
 
-def test_generate_budget_exit_code(capsys):
+def test_generate_budget_exit_code(tmp_path, capsys):
     # every spectrum runs out of its budget; generate itself does not
     code, out = run(
         capsys,
@@ -86,6 +86,8 @@ def test_generate_budget_exit_code(capsys):
         "1",
         "--budget-secs",
         "0.000001",
+        "--db",
+        str(tmp_path / "t.jsonl"),
         "--json",
     )
     assert code == 4
@@ -102,8 +104,11 @@ def test_generate_budget_exit_code(capsys):
     ],
     ids=["spectrum", "generate"],
 )
-def test_a_budget_below_zero_or_nan_is_a_usage_error(argv, budget, capsys):
-    # NaN would disable the budget and a negative one truncate everything
+def test_a_budget_below_zero_or_nan_is_a_usage_error(tmp_path, argv, budget, capsys):
+    # NaN would disable the budget and a negative one truncate everything;
+    # generate reads --budget-secs only with --db
+    if argv[0] == "generate":
+        argv = argv + ["--db", str(tmp_path / "t.jsonl")]
     code = main(argv + ["--budget-secs", budget])
     out, err = capsys.readouterr()
     assert code == 2
@@ -306,6 +311,36 @@ def test_db_stats_and_export(tmp_path, capsys):
     rows = [json.loads(line) for line in out.splitlines()]
     assert len(rows) == 4
     assert all(r["status"] == "unique" for r in rows)
+
+
+def test_db_stats_counts_what_export_lists_by_status(tmp_path, capsys):
+    # a truncated record that duplicates a whole one is counted as the
+    # duplicate it is, beside each other status and a superseded record
+    db = tmp_path / "seq.jsonl"
+    store = SpectrumDB(db)
+    store.insert("a", [1, 2, 3, 4, 5, 6])
+    assert store.insert("b", [1, 2, 3, 4, 5], truncated=True).status == "duplicate"
+    store.insert("c", [2, 2, 2, 2, 2, 2])
+    store.insert("d", [2, 4, 6, 8, 10, 12])
+    store.insert("e", [7, 8], truncated=True)
+    store.insert("f", [1, 9], truncated=True)
+    store.insert("f", [1, 9, 81, 729, 6561])
+    code, out = run(capsys, "db", "stats", "--db", str(db))
+    assert code == 0
+    stats = json.loads(out)
+    assert stats == {
+        "total": 7,
+        "unique": 3,
+        "duplicate": 1,
+        "product_redundant": 1,
+        "truncated": 1,
+        "superseded": 1,
+        "matched": 0,
+    }
+    for status in STATUSES:
+        code, out = run(capsys, "db", "export", "--db", str(db), "--status", status)
+        assert code == 0
+        assert stats.get(status, 0) == len(out.splitlines())
 
 
 
@@ -547,6 +582,44 @@ def test_generate_refuses_a_db_it_cannot_create_before_the_search(
     code = main(["generate", "--profile", "fo2-paper", "--layers", "5", "--db", str(db)])
     assert code == 5
     assert capsys.readouterr().err.startswith("file error: ")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_generate_without_a_db_computes_no_spectrum(capsys, monkeypatch):
+    # nothing is stored, so nothing needs a spectrum
+    def no_spectrum(*args, **kwargs):
+        raise AssertionError("a spectrum was computed")
+
+    monkeypatch.setattr(engine, "compute_spectrum", no_spectrum)
+    argv = ["generate", "--profile", "fo2-paper", "--layers", "3", "--json"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert [row["kept"] for row in json.loads(out)["layers"]] == [4, 36, 179]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("key, value", [("length", "5"), ("budget_secs", "1")])
+def test_spectrum_options_without_a_db_are_usage_errors(
+    tmp_path, capsys, monkeypatch, source, key, value
+):
+    # they bound the spectra that only --db computes, so they would read
+    # as applied to a search that ignores them
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(cli, "generate", no_search)
+    argv = ["generate", "--profile", "fo2-paper", "--layers", "2"]
+    if source == "flag":
+        argv += ["--" + key.replace("_", "-"), value]
+    else:
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        argv += ["--config", str(cfg)]
+    before = sorted(tmp_path.rglob("*"))
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: --length and --budget-secs apply with --db only\n"
     assert sorted(tmp_path.rglob("*")) == before
 
 

@@ -743,6 +743,17 @@ def test_a_budget_below_zero_or_nan_is_refused(fo2_limits, budget, secs, monkeyp
         generate(fo2_limits, 2, length=3, **{budget: secs})
 
 
+def test_a_spectrum_budget_without_a_length_is_refused(fo2_limits, monkeypatch):
+    # without a length no spectrum is computed, so the budget would be
+    # silently unused
+    def no_candidate(*args):
+        raise AssertionError("a candidate was classified")
+
+    monkeypatch.setattr(generator, "classify", no_candidate)
+    with pytest.raises(ValueError, match="spectrum_secs needs a length"):
+        generate(fo2_limits, 1, spectrum_secs=1)
+
+
 @pytest.mark.parametrize("layers, length", [(0, None), (-2, None), (3, 0), (3, -1)])
 def test_layers_or_length_below_one_is_refused(fo2_limits, layers, length, monkeypatch):
     # refused before the first candidate, as a bad budget is, not answered

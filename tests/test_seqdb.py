@@ -227,6 +227,13 @@ def test_big_integers_survive_round_trip(tmp_path):
         '{"id": 1, "sentence": "s", "spectrum": [], "status": "unique", "product_of": ""}',
         '{"id": 1, "sentence": "s", "spectrum": [], "status": "unique", "product_of": []}',
         '{"id": 1, "sentence": "s", "spectrum": [], "status": "bogus"}',
+        # terms that int() reads but to_json would write back as other bytes
+        '{"id": 1, "sentence": "s", "spectrum": [" 1"], "status": "unique"}',
+        '{"id": 1, "sentence": "s", "spectrum": ["1_000"], "status": "unique"}',
+        '{"id": 1, "sentence": "s", "spectrum": ["+5"], "status": "unique"}',
+        '{"id": 1, "sentence": "s", "spectrum": ["\u0663"], "status": "unique"}',
+        '{"id": 1, "sentence": "s", "spectrum": ["-0"], "status": "unique"}',
+        '{"id": 1, "sentence": "s", "spectrum": ["1", "007"], "status": "unique"}',
     ],
 )
 def test_malformed_line_names_file_and_line(tmp_path, bad):
@@ -379,6 +386,25 @@ def test_an_insert_after_a_rewrite_lands_in_the_new_file(tmp_path):
     again = SpectrumDB(path).records()
     assert [(r.sentence, r.oeis) for r in again] == [("a", "A000225"), ("b", None)]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["seq.jsonl"]
+
+
+def test_a_rewrite_leaves_a_sibling_tmp_file_alone(tmp_path):
+    # results.jsonl's temporary file must not be results.tmp, a name the
+    # user may hold
+    path, sibling = tmp_path / "results.jsonl", tmp_path / "results.tmp"
+    sibling.write_bytes(b"the user's own file\n")
+    db = SpectrumDB(path)
+    # c's factors come after it, so only the reclassification demotes it
+    db.insert("c", [1, 6, 36, 216, 1296])
+    a = db.insert("a", [1, 2, 4, 8, 16])
+    db.insert("b", [1, 3, 9, 27, 81])
+    db.set_oeis({a.id: "A000079"})
+    assert db.reclassify_products() == 1
+    assert sibling.read_bytes() == b"the user's own file\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["results.jsonl", "results.tmp"]
+    assert [r.to_json() for r in SpectrumDB(path).records()] == [
+        r.to_json() for r in db.records()
+    ]
 
 
 def test_an_insert_writes_its_whole_line_through_short_writes(tmp_path, monkeypatch):
