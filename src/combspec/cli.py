@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .engine import compute_spectrum, wfomc
 from .generator import GenLimits, generate
-from .logic import FragmentError, ParseError, parse_sentence
+from .logic import FragmentError, ParseError, Sentence, parse_sentence
 from .oeis import StrippedIndex, online_search
 from .seqdb import STATUSES, SpectrumDB
 
@@ -52,11 +52,12 @@ def read_config(path: str) -> dict[str, str]:
 
 
 def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Fill unset options from --config; explicit flags win."""
-    if not getattr(args, "config", None):
+    """Fill unset options from --config; explicit flags win.  A key must
+    name an option of the command other than --config itself."""
+    if not args.config:
         return
     for key, value in read_config(args.config).items():
-        if not hasattr(args, key):
+        if key not in args.options:
             parser.error(f"unknown config key {key!r} for {args.command}")
         current = getattr(args, key)
         # a store_true flag left at False is unset; `is` keeps 0 apart
@@ -78,10 +79,15 @@ def _parse_weights(pairs: list[str] | None, slot: int, weights: dict) -> dict:
     return weights
 
 
-def _weights_from_args(args: argparse.Namespace) -> dict | None:
+def _weights_from_args(args: argparse.Namespace, s: Sentence) -> dict | None:
+    """The --w and --wbar weights; a name that is not a predicate of s is
+    an error, since its weight would be ignored."""
     weights: dict = {}
-    _parse_weights(getattr(args, "w", None), 0, weights)
-    _parse_weights(getattr(args, "wbar", None), 1, weights)
+    _parse_weights(args.w, 0, weights)
+    _parse_weights(args.wbar, 1, weights)
+    unknown = sorted(weights.keys() - {p.name for p in s.predicates})
+    if unknown:
+        raise ValueError(f"weight for {unknown[0]!r}, not a predicate of the sentence")
     return weights or None
 
 
@@ -127,7 +133,7 @@ def cmd_wfomc(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
     s = parse_sentence(args.sentence)
-    value = wfomc(s, args.n, weights=_weights_from_args(args))
+    value = wfomc(s, args.n, weights=_weights_from_args(args, s))
     print(value)
     return EXIT_OK
 
@@ -137,7 +143,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     length = _at_least_one(args.length, 10, "--length")
     budget = _budget(args.budget_secs, None, "--budget-secs")
     sp = compute_spectrum(
-        s, length, weights=_weights_from_args(args), budget_secs=budget
+        s, length, weights=_weights_from_args(args, s), budget_secs=budget
     )
     if args.json:
         print(
@@ -292,24 +298,26 @@ def build_parser() -> argparse.ArgumentParser:
         for name in WEIGHT_OPTIONS:
             p.add_argument(f"--{name}", action="append", metavar="NAME=INT")
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_common(p: argparse.ArgumentParser, func, json_output: bool = True) -> None:
         p.add_argument("--config", help="key=value defaults file")
-        p.add_argument("--json", action="store_true", help="JSON output")
+        if json_output:
+            p.add_argument("--json", action="store_true", help="JSON output")
+        # the keys a --config file may set; argparse lists options in _actions
+        options = {a.dest for a in p._actions if a.option_strings} - {"help", "config"}
+        p.set_defaults(func=func, options=options)
 
     p = sub.add_parser("wfomc", help="weighted model count at one size")
     p.add_argument("sentence")
     p.add_argument("--n", type=int, required=True, help="domain size")
     add_weights(p)
-    add_common(p)
-    p.set_defaults(func=cmd_wfomc)
+    add_common(p, cmd_wfomc, json_output=False)
 
     p = sub.add_parser("spectrum", help="model counts for n = 1..length")
     p.add_argument("sentence")
     p.add_argument("--length", help="number of terms (default 10)")
     p.add_argument("--budget-secs", dest="budget_secs")
     add_weights(p)
-    add_common(p)
-    p.set_defaults(func=cmd_spectrum)
+    add_common(p, cmd_spectrum)
 
     p = sub.add_parser("generate", help="enumerate sentences, store spectra with --db")
     p.add_argument("--profile", choices=sorted(PROFILES))
@@ -325,23 +333,20 @@ def build_parser() -> argparse.ArgumentParser:
         "--search-budget-secs", dest="search_budget_secs", help="whole-search budget"
     )
     p.add_argument("--db", help="JSONL database path")
-    add_common(p)
-    p.set_defaults(func=cmd_generate)
+    add_common(p, cmd_generate)
 
     p = sub.add_parser("db", help="inspect a spectrum database")
     p.add_argument("db_command", choices=["stats", "export"])
     p.add_argument("--db", required=True)
     p.add_argument("--status", help="filter export by status")
-    add_common(p)
-    p.set_defaults(func=cmd_db)
+    add_common(p, cmd_db, json_output=False)
 
     p = sub.add_parser("oeis", help="match spectra against OEIS")
     p.add_argument("--terms", help="comma-separated integers")
     p.add_argument("--db", help="match every unique record in this database")
     p.add_argument("--stripped", help="path to OEIS stripped dump (.gz ok)")
     p.add_argument("--online", action="store_true", help="query oeis.org")
-    add_common(p)
-    p.set_defaults(func=cmd_oeis)
+    add_common(p, cmd_oeis)
 
     return parser
 

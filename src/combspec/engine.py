@@ -317,7 +317,7 @@ def build_cell_graph(
         w, wbar = weights.get(p.name, (1, 1))
         if p.name not in cvar_set:
             return w, wbar
-        x = Poly.variable(cvars, p.name)
+        x = Poly.variable(len(cvars), cvars.index(p.name))
         return (w, x) if p.name in negated else (x, wbar)
 
     atom_w = [wpair(p) for p in atom_preds]
@@ -669,8 +669,10 @@ def evaluate_cell_sum(
     into the sums.  A state whose coefficient cancelled to zero stays in
     its group and adds nothing.
 
-    With caps, every weight is packed into one int (polynomial.Packing)
-    before the pass and the sums are unpacked after it.  Equal values are
+    With caps, one per exponent position of the symbolic weights, every
+    weight is packed into one int (polynomial.Packing), a layout made
+    from the caps alone, before the pass and the sums are unpacked after
+    it.  Equal values are
     equal ints, so states still merge by value, and the DP body is the
     same on both paths: only the products differ.  mul is the packed
     product; emul, the product of edge values (accumulators and their
@@ -742,10 +744,7 @@ def evaluate_cell_sum(
     # plain ints multiply natively; symbolic values multiply packed
     mul = emul = operator.mul
     if caps is not None:
-        cvars = next(
-            (v.vars for v in itertools.chain(w, *rr) if isinstance(v, Poly)), ()
-        )
-        packing = Packing(cvars, caps, _slot_width(q, length, caps, w, rr))
+        packing = Packing(caps, _slot_width(q, length, caps, w, rr))
         w = [packing.pack(v) for v in w]
         mul = packing.mul
         if any(isinstance(v, Poly) for row in rr for v in row):

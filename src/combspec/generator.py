@@ -27,18 +27,20 @@ would, with one mechanism for every pool.  Each clause gets a row: the
 number of its image under each literal map of GenState.group, where a
 swappable image counts as the lesser of itself and its x-y swap.  An
 image is a prefix and a body of mapped literals, numbered as it is first
-met (GenState.ids) and never built as a Clause.  The rows are computed
-once per search (GenState.rows), and a candidate's column for a map is
-the sorted numbers of its clauses' images under it.  Equal columns mean
+met (GenState.ids) and never built as a Clause.  Every literal map below
+commutes with the x-y swap, which the key's exactness rests on, so an
+image's swap is the same map's image of the clause's own swap
+(Clause.images["y", "x"]).  The rows are computed once per search
+(GenState.rows), and a candidate's column for a map is the sorted
+numbers of its clauses' images under it.  Equal columns mean
 images that agree up to the x-y swap of some clauses, so one orbit of
 the group canonical_key divides by.  _key_group chooses the group from
 the pool, once per search:
 
   one predicate of each arity at most (both paper profiles): every
       product of flipping the unary predicate, flipping the binary one
-      and transposing it, at most 8 literal maps, which commute with
-      every clause's x-y swap.  This group is exact: a candidate's key
-      is its least column, and nothing is labelled.
+      and transposing it, at most 8 literal maps.  This group is exact:
+      a candidate's key is its least column, and nothing is labelled.
   any other pool: the group also renames predicates and grows too large
       to enumerate (256 maps with two predicates of each arity), so it
       holds the identity and the generators: flipping one pool predicate,
@@ -460,10 +462,10 @@ class GenState:
     lists literal maps of the key group, the identity first; exact says
     it holds every element, so that the least orbit column is the key.
     Only the clauses the search builds are interned: an image is keyed
-    in ids by its (prefix, body), and its x-y swap is read from swaps,
-    which gains each literal as _orbit_row first meets it.  A bare
-    GenState() has the identity alone, starts with no swaps, and labels
-    every candidate whose column it has not met."""
+    in ids by its (prefix, body), and its x-y swap is the same map's
+    image of the clause's own swap, which Clause.images holds.  A bare
+    GenState() has the identity alone and labels every candidate whose
+    column it has not met."""
 
     # canonical keys: orbit columns on an exact group, labellings else
     seen_canonical: set = field(default_factory=set)
@@ -491,8 +493,6 @@ class GenState:
     exact: bool = False
     ids: dict[tuple, int] = field(default_factory=dict)
     rows: dict[Clause, tuple[int, ...]] = field(default_factory=dict)
-    # each literal's x-y swap, added as the literal is first met
-    swaps: dict[Literal, Literal] = field(default_factory=dict)
     # inexact group: the labelling of each identity column met so far
     keys: dict[tuple[int, ...], bytes] = field(default_factory=dict)
 
@@ -550,20 +550,16 @@ def _orbit_row(c: Clause, state: GenState) -> tuple[int, ...]:
     swappable image counts as the lesser of itself and its x-y swap.
     Images are numbered by prefix and body, in the order they are first
     met, an image before its swap, and none is built as a Clause: each
-    is a frozenset of mapped literals, its swap mapped through
-    state.swaps."""
+    is a frozenset of mapped literals.  Every literal map of the group
+    commutes with the x-y swap, so an image's swap is the image of c's
+    own swap, c.images["y", "x"], under the same map."""
     row = state.rows.get(c)
     if row is None:
-        ids, swaps, prefix, swappable = state.ids, state.swaps, c.prefix, c.swappable
+        ids, prefix = state.ids, c.prefix
+        bodies = [c.body, c.images["y", "x"]] if c.swappable else [c.body]
         numbers = []
         for m in state.group:
-            body = frozenset(m.get(lit, lit) for lit in c.body)
-            alike = [(prefix, body)]
-            if swappable:
-                for lit in body:
-                    if lit not in swaps:
-                        swaps[lit] = lit.substitute({"x": "y", "y": "x"})
-                alike.append((prefix, frozenset(swaps[lit] for lit in body)))
+            alike = [(prefix, frozenset(m.get(lit, lit) for lit in b)) for b in bodies]
             numbers.append(min(ids.setdefault(a, len(ids)) for a in alike))
         row = state.rows[c] = tuple(numbers)
     return row

@@ -11,7 +11,10 @@ a truncated product is then one big-int multiply and a mask (Packing).
 
 Values have one normal form, built by make: a polynomial without a
 variable is a plain int, so a Poly is never zero or constant, and equal
-values compare and hash equal whichever way they were computed.
+values compare and hash equal whichever way they were computed.  A
+polynomial carries no variable names: variable i is position i of its
+exponent tuples, and the caller that made the variables knows what each
+one stands for (engine: the constrained predicates, in sorted order).
 """
 
 from __future__ import annotations
@@ -21,30 +24,31 @@ from typing import Mapping, Sequence, Union
 
 
 class Poly:
-    """Polynomial over a fixed tuple of variable names, with at least one
-    monomial that has a variable; build one with make or variable."""
+    """Polynomial given by its terms, a map from exponent tuples to
+    nonzero coefficients, with at least one monomial that has a variable;
+    build one with make or variable.  Every monomial of a value has one
+    exponent per variable, so the constant monomial's length is read from
+    any of them."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("terms",)
 
-    def __init__(self, vars: tuple[str, ...], terms: dict[tuple[int, ...], int]):
-        self.vars = vars
+    def __init__(self, terms: dict[tuple[int, ...], int]):
         self.terms = terms
 
     @classmethod
-    def variable(cls, vars: tuple[str, ...], name: str) -> "Poly":
-        i = vars.index(name)
-        mono = tuple(int(j == i) for j in range(len(vars)))
-        return cls(vars, {mono: 1})
+    def variable(cls, k: int, i: int) -> "Poly":
+        """Variable i of k."""
+        return cls({tuple(int(j == i) for j in range(k)): 1})
 
     def __add__(self, other: "Value") -> "Value":
         terms = dict(self.terms)
         if isinstance(other, Poly):
             items = other.terms.items()
         else:
-            items = [((0,) * len(self.vars), other)]
+            items = [((0,) * len(next(iter(terms))), other)]
         for m, c in items:
             terms[m] = terms.get(m, 0) + c
-        return make(self.vars, terms)
+        return make(terms)
 
     __radd__ = __add__
 
@@ -58,12 +62,12 @@ class Poly:
 Value = Union[int, Poly]
 
 
-def make(vars: tuple[str, ...], terms: Mapping[tuple[int, ...], int]) -> Value:
+def make(terms: Mapping[tuple[int, ...], int]) -> Value:
     """The normal form of a polynomial: zero coefficients dropped, and a
     plain int when no monomial has a variable."""
     terms = {m: c for m, c in terms.items() if c}
     if any(any(m) for m in terms):
-        return Poly(vars, terms)
+        return Poly(terms)
     return sum(terms.values())
 
 
@@ -76,7 +80,7 @@ def mul_values(a: Value, b: Value) -> Value:
     if isinstance(b, int):
         if b == 1:
             return a
-        others = {(0,) * len(a.vars): b}
+        others = {(0,) * len(next(iter(a.terms))): b}
     else:
         others = b.terms
     terms: dict[tuple[int, ...], int] = {}
@@ -84,7 +88,7 @@ def mul_values(a: Value, b: Value) -> Value:
         for m2, c2 in others.items():
             m = tuple(x + y for x, y in zip(m1, m2))
             terms[m] = terms.get(m, 0) + c1 * c2
-    return make(a.vars, terms)
+    return make(terms)
 
 
 def pow_value(a: int, e: int) -> int:
@@ -107,9 +111,10 @@ def norm1(v: Value) -> int:
 
 
 class Packing:
-    """Kronecker layout of the polynomials in vars truncated at caps: a
-    value is one int holding each coefficient as a balanced (signed) digit
-    in a slot of width bits.
+    """Kronecker layout of the polynomials in len(caps) variables
+    truncated at caps, one cap per exponent position: a value is one int
+    holding each coefficient as a balanced (signed) digit in a slot of
+    width bits.
 
     Monomial e sits in slot sum(e[i] * stride[i]), where stride[i] is the
     product of 2 * caps[j] + 1 over j < i.  The exponents of a product of
@@ -127,8 +132,7 @@ class Packing:
     the caps need lie in that range.
     """
 
-    def __init__(self, vars: tuple[str, ...], caps: Sequence[int], width: int):
-        self.vars = vars
+    def __init__(self, caps: Sequence[int], width: int):
         self.width = width
         strides = [1]
         for cap in caps:
@@ -160,7 +164,7 @@ class Packing:
         x += self.koff
         mask, half = (1 << w) - 1, 1 << (w - 1)
         terms = {m: (x >> (w * i) & mask) - half for m, i in self.slots.items()}
-        return make(self.vars, terms)
+        return make(terms)
 
     def mul(self, a: int, b: int) -> int:
         """Product of two packed values, truncated at the caps."""

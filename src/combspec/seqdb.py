@@ -164,9 +164,10 @@ class SpectrumDB:
 
     def __init__(self, path: str | Path):
         """Open the file at path, or start empty if there is none; a line
-        that is not a UTF-8 record raises OSError naming the file and
-        line, and for a line that is not UTF-8, the offset of its first
-        bad byte, counted from 0."""
+        that is not a UTF-8 record, or a record whose id is not its
+        0-based position among the file's records, raises OSError naming
+        the file and line, and for a line that is not UTF-8, the offset of
+        its first bad byte, counted from 0."""
         self.path = Path(path)
         self._records: list[Record] = []
         # each sentence's latest record
@@ -182,6 +183,9 @@ class SpectrumDB:
                     if not line:
                         continue
                     rec = Record.from_json(line)
+                    # an id indexes _records, as set_oeis and insert take it to
+                    if rec.id != len(self._records):
+                        raise ValueError(f"id {rec.id} at position {len(self._records)}")
                 except UnicodeDecodeError as exc:
                     # the error's repr would repeat the whole raw line
                     raise OSError(

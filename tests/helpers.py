@@ -485,7 +485,7 @@ def reference_cell_graph(
         w, wbar = weights.get(p.name, (1, 1))
         if p.name not in cvar_set:
             return w, wbar
-        x = Poly.variable(cvars, p.name)
+        x = Poly.variable(len(cvars), cvars.index(p.name))
         return (w, x) if p.name in negated else (x, wbar)
 
     atom_w = [wpair(p) for p in atom_preds]
@@ -732,10 +732,7 @@ def reference_cell_sum(
     rr = [[r[a][b] for b in order] for a in order]
     mul = emul = operator.mul
     if caps is not None:
-        cvars = next(
-            (v.vars for v in itertools.chain(w, *rr) if isinstance(v, Poly)), ()
-        )
-        packing = Packing(cvars, caps, engine._slot_width(q, length, caps, w, rr))
+        packing = Packing(caps, engine._slot_width(q, length, caps, w, rr))
         w = [packing.pack(v) for v in w]
         mul = packing.mul
         if any(isinstance(v, Poly) for row in rr for v in row):

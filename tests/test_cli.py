@@ -553,6 +553,23 @@ def test_malformed_db_is_a_file_error(tmp_path, capsys, line, argv):
     assert db.read_bytes() == line + b"\n"
 
 
+def test_oeis_db_refuses_a_concatenated_store(tmp_path, capsys):
+    # the factorial record of the second file has id 0, so its match would
+    # land on the first file's all-ones record
+    first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    SpectrumDB(first).insert("ones", [1] * 7)
+    SpectrumDB(first).insert("pow", [1, 2, 4, 8, 16, 32])
+    SpectrumDB(second).insert("fact", [1, 1, 2, 6, 24, 120, 720])
+    db = tmp_path / "both.jsonl"
+    before = first.read_bytes() + second.read_bytes()
+    db.write_bytes(before)
+    code = main(["oeis", "--db", str(db), "--stripped", str(FIXTURE)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (5, "")
+    assert captured.err.startswith(f"file error: {db}:3: malformed record")
+    assert db.read_bytes() == before
+
+
 def test_generate_opens_the_db_before_the_search(tmp_path, capsys, monkeypatch):
     # a malformed file exits 5 at once, not after a search it cannot store
     def no_search(*args, **kwargs):
@@ -689,6 +706,78 @@ def test_config_unknown_key_is_an_error(tmp_path, capsys):
     else:
         raise AssertionError("an unknown config key should exit 2")
     assert "'layer'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        (["wfomc", "(E x U(x))", "--n", "2"], "json", "true"),
+        (["wfomc", "(E x U(x))", "--n", "2"], "func", "nothing"),
+        (["wfomc", "(E x U(x))", "--n", "2"], "command", "spectrum"),
+        (["wfomc", "(E x U(x))", "--n", "2"], "sentence", "(V x U(x))"),
+        (["wfomc", "(E x U(x))", "--n", "2"], "config", "other.cfg"),
+        (["db", "stats"], "db_command", "export"),
+        (["db", "stats"], "json", "true"),
+    ],
+)
+def test_a_config_key_must_name_an_option_of_the_command(
+    tmp_path, capsys, argv, key, value
+):
+    # positionals, the parser's own attributes and --config itself are
+    # not options a config file may set
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    if argv[0] == "db":
+        db = tmp_path / "seq.jsonl"
+        SpectrumDB(db).insert("(E x U(x))", [1, 3, 7, 15, 31])
+        argv = argv + ["--db", str(db)]
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert (info.value.code, captured.out) == (2, "")
+    assert f"unknown config key {key!r} for {argv[0]}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wfomc", "(E x U(x))", "--n", "2"],
+        ["db", "stats"],
+        ["db", "export"],
+    ],
+)
+def test_json_is_refused_where_no_command_reads_it(tmp_path, capsys, argv):
+    if argv[0] == "db":
+        db = tmp_path / "seq.jsonl"
+        SpectrumDB(db).insert("(E x U(x))", [1, 3, 7, 15, 31])
+        argv = argv + ["--db", str(db)]
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--json"])
+    captured = capsys.readouterr()
+    assert (info.value.code, captured.out) == (2, "")
+    assert "--json" in captured.err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("option", ["w", "wbar"])
+@pytest.mark.parametrize(
+    "argv", [["wfomc", "(E x Heads(x))", "--n", "2"], ["spectrum", "(E x Heads(x))"]]
+)
+def test_a_weight_for_a_name_not_in_the_sentence_is_a_usage_error(
+    tmp_path, capsys, argv, option, source
+):
+    # the library ignores such a weight, so a misspelt name would print the
+    # unweighted count
+    if source == "flag":
+        argv = argv + [f"--{option}", "Haeds=4"]
+    else:
+        cfg = tmp_path / "w.cfg"
+        cfg.write_text(f"{option} = Haeds=4\n")
+        argv = argv + ["--config", str(cfg)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "'Haeds'" in captured.err
 
 
 def test_unreadable_config_is_a_file_error(tmp_path, capsys):

@@ -749,7 +749,7 @@ def _random_symbolic_graph(rng):
     pool = [0, 1, 2, -1]
     for _ in range(3):
         mono = (rng.randint(0, 2), rng.randint(0, 1))
-        pool.append(make(("X", "Y"), {(0, 0): rng.randint(-1, 2), mono: rng.randint(1, 2)}))
+        pool.append(make({(0, 0): rng.randint(-1, 2), mono: rng.randint(1, 2)}))
     w = [rng.choice(pool) for _ in range(q)]
     r = [[0] * q for _ in range(q)]
     for i in range(q):
@@ -827,7 +827,7 @@ def _one_variable(v):
     terms = {}
     for (a, b), c in v.terms.items():
         terms[(a + b,)] = terms.get((a + b,), 0) + c
-    return make(("X",), terms)
+    return make(terms)
 
 
 def test_the_kept_coefficient_width_gives_the_norm_width_sums(monkeypatch):
@@ -879,7 +879,7 @@ def _grouped_cases(rng):
     (packed, with edges multiplied natively)."""
     ints = [-2, -1, 1, 2]
     polys = [
-        make(("X", "Y"), {(0, 0): rng.randint(-1, 1), (a, b): rng.choice([-1, 1, 2])})
+        make({(0, 0): rng.randint(-1, 1), (a, b): rng.choice([-1, 1, 2])})
         for a, b in ((1, 0), (0, 1), (1, 1), (2, 0))
     ]
     cases = []
@@ -946,8 +946,8 @@ def test_merge_cells_merges_as_the_pairwise_reference():
     rng = random.Random(2028)
     # zero weights, and a polynomial beside its negation, so that the
     # weights of a group of equal rows often sum to zero
-    p, minus_p = make(("X",), {(1,): 2}), make(("X",), {(1,): -2})
-    edges = [0, 1, 2, -1, make(("X",), {(0,): 1, (1,): 1}), make(("X",), {(2,): -1})]
+    p, minus_p = make({(1,): 2}), make({(1,): -2})
+    edges = [0, 1, 2, -1, make({(0,): 1, (1,): 1}), make({(2,): -1})]
     dropped = cancelled = 0
     for _ in range(300):
         g = _graph(*_typed_graph(rng, [-1, 0, 1, p, minus_p], edges, rng.randint(1, 7)))

@@ -15,11 +15,9 @@ from combspec.polynomial import (
     pow_value,
 )
 
-VARS = ("u", "v")
-
 
 def poly_from(terms):
-    return make(VARS, terms)
+    return make(terms)
 
 
 def random_terms(rng, nvars, degree=4, coeff=9):
@@ -118,14 +116,14 @@ def packed_mul(packing, p, q):
 
 
 def test_mul_caps_drop_high_degrees():
-    u = Poly.variable(VARS, "u")
-    p = packed_mul(Packing(VARS, (1, 0), 8), u + 1, u + 1)
+    u = Poly.variable(2, 0)
+    p = packed_mul(Packing((1, 0), 8), u + 1, u + 1)
     # u^2 exceeds the cap and is dropped; the rest survives
     assert coeff_of(p, (2, 0)) == 0
     assert coeff_of(p, (1, 0)) == 2
     assert coeff_of(p, (0, 0)) == 1
     # dropping every variable monomial leaves an int
-    assert packed_mul(Packing(VARS, (0, 0), 8), u + 1, u + 3) == 3
+    assert packed_mul(Packing((0, 0), 8), u + 1, u + 3) == 3
 
 
 def truncated(p, caps):
@@ -133,21 +131,21 @@ def truncated(p, caps):
     if isinstance(p, int):
         return p
     kept = {m: c for m, c in p.terms.items() if all(map(int.__le__, m, caps))}
-    return make(p.vars, kept)
+    return make(kept)
 
 
-def convolution(vars, p, q):
-    """Reference product on coefficient dicts."""
+def convolution(k, p, q):
+    """Reference product on coefficient dicts in k variables."""
 
     def terms(v):
-        return v.terms if isinstance(v, Poly) else {(0,) * len(vars): v}
+        return v.terms if isinstance(v, Poly) else {(0,) * k: v}
 
     out = {}
     for m1, c1 in terms(p).items():
         for m2, c2 in terms(q).items():
             m = tuple(map(int.__add__, m1, m2))
             out[m] = out.get(m, 0) + c1 * c2
-    return make(vars, out)
+    return make(out)
 
 
 def test_packed_product_matches_truncated_convolution():
@@ -155,15 +153,14 @@ def test_packed_product_matches_truncated_convolution():
     for _ in range(300):
         # one or two variables, caps 0..4, and two polynomials over them
         k = rng.randint(1, 2)
-        vars = VARS[:k]
         caps = tuple(rng.randint(0, 4) for _ in range(k))
-        p, q = (make(vars, random_terms(rng, k)) for _ in range(2))
+        p, q = (make(random_terms(rng, k)) for _ in range(2))
         # the width the cell DP's norm bound gives for one product
         width = (max(1, norm1(p)) * max(1, norm1(q))).bit_length() + 1
-        packing = Packing(vars, caps, width)
+        packing = Packing(caps, width)
         for v in (p, q):
             assert packing.unpack(packing.pack(v)) == truncated(v, caps)
-        assert packed_mul(packing, p, q) == truncated(convolution(vars, p, q), caps)
+        assert packed_mul(packing, p, q) == truncated(convolution(k, p, q), caps)
 
 
 def test_one_variable_slots_need_hold_only_the_kept_coefficients():
@@ -171,26 +168,25 @@ def test_one_variable_slots_need_hold_only_the_kept_coefficients():
     coefficients above the cap may overflow their slots: the mask drops
     them whole, without a carry into a kept slot."""
     rng = random.Random(5)
-    vars = VARS[:1]
 
     def graded():
         # exponents up to cap + 2, and x^e's coefficient up to 9 * 10^e, so
         # that the products of the top kept coefficients dominate
         exps = [rng.randint(0, cap + 2) for _ in range(rng.randint(0, 5))]
-        return make(vars, {(e,): rng.randint(-9, 9) * 10**e for e in exps})
+        return make({(e,): rng.randint(-9, 9) * 10**e for e in exps})
 
     overflowed = 0
     for _ in range(300):
         cap = rng.randint(0, 4)
         p, q = graded(), graded()
-        want = convolution(vars, p, q)
+        want = convolution(1, p, q)
         kept = [truncated(v, (cap,)) for v in (p, q, want)]
         top = max(abs(coeff_of(v, (e,))) for v in kept for e in range(cap + 1))
         width = max(1, top).bit_length() + 1
-        packing = Packing(vars, (cap,), width)
+        packing = Packing((cap,), width)
         assert packed_mul(packing, p, q) == kept[2]
         # a dropped coefficient of the product of the packed operands
-        dropped = convolution(vars, *kept[:2])
+        dropped = convolution(1, *kept[:2])
         overflowed += isinstance(dropped, Poly) and any(
             abs(c) >= 1 << (width - 1) for m, c in dropped.terms.items() if m[0] > cap
         )

@@ -234,6 +234,10 @@ def test_big_integers_survive_round_trip(tmp_path):
         '{"id": 1, "sentence": "s", "spectrum": ["\u0663"], "status": "unique"}',
         '{"id": 1, "sentence": "s", "spectrum": ["-0"], "status": "unique"}',
         '{"id": 1, "sentence": "s", "spectrum": ["1", "007"], "status": "unique"}',
+        # ids other than the record's position, as two stores concatenated
+        # hold: set_oeis would write onto the record of that id
+        '{"id": 0, "sentence": "s", "spectrum": [], "status": "unique"}',
+        '{"id": 2, "sentence": "s", "spectrum": [], "status": "unique"}',
     ],
 )
 def test_malformed_line_names_file_and_line(tmp_path, bad):
