@@ -30,16 +30,38 @@ EXIT_IO = 5
 
 # repeatable NAME=INT options; a config file lists their values with commas
 WEIGHT_OPTIONS = ("w", "wbar")
+# the values a config file may give a flag key
+TRUE, FALSE = ("1", "true", "yes"), ("0", "false", "no")
 
 
-def read_config(path: str) -> dict[str, str]:
-    """key=value file, one per line, # comments; a file that is not
-    UTF-8 is a file error."""
+def _config_tokens(
+    parser: argparse.ArgumentParser, command: str, argv: list[str]
+) -> list[str]:
+    """The tokens that the --config file among argv stands for, as argparse
+    would see them on the command line of parser.
+
+    The file holds one `key = value` per line, and # comments; a file that
+    is not UTF-8 is a file error.  A key is the name of an option of the
+    command other than --config itself, and becomes `--key=value`, so
+    that a value such as -1 stays a value.  A flag key becomes the bare
+    flag when true and nothing when false.  A weight key becomes one
+    `--w=NAME=INT` per comma item, unless argv gives a flag of its option.
+    """
+    # the lenient nargs leave a flag without its value to the full parse
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config", nargs="?")
+    for name in WEIGHT_OPTIONS:
+        pre.add_argument(f"--{name}", nargs="?", action="append")
+    given = pre.parse_known_args(argv)[0]
+    if not given.config:
+        return []
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(given.config).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise OSError(f"{path}: not UTF-8: {exc}") from exc
-    out = {}
+        raise OSError(f"{given.config}: not UTF-8: {exc}") from exc
+    options = {a.dest: a for a in parser._actions if a.option_strings}
+    del options["help"], options["config"]
+    tokens = []
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -47,26 +69,41 @@ def read_config(path: str) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"bad config line: {raw!r}")
-        out[key.strip().replace("-", "_")] = value.strip()
-    return out
+        key, value = key.strip().replace("-", "_"), value.strip()
+        if key not in options:
+            parser.error(f"unknown config key {key!r} for {command}")
+        flag = options[key].option_strings[0]
+        # a store_true flag takes no value on the command line
+        if options[key].nargs == 0:
+            if value.lower() not in TRUE + FALSE:
+                parser.error(f"config key {key!r} takes true or false, got {value!r}")
+            if value.lower() in TRUE:
+                tokens.append(flag)
+        elif key in WEIGHT_OPTIONS:
+            if getattr(given, key) is None:
+                tokens += [f"{flag}={item.strip()}" for item in value.split(",")]
+        else:
+            tokens.append(f"{flag}={value}")
+    return tokens
 
 
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Fill unset options from --config; explicit flags win.  A key must
-    name an option of the command other than --config itself."""
-    if not args.config:
-        return
-    for key, value in read_config(args.config).items():
-        if key not in args.options:
-            parser.error(f"unknown config key {key!r} for {args.command}")
-        current = getattr(args, key)
-        # a store_true flag left at False is unset; `is` keeps 0 apart
-        if current is False:
-            setattr(args, key, value.lower() in ("1", "true", "yes"))
-        elif current is None:
-            if key in WEIGHT_OPTIONS:
-                value = [item.strip() for item in value.split(",")]
-            setattr(args, key, value)
+def _at_least(low: int, convert):
+    """An option type: the value as convert reads it, refused below low."""
+
+    def check(text: str):
+        value = convert(text)
+        # NaN compares false with everything, so `not value >= low` refuses it too
+        if not value >= low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return value
+
+    # argparse names the type when convert refuses the text
+    check.__name__ = convert.__name__
+    return check
+
+
+COUNT = _at_least(1, int)
+SECONDS = _at_least(0, float)
 
 
 def _parse_weights(pairs: list[str] | None, slot: int, weights: dict) -> dict:
@@ -91,32 +128,12 @@ def _weights_from_args(args: argparse.Namespace, s: Sentence) -> dict | None:
     return weights or None
 
 
-def _at_least_one(value: str | None, default: int, flag: str) -> int:
-    """A count option, or its default when unset; below 1 is an error."""
-    n = int(value) if value is not None else default
-    if n < 1:
-        raise ValueError(f"{flag} must be at least 1, got {n}")
-    return n
-
-
-def _budget(value: str | None, default: float | None, flag: str) -> float | None:
-    """A budget option in seconds, or its default when unset; NaN or below
-    0 is an error."""
-    if value is None:
-        return default
-    secs = float(value)
-    # NaN compares false with everything, so `not secs >= 0` refuses it too
-    if not secs >= 0:
-        raise ValueError(f"{flag} must be at least 0, got {value}")
-    return secs
-
-
 def _limits_from_args(args: argparse.Namespace) -> GenLimits:
     base = dict(PROFILES[args.profile]) if args.profile else {}
     for key in ("ml", "mc", "up", "bp", "k"):
         value = getattr(args, key)
         if value is not None:
-            base[key] = int(value)
+            base[key] = value
     missing = [k for k in ("ml", "mc", "up", "bp") if k not in base]
     if missing:
         raise ValueError(f"missing limits (set --profile or {missing})")
@@ -130,8 +147,6 @@ def _limits_from_args(args: argparse.Namespace) -> GenLimits:
 
 
 def cmd_wfomc(args: argparse.Namespace) -> int:
-    if args.n < 1:
-        raise ValueError(f"--n must be at least 1, got {args.n}")
     s = parse_sentence(args.sentence)
     value = wfomc(s, args.n, weights=_weights_from_args(args, s))
     print(value)
@@ -140,10 +155,8 @@ def cmd_wfomc(args: argparse.Namespace) -> int:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     s = parse_sentence(args.sentence)
-    length = _at_least_one(args.length, 10, "--length")
-    budget = _budget(args.budget_secs, None, "--budget-secs")
     sp = compute_spectrum(
-        s, length, weights=_weights_from_args(args, s), budget_secs=budget
+        s, args.length, weights=_weights_from_args(args, s), budget_secs=args.budget_secs
     )
     if args.json:
         print(
@@ -167,23 +180,23 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if not args.db and (args.length is not None or args.budget_secs is not None):
         raise ValueError("--length and --budget-secs apply with --db only")
     limits = _limits_from_args(args)
-    layers = _at_least_one(args.layers, 3, "--layers")
-    search_budget = _budget(args.search_budget_secs, None, "--search-budget-secs")
     if args.db:
-        length = _at_least_one(args.length, 10, "--length")
-        budget = _budget(args.budget_secs, 30.0, "--budget-secs")
         # a malformed file, or a new one in a missing directory, fails
         # before the search, not after it
         if not Path(args.db).parent.is_dir():
             raise FileNotFoundError(f"no directory for --db {args.db}")
         db = SpectrumDB(args.db)
         result = generate(
-            limits, layers, budget_secs=search_budget, length=length, spectrum_secs=budget
+            limits,
+            args.layers,
+            budget_secs=args.search_budget_secs,
+            length=args.length or 10,
+            spectrum_secs=30.0 if args.budget_secs is None else args.budget_secs,
         )
         uniques = result.store(db, args.profile or "custom")
         truncated = result.truncated or any(sp.truncated for sp in result.spectra.values())
     else:
-        result = generate(limits, layers, budget_secs=search_budget)
+        result = generate(limits, args.layers, budget_secs=args.search_budget_secs)
         truncated = result.truncated
     rows = [{"layer": i + 1, "kept": len(kept)} for i, kept in enumerate(result.kept)]
     doc: dict = {"layers": rows, "truncated": truncated}
@@ -212,10 +225,6 @@ def cmd_db(args: argparse.Namespace) -> int:
     # stats counts every status, so a filter would read as applied
     if args.status is not None and args.db_command == "stats":
         raise ValueError("--status applies to db export only")
-    # a misspelt status would match nothing, which reads as an empty result
-    if args.status is not None and args.status not in STATUSES:
-        allowed = ", ".join(STATUSES)
-        raise ValueError(f"--status must be one of {allowed}, got {args.status!r}")
     # inspection never creates a database, so a missing path is an error
     if not Path(args.db).exists():
         raise FileNotFoundError(args.db)
@@ -235,22 +244,17 @@ def cmd_oeis(args: argparse.Namespace) -> int:
     # without a source every lookup would miss, which reads as no match
     if not (args.stripped or args.online):
         raise ValueError("oeis needs --stripped or --online")
-    # --terms would run alone and leave the database as it was
-    if args.terms and args.db:
-        raise ValueError("oeis takes --terms or --db, not both")
     # every query is known before the dump is read, so only the entries
     # that can match them are kept
     if args.terms:
         terms = [int(t) for t in args.terms.replace(",", " ").split()]
         queries = [terms]
-    elif args.db:
+    else:
         if not Path(args.db).exists():
             raise FileNotFoundError(args.db)
         db = SpectrumDB(args.db)
         records = db.unique_records()
         queries = [rec.spectrum for rec in records]
-    else:
-        raise ValueError("oeis needs --terms or --db")
     index = StrippedIndex.load(args.stripped, queries) if args.stripped else None
 
     def lookup(terms: list[int]) -> list[str]:
@@ -287,7 +291,8 @@ def cmd_oeis(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser, and the parser of each command by its name."""
     parser = argparse.ArgumentParser(
         prog="combspec",
         description="Model-count spectra of two-variable sentences.",
@@ -302,60 +307,60 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key=value defaults file")
         if json_output:
             p.add_argument("--json", action="store_true", help="JSON output")
-        # the keys a --config file may set; argparse lists options in _actions
-        options = {a.dest for a in p._actions if a.option_strings} - {"help", "config"}
-        p.set_defaults(func=func, options=options)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("wfomc", help="weighted model count at one size")
     p.add_argument("sentence")
-    p.add_argument("--n", type=int, required=True, help="domain size")
+    p.add_argument("--n", type=COUNT, required=True, help="domain size")
     add_weights(p)
     add_common(p, cmd_wfomc, json_output=False)
 
     p = sub.add_parser("spectrum", help="model counts for n = 1..length")
     p.add_argument("sentence")
-    p.add_argument("--length", help="number of terms (default 10)")
-    p.add_argument("--budget-secs", dest="budget_secs")
+    p.add_argument("--length", type=COUNT, default=10, help="number of terms (default 10)")
+    p.add_argument("--budget-secs", type=SECONDS)
     add_weights(p)
     add_common(p, cmd_spectrum)
 
     p = sub.add_parser("generate", help="enumerate sentences, store spectra with --db")
     p.add_argument("--profile", choices=sorted(PROFILES))
-    p.add_argument("--ml", help="max literals per clause")
-    p.add_argument("--mc", help="max clauses")
-    p.add_argument("--up", help="unary predicates")
-    p.add_argument("--bp", help="binary predicates")
-    p.add_argument("--k", help="counting parameter: 1 allows E=1, 0 disables")
-    p.add_argument("--layers", help="refinement depth (default 3)")
-    p.add_argument("--length", help="spectrum length, with --db (default 10)")
-    p.add_argument("--budget-secs", dest="budget_secs", help="per-spectrum budget, with --db")
-    p.add_argument(
-        "--search-budget-secs", dest="search_budget_secs", help="whole-search budget"
-    )
+    p.add_argument("--ml", type=int, help="max literals per clause")
+    p.add_argument("--mc", type=int, help="max clauses")
+    p.add_argument("--up", type=int, help="unary predicates")
+    p.add_argument("--bp", type=int, help="binary predicates")
+    p.add_argument("--k", type=int, help="counting parameter: 1 allows E=1, 0 disables")
+    p.add_argument("--layers", type=COUNT, default=3, help="refinement depth (default 3)")
+    p.add_argument("--length", type=COUNT, help="spectrum length, with --db (default 10)")
+    p.add_argument("--budget-secs", type=SECONDS, help="per-spectrum budget, with --db")
+    p.add_argument("--search-budget-secs", type=SECONDS, help="whole-search budget")
     p.add_argument("--db", help="JSONL database path")
     add_common(p, cmd_generate)
 
     p = sub.add_parser("db", help="inspect a spectrum database")
     p.add_argument("db_command", choices=["stats", "export"])
     p.add_argument("--db", required=True)
-    p.add_argument("--status", help="filter export by status")
+    p.add_argument("--status", choices=STATUSES, help="filter export by status")
     add_common(p, cmd_db, json_output=False)
 
     p = sub.add_parser("oeis", help="match spectra against OEIS")
-    p.add_argument("--terms", help="comma-separated integers")
-    p.add_argument("--db", help="match every unique record in this database")
+    query = p.add_mutually_exclusive_group(required=True)
+    query.add_argument("--terms", help="comma-separated integers")
+    query.add_argument("--db", help="match every unique record in this database")
     p.add_argument("--stripped", help="path to OEIS stripped dump (.gz ok)")
     p.add_argument("--online", action="store_true", help="query oeis.org")
     add_common(p, cmd_oeis)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    parser, commands = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        _merge_config(args, parser)
+        # a --config file's tokens go before the user's, so that flags win
+        if argv and argv[0] in commands:
+            argv[1:1] = _config_tokens(commands[argv[0]], argv[0], argv[1:])
+        args = parser.parse_args(argv)
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

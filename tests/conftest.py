@@ -23,7 +23,8 @@ def c2_limits():
 
 class L5Run(NamedTuple):
     code: int
-    # the --json output
+    # the --json output, as printed and as parsed
+    out: str
     doc: dict
     db: str
     result: GenResult
@@ -65,4 +66,5 @@ def fo2_l5(tmp_path_factory):
         ])
     secs = time.perf_counter() - t0
     (result,) = results
-    return L5Run(code, json.loads(out.getvalue()), db, result, checks, refuted, secs)
+    text = out.getvalue()
+    return L5Run(code, text, json.loads(text), db, result, checks, refuted, secs)

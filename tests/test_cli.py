@@ -1,6 +1,7 @@
 """Command line front end: commands, exit codes, config handling."""
 
 import gzip
+import hashlib
 import io
 import json
 import math
@@ -10,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 from combspec import cli, engine, generator
-from combspec.cli import main
+from combspec.cli import PROFILES, main
 from combspec.engine import compute_spectrum
 from combspec.generator import GenLimits, generate
 from combspec.logic import parse_sentence
@@ -23,6 +24,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def exits(argv):
+    """The status the entry point exits with: what main returns, or the
+    code of the SystemExit that argparse raises for a usage error."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def test_wfomc_prints_count(capsys):
@@ -109,20 +119,20 @@ def test_a_budget_below_zero_or_nan_is_a_usage_error(tmp_path, argv, budget, cap
     # generate reads --budget-secs only with --db
     if argv[0] == "generate":
         argv = argv + ["--db", str(tmp_path / "t.jsonl")]
-    code = main(argv + ["--budget-secs", budget])
+    code = exits(argv + ["--budget-secs", budget])
     out, err = capsys.readouterr()
     assert code == 2
     assert out == ""
-    assert "--budget-secs must be at least 0" in err
+    assert f"argument --budget-secs: must be at least 0, got {budget}" in err
 
 
 @pytest.mark.parametrize("budget", ["nan", "-1"])
 def test_a_search_budget_below_zero_or_nan_is_a_usage_error(budget, capsys):
     argv = ["generate", "--profile", "fo2-paper", "--layers", "1"]
-    code = main(argv + ["--search-budget-secs", budget])
+    code = exits(argv + ["--search-budget-secs", budget])
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
-    assert "--search-budget-secs must be at least 0" in err
+    assert f"argument --search-budget-secs: must be at least 0, got {budget}" in err
 
 
 def test_a_search_budget_names_the_layer_where_the_search_stopped(
@@ -355,13 +365,14 @@ def test_db_export_refuses_an_unknown_status(tmp_path, capsys, via_config):
         argv += ["--config", str(cfg)]
     else:
         argv += ["--status", "uniqe"]
-    code = main(argv)
+    code = exits(argv)
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
-    assert captured.err == (
-        "error: --status must be one of unique, duplicate, product_redundant, "
-        "truncated, got 'uniqe'\n"
+    line = captured.err.splitlines()[-1]
+    assert line.startswith(
+        "combspec db: error: argument --status: invalid choice: 'uniqe'"
     )
+    assert all(status in line for status in STATUSES)
 
 
 @pytest.mark.parametrize("via_config", [False, True])
@@ -401,7 +412,7 @@ def test_oeis_without_a_source_is_a_usage_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err == "error: oeis needs --stripped or --online\n"
-    # the check follows the --config merge, so a config file can name the dump
+    # the check follows the parse, so a config file can name the dump
     cfg = tmp_path / "oeis.cfg"
     cfg.write_text(f"stripped = {FIXTURE}\n")
     code, out = run(capsys, "oeis", "--terms", "1,2,6,24,120,720", "--config", str(cfg))
@@ -415,11 +426,15 @@ def test_oeis_terms_beside_db_is_a_usage_error(tmp_path, capsys):
     argv = ["oeis", "--terms", "1,1,2,6,24,120,720", "--stripped", str(FIXTURE)]
     cfg = tmp_path / "oeis.cfg"
     cfg.write_text(f"db = {db}\n")
-    for extra in (["--db", str(db)], ["--config", str(cfg)]):
-        code = main(argv + extra)
+    # a config file's options are parsed before the flags
+    for extra, message in (
+        (["--db", str(db)], "argument --db: not allowed with argument --terms"),
+        (["--config", str(cfg)], "argument --terms: not allowed with argument --db"),
+    ):
+        code = exits(argv + extra)
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
-        assert captured.err == "error: oeis takes --terms or --db, not both\n"
+        assert captured.err.splitlines()[-1] == f"combspec oeis: error: {message}"
     assert db.read_bytes() == before
 
 
@@ -696,6 +711,130 @@ def test_config_lists_repeatable_options(tmp_path, capsys):
     assert (code, out) == (0, "216\n")
 
 
+def test_config_weights_fill_in_only_beside_no_flag_of_their_option(tmp_path, capsys):
+    cfg = tmp_path / "w.cfg"
+    cfg.write_text("w = Heads=4\n")
+    argv = ["wfomc", "(E x Heads(x))", "--n", "2", "--config", str(cfg)]
+    argv += ["--w", "Heads=5"]
+    # the flag's weight alone: (5 + 1)^2 - 1
+    assert run(capsys, *argv) == (0, "35\n")
+    # a wbar key still fills in beside a --w flag: (5 + 2)^2 - 2^2
+    cfg.write_text("w = Heads=4\nwbar = Heads=2\n")
+    assert run(capsys, *argv) == (0, "45\n")
+    # a flag for another name keeps the key's Heads=4 out too: 3^2 * ((1 + 1)^2 - 1)
+    cfg.write_text("w = Heads=4\n")
+    argv = ["wfomc", "(E x Heads(x)) & (V x Tails(x))", "--n", "2", "--config", str(cfg)]
+    assert run(capsys, *argv, "--w", "Tails=3") == (0, "27\n")
+
+
+def test_a_config_value_that_starts_with_a_dash_stays_a_value(tmp_path, capsys):
+    # on the command line `--terms -1,1,...` would read as an unknown option
+    cfg = tmp_path / "oeis.cfg"
+    cfg.write_text(f"terms = -1,1,-1,1,-1,1\nstripped = {FIXTURE}\njson = yes\n")
+    code, out = run(capsys, "oeis", "--config", str(cfg))
+    assert (code, json.loads(out)) == (0, {"terms": [-1, 1, -1, 1, -1, 1], "matches": []})
+
+
+def test_config_supplies_required_options(tmp_path, capsys):
+    cfg = tmp_path / "n.cfg"
+    cfg.write_text("n = 2\n")
+    argv = ["wfomc", "(E x U(x))", "--config", str(cfg)]
+    assert run(capsys, *argv) == (0, "3\n")
+    # the flag wins: 2^3 - 1
+    assert run(capsys, *argv, "--n", "3") == (0, "7\n")
+    db = tmp_path / "seq.jsonl"
+    SpectrumDB(db).insert("(E x U(x))", [1, 3, 7, 15, 31])
+    cfg.write_text(f"db = {db}\n")
+    code, out = run(capsys, "db", "stats", "--config", str(cfg))
+    assert (code, json.loads(out)) == (0, {"total": 1, "unique": 1, "matched": 0})
+
+
+@pytest.mark.parametrize(
+    "value, output",
+    [
+        ("true", "json"),
+        ("Yes", "json"),
+        ("1", "json"),
+        ("false", "plain"),
+        ("NO", "plain"),
+        ("0", "plain"),
+        # read as false, a misspelt true would print plain terms and exit 0
+        ("ture", None),
+        ("", None),
+        ("2", None),
+    ],
+)
+def test_a_flag_key_takes_true_or_false_only(tmp_path, capsys, value, output):
+    cfg = tmp_path / "j.cfg"
+    cfg.write_text(f"json = {value}\n")
+    code = exits(["spectrum", "(E x U(x))", "--length", "3", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    if output is None:
+        assert (code, captured.out) == (2, "")
+        message = f"config key 'json' takes true or false, got {value!r}"
+        assert captured.err.splitlines()[-1] == f"combspec spectrum: error: {message}"
+    elif output == "json":
+        assert code == 0
+        assert json.loads(captured.out)["terms"] == ["1", "3", "7"]
+    else:
+        assert (code, captured.out) == (0, "1\n3\n7\n")
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+def test_an_unknown_profile_is_a_usage_error(tmp_path, capsys, via_config):
+    argv = ["generate", "--layers", "1"]
+    if via_config:
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text("profile = fo2-papr\n")
+        argv += ["--config", str(cfg)]
+    else:
+        argv += ["--profile", "fo2-papr"]
+    code = exits(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    line = captured.err.splitlines()[-1]
+    assert line.startswith(
+        "combspec generate: error: argument --profile: invalid choice: 'fo2-papr'"
+    )
+    assert all(name in line for name in PROFILES)
+
+
+@pytest.mark.parametrize(
+    "argv, config, out_digest, db_digest",
+    [
+        (
+            ["--profile", "fo2-paper", "--layers", "4", "--length", "10", "--json"],
+            "",
+            "3b7b7404a0ef53118c7c6401eb89d9d4bd4282dbd893031afb3c5434a93b5cd7",
+            "afcd9b225b912358263e2f3f319dc8c3f0b9d88ae0d262979598ceaf02ac198c",
+        ),
+        (
+            [],
+            "profile = c2-paper\nlayers = 3\nlength = 10\njson = true\n",
+            "02a7ac56c9b2703179dd8aee5fd0c43b9d5d1ecfd89c3058970d4db600b41944",
+            "8468b10c5cf7f2dd14ad86711ffab153385eed12fd00bebfa9f1e0fca16e3af2",
+        ),
+    ],
+    ids=["fo2-L4-flags", "c2-L3-config"],
+)
+def test_generate_db_json_is_the_pinned_bytes(
+    tmp_path, capsys, argv, config, out_digest, db_digest
+):
+    # the stdout and database bytes of `generate --db --json`, from flags
+    # and from an equivalent --config file
+    db = tmp_path / "t.jsonl"
+    if config:
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text(config + f"db = {db}\n")
+        argv = ["--config", str(cfg)]
+    else:
+        argv = argv + ["--db", str(db)]
+    code, out = run(capsys, "generate", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == out_digest
+    assert hashlib.sha256(db.read_bytes()).hexdigest() == db_digest
+
+
 def test_config_unknown_key_is_an_error(tmp_path, capsys):
     cfg = tmp_path / "gen.cfg"
     cfg.write_text("profile = fo2-paper\nlayer = 1\n")
@@ -835,21 +974,26 @@ def test_unknown_command_exits_nonzero(capsys):
     ],
 )
 def test_counts_below_one_are_errors(tmp_path, capsys, argv):
+    # the last flag of argv is the one refused
     db = tmp_path / "t.jsonl"
-    code = main(argv + (["--db", str(db)] if argv[0] == "generate" else []))
+    code = exits(argv + (["--db", str(db)] if argv[0] == "generate" else []))
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
-    assert captured.err.startswith("error: --l")
-    assert "at least 1" in captured.err
+    flag, value = argv[-2:]
+    assert captured.err.splitlines()[-1] == (
+        f"combspec {argv[0]}: error: argument {flag}: must be at least 1, got {value}"
+    )
     assert not db.exists()
 
 
 @pytest.mark.parametrize("n", ["0", "-2"])
 def test_a_domain_size_below_one_names_its_flag(capsys, n):
-    code = main(["wfomc", "(V x E=1 y R(x,y))", "--n", n])
+    code = exits(["wfomc", "(V x E=1 y R(x,y))", "--n", n])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
-    assert captured.err == f"error: --n must be at least 1, got {n}\n"
+    assert captured.err.splitlines()[-1] == (
+        f"combspec wfomc: error: argument --n: must be at least 1, got {n}"
+    )
 
 
 @pytest.mark.parametrize(
@@ -859,16 +1003,27 @@ def test_a_domain_size_below_one_names_its_flag(capsys, n):
         ("--mc", "0", "max_clauses must be at least 1"),
         ("--up", "-1", "unary must be at least 0"),
         ("--bp", "-2", "binary must be at least 0"),
+        ("--bp", "-1", "binary must be at least 0"),
+        ("--ml", "abc", "argument --ml: invalid int value: 'abc'"),
+        ("--layers", "x", "argument --layers: invalid int value: 'x'"),
     ],
 )
 def test_generate_rejects_limits_out_of_range(tmp_path, capsys, flag, value, message):
+    # a flag and a config key of the same value meet the same check
     db = tmp_path / "t.jsonl"
-    argv = ["generate", "--profile", "fo2-paper", flag, value, "--layers", "2"]
-    code = main(argv + ["--db", str(db), "--json"])
-    captured = capsys.readouterr()
-    assert (code, captured.out) == (2, "")
-    assert captured.err.startswith(f"error: {message}")
-    assert not db.exists()
+    cfg = tmp_path / "limits.cfg"
+    cfg.write_text(f"{flag[2:]} = {value}\n")
+    for source in ([flag, value], ["--config", str(cfg)]):
+        argv = ["generate", "--profile", "fo2-paper", "--layers", "2", *source]
+        code = exits(argv + ["--db", str(db), "--json"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        # GenLimits refuses the value in main, argparse before it
+        line = captured.err.splitlines()[-1]
+        assert line.startswith(f"error: {message}") or (
+            line == f"combspec generate: error: {message}"
+        )
+        assert not db.exists()
 
 
 def test_generate_runs_in_one_process_agree(tmp_path, capsys):

@@ -43,6 +43,11 @@ def test_l5_db_is_the_pinned_file(fo2_l5):
     assert digest == "a7c3934ff4ce06f75fd41838e6cd7f6f8d507585bfb1f9bf3ec07a8c61cc49c0"
 
 
+def test_l5_stdout_is_the_pinned_text(fo2_l5):
+    digest = hashlib.sha256(fo2_l5.out.encode()).hexdigest()
+    assert digest == "aad110d6e1802c42cd445749f7586463eca01376a71427a2ce814a332528962d"
+
+
 def test_l5_records_hold_the_spectra_computed_one_by_one(fo2_l5):
     # the run's spectra share cell-DP passes; these run each one alone
     records = SpectrumDB(fo2_l5.db).records()
