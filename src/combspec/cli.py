@@ -106,22 +106,27 @@ COUNT = _at_least(1, int)
 SECONDS = _at_least(0, float)
 
 
-def _parse_weights(pairs: list[str] | None, slot: int, weights: dict) -> dict:
-    for pair in pairs or []:
-        name, sep, value = pair.partition("=")
-        if not sep:
-            raise ValueError(f"expected NAME=INT, got {pair!r}")
-        w = weights.get(name, (1, 1))
-        weights[name] = (int(value), w[1]) if slot == 0 else (w[0], int(value))
-    return weights
+def weight(text: str) -> tuple[str, int]:
+    """An option type: a NAME=INT item of --w or --wbar; argparse reports
+    other text as an invalid weight value."""
+    name, value = text.split("=", 1)
+    return name, int(value)
+
+
+def terms(text: str) -> list[int]:
+    """An option type: integers split by commas or spaces, at least one;
+    argparse reports other text as an invalid terms value."""
+    values = [int(t) for t in text.replace(",", " ").split()]
+    if not values:
+        raise ValueError(text)
+    return values
 
 
 def _weights_from_args(args: argparse.Namespace, s: Sentence) -> dict | None:
     """The --w and --wbar weights; a name that is not a predicate of s is
     an error, since its weight would be ignored."""
-    weights: dict = {}
-    _parse_weights(args.w, 0, weights)
-    _parse_weights(args.wbar, 1, weights)
+    w, wbar = dict(args.w or ()), dict(args.wbar or ())
+    weights = {name: (w.get(name, 1), wbar.get(name, 1)) for name in w | wbar}
     unknown = sorted(weights.keys() - {p.name for p in s.predicates})
     if unknown:
         raise ValueError(f"weight for {unknown[0]!r}, not a predicate of the sentence")
@@ -177,10 +182,10 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 def cmd_generate(args: argparse.Namespace) -> int:
     # spectra are computed only to be stored, so without --db these would
     # read as applied
-    if not args.db and (args.length is not None or args.budget_secs is not None):
+    if args.db is None and (args.length is not None or args.budget_secs is not None):
         raise ValueError("--length and --budget-secs apply with --db only")
     limits = _limits_from_args(args)
-    if args.db:
+    if args.db is not None:
         # a malformed file, or a new one in a missing directory, fails
         # before the search, not after it
         if not Path(args.db).parent.is_dir():
@@ -203,7 +208,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     # the search stops inside the last layer it reports
     if result.truncated:
         doc["stopped_layer"] = len(result.kept)
-    if args.db:
+    if args.db is not None:
         for row, unique in zip(rows, uniques):
             row["unique"] = unique
         doc["db"] = db.stats()
@@ -246,9 +251,8 @@ def cmd_oeis(args: argparse.Namespace) -> int:
         raise ValueError("oeis needs --stripped or --online")
     # every query is known before the dump is read, so only the entries
     # that can match them are kept
-    if args.terms:
-        terms = [int(t) for t in args.terms.replace(",", " ").split()]
-        queries = [terms]
+    if args.terms is not None:
+        queries = [args.terms]
     else:
         if not Path(args.db).exists():
             raise FileNotFoundError(args.db)
@@ -257,16 +261,16 @@ def cmd_oeis(args: argparse.Namespace) -> int:
         queries = [rec.spectrum for rec in records]
     index = StrippedIndex.load(args.stripped, queries) if args.stripped else None
 
-    def lookup(terms: list[int]) -> list[str]:
-        hits = index.match(terms) if index is not None else []
+    def lookup(query: list[int]) -> list[str]:
+        hits = index.match(query) if index is not None else []
         if not hits and args.online:
-            hits = online_search(terms)
+            hits = online_search(query)
         return hits
 
-    if args.terms:
-        hits = lookup(terms)
+    if args.terms is not None:
+        hits = lookup(args.terms)
         if args.json:
-            print(json.dumps({"terms": terms, "matches": hits}))
+            print(json.dumps({"terms": args.terms, "matches": hits}))
         else:
             for h in hits:
                 print(h)
@@ -301,7 +305,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     def add_weights(p: argparse.ArgumentParser) -> None:
         for name in WEIGHT_OPTIONS:
-            p.add_argument(f"--{name}", action="append", metavar="NAME=INT")
+            p.add_argument(f"--{name}", type=weight, action="append", metavar="NAME=INT")
 
     def add_common(p: argparse.ArgumentParser, func, json_output: bool = True) -> None:
         p.add_argument("--config", help="key=value defaults file")
@@ -344,7 +348,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = sub.add_parser("oeis", help="match spectra against OEIS")
     query = p.add_mutually_exclusive_group(required=True)
-    query.add_argument("--terms", help="comma-separated integers")
+    query.add_argument("--terms", type=terms, help="comma-separated integers")
     query.add_argument("--db", help="match every unique record in this database")
     p.add_argument("--stripped", help="path to OEIS stripped dump (.gz ok)")
     p.add_argument("--online", action="store_true", help="query oeis.org")

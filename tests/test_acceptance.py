@@ -335,6 +335,56 @@ PERF_SENTENCES = [
     "(E x V y B0(x,y) | B0(y,x) | U0(y)) & (E x V y B0(x,y) | ~B0(y,y))",
 ]
 
+# the length-20 terms of the two sentences with a 16-cell branch, where the
+# cell-order search widens its beam: a sum over cell counts does not depend
+# on the order its cells run in, so no order may move them
+PERF_TERMS = {
+    PERF_SENTENCES[0]: [
+        4,
+        60,
+        3578,
+        850804,
+        802668292,
+        2994268307182,
+        44102674680037446,
+        2563827759930464477608,
+        588309131238280616843387080,
+        533034054117829204830491562785058,
+        1907749104682695480716513141167661475626,
+        26984163043843510839963187811351610639251526268,
+        1509142854423217609082874452862111934253104946921362348,
+        333886652237903605326740602214620901967088653953493857725260598,
+        292365660945435043601239728369997907445533602510094056839290400949035342,
+        1013723030619701160167794569225068766007457948174152324864153161400838202501265744,
+        13924503500240629405476812535625001511534503080874471099529333643355594923472975765832284560,
+        758060167407410502612596724760185622620957780046747365852827148273219404435254853931086725968878060106,
+        163636952234470017640182681159320436341407288011247452490079599672352273101571777397241517170512844599232816743026,
+        140119009644959593336004606171066919571821856746355239142716181346848724106102410246922221478688258722239155770772998933467428,
+    ],
+    PERF_SENTENCES[1]: [
+        4,
+        60,
+        3578,
+        850868,
+        802654372,
+        2993594053614,
+        44080559048561382,
+        2561700584974896573352,
+        587598503202963591384385096,
+        532160145139722417862391762096802,
+        1903686990369485283321664638722628001226,
+        26911789829320390102281653557492448642632740860,
+        1504159386653833067650445936996175661523280621631635436,
+        332553345851324768921740154626749739304431988761191997527301494,
+        290974466472115470460373365043360629018612930893780834826646706372088494,
+        1008046175327136090962105967089268405146802358059199206209768117969002798693605712,
+        13833714127250511341401541371941343260930432618626184638810538128964607331088397450735025296,
+        752359250717502959760965328995497913023157369938257895653765351550657820026859484994225374387203282250,
+        162229304679928917048798152969067812218847853482290756505783913036038916321267047210049603253736534497765489866386,
+        138750482684464018122403340591337649269280530516109018101859250620541913352425082287867773508990982018260177053843506029905060,
+    ],
+}
+
 
 def _perf_basket() -> list[str]:
     """PERF_SENTENCES and six seeded random two-clause sentences."""
@@ -356,6 +406,7 @@ def test_criterion_10_spectrum_performance():
         sp = compute_spectrum(parse_sentence(text), 20)
         dt = time.perf_counter() - t0
         assert len(sp.terms) == 20 and not sp.truncated, text
+        assert sp.terms == PERF_TERMS.get(text, sp.terms), text
         worst = max(worst, dt)
         if dt >= 10.0:
             slow.append((text, round(dt, 1)))

@@ -47,6 +47,43 @@ def test_wfomc_weights(capsys):
     assert out.strip() == "24"
 
 
+NULLARY = "(V x E y B(x,y) | P) & (E x ~P | U(x))"
+PERMUTATION = "(V x E=1 y B(x,y)) & (V x E=1 y B(y,x))"
+
+
+@pytest.mark.parametrize(
+    "argv, values",
+    [
+        (["wfomc", "(V x E=1 y R(x,y))", "--n", "5"], [3125]),
+        (["wfomc", "(E x Heads(x))", "--n", "3", "--w", "Heads=4"], [124]),
+        # a user nullary P beside the fresh nullary Z that (E x ~P | U(x))
+        # becomes: the branch with both false is dead, and under P=0 the
+        # two with P true have factor 0
+        (["wfomc", NULLARY, "--n", "3", "--w", "P=0"], [2744]),
+        (["wfomc", NULLARY, "--n", "3", "--w", "P=2", "--wbar", "P=-1"], [4424]),
+        (["spectrum", NULLARY, "--length", "4"], [4, 84, 6328, 1793040]),
+        # the packed symbolic cell DP, at length 14 beyond the benchmark's
+        # 10 and at length 20
+        *(
+            (
+                ["spectrum", PERMUTATION, "--length", str(length), "--json"],
+                [math.factorial(n) for n in range(1, length + 1)],
+            )
+            for length in (7, 14, 20)
+        ),
+    ],
+    ids=["3125", "124", "2744", "4424", "nullary", "n!-7", "n!-14", "n!-20"],
+)
+def test_commands_print_the_pinned_values(capsys, argv, values):
+    code, out = run(capsys, *argv)
+    terms = [str(v) for v in values]
+    if "--json" in argv:
+        doc = json.loads(out)
+        assert (code, doc["terms"], doc["truncated"]) == (0, terms, False)
+    else:
+        assert (code, out.splitlines()) == (0, terms)
+
+
 def test_spectrum_plain_output(capsys):
     code, out = run(capsys, "spectrum", "(V x E=1 y R(x,y))", "--length", "5")
     assert code == 0
@@ -138,6 +175,11 @@ def test_a_search_budget_below_zero_or_nan_is_a_usage_error(budget, capsys):
 def test_a_search_budget_names_the_layer_where_the_search_stopped(
     tmp_path, capsys, monkeypatch
 ):
+    argv = ["generate", "--profile", "fo2-paper", "--layers", "3"]
+    # a budget of 0 s runs out at the first candidate
+    code, out = run(capsys, *argv, "--search-budget-secs", "0", "--json")
+    doc = json.loads(out)
+    assert (code, doc["truncated"], doc["stopped_layer"]) == (4, True, 1)
     # a clock that runs out after the 24 layer-1 candidates and 100 of
     # layer 2's 210, so the search stops inside layer 2
     reads = []
@@ -147,7 +189,6 @@ def test_a_search_budget_names_the_layer_where_the_search_stopped(
         return 0.0 if len(reads) <= 124 else math.inf
 
     monkeypatch.setattr(generator, "time", SimpleNamespace(monotonic=clock))
-    argv = ["generate", "--profile", "fo2-paper", "--layers", "3"]
     db = tmp_path / "t.jsonl"
     code, out = run(capsys, *argv, "--search-budget-secs", "60", "--db", str(db), "--json")
     doc = json.loads(out)
@@ -393,16 +434,10 @@ def test_db_stats_refuses_a_status(tmp_path, capsys, via_config):
     assert captured.err == "error: --status applies to db export only\n"
 
 def test_oeis_terms_against_fixture(capsys):
-    code, out = run(
-        capsys,
-        "oeis",
-        "--terms",
-        "1,2,6,24,120,720",
-        "--stripped",
-        str(FIXTURE),
-    )
-    assert code == 0
-    assert out.strip() == "A000142"
+    argv = ["oeis", "--stripped", str(FIXTURE), "--terms"]
+    assert run(capsys, *argv, "1,2,6,24,120,720") == (0, "A000142\n")
+    code, out = run(capsys, *argv, "1,1,2,6,24,120,720", "--json")
+    assert (code, json.loads(out)["matches"]) == (0, ["A000142"])
 
 
 
@@ -583,6 +618,16 @@ def test_oeis_db_refuses_a_concatenated_store(tmp_path, capsys):
     assert (code, captured.out) == (5, "")
     assert captured.err.startswith(f"file error: {db}:3: malformed record")
     assert db.read_bytes() == before
+    # each fo2 L1 store holds ids 0..3, so line 5 is the second store's id 0
+    argv = ["generate", "--profile", "fo2-paper", "--layers", "1", "--db"]
+    for path in (first, second):
+        path.unlink()
+        assert run(capsys, *argv, str(path))[0] == 0
+    db.write_bytes(first.read_bytes() + second.read_bytes())
+    code = main(["db", "stats", "--db", str(db)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (5, "")
+    assert captured.err.startswith(f"file error: {db}:5: malformed record")
 
 
 def test_generate_opens_the_db_before_the_search(tmp_path, capsys, monkeypatch):
@@ -598,7 +643,7 @@ def test_generate_opens_the_db_before_the_search(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith(f"file error: {db}:1: ")
 
 
-@pytest.mark.parametrize("parent", ["missing", "a file"])
+@pytest.mark.parametrize("parent", ["missing", "a file", "empty path"])
 def test_generate_refuses_a_db_it_cannot_create_before_the_search(
     tmp_path, capsys, monkeypatch, parent
 ):
@@ -610,7 +655,9 @@ def test_generate_refuses_a_db_it_cannot_create_before_the_search(
     if parent == "a file":
         (tmp_path / parent).write_text("")
     before = sorted(tmp_path.rglob("*"))
-    db = tmp_path / parent / "x.jsonl"
+    # an empty path names the working directory, as it does to db stats
+    monkeypatch.chdir(tmp_path)
+    db = "" if parent == "empty path" else tmp_path / parent / "x.jsonl"
     code = main(["generate", "--profile", "fo2-paper", "--layers", "5", "--db", str(db)])
     assert code == 5
     assert capsys.readouterr().err.startswith("file error: ")
@@ -670,6 +717,52 @@ def test_generate_rows_carry_unique_only_with_a_db(tmp_path, capsys):
         {"layer": 1, "kept": 4, "unique": 4},
         {"layer": 2, "kept": 36, "unique": 35},
     ]
+
+
+@pytest.mark.parametrize(
+    "limits, kept",
+    [
+        # counting clauses through subsumption and the refuter
+        ("--profile c2-paper --layers 3", [7, 73, 302]),
+        # duplicate checks map candidates by the generators alone,
+        # exchanges of two predicates among them, and label the rest
+        ("--ml 3 --mc 2 --up 2 --bp 2 --layers 3", [4, 42, 281]),
+        ("--ml 3 --mc 2 --up 0 --bp 2 --layers 3", [3, 33, 167]),
+        # without a unary predicate the duplicate checks key by orbit
+        ("--ml 3 --mc 2 --up 0 --bp 1 --layers 4", [3, 29, 83, 170]),
+    ],
+    ids=["c2-paper-L3", "up2-bp2-L3", "up0-bp2-L3", "up0-bp1-L4"],
+)
+def test_generate_prints_the_pinned_kept_rows(capsys, limits, kept):
+    # nothing is stored without --db, so no row carries a unique count
+    code, out = run(capsys, "generate", *limits.split(), "--json")
+    rows = [{"layer": i, "kept": k} for i, k in enumerate(kept, 1)]
+    assert (code, json.loads(out)) == (0, {"layers": rows, "truncated": False})
+
+
+def test_db_export_writes_a_fresh_store_back_byte_for_byte(tmp_path, capsys):
+    # no record of a fresh fo2 L3 run is superseded, so exporting the
+    # latest records re-encodes the whole file
+    db = tmp_path / "x.jsonl"
+    argv = ["generate", "--profile", "fo2-paper", "--layers", "3", "--db", str(db)]
+    assert run(capsys, *argv)[0] == 0
+    code, out = run(capsys, "db", "export", "--db", str(db))
+    assert (code, out.encode()) == (0, db.read_bytes())
+
+
+def test_a_rerun_after_an_oeis_rewrite_stores_beside_the_match(tmp_path, capsys):
+    # `oeis --db` matches the first unique fo2 L2 record against a one-line
+    # dump and rewrites the file; the L3 rerun's inserts must land in the
+    # rewritten file, beside the match it holds
+    db, dump = tmp_path / "w.jsonl", tmp_path / "stripped.txt"
+    argv = ["generate", "--profile", "fo2-paper", "--db", str(db), "--json"]
+    assert run(capsys, *argv, "--layers", "2")[0] == 0
+    first = next(r for r in SpectrumDB(db).records() if r.status == "unique")
+    dump.write_text("A999999 ," + ",".join(map(str, first.spectrum)) + ",\n")
+    assert run(capsys, "oeis", "--db", str(db), "--stripped", str(dump), "--json")[0] == 0
+    code, out = run(capsys, *argv, "--layers", "3")
+    stats = json.loads(out)["db"]
+    assert (code, stats["total"]) == (0, 219) and stats["matched"] >= 1
 
 
 def test_oeis_missing_dump_is_a_file_error_without_queries(tmp_path, capsys):
@@ -917,6 +1010,38 @@ def test_a_weight_for_a_name_not_in_the_sentence_is_a_usage_error(
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert "'Haeds'" in captured.err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        (["wfomc", "(E x H(x))", "--n", "2"], "w", "H=x"),
+        (["spectrum", "(E x H(x))"], "wbar", "H"),
+        (["oeis", "--stripped", str(FIXTURE)], "terms", "1,x,3"),
+        # a query of no integer would match nothing and exit 0
+        (["oeis", "--stripped", str(FIXTURE)], "terms", ""),
+        (["oeis", "--stripped", str(FIXTURE)], "terms", ","),
+    ],
+    ids=["w", "wbar", "terms", "terms-empty", "terms-comma"],
+)
+def test_a_value_of_the_wrong_form_names_its_flag(
+    tmp_path, capsys, argv, key, value, source
+):
+    if source == "flag":
+        argv = argv + [f"--{key}", value]
+    else:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        argv = argv + ["--config", str(cfg)]
+    code = exits(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    # argparse names the option's type: weight or terms
+    kind = "terms" if key == "terms" else "weight"
+    assert captured.err.splitlines()[-1] == (
+        f"combspec {argv[0]}: error: argument --{key}: invalid {kind} value: {value!r}"
+    )
 
 
 def test_unreadable_config_is_a_file_error(tmp_path, capsys):
