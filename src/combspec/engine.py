@@ -42,6 +42,14 @@ spectra can pass one memo dict to compute_spectrum, keyed on those three,
 and run each distinct pass once (generate keeps one per search).
 Likewise spectrum_fingerprint takes a dict of cell-graph labellings, and
 generate keeps one per search.  There is no module-level cache.
+
+Both the dynamic program and the fingerprint read a cell graph through
+its twin classes, the cells with equal edge rows (_twin_classes).  The
+edge weights are symmetric, r[i][j] = r[j][i], so two cells with equal
+rows have r_ii = r_ij = r_jj: they are joined to each other by their
+common loop weight, and any permutation of a class fixes every edge.
+_merge_cells sums each class into one cell; _graph_serial labels the
+quotient, one vertex per class, which is an exact isomorphism key.
 """
 
 from __future__ import annotations
@@ -442,25 +450,31 @@ def build_cell_graph(
     return branches
 
 
+def _twin_classes(r: list[list[Value]], cells: Sequence[int]) -> list[list[int]]:
+    """Group the given cells by their edge rows restricted to those cells,
+    in the order of each group's first cell: the twin classes of the
+    graph on those cells (see the module docstring)."""
+    groups: dict[tuple, list[int]] = {}
+    for i in cells:
+        groups.setdefault(tuple([r[i][k] for k in cells]), []).append(i)
+    return list(groups.values())
+
+
 def _merge_cells(g: CellGraph) -> Merged:
     """Collapse cells with identical edge rows, summing their weights.
 
     Zero-weight cells drop out first, and the live cells are grouped by
-    their rows restricted to the live cells.  As r is symmetric, two
-    cells i and j have equal rows exactly when r_ii = r_jj = r_ij and
-    their edges agree on every other cell: splitting a block between them
-    telescopes to a single cell of weight w_i + w_j.  A group whose
-    weights sum to zero drops out too.  The result is the weights and the
-    edge rows, as tuples, in the order of each group's first cell.
+    their rows restricted to the live cells (_twin_classes): splitting a
+    block between two twins telescopes to a single cell of weight w_i +
+    w_j.  A group whose weights sum to zero drops out too.  The result is
+    the weights and the edge rows, as tuples, in the order of each group's
+    first cell.
     """
     live = [i for i in range(len(g.cells)) if g.weights[i]]
     r = g.r
-    groups: dict[tuple, list[int]] = {}
-    for i in live:
-        groups.setdefault(tuple(r[i][k] for k in live), []).append(i)
     weights = []
     reps = []
-    for grp in groups.values():
+    for grp in _twin_classes(r, live):
         w = sum(g.weights[i] for i in grp)
         if w:
             weights.append(w)
@@ -997,22 +1011,36 @@ def _poly_serial(v: Value, perm: Sequence[int]):
 def _graph_serial(g: CellGraph, perm: Sequence[int]) -> str:
     """Canonical serialization of a cell graph under one symbol reordering.
 
-    Each cell is a vertex colored by its weight and its loop, each pair of
-    cells an edge labelled by its weight, and canonical_labelling orders
-    them; the serial is the sorted vertex colors, the sorted edge labels
-    and that labelling's serial.  So two graphs serialize identically
-    exactly when they are isomorphic as weighted graphs.
+    The graph is labelled on its twin quotient.  Cells with equal edge
+    rows are twins (_twin_classes, over every cell, zero weights too),
+    and each twin class is one vertex, colored by its loop, which is also
+    the edge between any two of its cells, and by the sorted weights of
+    its cells; two classes are joined by the edge weight between their
+    cells, which is the same for every pair.  canonical_labelling orders
+    the classes, and the serial is the sorted class colors, the sorted
+    edge labels and that labelling's serial.  An isomorphism of two cell
+    graphs maps twin classes onto twin classes, so it induces one of
+    their quotients, and an isomorphism of the quotients lifts to the
+    graphs by matching each class's cells by weight.  So two graphs
+    serialize identically exactly when they are isomorphic as weighted
+    graphs.
     """
-    q = len(g.cells)
-    if q == 0:
+    if not g.cells:
         return "empty"
+    r = g.r
+    classes = _twin_classes(r, range(len(g.cells)))
+    reps = [grp[0] for grp in classes]
+    q = len(reps)
     wser = [repr(_poly_serial(v, perm)) for v in g.weights]
-    eser = [[repr(_poly_serial(v, perm)) for v in row] for row in g.r]
-    cells = [(wser[i], eser[i][i]) for i in range(q)]
+    eser = [[repr(_poly_serial(r[a][b], perm)) for b in reps] for a in reps]
+    colors = [
+        (eser[i][i], tuple(sorted(wser[c] for c in grp)))
+        for i, grp in enumerate(classes)
+    ]
     labels = sorted({eser[i][j] for i in range(q) for j in range(q) if i != j})
     rank = {v: k for k, v in enumerate(labels)}
     adj = [[(j, rank[eser[i][j]] * q) for j in range(q) if j != i] for i in range(q)]
-    return repr((sorted(cells), labels, canonical_labelling(cells, adj)))
+    return repr((sorted(colors), labels, canonical_labelling(colors, adj)))
 
 
 def spectrum_fingerprint(
@@ -1033,8 +1061,10 @@ def spectrum_fingerprint(
     A labelling depends only on the graph's weights and edges and on the
     renaming, and a search meets the same cell graph many times, so each
     _graph_serial is looked up under those three in memo (a fresh dict
-    when None) and runs only on a miss.  The caller owns the dict and
-    decides how long it lives: generate keeps one per search in its
+    when None) and runs only on a miss.  The key is the whole graph, as
+    built, and the twin quotient is formed only on a miss, inside
+    _graph_serial, so a hit costs no grouping.  The caller owns the dict
+    and decides how long it lives: generate keeps one per search in its
     GenState.  s is a sentence, compiled here, or one compiled already
     (classify computes the spectrum from the same compiled form).
     """

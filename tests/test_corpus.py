@@ -6,7 +6,8 @@ the filters that read cached clause facts against
 references that compute them afresh, candidates that hold only their
 clause set, the spectra of dropped and hidden
 candidates against the kept ones, canonical labellings against the reference
-refinement, the engine against the brute-force oracle, spectra that share
+refinement, the size of the cell graphs' twin quotients that the engine
+labels, the engine against the brute-force oracle, spectra that share
 cell-DP passes against spectra computed one by one, the spectra that the
 search computes as it keeps each sentence against fresh ones, the cell
 order against the reference greedy, and fingerprints that share
@@ -239,6 +240,25 @@ def test_labellings_match_the_reference_refinement(search, request, monkeypatch)
     monkeypatch.setattr(logic, "_refine", reference_refine)
     want = [logic.canonical_labelling(inv, adj) for _, inv, adj in inputs]
     assert got == want
+
+
+@pytest.mark.parametrize(
+    "search, labellings, vertices, entries",
+    [("fo2", 663, 2534, 9482), ("c2", 297, 883, 2322)],
+)
+def test_cell_graphs_are_labelled_on_their_twin_classes(
+    search, labellings, vertices, entries, request
+):
+    # one vertex per twin class: a vertex per cell would take 4 382
+    # vertices and 30 664 adjacency entries on fo2, and 1 551 and 8 686 on c2
+    inputs = [
+        (inv, adj)
+        for caller, inv, adj in request.getfixturevalue(search).labellings
+        if caller == "engine"
+    ]
+    assert len(inputs) == labellings
+    assert sum(len(inv) for inv, _ in inputs) == vertices
+    assert sum(len(row) for _, adj in inputs for row in adj) == entries
 
 
 def test_retained_fo2_sentences_match_the_oracle(fo2):

@@ -699,12 +699,33 @@ def _random_cell_graph(rng):
         r[b][b] = r[a][a]
         if rng.random() < 0.5:
             r[a][b] = r[b][a] = r[a][a]
+    if q >= 3 and rng.random() < 0.4:
+        # plant a twin class of three or more cells with unequal weights:
+        # each takes the first one's row, so every edge inside the class
+        # equals its loop
+        twins = rng.sample(range(q), rng.randint(3, q))
+        a = twins[0]
+        for b in twins:
+            for k in range(q):
+                value = r[a][a] if k in twins else r[a][k]
+                r[b][k] = r[k][b] = value
+            w[b] = rng.randint(0, 2)
+        if len({w[b] for b in twins}) == 1:
+            w[twins[1]] = (w[a] + 1) % 3
     return _graph(w, r)
+
+
+def _has_unequal_twin_class(g):
+    classes = {}
+    for i, row in enumerate(g.r):
+        classes.setdefault(tuple(row), []).append(g.weights[i])
+    return any(len(ws) >= 3 and len(set(ws)) > 1 for ws in classes.values())
 
 
 def test_canonical_form_matches_brute_force_reference():
     rng = random.Random(20261018)
     bases = [_random_cell_graph(rng) for _ in range(300)]
+    assert sum(map(_has_unequal_twin_class, bases)) > 50
     pairs = set()
     for g in bases:
         key = _graph_serial(g, ())
@@ -715,6 +736,28 @@ def test_canonical_form_matches_brute_force_reference():
     assert len(pairs) == len({k for k, _ in pairs}) == len({r for _, r in pairs})
     # independently drawn graphs coincide too, so both directions are tested
     assert len(pairs) < len(bases)
+
+
+def test_twin_class_weights_belong_to_their_class():
+    # twin classes A = {0, 1} and B = {2, 3}, equal loops, told apart only
+    # by their edges to cell 4; every cell has the same loop, so each graph
+    # below has the same cells, as (weight, loop), as g
+    def graph(weights):
+        r = [
+            [1, 1, 1, 1, 2],
+            [1, 1, 1, 1, 2],
+            [1, 1, 1, 1, 0],
+            [1, 1, 1, 1, 0],
+            [2, 2, 0, 0, 1],
+        ]
+        return _graph(weights, r)
+
+    g = graph([1, 2, 1, 2, 0])
+    moved = graph([1, 1, 2, 2, 0])  # cells 1 and 2 swap: a 2 moves to B
+    permuted = graph([2, 1, 2, 1, 0])  # the weights swapped inside A and B
+    for h, same in ((moved, False), (permuted, True)):
+        assert (_reference_serial(h, ()) == _reference_serial(g, ())) is same
+        assert (_graph_serial(h, ()) == _graph_serial(g, ())) is same
 
 
 def test_canonical_form_separates_graphs_refinement_cannot():

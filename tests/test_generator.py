@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from combspec import generator
+from combspec import engine, generator
 from combspec.cli import main
 from combspec.engine import compute_spectrum
 from combspec.generator import (
@@ -788,6 +788,35 @@ def test_store_needs_spectra(fo2_limits, tmp_path):
     with pytest.raises(ValueError, match="length=N"):
         generate(fo2_limits, 2).store(SpectrumDB(path))
     assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "limits, layers, kept, unique",
+    [
+        ("fo2_limits", 4, [4, 39, 256, 1330], [4, 30, 144, 482]),
+        ("c2_limits", 3, [7, 76, 409], [7, 61, 225]),
+    ],
+)
+def test_kept_spectrum_duplicates_add_no_unique_spectrum(
+    limits, layers, kept, unique, tmp_path, request, monkeypatch
+):
+    # the same-cell-graph check hides only sentences whose spectrum is
+    # stored already: keeping them instead, and refining them as kept
+    # sentences, leaves each layer's unique tally as the plain search
+    # stores it (test_cli pins those DB bytes)
+    real = generator.classify
+
+    def keeping(s, state):
+        verdict = real(s, state)
+        if verdict != "spectrum_duplicate":
+            return verdict
+        state.spectra[s] = engine.compute_spectrum(s, state.length, memo=state.passes)
+        return "new"
+
+    monkeypatch.setattr(generator, "classify", keeping)
+    result = generate(request.getfixturevalue(limits), layers, length=10)
+    assert [len(layer) for layer in result.kept] == kept
+    assert result.store(SpectrumDB(tmp_path / "db.jsonl")) == unique
 
 
 def test_structural_mode_keeps_more(fo2_limits):
