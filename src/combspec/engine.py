@@ -32,11 +32,11 @@ program carries each one truncated at the target degrees and packed in a
 single int, so that a product is one big-int multiply.  All arithmetic is
 exact integer arithmetic.
 
-compute_spectrum and spectrum_fingerprint each take either a Sentence,
-which they compile, or a CompiledSentence, so a sentence compiled once
-serves both its fingerprint and its spectrum: the search computes a kept
-sentence's spectrum as it keeps it, and its budget_secs covers that time
-too.  A pass depends only on the merged cell graph, the length and the
+compute_spectrum takes either a Sentence, which it compiles, or a
+CompiledSentence, and spectrum_fingerprint takes a CompiledSentence, so
+a sentence compiled once serves both its fingerprint and its spectrum:
+the search computes a kept sentence's spectrum as it keeps it, and its
+budget_secs covers that time too.  A pass depends only on the merged cell graph, the length and the
 symbolic caps.  Many sentences share one, so a caller that computes many
 spectra can pass one memo dict to compute_spectrum, keyed on those three,
 and run each distinct pass once (generate keeps one per search).
@@ -1043,9 +1043,7 @@ def _graph_serial(g: CellGraph, perm: Sequence[int]) -> str:
     return repr((sorted(colors), labels, canonical_labelling(colors, adj)))
 
 
-def spectrum_fingerprint(
-    s: Sentence | CompiledSentence, memo: dict | None = None
-) -> bytes:
+def spectrum_fingerprint(comp: CompiledSentence, memo: dict | None = None) -> bytes:
     """Key equal only for sentences whose spectra provably coincide.
 
     Covers the full compiled form: nullary branch factors, each branch's
@@ -1065,11 +1063,9 @@ def spectrum_fingerprint(
     built, and the twin quotient is formed only on a miss, inside
     _graph_serial, so a hit costs no grouping.  The caller owns the dict
     and decides how long it lives: generate keeps one per search in its
-    GenState.  s is a sentence, compiled here, or one compiled already
-    (classify computes the spectrum from the same compiled form).
+    GenState.  comp is what compile_sentence returns; classify computes
+    the spectrum from the same compiled form.
     """
-    comp = s if isinstance(s, CompiledSentence) else compile_sentence(s)
-    k = len(comp.cvars)
     memo = {} if memo is None else memo
 
     def label(g: CellGraph, perm: tuple[int, ...]) -> str:
@@ -1079,8 +1075,7 @@ def spectrum_fingerprint(
             out = memo[key] = _graph_serial(g, perm)
         return out
 
-    best: str | None = None
-    for perm in itertools.permutations(range(k)) if k else [()]:
+    def serial(perm: tuple[int, ...]) -> str:
         graphs = sorted((factor, label(g, perm)) for factor, g in comp.branches)
         cons = sorted(
             (
@@ -1091,8 +1086,6 @@ def spectrum_fingerprint(
             )
             for c in comp.constraints
         )
-        serial = repr((graphs, cons))
-        if best is None or serial < best:
-            best = serial
-    assert best is not None
-    return best.encode()
+        return repr((graphs, cons))
+
+    return min(map(serial, itertools.permutations(range(len(comp.cvars))))).encode()

@@ -250,11 +250,8 @@ def make_clause(
     if not used <= set(bound):
         raise ParseError(f"unbound variable in {sorted(used - set(bound))}")
 
-    rename: dict[str, str] = {}
     if bound[0] == "y":
-        rename = {"y": "x", "x": "y"}
-    if rename:
-        lits = [lit.substitute(rename) for lit in lits]
+        lits = [lit.substitute({"x": "y", "y": "x"}) for lit in lits]
     quants = tuple(q for q, _ in pairs)
     return Clause(quants, frozenset(lits))
 
@@ -289,13 +286,6 @@ class Sentence:
         return self.render()
 
 
-def sentence(clauses: Iterable[Clause]) -> Sentence:
-    cs = frozenset(clauses)
-    if not cs:
-        raise ValueError("sentence needs at least one clause")
-    return Sentence(cs)
-
-
 _TOKEN_RE = re.compile(r"[A-Za-z_]\w*|\d+|[()&|~=,]")
 
 
@@ -307,15 +297,21 @@ def _tokenize(text: str) -> list[str]:
 
 
 class _Parser:
+    """Recursive descent over the grammar: tokens, parentheses, `&`, `|`,
+    `~` and `=`.  Beyond it the parser checks only what no constructor
+    can: reserved predicate names, one arity per name, and that a count
+    is digits and a bound variable x or y.  Quantifier, Predicate,
+    Literal and make_clause refuse the rest, and parse_sentence reports
+    their refusals as ParseError."""
+
     def __init__(self, tokens: list[str], text: str):
         self.tokens = tokens
         self.pos = 0
         self.text = text
         self.preds: dict[str, Predicate] = {}
 
-    def peek(self, offset: int = 0) -> str | None:
-        i = self.pos + offset
-        return self.tokens[i] if i < len(self.tokens) else None
+    def peek(self) -> str | None:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def take(self, expected: str | None = None) -> str:
         tok = self.peek()
@@ -333,12 +329,13 @@ class _Parser:
             clauses.append(self.clause())
         if self.peek() is not None:
             raise ParseError(f"trailing input at {self.peek()!r}")
-        return sentence(clauses)
+        return Sentence(frozenset(clauses))
 
     def clause(self) -> Clause:
         self.take("(")
         prefix = [self.quantified_var()]
-        if self._at_quantifier():
+        # V and E name no predicate, so either one here starts a quantifier
+        if self.peek() in ("V", "E"):
             prefix.append(self.quantified_var())
         body = [self.literal()]
         while self.peek() == "|":
@@ -347,31 +344,20 @@ class _Parser:
         self.take(")")
         return make_clause(prefix, body)
 
-    def _at_quantifier(self) -> bool:
-        tok, nxt = self.peek(), self.peek(1)
-        if tok not in ("V", "E"):
-            return False
-        return nxt in VARS or (tok == "E" and nxt == "=")
-
     def quantified_var(self) -> tuple[Quantifier, str]:
         kind = self.take()
-        if kind not in ("V", "E"):
-            raise ParseError(f"expected quantifier, got {kind!r}")
         count = None
         if self.peek() == "=":
-            if kind != "E":
-                raise ParseError("only E takes a count")
             self.take("=")
             num = self.take()
             if not num.isdigit():
                 raise ParseError(f"expected a count, got {num!r}")
             count = int(num)
-            if count < 1:
-                raise ParseError("count must be at least 1")
+        quant = Quantifier(kind, count)
         var = self.take()
         if var not in VARS:
             raise ParseError(f"expected variable x or y, got {var!r}")
-        return Quantifier(kind, count), var
+        return quant, var
 
     def literal(self) -> Literal:
         negated = False
@@ -389,9 +375,6 @@ class _Parser:
                 self.take(",")
                 parts.append(self.take())
             self.take(")")
-            for v in parts:
-                if v not in VARS:
-                    raise ParseError(f"bad argument {v!r} for {name}")
             args = tuple(parts)
         pred = Predicate(name, len(args))
         known = self.preds.setdefault(name, pred)
@@ -401,11 +384,19 @@ class _Parser:
 
 
 def parse_sentence(text: str) -> Sentence:
-    """Parse text like "(V x E y B(x,y) | ~B(y,x)) & (E x U(x))"."""
+    """Parse text like "(V x E y B(x,y) | ~B(y,x)) & (E x U(x))".
+
+    Any malformed text raises ParseError, also where a syntax object's
+    constructor is what refuses it."""
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty input")
-    return _Parser(tokens, text).parse()
+    try:
+        return _Parser(tokens, text).parse()
+    except ParseError:
+        raise
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def _ranks(keys: Sequence) -> list[int]:

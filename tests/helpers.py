@@ -42,7 +42,6 @@ from combspec.logic import (
     _ranks,
     canonical_key,
     pair,
-    sentence,
     single,
 )
 from combspec.oracle import _ground_atoms
@@ -127,7 +126,7 @@ def apply_transform(s: Sentence, t: PredicateTransform) -> Sentence:
     out = []
     for c in s.clauses:
         out.append(Clause(c.prefix, frozenset(t.apply_literal(l) for l in c.body)))
-    return sentence(out)
+    return Sentence(frozenset(out))
 
 
 def unpruned_layers(limits: GenLimits, layers: int) -> list[list[Sentence]]:
@@ -182,7 +181,7 @@ def random_transform(s: Sentence, rng: random.Random) -> Sentence:
             swapped = frozenset(l.substitute({"x": "y", "y": "x"}) for l in c.body)
             c = Clause(c.prefix, swapped)
         out.append(c)
-    return sentence(out)
+    return Sentence(frozenset(out))
 
 
 def _clause_text(clause: Clause, t: PredicateTransform) -> str:
@@ -300,7 +299,7 @@ def reference_classify(s: Sentence, state: GenState) -> str:
     ):
         if hidden(s):
             return verdict
-    fkey = spectrum_fingerprint(s, memo=state.labels)
+    fkey = spectrum_fingerprint(engine.compile_sentence(s), memo=state.labels)
     if fkey in state.seen_spectrum:
         return "spectrum_duplicate"
     state.seen_spectrum.add(fkey)

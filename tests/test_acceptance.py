@@ -193,7 +193,7 @@ def test_criterion_05_pruning_preserves_spectra():
 def test_criterion_06_fingerprint_soundness():
     groups = defaultdict(list)
     for s in all_retained(generate(PRUNE_LIMITS, 3)):
-        groups[spectrum_fingerprint(s)].append(s)
+        groups[spectrum_fingerprint(compile_sentence(s))].append(s)
     violations = pairs = 0
     for sents in groups.values():
         if len(sents) < 2:

@@ -99,8 +99,10 @@ def test_spectrum_json_output(capsys):
 
 
 def test_parse_error_exit_code(capsys):
-    code, _ = run(capsys, "spectrum", "(V x R(x,)", "--length", "3")
-    assert code == 2
+    # the grammar allows the second; Predicate refuses its arity
+    for text in ["(V x R(x,)", "(V x B(x,y,x))"]:
+        assert main(["spectrum", text, "--length", "3"]) == 2
+        assert capsys.readouterr().err.startswith("parse error:"), text
 
 
 def test_fragment_error_exit_code(capsys):

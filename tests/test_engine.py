@@ -568,28 +568,32 @@ def test_one_pass_compile_matches_the_reference_pipeline_on_random_sentences(
 # fingerprints
 
 
+def fingerprint(s):
+    return spectrum_fingerprint(compile_sentence(s))
+
+
 def test_fingerprint_equal_for_sign_flip():
     a = parse_sentence("(V x E y B(x,y))")
     b = parse_sentence("(V x E y ~B(x,y))")
-    assert spectrum_fingerprint(a) == spectrum_fingerprint(b)
+    assert fingerprint(a) == fingerprint(b)
     assert compute_spectrum(a, 6).terms == compute_spectrum(b, 6).terms
 
 
 def test_fingerprint_equal_for_predicate_rename():
     a = parse_sentence("(E x U(x)) & (V x E y B(x,y) | ~U(x))")
     b = parse_sentence("(E x W(x)) & (V x E y R(x,y) | ~W(x))")
-    assert spectrum_fingerprint(a) == spectrum_fingerprint(b)
+    assert fingerprint(a) == fingerprint(b)
 
 
 def test_fingerprint_distinguishes_different_spectra():
     a = parse_sentence("(V x E y B(x,y))")
     b = parse_sentence("(E x V y B(x,y))")
-    assert spectrum_fingerprint(a) != spectrum_fingerprint(b)
+    assert fingerprint(a) != fingerprint(b)
 
 
 def test_fingerprint_determinism():
     s = parse_sentence("(V x E=1 y B(x,y)) & (V x ~B(x,x))")
-    assert spectrum_fingerprint(s) == spectrum_fingerprint(s)
+    assert fingerprint(s) == fingerprint(s)
 
 
 # canonical cell-graph labelling against a brute-force reference

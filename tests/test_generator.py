@@ -39,7 +39,6 @@ from combspec.logic import (
     canonical_key,
     counting,
     parse_sentence,
-    sentence,
 )
 from combspec.oracle import count_models
 from combspec.seqdb import SpectrumDB

@@ -28,7 +28,6 @@ from combspec.logic import (
     counting,
     make_clause,
     parse_sentence,
-    sentence,
 )
 from helpers import (
     PredicateTransform,
@@ -76,23 +75,36 @@ def test_duplicate_literals_collapse():
 
 
 def test_parse_errors():
-    for bad in [
-        "",
-        "(V x U(x)",
-        "(V x V y)",
-        "(V x B(x,y))",  # y unbound
-        "(V x U(y))",
-        "(E z U0(z))",  # only x and y are variable names
-        "(V x 3(x))",
-        "(V x U(x) &)",
-        "(V x U(x))(E x U(x))",
+    for bad, message in [
+        ("", "empty input"),
+        ("(V x U(x)", "unexpected end of input"),
+        ("(V x V y)", "bad predicate name ')'"),
+        ("(V x B(x,y))", "unbound variable in ['y']"),
+        ("(V x U(y))", "unbound variable in ['y']"),
+        # only x and y are variable names
+        ("(E z U0(z))", "expected variable x or y, got 'z'"),
+        ("(V x 3(x))", "bad predicate name '3'"),
+        ("(V x U(x) &)", "expected ')', got '&'"),
+        ("(V x U(x))(E x U(x))", "trailing input at '('"),
+        # refused by a constructor, and a parse error all the same
+        ("(V x B(x,y,x))", "unsupported arity 3 for B"),
+        ("(V x V x U(x))", "bad prefix variables ['x', 'x']"),
+        ("(V=1 x U(x))", "only E takes a count"),
+        ("(E=0 x U(x))", "count must be at least 1"),
+        ("(X x U(x))", "bad quantifier kind 'X'"),
+        ("(V x U(z))", "bad variable 'z'"),
+        ("(E=x x U(x))", "expected a count, got 'x'"),
+        # V and E name no predicate, so after a quantifier they start one
+        ("(V x V)", "expected variable x or y, got ')'"),
+        ("(V x V(x))", "expected variable x or y, got '('"),
     ]:
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as info:
             parse_sentence(bad)
+        assert message in str(info.value), bad
 
 
 def test_duplicate_prefix_variable_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError):
         parse_sentence("(V x V x U(x))")
 
 

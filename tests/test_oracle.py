@@ -16,10 +16,10 @@ from combspec.logic import (
     VARS,
     Literal,
     Predicate,
+    Sentence,
     counting,
     make_clause,
     parse_sentence,
-    sentence,
 )
 from combspec.oracle import MAX_ATOMS, count_models, weighted_count
 from helpers import reference_count
@@ -116,7 +116,7 @@ def test_reference_count_agrees_with_count_models():
         clauses = [random_clause(rng, prefix)]
         if rng.random() < 0.5:
             clauses.append(random_clause(rng, rng.choice(PREFIXES)))
-        sentences.append(sentence(clauses))
+        sentences.append(Sentence(frozenset(clauses)))
     assert any(p.arity == 0 for s in sentences for p in s.predicates)
     for s in sentences:
         for n in range(1, 4):
