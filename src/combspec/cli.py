@@ -185,31 +185,25 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if args.db is None and (args.length is not None or args.budget_secs is not None):
         raise ValueError("--length and --budget-secs apply with --db only")
     limits = _limits_from_args(args)
+    spectra: dict = {}
     if args.db is not None:
         # a malformed file, or a new one in a missing directory, fails
         # before the search, not after it
         if not Path(args.db).parent.is_dir():
             raise FileNotFoundError(f"no directory for --db {args.db}")
         db = SpectrumDB(args.db)
-        result = generate(
-            limits,
-            args.layers,
-            budget_secs=args.search_budget_secs,
-            length=args.length or 10,
-            spectrum_secs=30.0 if args.budget_secs is None else args.budget_secs,
-        )
-        uniques = result.store(db, args.profile or "custom")
-        truncated = result.truncated or any(sp.truncated for sp in result.spectra.values())
-    else:
-        result = generate(limits, args.layers, budget_secs=args.search_budget_secs)
-        truncated = result.truncated
+        spectra["length"] = args.length or 10
+        spectra["spectrum_secs"] = 30.0 if args.budget_secs is None else args.budget_secs
+    result = generate(limits, args.layers, budget_secs=args.search_budget_secs, **spectra)
+    # without --db no spectrum is computed, and none is truncated
+    truncated = result.truncated or any(sp.truncated for sp in result.spectra.values())
     rows = [{"layer": i + 1, "kept": len(kept)} for i, kept in enumerate(result.kept)]
     doc: dict = {"layers": rows, "truncated": truncated}
     # the search stops inside the last layer it reports
     if result.truncated:
         doc["stopped_layer"] = len(result.kept)
     if args.db is not None:
-        for row, unique in zip(rows, uniques):
+        for row, unique in zip(rows, result.store(db, args.profile or "custom")):
             row["unique"] = unique
         doc["db"] = db.stats()
 

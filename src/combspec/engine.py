@@ -140,10 +140,8 @@ def normalize_clauses(clauses: Sequence[Clause]) -> list[Clause]:
                 )
         if len(kept) == len(pairs):
             out.append(c)
-        elif kept:
-            out.append(make_clause([(q, v) for q, v in kept], c.body))
         else:
-            out.append(single(FORALL, c.body))
+            out.append(make_clause(kept or [(FORALL, "x")], c.body))
     return out
 
 
@@ -631,20 +629,11 @@ def _kept_majorant(
         majorants.append(m)
     mw, mr = majorants
     width = (sum(mw) ** n * sum(mr) ** k).bit_length()
-    keep = (1 << width * (cap + 1)) - 1
-
-    def power(m: list[int], e: int) -> int:
-        base = sum(c << width * i for i, c in enumerate(m))
-        out = 1
-        while True:
-            if e & 1:
-                out = out * base & keep
-            e >>= 1
-            if not e:
-                return out
-            base = base * base & keep
-
-    x = power(mw, n) * power(mr, k) & keep
+    # truncating at the cap is reduction modulo 2^(width * (cap + 1))
+    mod = 1 << width * (cap + 1)
+    x = 1
+    for m, e in ((mw, n), (mr, k)):
+        x = x * pow(sum(c << width * i for i, c in enumerate(m)), e, mod) % mod
     slot = (1 << width) - 1
     return max(x >> width * i & slot for i in range(cap + 1))
 
@@ -968,8 +957,8 @@ def compute_spectrum(
 
     s is a sentence, compiled here with weights, or one compiled already,
     whose weights are in it, so passing weights with it is a ValueError.
-    Either way the compile counts against the budget: the deadline is the
-    budget after the compile starts, or after now less a carried compile's
+    Either way the compile counts against the budget: the deadline, taken
+    once the sentence is compiled, is the budget less the compile's
     recorded time.  A length below 1 and a NaN or negative budget are
     ValueErrors, raised before compiling.  All terms come out of one pass,
     so a budget that runs out before the pass ends leaves no terms and the
@@ -979,13 +968,12 @@ def compute_spectrum(
     """
     if length < 1:
         raise ValueError("length must be at least 1")
-    if isinstance(s, CompiledSentence):
-        if weights is not None:
-            raise ValueError("a compiled sentence carries its own weights")
-        form, deadline = s, budget_deadline(budget_secs, s.compile_secs)
-    else:
-        deadline = budget_deadline(budget_secs)
-        form = compile_sentence(s, weights)
+    if isinstance(s, CompiledSentence) and weights is not None:
+        raise ValueError("a compiled sentence carries its own weights")
+    # refuse a bad budget before compiling
+    budget_deadline(budget_secs)
+    form = s if isinstance(s, CompiledSentence) else compile_sentence(s, weights)
+    deadline = budget_deadline(budget_secs, form.compile_secs)
     if deadline is not None and time.monotonic() >= deadline:
         return Spectrum([], truncated=True)
     try:

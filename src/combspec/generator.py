@@ -172,17 +172,12 @@ def initial_clauses(limits: GenLimits) -> list[Clause]:
 
 
 def _literal_options(preds: Sequence[Predicate], nvars: int) -> list[Literal]:
-    opts = []
-    vars_avail = VARS[:nvars]
-    for p in preds:
-        if p.arity == 1:
-            tuples = [(v,) for v in vars_avail]
-        else:
-            tuples = [(a, b) for a in vars_avail for b in vars_avail]
-        for args in tuples:
-            for neg in (False, True):
-                opts.append(Literal(p, args, neg))
-    return opts
+    return [
+        Literal(p, args, neg)
+        for p in preds
+        for args in itertools.product(VARS[:nvars], repeat=p.arity)
+        for neg in (False, True)
+    ]
 
 
 def refinements(
@@ -262,9 +257,7 @@ def has_trivial_constraint(s: Sentence) -> bool:
         if len(c.body) != 1 or any(q != FORALL for q in c.prefix):
             continue
         (lit,) = c.body
-        if lit.pred.arity == 1 and c.nvars == 1:
-            return True
-        if lit.pred.arity == 2 and c.nvars == 2 and lit.args[0] != lit.args[1]:
+        if len(set(lit.args)) == lit.pred.arity == c.nvars:
             return True
     return False
 
@@ -360,7 +353,8 @@ def _refute_ground(s: Sentence) -> list[frozenset]:
         for c in sorted(s.clauses, key=Clause.render)
     ]
 
-    # Allocate every witness before grounding so universal parts range
+    # Each clause gets a plan, its maps of x and y to elements.  Every
+    # witness is allocated before the universal plans, so that they range
     # over all of them.  Forall-exists witnesses go one level deep: each
     # element present at that point gets one, witnesses' own witnesses
     # are not chased.
@@ -380,30 +374,22 @@ def _refute_ground(s: Sentence) -> list[frozenset]:
             plans.append((c, [{"x": t, "y": fresh()} for t in list(elements)]))
     for c, w in ev_clauses:
         plans.append((c, [{"x": w, "y": t} for t in elements]))
-
-    ground: set[frozenset] = set()
-
-    def add(c: Clause, mapping: dict[str, int]) -> None:
-        lits = frozenset(
-            (lit.pred.name, tuple(mapping[a] for a in lit.args), lit.negated)
-            for lit in c.body
-        )
-        for name, elems, neg in lits:
-            if (name, elems, not neg) in lits:
-                return
-        ground.add(lits)
-
     for c, kinds in covered:
         if kinds == ("V",):
-            for t in elements:
-                add(c, {"x": t, "y": t})
+            plans.append((c, [{"x": t, "y": t} for t in elements]))
         elif kinds == ("V", "V"):
-            for t1 in elements:
-                for t2 in elements:
-                    add(c, {"x": t1, "y": t2})
+            plans.append((c, [{"x": t, "y": u} for t in elements for u in elements]))
+
+    # a ground clause with an atom of both signs is valid, and is left out
+    ground: set[frozenset] = set()
     for c, maps in plans:
         for m in maps:
-            add(c, m)
+            lits = frozenset(
+                (lit.pred.name, tuple(m[a] for a in lit.args), lit.negated)
+                for lit in c.body
+            )
+            if all((name, elems, not neg) not in lits for name, elems, neg in lits):
+                ground.add(lits)
     return sorted(ground, key=sorted)
 
 

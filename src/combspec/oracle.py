@@ -17,6 +17,7 @@ cross-check this one.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from functools import reduce
 from typing import Iterable, Mapping, Sequence
@@ -34,15 +35,8 @@ def _ground_atoms(
 ) -> dict[tuple[str, tuple[int, ...]], int]:
     atoms: dict[tuple[str, tuple[int, ...]], int] = {}
     for p in sorted(preds):
-        if p.arity == 0:
-            atoms[(p.name, ())] = len(atoms)
-        elif p.arity == 1:
-            for i in range(n):
-                atoms[(p.name, (i,))] = len(atoms)
-        else:
-            for i in range(n):
-                for j in range(n):
-                    atoms[(p.name, (i, j))] = len(atoms)
+        for args in itertools.product(range(n), repeat=p.arity):
+            atoms[(p.name, args)] = len(atoms)
     return atoms
 
 

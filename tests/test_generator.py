@@ -312,6 +312,47 @@ def test_refuter_agrees_with_the_grounded_decision_with_nullary_predicates():
         assert is_refuted(s) == grounded_refuted(s) == refuted, text
 
 
+def _ground_digest(sentences) -> str:
+    """sha256 of each sentence's text beside its refuter ground list, in
+    text order; each ground clause is sorted, so that the digest does not
+    depend on the string hash seed."""
+    lines = sorted(
+        f"{s.render()} {[sorted(g) for g in generator._refute_ground(s)]}"
+        for s in set(sentences)
+    )
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_refuter_grounds_the_pinned_clause_sets_at_fo2_l5(fo2_l5):
+    # grounded_refuted and reference_is_refuted ground through
+    # _refute_ground too, so only a pin catches a ground set that moves
+    # and keeps every verdict; these are the calls whose collapse is
+    # unsatisfiable
+    grounded = [
+        s
+        for s, _ in fo2_l5.refuted
+        if not generator._satisfiable([c.collapse for c in s.clauses])
+    ]
+    assert len(grounded) == 626
+    assert _ground_digest(grounded) == (
+        "c2df15ee9247cae81cdc2331be94ac1909bef5d5c81f36a168e565c47f3c0099"
+    )
+
+
+def test_refuter_grounds_the_pinned_clause_sets_at_c2_l3(c2_limits, monkeypatch):
+    grounded = []
+    ground = generator._refute_ground
+    monkeypatch.setattr(
+        generator, "_refute_ground", lambda s: grounded.append(s) or ground(s)
+    )
+    generate(c2_limits, 3)
+    monkeypatch.undo()
+    assert len(grounded) == 339
+    assert _ground_digest(grounded) == (
+        "8662d9e4d30a6d0d2807226eb89ce21267d088659b5b023ee9a689f4a99df361"
+    )
+
+
 def test_every_refuted_c2_candidate_has_no_model(c2_limits, monkeypatch):
     refuted = []
 
@@ -815,6 +856,27 @@ def test_kept_spectrum_duplicates_add_no_unique_spectrum(
     monkeypatch.setattr(generator, "classify", keeping)
     result = generate(request.getfixturevalue(limits), layers, length=10)
     assert [len(layer) for layer in result.kept] == kept
+    assert result.store(SpectrumDB(tmp_path / "db.jsonl")) == unique
+
+
+@pytest.mark.parametrize(
+    "limits, layers, kept, unique, candidates",
+    [
+        ("fo2_limits", 4, [4, 36, 179, 676], [4, 30, 144, 482], 7818),
+        ("c2_limits", 3, [7, 73, 302], [7, 61, 225], 2678),
+    ],
+)
+def test_refined_refuted_and_decomposable_parents_add_no_sentence(
+    limits, layers, kept, unique, candidates, tmp_path, request, monkeypatch
+):
+    # refining the dropped refuted and decomposable sentences as parents,
+    # as the hidden ones are, reaches more candidates in the last layer
+    # (the plain searches reach 5 398 and 1 565) but keeps the plain
+    # searches' sentences and stores their unique tallies
+    monkeypatch.setattr(generator, "HIDDEN", generator.HIDDEN + ("refuted", "decomposable"))
+    result = generate(request.getfixturevalue(limits), layers, length=10)
+    assert [len(layer) for layer in result.kept] == kept
+    assert sum(result.counts[-1].values()) == candidates
     assert result.store(SpectrumDB(tmp_path / "db.jsonl")) == unique
 
 
