@@ -18,11 +18,12 @@ never enumerates worlds:
 
 The cell graphs are built on bitmasks, from one reading of each clause
 shared by all branches: a cell is an int with one bit per single-element
-atom, a clause is a positive and a negative literal mask, and each cell
-carries two bitsets, X and Y, of the oriented two-variable clauses whose
-x-side (y-side) literals it falsifies.  The edge weight of a pair of
-cells i, j depends only on X[i] & Y[j], and is computed once per distinct
-key.
+atom, a set of cells is a bitset over the cells, a clause's record holds
+the cells that satisfy it at one element and those that falsify each side
+of a two-variable clause, and each cell carries two bitsets, X and Y, of
+the oriented two-variable clauses whose x-side (y-side) literals it
+falsifies.  The edge weight of a pair of cells i, j depends only on
+X[i] & Y[j], and is computed once per distinct key.
 
 One pass of the dynamic program yields every domain size up to the
 requested length.  Cardinality constraints ride through the computation as
@@ -41,7 +42,12 @@ symbolic caps.  Many sentences share one, so a caller that computes many
 spectra can pass one memo dict to compute_spectrum, keyed on those three,
 and run each distinct pass once (generate keeps one per search).
 Likewise spectrum_fingerprint takes a dict of cell-graph labellings, and
-generate keeps one per search.  There is no module-level cache.
+compile_sentence a dict of what depends on one clause or one bit layout
+alone: each clause's normalized, reduced and skolemized form under the
+fresh names it takes, and per layout the set-up, the clause records and
+the edge totals (_Layout).  generate keeps one of each of the three dicts
+per search.  Without a dict each call takes a fresh one, so nothing is
+cached between calls without one: there is no module-level cache.
 
 Both the dynamic program and the fingerprint read a cell graph through
 its twin classes, the cells with equal edge rows (_twin_classes).  The
@@ -59,7 +65,7 @@ import math
 import operator
 import time
 from dataclasses import dataclass
-from typing import Collection, Mapping, Sequence
+from typing import Callable, Collection, Mapping, Sequence
 
 from .logic import (
     EXISTS,
@@ -80,6 +86,10 @@ from .polynomial import Packing, Poly, Value, coeff_of, mul_values, norm1, pow_v
 WeightMap = Mapping[str, tuple[int, int]]
 # a merged cell graph: its weights and its edge rows (_merge_cells)
 Merged = tuple[tuple[Value, ...], tuple[tuple[Value, ...], ...]]
+
+_name = operator.attrgetter("name")
+# the prefixes of the clauses that reach the cell graph
+_UNIVERSAL = ((FORALL,), (FORALL, FORALL))
 
 # prefixes the cell-order search keeps per step at first (_greedy_cell_order)
 ORDER_BEAM = 4
@@ -126,107 +136,109 @@ def _fresh(used: set[str], base: str) -> str:
     return name
 
 
-def normalize_clauses(clauses: Sequence[Clause]) -> list[Clause]:
-    """Drop quantifiers over unused variables; reject unused counting."""
-    out = []
-    for c in clauses:
-        used = {a for lit in c.body for a in lit.args}
-        pairs = list(zip(c.prefix, VARS))
-        kept = [(q, v) for q, v in pairs if v in used]
-        for q, v in pairs:
-            if v not in used and q.is_counting:
-                raise FragmentError(
-                    f"counting quantifier over unused variable in {c.render()}"
-                )
-        if len(kept) == len(pairs):
-            out.append(c)
-        else:
-            out.append(make_clause(kept or [(FORALL, "x")], c.body))
-    return out
+def normalize_clause(c: Clause) -> Clause:
+    """c without quantifiers over variables it never uses; counting over
+    an unused variable is a FragmentError."""
+    used = {a for lit in c.body for a in lit.args}
+    pairs = list(zip(c.prefix, VARS))
+    kept = [(q, v) for q, v in pairs if v in used]
+    for q, v in pairs:
+        if v not in used and q.is_counting:
+            raise FragmentError(
+                f"counting quantifier over unused variable in {c.render()}"
+            )
+    if len(kept) == len(pairs):
+        return c
+    return make_clause(kept or [(FORALL, "x")], c.body)
 
 
 def reduce_counting(
-    clauses: Sequence[Clause], used: set[str]
+    c: Clause, fresh: Callable[[str], str]
 ) -> tuple[list[Clause], list[CardinalityConstraint]]:
-    """Rewrite E=1 quantifiers into cardinality constraints.
+    """c with its E=1 quantifier rewritten into a cardinality constraint;
+    a clause that does not count comes back as it is, with none.
 
-    Adds fresh defining predicates to used when a counted reflexive atom or
-    an E=1 x V y prefix needs one; they take no weight entry, since every
-    reader of a weight map defaults a missing name to (1, 1).  Only k = 1
-    is supported; mixed counting/existential prefixes are rejected.
+    fresh(base) names the fresh defining predicate that a counted reflexive
+    atom (base D) or an E=1 x V y prefix (base A) needs; it takes no weight
+    entry, since every reader of a weight map defaults a missing name to
+    (1, 1).  Only k = 1 is supported; mixed counting/existential prefixes
+    are rejected.
 
-    Each constraint counts the atoms on the counted literal's own polarity,
+    The constraint counts the atoms on the counted literal's own polarity,
     whose target (n for a binary atom, 1 for a unary one) has the lowest
-    degree in n, so the symbolic weight later carried for it stays sparse.
-    A predicate counted under both polarities keeps its first one, and its
-    other constraints are restated as complements.
+    degree in n, so the symbolic weight later carried for it stays sparse
+    (_first_polarity settles a predicate counted under both).
     """
-    out: list[Clause] = []
-    constraints: list[CardinalityConstraint] = []
-    for c in clauses:
-        if not c.is_counting:
-            out.append(c)
-            continue
-        for q in c.prefix:
-            if q.is_counting and q.count != 1:
-                raise FragmentError(f"only E=1 counting is supported: {c.render()}")
-        kinds = tuple("C" if q.is_counting else q.kind for q in c.prefix)
-        if kinds in (("C", "C"), ("C", "E"), ("E", "C")):
-            raise FragmentError(
-                f"counting cannot pair with another existential: {c.render()}"
-            )
-        if len(c.body) != 1:
-            raise FragmentError(f"counting clause must be a single literal: {c.render()}")
-        (lit,) = c.body
-        counted = VARS[kinds.index("C")]
-        pname = lit.pred.name
+    if not c.is_counting:
+        return [c], []
+    for q in c.prefix:
+        if q.is_counting and q.count != 1:
+            raise FragmentError(f"only E=1 counting is supported: {c.render()}")
+    kinds = tuple("C" if q.is_counting else q.kind for q in c.prefix)
+    if kinds in (("C", "C"), ("C", "E"), ("E", "C")):
+        raise FragmentError(
+            f"counting cannot pair with another existential: {c.render()}"
+        )
+    if len(c.body) != 1:
+        raise FragmentError(f"counting clause must be a single literal: {c.render()}")
+    (lit,) = c.body
+    pname = lit.pred.name
+    if kinds == ("C", "V"):
+        # exactly one x where the literal holds for all y
+        aatom = Literal(Predicate(fresh("A"), 1), ("x",))
+        out = [
+            pair(FORALL, FORALL, [aatom.negate(), lit]),
+            pair(FORALL, EXISTS, [aatom, lit.negate()]),
+        ]
+        return out, [CardinalityConstraint(aatom.pred.name, (0, 0, 1))]
+    if lit.pred.arity == 2 and set(lit.args) == {"x", "y"}:
+        # row (or column) sums are all one exactly when each element has a
+        # witness and n atoms in all satisfy the literal
+        constraint = CardinalityConstraint(pname, (0, 1, 0), lit.negated)
+        return [pair(FORALL, EXISTS, [lit])], [constraint]
+    if lit.pred.arity == 1:
+        return [], [CardinalityConstraint(pname, (0, 0, 1), lit.negated)]
+    # counted reflexive atom: define D(x) <-> lit(x,x), count D
+    datom = Literal(Predicate(fresh("D"), 1), ("x",))
+    ratom = Literal(lit.pred, ("x", "x"), lit.negated)
+    out = [
+        single(FORALL, [datom, ratom.negate()]),
+        single(FORALL, [datom.negate(), ratom]),
+    ]
+    return out, [CardinalityConstraint(datom.pred.name, (0, 0, 1))]
 
-        if kinds in (("C",), ("V", "C")):
-            if lit.pred.arity == 2 and set(lit.args) == {"x", "y"}:
-                # row (or column) sums are all one exactly when each element
-                # has a witness and n atoms in all satisfy the literal
-                out.append(pair(FORALL, EXISTS, [lit]))
-                constraints.append(CardinalityConstraint(pname, (0, 1, 0), lit.negated))
-            elif lit.pred.arity == 1:
-                constraints.append(CardinalityConstraint(pname, (0, 0, 1), lit.negated))
-            else:
-                # counted reflexive atom: define D(x) <-> lit(x,x), count D
-                d = Predicate(_fresh(used, "D"), 1)
-                datom = Literal(d, ("x",))
-                ratom = Literal(lit.pred, ("x", "x"), lit.negated)
-                out.append(single(FORALL, [datom, ratom.negate()]))
-                out.append(single(FORALL, [datom.negate(), ratom]))
-                constraints.append(CardinalityConstraint(d.name, (0, 0, 1)))
-        else:  # ("C", "V"): exactly one x where the literal holds for all y
-            a = Predicate(_fresh(used, "A"), 1)
-            aatom = Literal(a, ("x",))
-            out.append(pair(FORALL, FORALL, [aatom.negate(), lit]))
-            out.append(pair(FORALL, EXISTS, [aatom, lit.negate()]))
-            constraints.append(CardinalityConstraint(a.name, (0, 0, 1)))
-    arity = {lit.pred.name: lit.pred.arity for c in clauses for lit in c.body}
+
+def _first_polarity(
+    constraints: list[CardinalityConstraint], preds: Collection[Predicate]
+) -> list[CardinalityConstraint]:
+    """The constraints of one sentence, with a predicate counted under both
+    polarities kept on its first one and its other constraints restated as
+    complements; without a constraint there is nothing to settle."""
+    if not constraints:
+        return constraints
     negated: dict[str, bool] = {}
     for c in constraints:
         negated.setdefault(c.pred, c.negated)
-    constraints = [
+    arity = {p.name: p.arity for p in preds}
+    return [
         c if c.negated == negated[c.pred] else c.complement(arity[c.pred])
         for c in constraints
     ]
-    return out, constraints
 
 
 def skolemize_clauses(
-    clauses: Sequence[Clause],
-    weights: dict[str, tuple[int, int]],
-    used: set[str],
-) -> list[Clause]:
-    """Replace existential prefixes with fresh (1, -1) predicates.
+    clauses: Sequence[Clause], fresh: Callable[[str], str]
+) -> tuple[list[Clause], list[str]]:
+    """Replace existential prefixes with fresh predicates, named by
+    fresh(base) (base S for a unary one, Z for a nullary one), which weigh
+    (1, -1); returns the universal clauses and those names.
 
-    Every output clause is universally quantified; the weighted count over
-    the extended vocabulary equals the input's by the usual telescoping of
-    the -1 branch.
+    The weighted count over the extended vocabulary equals the input's by
+    the usual telescoping of the -1 branch.
     """
     out: list[Clause] = []
-    one, two = (FORALL,), (FORALL, FORALL)
+    skolem: list[str] = []
+    one, two = _UNIVERSAL
     for c in clauses:
         kinds = tuple(q.kind for q in c.prefix)
         if any(q.is_counting for q in c.prefix):
@@ -234,24 +246,71 @@ def skolemize_clauses(
         if kinds in (("V",), ("V", "V")):
             out.append(c)
         elif kinds in (("E",), ("E", "E")):
-            z = Literal(Predicate(_fresh(used, "Z"), 0), ())
-            weights[z.pred.name] = (1, -1)
+            z = Literal(Predicate(fresh("Z"), 0), ())
+            skolem.append(z.pred.name)
             universal = one if len(kinds) == 1 else two
             for lit in c.body:
                 out.append(Clause(universal, frozenset((z, lit.negate()))))
         elif kinds == ("V", "E"):
-            s = Literal(Predicate(_fresh(used, "S"), 1), ("x",))
-            weights[s.pred.name] = (1, -1)
+            s = Literal(Predicate(fresh("S"), 1), ("x",))
+            skolem.append(s.pred.name)
             for lit in c.body:
                 out.append(Clause(two, frozenset((s, lit.negate()))))
         else:  # ("E", "V")
-            s = Literal(Predicate(_fresh(used, "S"), 1), ("x",))
-            z = Literal(Predicate(_fresh(used, "Z"), 0), ())
-            weights[s.pred.name] = (1, -1)
-            weights[z.pred.name] = (1, -1)
+            s = Literal(Predicate(fresh("S"), 1), ("x",))
+            z = Literal(Predicate(fresh("Z"), 0), ())
+            skolem += [s.pred.name, z.pred.name]
             out.append(Clause(one, frozenset((z.negate(), s))))
             out.append(Clause(two, frozenset((s, *c.body))))
-    return out
+    return out, skolem
+
+
+# a clause's universal clauses, constraints, Skolem names and the
+# predicates of positive arity in those clauses (_prepare)
+Prepared = tuple[
+    list[Clause], list[CardinalityConstraint], list[str], tuple[Predicate, ...]
+]
+
+
+def _prepare(c: Clause, fresh: Callable[[str], str]) -> Prepared:
+    """c normalized, its counting reduced and its existentials skolemized,
+    with fresh(base) naming each fresh predicate it takes."""
+    reduced, constraints = reduce_counting(normalize_clause(c), fresh)
+    out, skolem = skolemize_clauses(reduced, fresh)
+    sig = {lit.pred for o in out for lit in o.body if lit.pred.arity}
+    return out, constraints, skolem, tuple(sig)
+
+
+def _prepared(c: Clause, used: set[str], memo: dict) -> Prepared:
+    """_prepare(c) with fresh names taken from used, looked up in memo.
+
+    The names a clause takes depend on the other predicates of its
+    sentence, so memo[c] holds the bases of its fresh names, in the order
+    it takes them, and its form under each tuple of names met.  The fresh
+    names of one base are taken in clause order, and no name of one base
+    is a name of another, so each clause takes the names that a run over
+    the whole sentence would give it."""
+    entry = memo.get(c)
+    if entry is None:
+        # the first form takes its names from used, and shows their bases
+        bases: list[str] = []
+        taken: list[str] = []
+
+        def fresh(base: str) -> str:
+            bases.append(base)
+            taken.append(_fresh(used, base))
+            return taken[-1]
+
+        form = _prepare(c, fresh)
+        memo[c] = (tuple(bases), {tuple(taken): form})
+        return form
+    bases, forms = entry
+    names = tuple([_fresh(used, b) for b in bases])
+    form = forms.get(names)
+    if form is None:
+        given = iter(names)
+        form = forms[names] = _prepare(c, lambda base: next(given))
+    return form
 
 
 @dataclass
@@ -271,12 +330,156 @@ class CellGraph:
     r: list[list[Value]]
 
 
+# a clause read under one layout (_Layout.read): its positive and negative
+# nullary masks, the cells that satisfy it at one element, and for a
+# two-variable clause the cells that falsify its x-side and its y-side
+# literals and the cross masks of its two readings
+Record = tuple[int, int, int, tuple[int, int, int, int] | None]
+
+
+class _Layout:
+    """One bit layout of a signature under one weight map, and what the
+    compiles that share a memo read under it: the assignment weights, the
+    cells with each atom true, the branches on the nullary predicates, and
+    per-layout dicts of clause records (records), of each branch cell set's
+    cells and weights (cells) and of the edge total of each AND of cross
+    masks (sums).  Cell sets are bitsets over the 2^k cells."""
+
+    def __init__(self, sig, names, weights, cvars, negated):
+        # within one arity, predicates sort by name
+        unary = sorted((p for p in sig if p.arity == 1), key=_name)
+        binary = sorted((p for p in sig if p.arity == 2), key=_name)
+        atom_preds = unary + binary
+        k = len(atom_preds)
+        names = sorted(names)
+        self.bit = {p.name: 1 << (k - 1 - i) for i, p in enumerate(atom_preds)}
+        self.nbit = {name: 1 << (len(names) - 1 - i) for i, name in enumerate(names)}
+
+        def wpair(p: Predicate) -> tuple[Value, Value]:
+            w, wbar = weights.get(p.name, (1, 1))
+            if p.name not in cvars:
+                return w, wbar
+            x = Poly.variable(len(cvars), cvars.index(p.name))
+            return (w, x) if p.name in negated else (x, wbar)
+
+        atom_w = [wpair(p) for p in atom_preds]
+        self.atom_w = list(zip(self.bit.values(), atom_w))
+        # without symbolic weights every weight is a plain int
+        self.mul = mul = mul_values if cvars else operator.mul
+
+        npos = 2 * len(binary)
+        self.bpos = {p.name: 2 * i for i, p in enumerate(binary)}
+        self.nassign = nassign = 1 << npos
+        self.full_mask = (1 << nassign) - 1
+        # holds[p]: the assignments whose cross atom at position p is true
+        self.holds = [
+            sum(1 << a for a in range(nassign) if a >> p & 1) for p in range(npos)
+        ]
+        # assign_w[a]: the weight of assignment a, built a position at a
+        # time: bit p of a picks the true or the false weight of position p
+        self.assign_w: list[Value] = [1]
+        for p in range(npos):
+            wt, wf = atom_w[len(unary) + p // 2]
+            self.assign_w = [mul(w, wf) for w in self.assign_w] + [
+                mul(w, wt) for w in self.assign_w
+            ]
+
+        ncells = 1 << k
+        self.every = (1 << ncells) - 1
+        # has[name]: the cells where that atom, of bit b, is true, whose runs
+        # of b set bits repeat every 2b cells
+        self.has = {
+            name: (((1 << b) - 1) << b) * (self.every // ((1 << 2 * b) - 1))
+            for name, b in self.bit.items()
+        }
+        # counting down from all true visits itertools.product((True, False))
+        # order; a branch of factor 0 is skipped
+        self.truths = []
+        for truth in range((1 << len(names)) - 1, -1, -1):
+            factor = 1
+            for name in names:
+                w, wbar = weights.get(name, (1, 1))
+                factor *= w if truth & self.nbit[name] else wbar
+            if factor:
+                self.truths.append((truth, factor))
+        self.records: dict[Clause, Record] = {}
+        self.cells: dict[int, tuple[list[int], list[Value]]] = {}
+        self.weight: dict[int, Value] = {}
+        self.sums: dict[int, Value] = {}
+
+    def read(self, c: Clause) -> Record:
+        """c's record: its nullary literals, as a positive and a negative mask
+        over the nullary predicates, and the cells that satisfy it at one
+        element, where all arguments collapse, the union of its literals'
+        cells.  A two-variable clause also gives two oriented clauses, one
+        per reading, each split into its x-side and y-side cell literals
+        and a mask over the 4^b assignments of the b binary predicates'
+        cross atoms, (x,y) then (y,x) per predicate, taken from per-position
+        tables.  The flipped reading swaps the sides, so the record keeps
+        the cells that falsify each side once."""
+        if c.prefix not in _UNIVERSAL:
+            raise ValueError("non-universal clause reached the cell graph")
+        has, every, full_mask = self.has, self.every, self.full_mask
+        two_var = c.nvars == 2
+        # masks are [positive, negative]
+        null, crosses = [0, 0], [0, 0]
+        # the cells that satisfy the clause, its x-side and its y-side
+        sat, sides = 0, [0, 0]
+        for l in c.body:
+            name = l.pred.name
+            if not l.pred.arity:
+                null[l.negated] |= self.nbit[name]
+                continue
+            cells = every ^ has[name] if l.negated else has[name]
+            sat |= cells
+            if not two_var:
+                continue
+            args = l.args
+            if l.pred.arity == 1 or args[0] == args[1]:
+                sides[args[0] == "y"] |= cells
+            else:
+                p = self.bpos[name] + (args[0] == "y")
+                # the flipped reading swaps the cross atoms' positions
+                for flip in (0, 1):
+                    h = self.holds[p ^ flip]
+                    crosses[flip] |= full_mask ^ h if l.negated else h
+        two = (every ^ sides[0], every ^ sides[1], *crosses) if two_var else None
+        return null[0], null[1], sat, two
+
+    def weigh(self, cells: int) -> tuple[list[int], list[Value]]:
+        """The cells of a bitset, ascending, and their weights, each
+        computed once per layout."""
+        out, weights = [], []
+        while cells:
+            low = cells & -cells
+            cells ^= low
+            c = low.bit_length() - 1
+            w = self.weight.get(c)
+            if w is None:
+                w = 1
+                for b, (wt, wf) in self.atom_w:
+                    w = self.mul(w, wt if c & b else wf)
+                self.weight[c] = w
+            out.append(c)
+            weights.append(w)
+        return out, weights
+
+    def total(self, mask: int) -> Value:
+        """The summed weight of the cross-atom assignments in mask."""
+        total: Value = 0
+        for a in range(self.nassign):
+            if mask >> a & 1:
+                total = total + self.assign_w[a]
+        return total
+
+
 def build_cell_graph(
     clauses: Sequence[Clause],
     weights: WeightMap,
-    sig_preds: Sequence[Predicate],
+    sig_preds: Collection[Predicate],
     cvars: tuple[str, ...] = (),
     negated: Collection[str] = (),
+    memo: dict | None = None,
 ) -> list[tuple[int, CellGraph]]:
     """The (weight factor, cell graph) of each branch on the truth of the
     nullary predicates in the universal clauses, whose constrained
@@ -289,162 +492,109 @@ def build_cell_graph(
     assignment leaves unsatisfied, and it is dead, with no graph, when one
     of them has no cell literal.
 
-    Everything is a bitmask, and each clause is read once, into one record
-    for all branches.  A cell is the int whose bit k-1-i holds atom i of
-    k, so counting up from 0 visits the cells in itertools.product order.
-    A record holds the clause's nullary literals, as a positive and a
-    negative mask over the nullary predicates, and the clause read at one
-    element, where all arguments collapse, as a positive and a negative
-    atom mask: a cell satisfies it when cell & pos or ~cell & neg.  A
-    two-variable clause also gives two oriented clauses, one per reading,
-    each split into its x-side and y-side cell literals and a mask over
-    the 4^b assignments of the b binary predicates' cross atoms, (x,y)
-    then (y,x) per predicate, taken from per-position tables.
+    Everything is a bitmask.  A cell is the int whose bit k-1-i holds atom
+    i of k, so counting up from 0 visits the cells in itertools.product
+    order, and a set of cells is a bitset over the 2^k cells.  The bit
+    layout (the signature, the nullary predicates, the weights and cvars)
+    is looked up in memo and built on a miss as a _Layout, so its set-up
+    is computed once per dict.  memo is compile_sentence's dict, the third
+    that generate keeps per search beside its passes and labellings; a
+    fresh dict when None, so nothing is cached between calls without one.
+    Each clause is read once per layout, into one record for all branches
+    and every build that shares the dict: its nullary masks, the cells
+    that satisfy it at one element, and for a two-variable clause the
+    cells that falsify its x-side and its y-side literals and the cross
+    masks of its two readings.  A branch's cells are then one AND of the
+    records it keeps.
 
-    Every branch keeps the clauses without nullary literals, so its cells
-    are among the cells that satisfy those at one element, and each of
-    these is read once: its weight, and the sets X and Y of oriented
-    clauses whose x-side (y-side) literals it falsifies.  A branch keeps
-    the cells that satisfy its other kept records at one element, and
-    masks X to its kept oriented clauses, so the clauses that constrain
-    the cross atoms of the pair (i, j) are X[i] & Y[j].  The edge weight
-    depends only on that key, and is memoised on it for all branches.
+    Each cell carries two bitsets, X and Y, of the oriented clauses, two
+    per kept two-variable record, whose x-side (y-side) literals it
+    falsifies: X gathers one bit per side from each record, and the other
+    reading swaps the sides, so Y is X with each record's two bits
+    swapped.  The clauses that constrain the cross atoms of the pair
+    (i, j) are X[i] & Y[j], so the edge weight depends only on that key,
+    and is memoised on it for all branches; a key is worth the AND of its
+    oriented clauses' cross masks, whose total the layout keeps for every
+    build.
     """
-    unary = sorted(p for p in sig_preds if p.arity == 1)
-    binary = sorted(p for p in sig_preds if p.arity == 2)
-    atom_preds = unary + binary
-    k = len(atom_preds)
-    bit = {p.name: 1 << (k - 1 - i) for i, p in enumerate(atom_preds)}
-    names = sorted({l.pred.name for c in clauses for l in c.body if not l.pred.arity})
-    nbit = {name: 1 << (len(names) - 1 - i) for i, name in enumerate(names)}
-    cvar_set = set(cvars)
-
-    def wpair(p: Predicate) -> tuple[Value, Value]:
-        w, wbar = weights.get(p.name, (1, 1))
-        if p.name not in cvar_set:
-            return w, wbar
-        x = Poly.variable(len(cvars), cvars.index(p.name))
-        return (w, x) if p.name in negated else (x, wbar)
-
-    atom_w = [wpair(p) for p in atom_preds]
-    # without symbolic weights every weight is a plain int
-    mul = mul_values if cvars else operator.mul
-
-    npos = 2 * len(binary)
-    bpos = {p.name: 2 * i for i, p in enumerate(binary)}
-    nassign = 1 << npos
-    full_mask = (1 << nassign) - 1
-    # holds[p]: the assignments whose cross atom at position p is true
-    holds = [sum(1 << a for a in range(nassign) if a >> p & 1) for p in range(npos)]
-
-    # per clause: its nullary masks, its masks at one element and the bits
-    # of its oriented clauses; per oriented clause: its x-side and y-side
-    # masks, and the assignments that satisfy one of its cross literals.
-    # Masks are [positive, negative].
-    records = []
-    oriented: list[tuple[list[int], list[int]]] = []
+    memo = {} if memo is None else memo
+    names = frozenset(l.pred.name for c in clauses for l in c.body if not l.pred.arity)
+    at = (
+        frozenset(sig_preds), names, frozenset(weights.items()), cvars, frozenset(negated)
+    )
+    layout = memo.get(at)
+    if layout is None:
+        layout = memo[at] = _Layout(sig_preds, names, weights, cvars, negated)
+    records = layout.records
+    # the records every branch keeps, and those with nullary literals; a
+    # two-variable record's oriented clauses are bits shift, shift + 1
+    shared, always, nullary = layout.every, [], []
     cross: list[int] = []
     for c in clauses:
-        if any(q != FORALL for q in c.prefix):
-            raise ValueError("non-universal clause reached the cell graph")
-        null, diag = [0, 0], [0, 0]
-        sides, crosses = ([0, 0], [0, 0]), [0, 0]
-        for l in c.body:
-            name = l.pred.name
-            if not l.pred.arity:
-                null[l.negated] |= nbit[name]
-                continue
-            diag[l.negated] |= bit[name]
-            if c.nvars < 2:
-                continue
-            args = l.args
-            if l.pred.arity == 1 or args[0] == args[1]:
-                sides[args[0] == "y"][l.negated] |= bit[name]
-            else:
-                p = bpos[name] + (args[0] == "y")
-                # the flipped reading swaps the cross atoms' positions
-                for flip in (0, 1):
-                    h = holds[p ^ flip]
-                    crosses[flip] |= full_mask ^ h if l.negated else h
-        tbits = 0
-        if c.nvars == 2:
-            tbits = 3 << len(cross)
-            # the flipped reading swaps the sides
-            oriented += [sides, sides[::-1]]
-            cross += crosses
-        records.append((null, diag, tbits))
+        rec = records.get(c)
+        if rec is None:
+            rec = records[c] = layout.read(c)
+        npos, nneg, sat, two = rec
+        if two is not None:
+            fx, fy, c0, c1 = two
+            two = (len(cross), fx, fy)
+            cross += (c0, c1)
+        if npos | nneg:
+            nullary.append((npos, nneg, sat, two))
+        else:
+            shared &= sat
+            if two is not None:
+                always.append(two)
 
-    assign_w: list[Value] = []
-    for a in range(nassign):
-        w: Value = 1
-        for p in range(npos):
-            wt, wf = atom_w[len(unary) + p // 2]
-            w = mul(w, wt if a >> p & 1 else wf)
-        assign_w.append(w)
-
-    # every branch keeps the clauses without nullary literals, so its cells
-    # are among theirs, and each of those is read once: (weight, X, Y) over
-    # all oriented clauses
-    shared = range(1 << k)
-    for null, (pos, neg), _ in records:
-        if not null[0] | null[1]:
-            shared = [c for c in shared if c & pos or ~c & neg]
-    facts = {}
-    for c in shared:
-        w = 1
-        for b, (wt, wf) in zip(bit.values(), atom_w):
-            w = mul(w, wt if c & b else wf)
-        x = y = 0
-        for t, ((xpos, xneg), (ypos, yneg)) in enumerate(oriented):
-            if not (c & xpos or ~c & xneg):
-                x |= 1 << t
-            if not (c & ypos or ~c & yneg):
-                y |= 1 << t
-        facts[c] = (w, x, y)
-
+    # the edge total of each key X[i] & Y[j], for all branches
     totals: dict[int, Value] = {}
+    sums, full_mask = layout.sums, layout.full_mask
+    # the bits of each record's first reading
+    first = ((1 << len(cross)) - 1) // 3
     branches = []
-    # counting down from all true visits itertools.product((True, False)) order
-    for truth in range((1 << len(names)) - 1, -1, -1):
-        factor = 1
-        for name in names:
-            w, wbar = weights.get(name, (1, 1))
-            factor *= w if truth & nbit[name] else wbar
-        if factor == 0:
-            continue
-        kept = [r for r in records if not (truth & r[0][0] or ~truth & r[0][1])]
-        # a kept clause with no cell literal is false
-        if not all(pos | neg for _, (pos, neg), _ in kept):
-            continue
-        cells = shared
-        tkept = 0
-        for null, (pos, neg), tbits in kept:
-            tkept |= tbits
-            if null[0] | null[1]:
-                cells = [c for c in cells if c & pos or ~c & neg]
-        q = len(cells)
-        xs = [facts[c][1] & tkept for c in cells]
-        ys = [facts[c][2] for c in cells]
-        r: list[list[Value]] = [[0] * q for _ in range(q)]
-        for i in range(q):
-            x = xs[i]
-            row = r[i]
-            for j in range(i, q):
-                key = x & ys[j]
-                total = totals.get(key)
-                if total is None:
-                    mask = full_mask
-                    for t, clause_mask in enumerate(cross):
-                        if key >> t & 1:
-                            mask &= clause_mask
-                    total = 0
-                    for a in range(nassign):
-                        if mask >> a & 1:
-                            total = total + assign_w[a]
-                    totals[key] = total
-                row[j] = r[j][i] = total
-        graph = CellGraph(list(cells), [facts[c][0] for c in cells], r)
-        branches.append((factor, graph))
+    for truth, factor in layout.truths:
+        cells, kept = shared, always
+        for npos, nneg, sat, two in nullary:
+            if truth & npos or ~truth & nneg:
+                continue
+            # a kept clause with no cell literal is false
+            if not sat:
+                break
+            cells &= sat
+            if two is not None:
+                kept = kept + [two]
+        else:
+            entry = layout.cells.get(cells)
+            if entry is None:
+                entry = layout.cells[cells] = layout.weigh(cells)
+            cell_list, cell_w = entry
+            xs = [0] * len(cell_list)
+            for shift, fx, fy in kept:
+                xs = [
+                    x | ((fx >> c & 1) | (fy >> c & 1) << 1) << shift
+                    for x, c in zip(xs, cell_list)
+                ]
+            ys = [(x & first) << 1 | x >> 1 & first for x in xs]
+            q = len(xs)
+            r: list[list[Value]] = [[0] * q for _ in range(q)]
+            for i in range(q):
+                x = xs[i]
+                row = r[i]
+                for j in range(i, q):
+                    key = x & ys[j]
+                    total = totals.get(key)
+                    if total is None:
+                        # the AND of the cross masks of key's oriented clauses
+                        mask = full_mask
+                        for t, clause_mask in enumerate(cross):
+                            if key >> t & 1:
+                                mask &= clause_mask
+                        total = sums.get(mask)
+                        if total is None:
+                            total = sums[mask] = layout.total(mask)
+                        totals[key] = total
+                    row[j] = r[j][i] = total
+            branches.append((factor, CellGraph(list(cell_list), list(cell_w), r)))
     return branches
 
 
@@ -893,16 +1043,24 @@ class CompiledSentence:
         return out
 
 
-def compile_sentence(s: Sentence, weights: WeightMap | None = None) -> CompiledSentence:
+def compile_sentence(
+    s: Sentence, weights: WeightMap | None = None, memo: dict | None = None
+) -> CompiledSentence:
     """s compiled under weights, a map from predicate names to (true,
     false) weights, which must be integers: a weight w with int(w) != w,
     such as 2.5, is a ValueError naming its predicate.
 
-    The clauses are normalized, their counting quantifiers reduced and
-    their existentials skolemized, and one build_cell_graph call reads the
+    Each clause is normalized, its counting quantifier reduced and its
+    existentials skolemized, and one build_cell_graph call reads the
     resulting universal clauses once, against one bit layout over the
-    sentence's predicates and the fresh ones, for all nullary branches."""
+    sentence's predicates and the fresh ones, for all nullary branches.
+    memo, a fresh dict when None, holds what depends on one clause or one
+    layout alone: each clause's prepared form under the fresh names it
+    takes (_prepared), and build_cell_graph's layouts and clause records.
+    The caller owns the dict and decides how long it lives: generate keeps
+    one per search in its GenState."""
     start = time.monotonic()
+    memo = {} if memo is None else memo
     preds = s.predicates
     used = {p.name for p in preds}
     for name, pair_w in (weights or {}).items():
@@ -910,17 +1068,23 @@ def compile_sentence(s: Sentence, weights: WeightMap | None = None) -> CompiledS
             raise ValueError(f"weights of {name} must be integers, got {pair_w}")
     # a weight for a name s does not use could fall on a fresh predicate
     w = {n: (int(a), int(b)) for n, (a, b) in (weights or {}).items() if n in used}
-    clauses = normalize_clauses(sorted(s.clauses, key=Clause.render))
-    clauses, constraints = reduce_counting(clauses, used)
-    clauses = skolemize_clauses(clauses, w, used)
-
+    clauses: list[Clause] = []
+    constraints: list[CardinalityConstraint] = []
     sig = {p for p in preds if p.arity > 0}
-    sig |= {lit.pred for c in clauses for lit in c.body if lit.pred.arity > 0}
+    for c in sorted(s.clauses, key=Clause.render):
+        out, cons, skolem, preds_out = _prepared(c, used, memo)
+        clauses += out
+        constraints += cons
+        sig.update(preds_out)
+        for name in skolem:
+            w[name] = (1, -1)
+    constraints = _first_polarity(constraints, preds)
+
     cvars = tuple(sorted({c.pred for c in constraints}))
     negated = {c.pred for c in constraints if c.negated}
     base_weights = {p: w.get(p, (1, 1))[p in negated] for p in cvars}
 
-    branches = build_cell_graph(clauses, w, sorted(sig), cvars, negated)
+    branches = build_cell_graph(clauses, w, sig, cvars, negated, memo=memo)
     secs = time.monotonic() - start
     return CompiledSentence(branches, constraints, cvars, base_weights, secs)
 

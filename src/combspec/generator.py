@@ -51,10 +51,12 @@ the pool, once per search:
       generator image of a candidate met before finds that candidate's
       column.
 
-classify compiles a candidate once, for its fingerprint.  When generate
-is given a spectrum length, classify computes a new sentence's spectrum
-from that compiled form as it keeps it, with one dict of cell-DP passes
-per search, so nothing compiled outlives its classification.  The
+classify compiles a candidate once, for its fingerprint, with one dict
+per search of what depends on one clause or one bit layout alone
+(GenState.compiles: prepared clauses, layouts and clause records).  When
+generate is given a spectrum length, classify computes a new sentence's
+spectrum from that compiled form as it keeps it, with one dict of cell-DP
+passes per search, so nothing compiled outlives its classification.  The
 compile's time counts against the spectrum's own budget, and the
 search's budget_secs covers the spectra as it covers the filters.
 
@@ -444,7 +446,8 @@ HIDDEN = ("trivial", "reflexive", "subsumed", "spectrum_duplicate")
 class GenState:
     """What one search learns as it classifies: the keys registered so
     far, the interned clauses, the numbered images and each clause's row
-    of them, and, when generate is given a length, the spectra.  group
+    of them, what its compiles share, and, when generate is given a
+    length, the spectra.  group
     lists literal maps of the key group, the identity first; exact says
     it holds every element, so that the least orbit column is the key.
     Only the clauses the search builds are interned: an image is keyed
@@ -463,6 +466,9 @@ class GenState:
     spectrum_secs: float | None = None
     # cell-DP passes, shared by the spectra of one search
     passes: dict = field(default_factory=dict)
+    # prepared clauses, bit layouts and clause records, shared by the
+    # compiles of one search
+    compiles: dict = field(default_factory=dict)
     # the spectrum of each new sentence
     spectra: dict[Sentence, Spectrum] = field(default_factory=dict)
     # one object per distinct clause the search builds, by prefix and
@@ -593,7 +599,7 @@ def classify(s: Sentence, state: GenState) -> str:
     # cell-graph comparison is the costliest filter, so it runs last and
     # indexes only sentences every cheaper filter passed; the compile goes
     # through the engine module, so a wrapper installed there sees it
-    compiled = engine.compile_sentence(s)
+    compiled = engine.compile_sentence(s, memo=state.compiles)
     fkey = spectrum_fingerprint(compiled, memo=state.labels)
     if fkey in state.seen_spectrum:
         return "spectrum_duplicate"

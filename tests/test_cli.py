@@ -110,6 +110,15 @@ def test_fragment_error_exit_code(capsys):
     assert code == 3
 
 
+def test_a_counting_clause_of_more_than_one_literal_exits_3(capsys):
+    # in C2, but the engine counts a single literal only (README's fragment)
+    code = main(["spectrum", "(V x E=1 y B(x,y) | U(x))", "--length", "4"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert err.startswith("unsupported fragment:")
+    assert "counting clause must be a single literal" in err
+
+
 def test_budget_exit_code_with_partial_output(capsys):
     code, out = run(
         capsys,

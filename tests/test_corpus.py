@@ -7,7 +7,8 @@ references that compute them afresh, candidates that hold only their
 clause set, the spectra of dropped and hidden
 candidates against the kept ones, canonical labellings against the reference
 refinement, the size of the cell graphs' twin quotients that the engine
-labels, the engine against the brute-force oracle, spectra that share
+labels, the engine against the brute-force oracle, compiles that share
+clause records against compiles one by one, spectra that share
 cell-DP passes against spectra computed one by one, the spectra that the
 search computes as it keeps each sentence against fresh ones, the cell
 order against the reference greedy, and fingerprints that share
@@ -19,7 +20,7 @@ from typing import NamedTuple
 import pytest
 
 from combspec import engine, generator, logic
-from combspec.engine import compute_spectrum, spectrum_fingerprint
+from combspec.engine import compile_sentence, compute_spectrum, spectrum_fingerprint
 from combspec.generator import GenLimits, GenResult, GenState, generate
 from combspec.logic import parse_sentence
 from combspec.oracle import count_models
@@ -51,7 +52,7 @@ WIDE_LIMITS = GenLimits(max_literals=3, max_clauses=2, unary=2, binary=2)
 
 class Recorded(NamedTuple):
     result: GenResult
-    # (args, kwargs, branches) of every build_cell_graph call
+    # (args, branches) of every build_cell_graph call, without its memo
     graphs: list
     # (sentence, verdict) of every is_refuted call
     refuted: list
@@ -73,9 +74,9 @@ def _recorded_generate(limits, layers, length=None):
         generator.classify,
     )
 
-    def building(*args, **kwargs):
-        branches = build(*args, **kwargs)
-        graphs.append((args, kwargs, branches))
+    def building(*args, memo=None):
+        branches = build(*args, memo=memo)
+        graphs.append((args, branches))
         return branches
 
     def refuting(s):
@@ -140,8 +141,8 @@ def test_verdicts_match_the_reference_that_labels_every_candidate(search, reques
 def test_bitmask_cell_graphs_match_the_reference(search, request):
     calls = request.getfixturevalue(search).graphs
     assert calls
-    for args, kwargs, branches in calls:
-        assert branches == reference_branches(*args, **kwargs), args
+    for args, branches in calls:
+        assert branches == reference_branches(*args), args
 
 
 @pytest.mark.parametrize("search", ["fo2", "c2"])
@@ -283,6 +284,28 @@ def test_kept_c2_sentences_match_the_oracle(c2):
         if compute_spectrum(s, 3).terms != [count_models(s, n) for n in range(1, 4)]
     ]
     assert not bad
+
+
+@pytest.mark.parametrize("search", ["fo2", "c2"])
+def test_shared_compiles_give_the_compiled_forms_of_separate_ones(search, request):
+    # every sentence the search compiled, in its order
+    classified = request.getfixturevalue(search).classified
+    compiled = [s for s, v in classified if v in ("new", "spectrum_duplicate")]
+    assert len(compiled) == {"fo2": 1629, "c2": 492}[search]
+    shared: dict = {}
+    for s in compiled:
+        got = compile_sentence(s, memo=shared)
+        want = compile_sentence(s)
+        assert got.branches == want.branches, s.render()
+        assert (got.constraints, got.cvars, got.base_weights) == (
+            want.constraints,
+            want.cvars,
+            want.base_weights,
+        )
+    # the search's compiles read far fewer clause records than clauses
+    layouts = [v for k, v in shared.items() if isinstance(k, tuple)]
+    records = sum(len(layout.records) for layout in layouts)
+    assert records == {"fo2": 708, "c2": 527}[search]
 
 
 @pytest.mark.parametrize("search", ["fo2", "c2"])

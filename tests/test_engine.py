@@ -529,8 +529,8 @@ def test_one_pass_compile_matches_the_reference_pipeline_on_random_sentences(
     calls = []
     build = engine.build_cell_graph
 
-    def building(*args):
-        branches = build(*args)
+    def building(*args, memo=None):
+        branches = build(*args, memo=memo)
         calls.append((args, branches))
         return branches
 
@@ -563,6 +563,56 @@ def test_one_pass_compile_matches_the_reference_pipeline_on_random_sentences(
             assert wfomc(s, n, weights) == want, (s.render(), weights, n)
         checked += 1
     assert {"factor 0", "dead", "four branches"} <= seen
+
+
+# compiles that share a memo
+
+
+def compiled_parts(comp):
+    """Everything a compile yields but its time."""
+    return comp.branches, comp.constraints, comp.cvars, comp.base_weights
+
+
+# each later sentence reuses a clause of an earlier one whose fresh names
+# its own predicates S0, Z0, D0 or A0 now take
+CLASHING = [
+    "(V x E y B(x,y) | U(x)) & (E x V y ~B(x,y))",
+    "(V x E y B(x,y) | U(x)) & (V x S0(x) | ~U(x))",
+    "(V x E y B(x,y) | U(x)) & (E x V y ~B(x,y)) & (V x V y S0(x) | B(y,x))",
+    "(E x E y B(x,y) | U(x)) & (E x U(x))",
+    "(E x E y B(x,y) | U(x)) & (E x Z0(x) | U(x))",
+    "(E x E y B(x,y) | U(x)) & (V x Z0 | ~U(x))",
+    "(E=1 x B(x,x)) & (V x U(x) | B(x,x))",
+    "(E=1 x B(x,x)) & (V x D0(x) | U(x))",
+    "(E=1 x V y B(x,y)) & (V x U(x) | ~B(x,x))",
+    "(E=1 x V y B(x,y)) & (V x A0(x) | ~B(x,x))",
+    "(E=1 x V y B(x,y)) & (V x E y A0(x) | S0(y))",
+]
+
+
+def test_compiles_that_share_a_memo_take_fresh_names_past_their_own():
+    shared = {}
+    for text in CLASHING * 2:
+        s = parse_sentence(text)
+        comp = compile_sentence(s, memo=shared)
+        assert compiled_parts(comp) == compiled_parts(compile_sentence(s)), text
+        for n in range(1, 4):
+            assert comp.values(n)[-1] == count_models(s, n), (text, n)
+    # every clash took a fresh name past the sentence's own
+    names = {name for c in shared if isinstance(c, logic.Clause) for name in shared[c][1]}
+    assert {("S1",), ("Z1",), ("D1",), ("A1", "S1")} <= names
+
+
+def test_a_memo_serves_two_weight_maps():
+    s = parse_sentence("(V x E y B(x,y) | U(x)) & (E x U(x) | P)")
+    shared = {}
+    seen = []
+    for weights in ({"U": (2, 1), "P": (1, 3)}, {"U": (1, 2), "B": (3, 1)}) * 2:
+        comp = compile_sentence(s, weights, memo=shared)
+        assert compiled_parts(comp) == compiled_parts(compile_sentence(s, weights))
+        seen.append(comp.values(4))
+        assert seen[-1] == [weighted_count(s, n, weights) for n in range(1, 5)]
+    assert seen[0] != seen[1] and seen[:2] == seen[2:]
 
 
 # fingerprints
