@@ -779,11 +779,17 @@ def _kept_majorant(
         majorants.append(m)
     mw, mr = majorants
     width = (sum(mw) ** n * sum(mr) ** k).bit_length()
-    # truncating at the cap is reduction modulo 2^(width * (cap + 1))
-    mod = 1 << width * (cap + 1)
+    # truncating at the cap is masking to width * (cap + 1) bits; one
+    # left-to-right pass over the bits of n and k raises both bases
+    mask = (1 << width * (cap + 1)) - 1
+    bw, br = (sum(c << width * i for i, c in enumerate(m)) for m in majorants)
     x = 1
-    for m, e in ((mw, n), (mr, k)):
-        x = x * pow(sum(c << width * i for i, c in enumerate(m)), e, mod) % mod
+    for i in reversed(range(max(n, k).bit_length())):
+        x = x * x & mask
+        if n >> i & 1:
+            x = x * bw & mask
+        if k >> i & 1:
+            x = x * br & mask
     slot = (1 << width) - 1
     return max(x >> width * i & slot for i in range(cap + 1))
 

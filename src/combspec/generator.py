@@ -70,15 +70,21 @@ that depend on one clause alone (its text, validity, predicate set and
 names, one-element collapse, diagonal form and substitution images) are
 cached properties of Clause, so each is computed once per distinct
 clause and read by the filters; they live as long as the search's
-clauses do.  A candidate holds only its clause set.  The subsumption
-filter reads a clause's substitution images only: which substitutions
-show that one clause implies another depends on the two prefixes alone,
-and is tabulated once, at import, from one quantifier-order rule.
+clauses do.  The subsumption filter reads a clause's substitution
+images only: which substitutions show that one clause implies another
+depends on the two prefixes alone, and is tabulated once, at import,
+from one quantifier-order rule.
 
 The search holds one frontier at a time: a layer's refinements stream
 into one set, so their repeats are freed as they are found and never
-stand beside the deduplicated candidates.  Nothing the search builds
-refers back to itself, so it is all freed by reference counting.
+stand beside the deduplicated candidates.  A candidate there is the
+tuple of its interned clauses in Clause.text order, and generate sorts
+the layer by the tuples of their texts, which is the order of the
+sentences' renders, since no clause text is a proper prefix of another.
+A Sentence, which holds only its clause set, is built for the candidate
+being classified; only kept and hidden ones, the next layer's parents,
+outlive their classification.  Nothing the search builds refers back to
+itself, so it is all freed by reference counting.
 """
 
 from __future__ import annotations
@@ -87,6 +93,7 @@ import itertools
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 from . import engine
@@ -182,23 +189,35 @@ def _literal_options(preds: Sequence[Predicate], nvars: int) -> list[Literal]:
     ]
 
 
+_text = attrgetter("text")
+
+
+def _texts(clauses: tuple[Clause, ...]) -> tuple[str, ...]:
+    """The sort key of a candidate's clause tuple.  No clause text is a
+    proper prefix of another, as each closes its outer parenthesis last,
+    so these tuples compare as the candidates' Sentence.render strings."""
+    return tuple(c.text for c in clauses)
+
+
 def refinements(
     s: Sentence,
     limits: GenLimits,
     pool: Sequence[Clause],
     state: GenState,
-) -> list[Sentence]:
-    """All one-step extensions of s, as built.  Children may repeat, here
-    and across parents; generate deduplicates the whole frontier.  Children
-    built with one state share one object per distinct clause."""
+) -> list[tuple[Clause, ...]]:
+    """All one-step extensions of s, as built, each the tuple of its
+    clauses in Clause.text order.  Children may repeat, here and across
+    parents; generate deduplicates the whole frontier.  Children built
+    with one state share one object per distinct clause."""
     out = []
     for c in s.clauses:
+        rest = s.clauses - {c}
         for extended in _extensions(c, limits, state):
-            out.append(Sentence((s.clauses - {c}) | {extended}))
+            out.append(tuple(sorted(rest | {extended}, key=_text)))
     if len(s.clauses) < limits.max_clauses:
         for c0 in pool:
             if c0 not in s.clauses:
-                out.append(Sentence(s.clauses | {c0}))
+                out.append(tuple(sorted(s.clauses | {c0}, key=_text)))
     return out
 
 
@@ -674,24 +693,25 @@ def generate(
     deadline = engine.budget_deadline(budget_secs)
     # refuse a bad per-spectrum budget before the first candidate
     engine.budget_deadline(spectrum_secs)
-    pool = initial_clauses(limits)
     group, exact = _key_group(limits)
     state = GenState(
         length=length, spectrum_secs=spectrum_secs, group=group, exact=exact
     )
-    frontier: Iterable[Sentence] = [Sentence(frozenset([c])) for c in pool]
+    pool = [_interned(c.prefix, c.body, state) for c in initial_clauses(limits)]
+    frontier: Iterable[tuple[Clause, ...]] = [(c,) for c in pool]
     result = GenResult([], [], [], spectra=state.spectra)
 
     for layer in range(1, layers + 1):
-        # clauses are alpha-normalised, so value equality is text equality
-        candidates = sorted(set(frontier), key=Sentence.render)
+        # a clause set has one tuple, its interned clauses in text order
+        candidates = sorted(set(frontier), key=_texts)
         kept: list[Sentence] = []
         hidden: list[tuple[Sentence, str]] = []
         counts: Counter = Counter()
-        for s in candidates:
+        for clauses in candidates:
             if deadline is not None and time.monotonic() > deadline:
                 result.truncated = True
                 break
+            s = Sentence(frozenset(clauses))
             verdict = classify(s, state)
             counts[verdict] += 1
             if verdict == "new":

@@ -8,14 +8,15 @@ counting (E=k, "there exist exactly k").
 Clauses are alpha-normalized on construction: the first bound variable is
 always x, so two clauses differing only in variable naming compare equal.
 
-A search hashes the same predicates, quantifiers and literals again and
-again, as it builds clause bodies and looks clauses up, so Predicate,
-Quantifier and Literal compute their hash once, on construction, and
-return it from __hash__.  It is the hash of the tuple of their fields,
-the one the generated __hash__ would give, so sets and dicts of them
-iterate in the same order as before.  A str's hash is only valid in the
-process that computed it, so the stored hash is never pickled: each of
-the three pickles as a call to its constructor, which hashes anew.
+A search hashes the same predicates, quantifiers, literals and clauses
+again and again, as it builds clause bodies, looks clauses up and
+deduplicates candidates held as tuples of clauses, so Predicate,
+Quantifier, Literal and Clause compute their hash once, on construction,
+and return it from __hash__.  It is the hash of the tuple of their
+fields, the one the generated __hash__ would give, so sets and dicts of
+them iterate in the same order as before.  A str's hash is only valid in
+the process that computed it, so the stored hash is never pickled: each
+of the four pickles as a call to its constructor, which hashes anew.
 """
 
 from __future__ import annotations
@@ -153,6 +154,15 @@ class Clause:
 
     prefix: tuple[Quantifier, ...]
     body: frozenset[Literal]
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.prefix, self.body)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Clause, (self.prefix, self.body)
 
     @property
     def nvars(self) -> int:

@@ -138,7 +138,11 @@ def unpruned_layers(limits: GenLimits, layers: int) -> list[list[Sentence]]:
     out: list[list[Sentence]] = []
     for _ in range(layers):
         out.append(sorted(set(frontier), key=Sentence.render))
-        frontier = [t for s in out[-1] for t in refinements(s, limits, pool, state)]
+        frontier = [
+            Sentence(frozenset(t))
+            for s in out[-1]
+            for t in refinements(s, limits, pool, state)
+        ]
     return out
 
 

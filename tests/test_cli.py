@@ -733,6 +733,8 @@ def test_generate_rows_carry_unique_only_with_a_db(tmp_path, capsys):
 @pytest.mark.parametrize(
     "limits, kept",
     [
+        # the first layer past the paper's L5: about 5 s of search
+        ("--profile fo2-paper --layers 6", [4, 36, 179, 676, 1641, 3021]),
         # counting clauses through subsumption and the refuter
         ("--profile c2-paper --layers 3", [7, 73, 302]),
         # duplicate checks map candidates by the generators alone,
@@ -742,7 +744,7 @@ def test_generate_rows_carry_unique_only_with_a_db(tmp_path, capsys):
         # without a unary predicate the duplicate checks key by orbit
         ("--ml 3 --mc 2 --up 0 --bp 1 --layers 4", [3, 29, 83, 170]),
     ],
-    ids=["c2-paper-L3", "up2-bp2-L3", "up0-bp2-L3", "up0-bp1-L4"],
+    ids=["fo2-paper-L6", "c2-paper-L3", "up2-bp2-L3", "up0-bp2-L3", "up0-bp1-L4"],
 )
 def test_generate_prints_the_pinned_kept_rows(capsys, limits, kept):
     # nothing is stored without --db, so no row carries a unique count

@@ -947,6 +947,42 @@ def test_the_kept_coefficient_width_gives_the_norm_width_sums(monkeypatch):
     assert sum(new < norm for new, norm in widths) > 50
 
 
+def _pow_majorant(cap, n, k, weights, r):
+    """engine._kept_majorant with each base raised alone by the builtin
+    three-argument pow, modulo the power of two that truncates at the cap."""
+    bases = []
+    for values in (weights, [v for row in r for v in row]):
+        m = [1] + [0] * cap
+        for v in values:
+            for (e,), c in (v.terms if isinstance(v, Poly) else {(0,): v}).items():
+                if e <= cap:
+                    m[e] = max(m[e], abs(c))
+        bases.append(m)
+    width = (sum(bases[0]) ** n * sum(bases[1]) ** k).bit_length()
+    mod = 1 << width * (cap + 1)
+    x = 1
+    for m, e in zip(bases, (n, k)):
+        x = x * pow(sum(c << width * i for i, c in enumerate(m)), e, mod) % mod
+    return max(x >> width * i & (1 << width) - 1 for i in range(cap + 1))
+
+
+def test_the_kept_majorant_matches_the_builtin_power():
+    rng = random.Random(42)
+
+    def value():
+        if rng.random() < 0.4:
+            return rng.randint(-3, 3)
+        return make({(e,): rng.choice([-2, -1, 1, 3]) for e in rng.sample(range(5), 2)})
+
+    for _ in range(500):
+        cap, q = rng.randint(0, 6), rng.randint(1, 3)
+        n, k = rng.randint(0, 12), rng.randint(0, 12)
+        weights = [value() for _ in range(q)]
+        r = [[value() for _ in range(q)] for _ in range(q)]
+        want = _pow_majorant(cap, n, k, weights, r)
+        assert engine._kept_majorant(cap, n, k, weights, r) == want, (cap, n, k)
+
+
 # grouped cell-DP steps against the per-state reference
 
 

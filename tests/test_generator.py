@@ -765,6 +765,39 @@ def test_hidden_sentences_are_still_refined(fo2_limits):
     assert refined_from_hidden
 
 
+@pytest.mark.parametrize("limits, layers", [("fo2_limits", 4), ("c2_limits", 3)])
+def test_the_frontier_holds_interned_clauses_in_text_order(
+    limits, layers, request, monkeypatch
+):
+    # each child is a tuple of the search's own clause objects in text
+    # order, and sorting the candidates of every layer together by their
+    # clause texts sorts them as their rendered sentences do
+    children, states = {}, []
+    refinements = generator.refinements
+
+    def recorded(s, limits, pool, state):
+        children[s] = refinements(s, limits, pool, state)
+        states.append(state)
+        return children[s]
+
+    monkeypatch.setattr(generator, "refinements", recorded)
+    result = generate(request.getfixturevalue(limits), layers)
+    state = states[0]
+    assert all(st is state for st in states)
+    for i in range(layers - 1):
+        parents = result.kept[i] + [s for s, _ in result.hidden[i]]
+        layer = {t for s in parents for t in children[s]}
+        assert len(layer) == sum(result.counts[i + 1].values())
+    # a child whose extended clause is already in the parent has fewer
+    # literals, so it can repeat a candidate of an earlier layer
+    candidates = {t for out in children.values() for t in out}
+    for t in candidates:
+        assert all(state.clauses[c.prefix, c.body] is c for c in t)
+        assert [c.text for c in t] == sorted({c.text for c in t})
+    by_texts = sorted(candidates, key=generator._texts)
+    assert by_texts == sorted(candidates, key=lambda t: Sentence(frozenset(t)).render())
+
+
 def test_generate_budget_truncates(fo2_limits):
     out = generate(fo2_limits, 3, budget_secs=0)
     assert out.truncated
