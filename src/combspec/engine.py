@@ -7,8 +7,9 @@ never enumerates worlds:
 
 1. normalize:   drop quantifiers over variables a clause never uses
 2. reduce:      rewrite exactly-one counting quantifiers into cardinality
-                constraints on predicates, via fresh defining predicates
-                where needed
+                constraints on predicates: a counting clause whose body is
+                not one literal over all its variables first defines a
+                fresh predicate as its body, and counts that literal
 3. skolemize:   eliminate existential quantifiers with fresh predicates
                 weighted (1, -1), leaving only universal clauses
 4. cell graphs: branch on the truth of nullary predicates, and give each
@@ -60,7 +61,6 @@ quotient, one vertex per class, which is an exact isomorphism key.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import time
@@ -79,7 +79,6 @@ from .logic import (
     canonical_labelling,
     make_clause,
     pair,
-    single,
 )
 from .polynomial import Packing, Poly, Value, coeff_of, mul_values, norm1, pow_value
 
@@ -155,14 +154,20 @@ def normalize_clause(c: Clause) -> Clause:
 def reduce_counting(
     c: Clause, fresh: Callable[[str], str]
 ) -> tuple[list[Clause], list[CardinalityConstraint]]:
-    """c with its E=1 quantifier rewritten into a cardinality constraint;
-    a clause that does not count comes back as it is, with none.
+    """c, a normalized clause, with its E=1 quantifier rewritten into a
+    cardinality constraint; a clause that does not count comes back as it
+    is, with none.
 
-    fresh(base) names the fresh defining predicate that a counted reflexive
-    atom (base D) or an E=1 x V y prefix (base A) needs; it takes no weight
-    entry, since every reader of a weight map defaults a missing name to
-    (1, 1).  Only k = 1 is supported; mixed counting/existential prefixes
-    are rejected.
+    A body that is not one literal over all of c's variables, each once,
+    takes one definition step first (the first step of the reduction in
+    Kuzelka, JAIR 2021): a fresh D over those variables, defined by the
+    universal clauses ~D | l1 | ... | lm and D | ~li for each i, is the
+    literal c counts.  The one literal then takes its prefix's path: E=1 x
+    is a constraint alone, V x E=1 y a constraint and a witness clause, and
+    E=1 x V y counts a fresh A(x) that holds where the literal holds for
+    all y.  fresh(base) names D and A; they take no weight entry, since
+    every reader of a weight map defaults a missing name to (1, 1).  Only
+    k = 1 is supported; mixed counting/existential prefixes are rejected.
 
     The constraint counts the atoms on the counted literal's own polarity,
     whose target (n for a binary atom, 1 for a unary one) has the lowest
@@ -179,33 +184,25 @@ def reduce_counting(
         raise FragmentError(
             f"counting cannot pair with another existential: {c.render()}"
         )
-    if len(c.body) != 1:
-        raise FragmentError(f"counting clause must be a single literal: {c.render()}")
-    (lit,) = c.body
-    pname = lit.pred.name
+    out: list[Clause] = []
+    lit, *rest = c.body
+    if rest or not len(set(lit.args)) == lit.pred.arity == c.nvars:
+        universal = _UNIVERSAL[c.nvars - 1]
+        lit = Literal(Predicate(fresh("D"), c.nvars), VARS[: c.nvars])
+        out.append(Clause(universal, frozenset((lit.negate(), *c.body))))
+        out += [Clause(universal, frozenset((lit, b.negate()))) for b in c.body]
     if kinds == ("C", "V"):
         # exactly one x where the literal holds for all y
         aatom = Literal(Predicate(fresh("A"), 1), ("x",))
-        out = [
-            pair(FORALL, FORALL, [aatom.negate(), lit]),
-            pair(FORALL, EXISTS, [aatom, lit.negate()]),
-        ]
+        out.append(pair(FORALL, FORALL, [aatom.negate(), lit]))
+        out.append(pair(FORALL, EXISTS, [aatom, lit.negate()]))
         return out, [CardinalityConstraint(aatom.pred.name, (0, 0, 1))]
-    if lit.pred.arity == 2 and set(lit.args) == {"x", "y"}:
+    if lit.pred.arity == 2:
         # row (or column) sums are all one exactly when each element has a
         # witness and n atoms in all satisfy the literal
-        constraint = CardinalityConstraint(pname, (0, 1, 0), lit.negated)
-        return [pair(FORALL, EXISTS, [lit])], [constraint]
-    if lit.pred.arity == 1:
-        return [], [CardinalityConstraint(pname, (0, 0, 1), lit.negated)]
-    # counted reflexive atom: define D(x) <-> lit(x,x), count D
-    datom = Literal(Predicate(fresh("D"), 1), ("x",))
-    ratom = Literal(lit.pred, ("x", "x"), lit.negated)
-    out = [
-        single(FORALL, [datom, ratom.negate()]),
-        single(FORALL, [datom.negate(), ratom]),
-    ]
-    return out, [CardinalityConstraint(datom.pred.name, (0, 0, 1))]
+        out.append(pair(FORALL, EXISTS, [lit]))
+        return out, [CardinalityConstraint(lit.pred.name, (0, 1, 0), lit.negated)]
+    return out, [CardinalityConstraint(lit.pred.name, (0, 0, 1), lit.negated)]
 
 
 def _first_polarity(
@@ -1152,22 +1149,13 @@ def compute_spectrum(
         return Spectrum([], truncated=True)
 
 
-def _poly_serial(v: Value, perm: Sequence[int]):
-    """Name-free canonical form of a weight under a symbol reordering."""
-    if isinstance(v, int):
-        return v
-    items = []
-    for mono, coef in v.terms.items():
-        permuted = [0] * len(mono)
-        for src, dst in enumerate(perm):
-            permuted[dst] = mono[src]
-        items.append((tuple(permuted), coef))
-    items.sort()
-    return ("p", tuple(items))
+def _poly_serial(v: Value):
+    """Canonical form of a weight: an int, or a polynomial's sorted terms."""
+    return v if isinstance(v, int) else ("p", tuple(sorted(v.terms.items())))
 
 
-def _graph_serial(g: CellGraph, perm: Sequence[int]) -> str:
-    """Canonical serialization of a cell graph under one symbol reordering.
+def _graph_serial(g: CellGraph) -> str:
+    """Canonical serialization of a cell graph.
 
     The graph is labelled on its twin quotient.  Cells with equal edge
     rows are twins (_twin_classes, over every cell, zero weights too),
@@ -1189,8 +1177,8 @@ def _graph_serial(g: CellGraph, perm: Sequence[int]) -> str:
     classes = _twin_classes(r, range(len(g.cells)))
     reps = [grp[0] for grp in classes]
     q = len(reps)
-    wser = [repr(_poly_serial(v, perm)) for v in g.weights]
-    eser = [[repr(_poly_serial(r[a][b], perm)) for b in reps] for a in reps]
+    wser = [repr(_poly_serial(v)) for v in g.weights]
+    eser = [[repr(_poly_serial(r[a][b])) for b in reps] for a in reps]
     colors = [
         (eser[i][i], tuple(sorted(wser[c] for c in grp)))
         for i, grp in enumerate(classes)
@@ -1208,42 +1196,38 @@ def spectrum_fingerprint(comp: CompiledSentence, memo: dict | None = None) -> by
     cell graph up to isomorphism (_graph_serial, through the
     individualisation-refinement search that canonical_key uses too),
     cardinality targets with the polarity they count, and constrained
-    predicates' base weights, minimized over renamings of the symbolic
-    constraint variables.  The polarity is implied by the graphs; keying on
-    it too keeps sentences that count opposite polarities apart, as they
-    were when every constraint counted true atoms, so generation keeps the
-    same sentences.
+    predicates' base weights, with the symbolic constraint variables in
+    their sorted order (comp.cvars), so each compiled form is serialized
+    once.  The polarity is implied by the graphs; keying on it too keeps
+    sentences that count opposite polarities apart, as they were when
+    every constraint counted true atoms, so generation keeps the same
+    sentences.
 
-    A labelling depends only on the graph's weights and edges and on the
-    renaming, and a search meets the same cell graph many times, so each
-    _graph_serial is looked up under those three in memo (a fresh dict
-    when None) and runs only on a miss.  The key is the whole graph, as
-    built, and the twin quotient is formed only on a miss, inside
-    _graph_serial, so a hit costs no grouping.  The caller owns the dict
-    and decides how long it lives: generate keeps one per search in its
-    GenState.  comp is what compile_sentence returns; classify computes
-    the spectrum from the same compiled form.
+    A labelling depends only on the graph's weights and edges, and a
+    search meets the same cell graph many times, so each _graph_serial is
+    looked up under those two in memo (a fresh dict when None) and runs
+    only on a miss.  The key is the whole graph, as built, and the twin
+    quotient is formed only on a miss, inside _graph_serial, so a hit
+    costs no grouping.  The caller owns the dict and decides how long it
+    lives: generate keeps one per search in its GenState.  comp is what
+    compile_sentence returns; classify computes the spectrum from the same
+    compiled form.
     """
     memo = {} if memo is None else memo
-
-    def label(g: CellGraph, perm: tuple[int, ...]) -> str:
-        key = (tuple(g.weights), tuple(map(tuple, g.r)), perm)
-        out = memo.get(key)
-        if out is None:
-            out = memo[key] = _graph_serial(g, perm)
-        return out
-
-    def serial(perm: tuple[int, ...]) -> str:
-        graphs = sorted((factor, label(g, perm)) for factor, g in comp.branches)
-        cons = sorted(
-            (
-                perm[comp.cvars.index(c.pred)],
-                c.coeffs,
-                c.negated,
-                comp.base_weights[c.pred],
-            )
-            for c in comp.constraints
+    graphs = []
+    for factor, g in comp.branches:
+        key = (tuple(g.weights), tuple(map(tuple, g.r)))
+        label = memo.get(key)
+        if label is None:
+            label = memo[key] = _graph_serial(g)
+        graphs.append((factor, label))
+    cons = sorted(
+        (
+            comp.cvars.index(c.pred),
+            c.coeffs,
+            c.negated,
+            comp.base_weights[c.pred],
         )
-        return repr((graphs, cons))
-
-    return min(map(serial, itertools.permutations(range(len(comp.cvars))))).encode()
+        for c in comp.constraints
+    )
+    return repr((sorted(graphs), cons)).encode()

@@ -117,6 +117,8 @@ class StrippedIndex:
         return sorted(hits)
 
 
+# the least time between two online queries, in seconds
+MIN_INTERVAL = 1.0
 _last_online_call = 0.0
 
 
@@ -132,16 +134,15 @@ def _default_fetch(url: str) -> str:
 def online_search(
     terms: Sequence[int],
     fetch: Callable[[str], str] | None = None,
-    min_interval: float = 1.0,
 ) -> list[str]:
     """Query the OEIS search API for a sequence, rate-limited to one call
-    per min_interval seconds.  fetch is injectable for offline replay."""
+    per MIN_INTERVAL seconds.  fetch is injectable for offline replay."""
     import json
 
     global _last_online_call
     if fetch is None:
         fetch = _default_fetch
-    wait = _last_online_call + min_interval - time.monotonic()
+    wait = _last_online_call + MIN_INTERVAL - time.monotonic()
     if wait > 0:
         time.sleep(wait)
     _last_online_call = time.monotonic()

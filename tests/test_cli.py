@@ -15,6 +15,7 @@ from combspec.cli import PROFILES, main
 from combspec.engine import compute_spectrum
 from combspec.generator import GenLimits, generate
 from combspec.logic import parse_sentence
+from combspec.oracle import count_models
 from combspec.seqdb import STATUSES, SpectrumDB
 
 FIXTURE = Path(__file__).parent / "fixtures" / "oeis_stripped.txt"
@@ -110,13 +111,12 @@ def test_fragment_error_exit_code(capsys):
     assert code == 3
 
 
-def test_a_counting_clause_of_more_than_one_literal_exits_3(capsys):
-    # in C2, but the engine counts a single literal only (README's fragment)
-    code = main(["spectrum", "(V x E=1 y B(x,y) | U(x))", "--length", "4"])
-    out, err = capsys.readouterr()
-    assert (code, out) == (3, "")
-    assert err.startswith("unsupported fragment:")
-    assert "counting clause must be a single literal" in err
+def test_a_counting_clause_of_more_than_one_literal_matches_the_oracle(capsys):
+    # the engine counts a fresh predicate defined as the clause's body
+    text = "(V x E=1 y B(x,y) | U(x))"
+    code, out = run(capsys, "spectrum", text, "--length", "4")
+    want = [count_models(parse_sentence(text), n) for n in range(1, 5)]
+    assert (code, [int(t) for t in out.split()]) == (0, want)
 
 
 def test_budget_exit_code_with_partial_output(capsys):
@@ -735,8 +735,8 @@ def test_generate_rows_carry_unique_only_with_a_db(tmp_path, capsys):
     [
         # the first layer past the paper's L5: about 5 s of search
         ("--profile fo2-paper --layers 6", [4, 36, 179, 676, 1641, 3021]),
-        # counting clauses through subsumption and the refuter
-        ("--profile c2-paper --layers 3", [7, 73, 302]),
+        # every counting sentence the paper's C2 profile builds: about 5 s
+        ("--profile c2-paper --layers 6", [7, 73, 302, 943, 1976, 3228]),
         # duplicate checks map candidates by the generators alone,
         # exchanges of two predicates among them, and label the rest
         ("--ml 3 --mc 2 --up 2 --bp 2 --layers 3", [4, 42, 281]),
@@ -744,7 +744,7 @@ def test_generate_rows_carry_unique_only_with_a_db(tmp_path, capsys):
         # without a unary predicate the duplicate checks key by orbit
         ("--ml 3 --mc 2 --up 0 --bp 1 --layers 4", [3, 29, 83, 170]),
     ],
-    ids=["fo2-paper-L6", "c2-paper-L3", "up2-bp2-L3", "up0-bp2-L3", "up0-bp1-L4"],
+    ids=["fo2-paper-L6", "c2-paper-L6", "up2-bp2-L3", "up0-bp2-L3", "up0-bp1-L4"],
 )
 def test_generate_prints_the_pinned_kept_rows(capsys, limits, kept):
     # nothing is stored without --db, so no row carries a unique count

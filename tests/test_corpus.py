@@ -246,13 +246,13 @@ def test_labellings_match_the_reference_refinement(search, request, monkeypatch)
 
 @pytest.mark.parametrize(
     "search, labellings, vertices, entries",
-    [("fo2", 663, 2534, 9482), ("c2", 297, 883, 2322)],
+    [("fo2", 663, 2534, 9482), ("c2", 288, 859, 2276)],
 )
 def test_cell_graphs_are_labelled_on_their_twin_classes(
     search, labellings, vertices, entries, request
 ):
     # one vertex per twin class: a vertex per cell would take 4 382
-    # vertices and 30 664 adjacency entries on fo2, and 1 551 and 8 686 on c2
+    # vertices and 30 664 adjacency entries on fo2, and 1 504 and 8 448 on c2
     inputs = [
         (inv, adj)
         for caller, inv, adj in request.getfixturevalue(search).labellings

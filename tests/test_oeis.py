@@ -212,23 +212,28 @@ def test_no_query_reads_nothing_but_the_file_must_exist(tmp_path):
         StrippedIndex.load(tmp_path / "missing.gz", [])
 
 
-def test_online_search_parses_results():
+@pytest.fixture
+def no_rate_limit(monkeypatch):
+    monkeypatch.setattr(oeis, "MIN_INTERVAL", 0.0)
+
+
+def test_online_search_parses_results(no_rate_limit):
     calls = []
 
     def fake_fetch(url):
         calls.append(url)
         return json.dumps({"results": [{"number": 142}, {"number": 85}]})
 
-    got = online_search([1, 1, 2, 6, 24, 120], fetch=fake_fetch, min_interval=0)
+    got = online_search([1, 1, 2, 6, 24, 120], fetch=fake_fetch)
     assert got == ["A000142", "A000085"]
     assert "1,1,2,6,24,120" in calls[0]
 
 
-def test_online_search_handles_no_results():
+def test_online_search_handles_no_results(no_rate_limit):
     def fake_fetch(url):
         return json.dumps({"results": None, "count": 0})
 
-    assert online_search([9, 9, 9, 9, 9], fetch=fake_fetch, min_interval=0) == []
+    assert online_search([9, 9, 9, 9, 9], fetch=fake_fetch) == []
 
 
 def test_online_search_rate_limits(monkeypatch):
@@ -239,11 +244,11 @@ def test_online_search_rate_limits(monkeypatch):
     def fake_fetch(url):
         return json.dumps({"results": []})
 
-    online_search([1, 2, 3, 4, 5], fetch=fake_fetch, min_interval=5.0)
-    assert naps and naps[0] > 0
+    online_search([1, 2, 3, 4, 5], fetch=fake_fetch)
+    assert naps and 0 < naps[0] <= oeis.MIN_INTERVAL
 
 
-def test_default_fetch_uses_urllib(monkeypatch):
+def test_default_fetch_uses_urllib(monkeypatch, no_rate_limit):
     seen = {}
 
     def fake_urlopen(url, timeout):
@@ -251,15 +256,15 @@ def test_default_fetch_uses_urllib(monkeypatch):
         return io.BytesIO(json.dumps({"results": [{"number": 45}]}).encode())
 
     monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
-    assert online_search([0, 1, 1, 2, 3], min_interval=0) == ["A000045"]
+    assert online_search([0, 1, 1, 2, 3]) == ["A000045"]
     assert seen["url"] == "https://oeis.org/search?q=0,1,1,2,3&fmt=json"
     assert seen["timeout"] == 30
 
 
-def test_default_fetch_raises_on_http_error(monkeypatch):
+def test_default_fetch_raises_on_http_error(monkeypatch, no_rate_limit):
     def fake_urlopen(url, timeout):
         raise urllib.error.HTTPError(url, 503, "Service Unavailable", None, None)
 
     monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
     with pytest.raises(urllib.error.HTTPError):
-        online_search([1, 2, 3, 4, 5], min_interval=0)
+        online_search([1, 2, 3, 4, 5])
