@@ -45,8 +45,10 @@ and run each distinct pass once (generate keeps one per search).
 Likewise spectrum_fingerprint takes a dict of cell-graph labellings, and
 compile_sentence a dict of what depends on one clause or one bit layout
 alone: each clause's normalized, reduced and skolemized form under the
-fresh names it takes, and per layout the set-up, the clause records and
-the edge totals (_Layout).  generate keeps one of each of the three dicts
+fresh names it takes, and per layout its set-up, whose tables of the
+weight of each cell, of each cross-atom assignment and of each nullary
+branch are built whole on a miss, and the clause records and edge totals
+met so far (_Layout).  generate keeps one of each of the three dicts
 per search.  Without a dict each call takes a fresh one, so nothing is
 cached between calls without one: there is no module-level cache.
 
@@ -65,7 +67,7 @@ import math
 import operator
 import time
 from dataclasses import dataclass
-from typing import Callable, Collection, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from .logic import (
     EXISTS,
@@ -334,13 +336,24 @@ class CellGraph:
 Record = tuple[int, int, int, tuple[int, int, int, int] | None]
 
 
+def _table(pairs: Iterable[tuple[Value, Value]], mul) -> list[Value]:
+    """The weight of every assignment to pairs of (true, false) weights:
+    bit i of an index picks the true or the false weight of pair i."""
+    table: list[Value] = [1]
+    for wt, wf in pairs:
+        table = [mul(w, wf) for w in table] + [mul(w, wt) for w in table]
+    return table
+
+
 class _Layout:
     """One bit layout of a signature under one weight map, and what the
-    compiles that share a memo read under it: the assignment weights, the
-    cells with each atom true, the branches on the nullary predicates, and
-    per-layout dicts of clause records (records), of each branch cell set's
-    cells and weights (cells) and of the edge total of each AND of cross
-    masks (sums).  Cell sets are bitsets over the 2^k cells."""
+    compiles that share a memo read under it: three tables built once by
+    _table, of the weight of each cross-atom assignment (assign_w), of each
+    cell (cell_w) and of each branch on the nullary predicates (truths
+    holds its nonzero entries), the cells with each atom true, and two
+    dicts filled as builds ask, of clause records (records) and of the
+    edge total of each AND of cross masks (sums).  Cell sets are bitsets
+    over the 2^k cells."""
 
     def __init__(self, sig, names, weights, cvars, negated):
         # within one arity, predicates sort by name
@@ -349,7 +362,7 @@ class _Layout:
         atom_preds = unary + binary
         k = len(atom_preds)
         names = sorted(names)
-        self.bit = {p.name: 1 << (k - 1 - i) for i, p in enumerate(atom_preds)}
+        bit = {p.name: 1 << (k - 1 - i) for i, p in enumerate(atom_preds)}
         self.nbit = {name: 1 << (len(names) - 1 - i) for i, name in enumerate(names)}
 
         def wpair(p: Predicate) -> tuple[Value, Value]:
@@ -360,9 +373,10 @@ class _Layout:
             return (w, x) if p.name in negated else (x, wbar)
 
         atom_w = [wpair(p) for p in atom_preds]
-        self.atom_w = list(zip(self.bit.values(), atom_w))
         # without symbolic weights every weight is a plain int
-        self.mul = mul = mul_values if cvars else operator.mul
+        mul = mul_values if cvars else operator.mul
+        # cell_w[c]: the weight of cell c, whose bit k-1-a is atom a
+        self.cell_w = _table(reversed(atom_w), mul)
 
         npos = 2 * len(binary)
         self.bpos = {p.name: 2 * i for i, p in enumerate(binary)}
@@ -372,14 +386,9 @@ class _Layout:
         self.holds = [
             sum(1 << a for a in range(nassign) if a >> p & 1) for p in range(npos)
         ]
-        # assign_w[a]: the weight of assignment a, built a position at a
-        # time: bit p of a picks the true or the false weight of position p
-        self.assign_w: list[Value] = [1]
-        for p in range(npos):
-            wt, wf = atom_w[len(unary) + p // 2]
-            self.assign_w = [mul(w, wf) for w in self.assign_w] + [
-                mul(w, wt) for w in self.assign_w
-            ]
+        # assign_w[a]: the weight of assignment a, whose bit p is the cross
+        # atom at position p
+        self.assign_w = _table([atom_w[len(unary) + p // 2] for p in range(npos)], mul)
 
         ncells = 1 << k
         self.every = (1 << ncells) - 1
@@ -387,21 +396,15 @@ class _Layout:
         # of b set bits repeat every 2b cells
         self.has = {
             name: (((1 << b) - 1) << b) * (self.every // ((1 << 2 * b) - 1))
-            for name, b in self.bit.items()
+            for name, b in bit.items()
         }
-        # counting down from all true visits itertools.product((True, False))
-        # order; a branch of factor 0 is skipped
-        self.truths = []
-        for truth in range((1 << len(names)) - 1, -1, -1):
-            factor = 1
-            for name in names:
-                w, wbar = weights.get(name, (1, 1))
-                factor *= w if truth & self.nbit[name] else wbar
-            if factor:
-                self.truths.append((truth, factor))
+        # factors[t]: the factor of the branch whose truths are t's bits,
+        # placed as nbit places them; counting down from all true visits
+        # itertools.product((True, False)) order, and a branch of factor 0
+        # is skipped
+        factors = _table([weights.get(n, (1, 1)) for n in names[::-1]], operator.mul)
+        self.truths = [(t, f) for t, f in reversed(list(enumerate(factors))) if f]
         self.records: dict[Clause, Record] = {}
-        self.cells: dict[int, tuple[list[int], list[Value]]] = {}
-        self.weight: dict[int, Value] = {}
         self.sums: dict[int, Value] = {}
 
     def read(self, c: Clause) -> Record:
@@ -443,24 +446,6 @@ class _Layout:
         two = (every ^ sides[0], every ^ sides[1], *crosses) if two_var else None
         return null[0], null[1], sat, two
 
-    def weigh(self, cells: int) -> tuple[list[int], list[Value]]:
-        """The cells of a bitset, ascending, and their weights, each
-        computed once per layout."""
-        out, weights = [], []
-        while cells:
-            low = cells & -cells
-            cells ^= low
-            c = low.bit_length() - 1
-            w = self.weight.get(c)
-            if w is None:
-                w = 1
-                for b, (wt, wf) in self.atom_w:
-                    w = self.mul(w, wt if c & b else wf)
-                self.weight[c] = w
-            out.append(c)
-            weights.append(w)
-        return out, weights
-
     def total(self, mask: int) -> Value:
         """The summed weight of the cross-atom assignments in mask."""
         total: Value = 0
@@ -493,8 +478,9 @@ def build_cell_graph(
     i of k, so counting up from 0 visits the cells in itertools.product
     order, and a set of cells is a bitset over the 2^k cells.  The bit
     layout (the signature, the nullary predicates, the weights and cvars)
-    is looked up in memo and built on a miss as a _Layout, so its set-up
-    is computed once per dict.  memo is compile_sentence's dict, the third
+    is looked up in memo and built on a miss as a _Layout, so its set-up,
+    with the branch factors and every cell's weight, is computed once per
+    dict.  memo is compile_sentence's dict, the third
     that generate keeps per search beside its passes and labellings; a
     fresh dict when None, so nothing is cached between calls without one.
     Each clause is read once per layout, into one record for all branches
@@ -502,7 +488,8 @@ def build_cell_graph(
     that satisfy it at one element, and for a two-variable clause the
     cells that falsify its x-side and its y-side literals and the cross
     masks of its two readings.  A branch's cells are then one AND of the
-    records it keeps.
+    records it keeps, listed from that bitset lowest bit first, and each
+    cell's weight is read from the layout's table.
 
     Each cell carries two bitsets, X and Y, of the oriented clauses, two
     per kept two-variable record, whose x-side (y-side) literals it
@@ -561,10 +548,12 @@ def build_cell_graph(
             if two is not None:
                 kept = kept + [two]
         else:
-            entry = layout.cells.get(cells)
-            if entry is None:
-                entry = layout.cells[cells] = layout.weigh(cells)
-            cell_list, cell_w = entry
+            cell_list = []
+            while cells:
+                low = cells & -cells
+                cells ^= low
+                cell_list.append(low.bit_length() - 1)
+            cell_w = [layout.cell_w[c] for c in cell_list]
             xs = [0] * len(cell_list)
             for shift, fx, fy in kept:
                 xs = [
@@ -591,7 +580,7 @@ def build_cell_graph(
                             total = sums[mask] = layout.total(mask)
                         totals[key] = total
                     row[j] = r[j][i] = total
-            branches.append((factor, CellGraph(list(cell_list), list(cell_w), r)))
+            branches.append((factor, CellGraph(cell_list, cell_w, r)))
     return branches
 
 

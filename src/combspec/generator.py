@@ -223,17 +223,12 @@ def refinements(
 
 def _extensions(c: Clause, limits: GenLimits, state: GenState) -> list[Clause]:
     """c with one literal added, each way the limits allow, interned.
-    They are built on the state's first request for c, and the literal
-    options once per number of variables."""
+    They are built on the state's first request for c."""
     extended = state.extensions.get(c)
     if extended is None:
         extended = []
         if not c.is_counting and len(c.body) < limits.max_literals:
-            options = state.options.get(c.nvars)
-            if options is None:
-                options = _literal_options(limits.predicates(), c.nvars)
-                state.options[c.nvars] = options
-            for lit in options:
+            for lit in _literal_options(limits.predicates(), c.nvars):
                 if lit not in c.body:
                     extended.append(_interned(c.prefix, c.body | {lit}, state))
         state.extensions[c] = extended
@@ -493,10 +488,8 @@ class GenState:
     # one object per distinct clause the search builds, by prefix and
     # body, so that each clause's cached facts are computed once
     clauses: dict[tuple, Clause] = field(default_factory=dict)
-    # each refined clause's one-literal extensions, and the literals that
-    # a clause of one or of two variables may gain
+    # each refined clause's one-literal extensions
     extensions: dict[Clause, list[Clause]] = field(default_factory=dict)
-    options: dict[int, list[Literal]] = field(default_factory=dict)
     # the literal map of each element of group; a number for each image
     # met, keyed by its (prefix, body), and each clause's row of image
     # numbers, one per map
