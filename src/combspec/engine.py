@@ -799,7 +799,10 @@ def evaluate_cell_sum(
     as comb(used + c, c), so what the last cell leaves are the sums for
     all domain sizes at once.  A step computes the factor of count c of
     its cell, g[c] = comb(used + c, c) * f[c] with f[c] the cell's own
-    atoms, once per used bucket.
+    atoms, once per used bucket.  A step's states are a list indexed by
+    the elements used, and a bucket's dict is made on its first write, so
+    a used count that no state reaches costs nothing.  The row of powers
+    of an edge value is built once per pass, whichever cells share it.
 
     The states of a bucket that differ only in a0, the step's own
     accumulator, reach the same keys, so they are stored as one group
@@ -898,13 +901,17 @@ def evaluate_cell_sum(
 
     # states[used] maps the later accumulators accs[1:] to a group, which
     # maps a0 = accs[0] to the summed coefficient; accs[t] holds the
-    # product over processed cells p of rr[p][i+t] ** count_p
-    states: dict[int, dict[tuple, dict]] = {0: {(1,) * (q - 1): {1: 1}}}
+    # product over processed cells p of rr[p][i+t] ** count_p.  A used
+    # count that holds no state has None
+    states: list[dict[tuple, dict] | None] = [None] * (length + 1)
+    states[0] = {(1,) * (q - 1): {1: 1}}
     # sums[n]: the sum for n elements, added to at the last cell
     sums: list[Value] = [0] * (length + 1)
+    # the row of powers of each distinct edge value, shared by the steps
+    powers = {v: _powers(emul, v, length) for v in {v for row in rr for v in row}}
     ticker = 0
     for i in range(q):
-        rows = [_powers(emul, rr[i][j], length) for j in range(i, q)]
+        rows = [powers[v] for v in rr[i][i:]]
         # f[c] = rr[i][i] ** C(c, 2) * w[i] ** c: the cell's own atoms
         f = [1]
         for c in range(1, length + 1):
@@ -914,9 +921,11 @@ def evaluate_cell_sum(
             # a count's factors on the next cell's accumulator, and on the
             # ones after it
             heads = rows[1]
-            tails = [tuple(row[c] for row in rows[2:]) for c in range(length + 1)]
-        nxt: dict[int, dict[tuple, dict]] = {u: {} for u in range(length + 1)}
-        for used, bucket in states.items():
+            tails = list(zip(*rows[2:])) or [()] * (length + 1)
+        nxt: list[dict[tuple, dict] | None] = [None] * (length + 1)
+        for used, bucket in enumerate(states):
+            if bucket is None:
+                continue
             g = []
             for c in range(length - used + 1):
                 # every larger count keeps a zero factor
@@ -955,6 +964,8 @@ def evaluate_cell_sum(
                     key = tuple(map(emul, tail, tails[c])) if c else tail
                     a = emul(head, heads[c]) if c else head
                     slot = nxt[used + c]
+                    if slot is None:
+                        slot = nxt[used + c] = {}
                     into = slot.get(key)
                     if into is None:
                         slot[key] = {a: contrib}

@@ -63,17 +63,20 @@ search's budget_secs covers the spectra as it covers the filters.
 Candidates are built from a small pool of clauses, so the search interns
 each clause it builds in one dict per search (GenState.clauses), keyed by
 prefix and body so that a lookup builds nothing: every candidate of a
-search shares one object per distinct clause.  refinements builds a
-clause's one-literal extensions once per search (GenState.extensions),
-so a clause met again in another parent costs one lookup.  The facts
-that depend on one clause alone (its text, validity, predicate set and
-names, one-element collapse, diagonal form and substitution images) are
-cached properties of Clause, so each is computed once per distinct
-clause and read by the filters; they live as long as the search's
-clauses do.  The subsumption filter reads a clause's substitution
-images only: which substitutions show that one clause implies another
-depends on the two prefixes alone, and is tabulated once, at import,
-from one quantifier-order rule.
+search shares one object per distinct clause.  A new clause takes its
+body's literals from one more dict per search (GenState.literals), so
+the candidates share one object per distinct literal too, and with it
+the complement and substitution images that the literal keeps
+(logic.Literal).  refinements builds a clause's one-literal extensions
+once per search (GenState.extensions), so a clause met again in another
+parent costs one lookup.  The facts that depend on one clause alone
+(its text, validity, predicate set and names, one-element collapse,
+diagonal form and substitution images) are cached properties of Clause,
+so each is computed once per distinct clause and read by the filters;
+they live as long as the search's clauses do.  The subsumption filter
+reads a clause's substitution images only: which substitutions show that
+one clause implies another depends on the two prefixes alone, and is
+tabulated once, at import, from one quantifier-order rule.
 
 The search holds one frontier at a time: a layer's refinements stream
 into one set, so their repeats are freed as they are found and never
@@ -239,9 +242,10 @@ def _interned(
     prefix: tuple[Quantifier, ...], body: frozenset[Literal], state: GenState
 ) -> Clause:
     """The state's one clause with this prefix and body, built on the
-    first request."""
+    first request from the state's one object per literal."""
     c = state.clauses.get((prefix, body))
     if c is None:
+        body = frozenset([state.literals.setdefault(lit, lit) for lit in body])
         c = state.clauses[prefix, body] = Clause(prefix, body)
     return c
 
@@ -459,11 +463,11 @@ HIDDEN = ("trivial", "reflexive", "subsumed", "spectrum_duplicate")
 @dataclass
 class GenState:
     """What one search learns as it classifies: the keys registered so
-    far, the interned clauses, the numbered images and each clause's row
-    of them, what its compiles share, and, when generate is given a
-    length, the spectra.  group
-    lists literal maps of the key group, the identity first; exact says
-    it holds every element, so that the least orbit column is the key.
+    far, the interned clauses and literals, the numbered images and each
+    clause's row of them, what its compiles share, and, when generate is
+    given a length, the spectra.  group lists literal maps of the key
+    group, the identity first; exact says it holds every element, so
+    that the least orbit column is the key.
     Only the clauses the search builds are interned: an image is keyed
     in ids by its (prefix, body), and its x-y swap is the same map's
     image of the clause's own swap, which Clause.images holds.  A bare
@@ -486,8 +490,10 @@ class GenState:
     # the spectrum of each new sentence
     spectra: dict[Sentence, Spectrum] = field(default_factory=dict)
     # one object per distinct clause the search builds, by prefix and
-    # body, so that each clause's cached facts are computed once
+    # body, so that each clause's cached facts are computed once, and one
+    # per distinct literal of their bodies
     clauses: dict[tuple, Clause] = field(default_factory=dict)
+    literals: dict[Literal, Literal] = field(default_factory=dict)
     # each refined clause's one-literal extensions
     extensions: dict[Clause, list[Clause]] = field(default_factory=dict)
     # the literal map of each element of group; a number for each image

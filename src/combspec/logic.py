@@ -17,6 +17,14 @@ fields, the one the generated __hash__ would give, so sets and dicts of
 them iterate in the same order as before.  A str's hash is only valid in
 the process that computed it, so the stored hash is never pickled: each
 of the four pickles as a call to its constructor, which hashes anew.
+
+A Literal also keeps its complement and those of its substitution images
+that differ from it, each built on first use, so the clauses that share a
+literal share them too: Clause.images, Clause.diagonal and the engine's
+prepared forms.  An unchanged image is the literal itself, and is not
+kept, and a complement or image keeps its own, never the literal it came
+from, so nothing a literal keeps refers back to it and reference counting
+frees it.  Neither cache is pickled or compared.
 """
 
 from __future__ import annotations
@@ -120,14 +128,36 @@ class Literal:
         return Literal, (self.pred, self.args, self.negated)
 
     def negate(self) -> "Literal":
-        return Literal(self.pred, self.args, not self.negated)
+        return self._negation
 
     def substitute(self, mapping: Mapping[str, str]) -> "Literal":
-        return Literal(
-            self.pred,
-            tuple(mapping.get(a, a) for a in self.args),
-            self.negated,
-        )
+        """The literal with each argument a read as mapping.get(a, a): the
+        literal itself when no argument moves."""
+        image = self._images.get((mapping.get("x", "x"), mapping.get("y", "y")))
+        if image is not None:
+            return image
+        args = tuple(mapping.get(a, a) for a in self.args)
+        return self if args == self.args else Literal(self.pred, args, self.negated)
+
+    @cached_property
+    def _negation(self) -> Literal:
+        return Literal(self.pred, self.args, not self.negated)
+
+    @cached_property
+    def _images(self) -> dict[tuple[str, str], Literal]:
+        """The image under each substitution of x and y by variables that
+        moves an argument, keyed by the (image of x, image of y) pair; equal
+        images are one object."""
+        made: dict[tuple[str, ...], Literal] = {}
+        images = {}
+        for a in VARS:
+            for b in VARS:
+                args = tuple(a if v == "x" else b for v in self.args)
+                if args != self.args:
+                    if args not in made:
+                        made[args] = Literal(self.pred, args, self.negated)
+                    images[a, b] = made[args]
+        return images
 
     def render(self) -> str:
         s = "~" if self.negated else ""
@@ -201,7 +231,7 @@ class Clause:
         """The body under each substitution of x and y by variables,
         keyed by the (image of x, image of y) pair."""
         return {
-            (a, b): frozenset(lit.substitute({"x": a, "y": b}) for lit in self.body)
+            (a, b): frozenset(lit._images.get((a, b), lit) for lit in self.body)
             for a in VARS
             for b in VARS
         }

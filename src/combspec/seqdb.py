@@ -28,7 +28,6 @@ import json
 import os
 import re
 from dataclasses import dataclass
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import isqrt
 from operator import attrgetter
@@ -250,9 +249,10 @@ class SpectrumDB:
         each stored term is tested instead.  Dividing the query by a factor
         determines the cofactor head except at positions where both are
         zero, so mates are found by hash lookup on the masked head and
-        verified over the whole overlap.  Each bucket of `_by_second` is in
-        id order, so the factors of one bucket are read as they stand, and
-        only the factors of several buckets are sorted together.  The
+        verified over the whole overlap.  The factors whose third term does
+        not divide the query's are left out as they are gathered, and each
+        bucket of `_by_second` is in id order, so the rest are sorted by id
+        only when they come from several buckets.  The
         all-ones factor is skipped (it would pair every spectrum with
         itself times nothing).
         """
@@ -266,14 +266,17 @@ class SpectrumDB:
             keys = [k for d in divisors for k in (d, -d) if k in by_second]
         else:
             keys = [d for d in by_second if (s1 % d == 0 if d else s1 == 0)]
-        buckets = [by_second[k] for k in keys]
-        factors = buckets[0] if len(buckets) == 1 else sorted(
-            chain.from_iterable(buckets), key=attrgetter("id")
-        )
+        # the third term rejects most candidates before they are sorted
+        factors = [
+            rec
+            for k in keys
+            for rec in by_second[k]
+            if not (s2 % rec.spectrum[2] if rec.spectrum[2] else s2)
+        ]
+        if len(keys) > 1:
+            factors.sort(key=attrgetter("id"))
         for rec in factors:
-            f2 = rec.spectrum[2]
-            # the third term rejects most candidates before the full test
-            if (s2 % f2 if f2 else s2) or not eligible(rec) or any(
+            if not eligible(rec) or any(
                 s % f if f else s for f, s in zip(rec.spectrum, spectrum)
             ):
                 continue

@@ -186,6 +186,13 @@ def test_fo2_candidates_share_one_object_per_distinct_clause(fo2):
     assert len({id(c) for c in clauses}) == len(set(clauses)) == 835
 
 
+@pytest.mark.parametrize("search", ["fo2", "c2"])
+def test_candidates_share_one_object_per_distinct_literal(search, request):
+    classified = request.getfixturevalue(search).classified
+    literals = [lit for s, _ in classified for c in s.clauses for lit in c.body]
+    assert len({id(lit) for lit in literals}) == len(set(literals)) == 12
+
+
 def test_fo2_candidates_carry_only_their_clause_set(fo2):
     sentences = [s for s, _ in fo2.classified]
     assert not any(hasattr(s, "__dict__") for s in sentences)

@@ -1142,14 +1142,30 @@ def _grouped_cases(rng):
     return cases
 
 
+def _steps_repeat_an_edge_value(merged, length):
+    """Some edge value of the pass is in the rows of two of its steps, in
+    the engine's cell order: the row of cell i from i on."""
+    r = merged[1]
+    order = engine._greedy_cell_order(r, len(r), length)
+    seen: set = set()
+    for t, i in enumerate(order):
+        row = {r[i][j] for j in order[t:]}
+        if row & seen:
+            return True
+        seen |= row
+    return False
+
+
 def test_grouped_cell_sum_gives_the_sums_of_the_per_state_loop():
     rng = random.Random(28)
-    shared = cancelled = 0
+    shared = cancelled = empty = 0
 
     def visit(used, bucket, g, last, mul, emul):
         # groups of states with equal later accumulators, and the group
-        # sums of coeff * a0^c that cancel while a member's term does not
-        nonlocal shared, cancelled
+        # sums of coeff * a0^c that cancel while a member's term does not;
+        # and used counts that hold no state
+        nonlocal shared, cancelled, empty
+        empty += not bucket
         groups: dict = {}
         for accs, coeff in bucket.items():
             groups.setdefault(accs[1:], []).append((accs[0], coeff))
@@ -1161,12 +1177,16 @@ def test_grouped_cell_sum_gives_the_sums_of_the_per_state_loop():
                     runs = [emul(run, a0) for run, (a0, _) in zip(runs, members)]
                 cancelled += any(runs) and not sum(runs)
 
-    packed = 0
+    packed = hollow = repeats = 0
     for merged, length, caps in _grouped_cases(rng):
+        before = empty
         want = reference_cell_sum(merged, length, caps, visit)
         assert evaluate_cell_sum(merged, length, caps) == want
         packed += any(isinstance(v, Poly) for v in want)
+        hollow += empty > before
+        repeats += _steps_repeat_an_edge_value(merged, length)
     assert shared > 300 and cancelled > 20 and packed > 50, (shared, cancelled, packed)
+    assert hollow > 20 and repeats > 100, (hollow, repeats)
 
 
 def test_a_passed_deadline_stops_a_grouped_pass():

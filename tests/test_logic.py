@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import itertools
 import os
 import pickle
 import random
@@ -134,6 +135,44 @@ def test_literal_substitute_and_negate():
     assert lit.substitute({"y": "x"}).args == ("x", "x")
     assert lit.negate().negated is True
     assert lit.negate().negate() == lit
+
+
+def _reachable(roots):
+    """The ids of the literals, dicts, tuples and sets reachable from roots
+    through gc.get_referents, roots included."""
+    seen, todo = set(), list(roots)
+    while todo:
+        o = todo.pop()
+        if id(o) not in seen and isinstance(o, (Literal, dict, tuple, frozenset)):
+            seen.add(id(o))
+            todo += gc.get_referents(o)
+    return seen
+
+
+def test_a_literal_keeps_its_complement_and_moved_images():
+    maps = [{"x": a, "y": b} for a in logic.VARS for b in logic.VARS]
+    for pred in (Predicate("P", 0), Predicate("U", 1), Predicate("B", 2)):
+        for args in itertools.product(logic.VARS, repeat=pred.arity):
+            for negated in (False, True):
+                lit = Literal(pred, args, negated)
+                assert lit.negate() == Literal(pred, args, not negated)
+                assert lit.negate() is lit.negate()
+                for m in maps:
+                    image = lit.substitute(m)
+                    moved = tuple(m[a] for a in args)
+                    assert image == Literal(pred, moved, negated)
+                    assert image is lit.substitute(dict(m))
+                    assert (image is lit) == (moved == args)
+                clause = Clause((FORALL, FORALL), frozenset([lit]))
+                for (a, b), body in clause.images.items():
+                    assert body == {lit.substitute({"x": a, "y": b})}
+                # what the literal keeps, and what that keeps in turn, never
+                # refers back to it
+                lit.negate().negate()
+                for m in maps:
+                    lit.substitute(m).substitute({"x": "x", "y": "x"})
+                assert vars(lit).keys() > {"_negation", "_images"}
+                assert id(lit) not in _reachable(vars(lit).values())
 
 
 def test_sentence_predicates():
