@@ -43,12 +43,13 @@ symbolic caps.  Many sentences share one, so a caller that computes many
 spectra can pass one memo dict to compute_spectrum, keyed on those three,
 and run each distinct pass once (generate keeps one per search).
 Likewise spectrum_fingerprint takes a dict of cell-graph labellings, and
-compile_sentence a dict of what depends on one clause or one bit layout
-alone: each clause's normalized, reduced and skolemized form under the
-fresh names it takes, and per layout its set-up, whose tables of the
-weight of each cell, of each cross-atom assignment and of each nullary
-branch are built whole on a miss, and the clause records and edge totals
-met so far (_Layout).  generate keeps one of each of the three dicts
+compile_sentence a dict of what depends on one clause at one position
+or one bit layout alone: each clause's normalized, reduced and
+skolemized form at each position of a sentence's clauses, whose fresh
+predicates are named by that position, one literal per fresh name, and
+per layout its set-up, whose tables of the weight of each cell, of each
+cross-atom assignment and of each nullary branch are built whole on a
+miss, and the clause records and edge totals met so far (_Layout).  generate keeps one of each of the three dicts
 per search.  Without a dict each call takes a fresh one, so nothing is
 cached between calls without one: there is no module-level cache.
 
@@ -128,15 +129,6 @@ class Spectrum:
     truncated: bool = False
 
 
-def _fresh(used: set[str], base: str) -> str:
-    i = 0
-    while f"{base}{i}" in used:
-        i += 1
-    name = f"{base}{i}"
-    used.add(name)
-    return name
-
-
 def normalize_clause(c: Clause) -> Clause:
     """c without quantifiers over variables it never uses; counting over
     an unused variable is a FragmentError."""
@@ -154,7 +146,7 @@ def normalize_clause(c: Clause) -> Clause:
 
 
 def reduce_counting(
-    c: Clause, fresh: Callable[[str], str]
+    c: Clause, fresh: Callable[[str, int], Literal]
 ) -> tuple[list[Clause], list[CardinalityConstraint]]:
     """c, a normalized clause, with its E=1 quantifier rewritten into a
     cardinality constraint; a clause that does not count comes back as it
@@ -167,7 +159,8 @@ def reduce_counting(
     literal c counts.  The one literal then takes its prefix's path: E=1 x
     is a constraint alone, V x E=1 y a constraint and a witness clause, and
     E=1 x V y counts a fresh A(x) that holds where the literal holds for
-    all y.  fresh(base) names D and A; they take no weight entry, since
+    all y.  fresh(base, arity) gives the literals of D and A over the
+    first arity variables; they take no weight entry, since
     every reader of a weight map defaults a missing name to (1, 1).  Only
     k = 1 is supported; mixed counting/existential prefixes are rejected.
 
@@ -190,12 +183,12 @@ def reduce_counting(
     lit, *rest = c.body
     if rest or not len(set(lit.args)) == lit.pred.arity == c.nvars:
         universal = _UNIVERSAL[c.nvars - 1]
-        lit = Literal(Predicate(fresh("D"), c.nvars), VARS[: c.nvars])
+        lit = fresh("D", c.nvars)
         out.append(Clause(universal, frozenset((lit.negate(), *c.body))))
         out += [Clause(universal, frozenset((lit, b.negate()))) for b in c.body]
     if kinds == ("C", "V"):
         # exactly one x where the literal holds for all y
-        aatom = Literal(Predicate(fresh("A"), 1), ("x",))
+        aatom = fresh("A", 1)
         out.append(pair(FORALL, FORALL, [aatom.negate(), lit]))
         out.append(pair(FORALL, EXISTS, [aatom, lit.negate()]))
         return out, [CardinalityConstraint(aatom.pred.name, (0, 0, 1))]
@@ -226,11 +219,11 @@ def _first_polarity(
 
 
 def skolemize_clauses(
-    clauses: Sequence[Clause], fresh: Callable[[str], str]
+    clauses: Sequence[Clause], fresh: Callable[[str, int], Literal]
 ) -> tuple[list[Clause], list[str]]:
-    """Replace existential prefixes with fresh predicates, named by
-    fresh(base) (base S for a unary one, Z for a nullary one), which weigh
-    (1, -1); returns the universal clauses and those names.
+    """Replace existential prefixes with fresh predicates, whose literals
+    fresh(base, arity) gives (S(x) for a unary one, Z for a nullary one),
+    which weigh (1, -1); returns the universal clauses and those names.
 
     The weighted count over the extended vocabulary equals the input's by
     the usual telescoping of the -1 branch.
@@ -245,19 +238,18 @@ def skolemize_clauses(
         if kinds in (("V",), ("V", "V")):
             out.append(c)
         elif kinds in (("E",), ("E", "E")):
-            z = Literal(Predicate(fresh("Z"), 0), ())
+            z = fresh("Z", 0)
             skolem.append(z.pred.name)
             universal = one if len(kinds) == 1 else two
             for lit in c.body:
                 out.append(Clause(universal, frozenset((z, lit.negate()))))
         elif kinds == ("V", "E"):
-            s = Literal(Predicate(fresh("S"), 1), ("x",))
+            s = fresh("S", 1)
             skolem.append(s.pred.name)
             for lit in c.body:
                 out.append(Clause(two, frozenset((s, lit.negate()))))
         else:  # ("E", "V")
-            s = Literal(Predicate(fresh("S"), 1), ("x",))
-            z = Literal(Predicate(fresh("Z"), 0), ())
+            s, z = fresh("S", 1), fresh("Z", 0)
             skolem += [s.pred.name, z.pred.name]
             out.append(Clause(one, frozenset((z.negate(), s))))
             out.append(Clause(two, frozenset((s, *c.body))))
@@ -271,45 +263,26 @@ Prepared = tuple[
 ]
 
 
-def _prepare(c: Clause, fresh: Callable[[str], str]) -> Prepared:
+def _prepare(c: Clause, k: int, memo: dict) -> Prepared:
     """c normalized, its counting reduced and its existentials skolemized,
-    with fresh(base) naming each fresh predicate it takes."""
+    as the clause at position k of its sentence's render order.  Each
+    fresh predicate is named by its base, k and a quote (S1', D0'), which
+    no parsed name holds, so the form depends on c and k alone; it is kept
+    in memo under (c, k), and each fresh literal is memo's one per (name,
+    arity)."""
+
+    def fresh(base: str, arity: int) -> Literal:
+        name = f"{base}{k}'"
+        lit = memo.get((name, arity))
+        if lit is None:
+            lit = memo[name, arity] = Literal(Predicate(name, arity), VARS[:arity])
+        return lit
+
     reduced, constraints = reduce_counting(normalize_clause(c), fresh)
     out, skolem = skolemize_clauses(reduced, fresh)
     sig = {lit.pred for o in out for lit in o.body if lit.pred.arity}
-    return out, constraints, skolem, tuple(sig)
-
-
-def _prepared(c: Clause, used: set[str], memo: dict) -> Prepared:
-    """_prepare(c) with fresh names taken from used, looked up in memo.
-
-    The names a clause takes depend on the other predicates of its
-    sentence, so memo[c] holds the bases of its fresh names, in the order
-    it takes them, and its form under each tuple of names met.  The fresh
-    names of one base are taken in clause order, and no name of one base
-    is a name of another, so each clause takes the names that a run over
-    the whole sentence would give it."""
-    entry = memo.get(c)
-    if entry is None:
-        # the first form takes its names from used, and shows their bases
-        bases: list[str] = []
-        taken: list[str] = []
-
-        def fresh(base: str) -> str:
-            bases.append(base)
-            taken.append(_fresh(used, base))
-            return taken[-1]
-
-        form = _prepare(c, fresh)
-        memo[c] = (tuple(bases), {tuple(taken): form})
-        return form
-    bases, forms = entry
-    names = tuple([_fresh(used, b) for b in bases])
-    form = forms.get(names)
-    if form is None:
-        given = iter(names)
-        form = forms[names] = _prepare(c, lambda base: next(given))
-    return form
+    memo[c, k] = out, constraints, skolem, tuple(sig)
+    return memo[c, k]
 
 
 @dataclass
@@ -1057,15 +1030,20 @@ def compile_sentence(
     existentials skolemized, and one build_cell_graph call reads the
     resulting universal clauses once, against one bit layout over the
     sentence's predicates and the fresh ones, for all nullary branches.
-    memo, a fresh dict when None, holds what depends on one clause or one
-    layout alone: each clause's prepared form under the fresh names it
-    takes (_prepared), and build_cell_graph's layouts and clause records.
-    The caller owns the dict and decides how long it lives: generate keeps
-    one per search in its GenState."""
+    A fresh name holds a quote and its clause's position in render order
+    (_prepare), so a predicate of s whose name holds a quote is a
+    ValueError.  memo, a fresh dict when None, holds what depends on one
+    clause at one position or one layout alone: each clause's prepared
+    form, keyed (clause, position), one literal per fresh name (_prepare),
+    and build_cell_graph's layouts and clause records.  The caller owns the
+    dict and decides how long it lives: generate keeps one per search in
+    its GenState."""
     start = time.monotonic()
     memo = {} if memo is None else memo
     preds = s.predicates
     used = {p.name for p in preds}
+    if any("'" in name for name in used):
+        raise ValueError(f"a predicate name in {s.render()} holds a quote")
     for name, pair_w in (weights or {}).items():
         if any(int(x) != x for x in pair_w):
             raise ValueError(f"weights of {name} must be integers, got {pair_w}")
@@ -1074,8 +1052,8 @@ def compile_sentence(
     clauses: list[Clause] = []
     constraints: list[CardinalityConstraint] = []
     sig = {p for p in preds if p.arity > 0}
-    for c in sorted(s.clauses, key=Clause.render):
-        out, cons, skolem, preds_out = _prepared(c, used, memo)
+    for k, c in enumerate(sorted(s.clauses, key=Clause.render)):
+        out, cons, skolem, preds_out = memo.get((c, k)) or _prepare(c, k, memo)
         clauses += out
         constraints += cons
         sig.update(preds_out)

@@ -362,6 +362,14 @@ def test_generate_flags_without_profile(tmp_path, capsys):
     assert doc["layers"][0]["kept"] == 7
 
 
+@pytest.mark.parametrize("given", [["--ml", "1"], ["--ml", "1", "--mc", "1", "--bp", "1"]])
+def test_generate_without_a_profile_needs_every_limit(capsys, given):
+    assert exits(["generate", *given, "--layers", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "missing limits" in err
+    assert all(f"'{key}'" in err for key in ("ml", "mc", "up", "bp") if f"--{key}" not in given)
+
+
 def test_db_stats_and_export(tmp_path, capsys):
     db = tmp_path / "seq.jsonl"
     run(capsys, "generate", "--profile", "fo2-paper", "--layers", "1", "--db", str(db))
@@ -792,7 +800,10 @@ def test_oeis_missing_dump_is_a_file_error_without_queries(tmp_path, capsys):
 
 def test_config_file_supplies_defaults(tmp_path, capsys):
     cfg = tmp_path / "gen.cfg"
-    cfg.write_text("ml = 1\nmc = 1\nup = 1\nbp = 1\nk = 0\nlayers = 1\njson = true\n")
+    # comment and blank lines are skipped: read as settings, a blank line
+    # would be a bad line and "# k" an unknown key
+    cfg.write_text("# k = 1\n\nml = 1\nmc = 1\n  # indented\nup = 1\nbp = 1\n\n"
+                   "k = 0\nlayers = 1\njson = true\n")
     code, out = run(capsys, "generate", "--config", str(cfg))
     assert code == 0
     assert json.loads(out)["layers"][0]["kept"] == 4

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
@@ -320,7 +321,8 @@ def test_random_counting_bodies_match_the_oracle():
 def test_a_fresh_definition_takes_a_name_past_the_sentences_own():
     s = parse_sentence("(V x E=1 y B(x,y) | D0(x)) & (E x ~D0(x) | B(x,x))")
     comp = compile_sentence(s)
-    assert comp.cvars == ("D1",)
+    # the counting clause sorts second, and a fresh name holds a quote
+    assert comp.cvars == ("D1'",)
     assert compute_spectrum(comp, 3).terms == [count_models(s, n) for n in range(1, 4)]
 
 
@@ -445,11 +447,12 @@ def test_a_budget_below_zero_or_nan_is_refused(secs, monkeypatch):
     ],
 )
 def test_a_weight_for_a_name_the_sentence_does_not_use_is_ignored(text, stray):
-    # the compile's fresh predicate of that name keeps its own weight
+    # the compile's fresh predicate, stray with a quote, keeps its own weight
     s = parse_sentence(text)
     plain = compute_spectrum(s, 4)
-    assert compute_spectrum(s, 4, weights={stray: (5, 2)}) == plain
-    assert [wfomc(s, n, {stray: (5, 2)}) for n in range(1, 5)] == plain.terms
+    for name in (stray, stray + "'"):
+        assert compute_spectrum(s, 4, weights={name: (5, 2)}) == plain
+        assert [wfomc(s, n, {name: (5, 2)}) for n in range(1, 5)] == plain.terms
 
 
 def test_weights_beside_a_compiled_sentence_are_refused():
@@ -512,6 +515,31 @@ def test_a_pass_cut_short_stores_nothing():
     fresh: dict = {}
     compiled.values(12, memo=fresh)
     assert all(fresh[key] == sums for key, sums in memo.items())
+
+
+def test_a_budget_that_runs_out_inside_a_pass_truncates_the_spectrum(monkeypatch):
+    # a clock that stands still outside the cell DP and jumps past every
+    # deadline inside it: the check before the passes holds, and the first
+    # periodic check inside a pass fires
+    inside = []
+
+    def clock():
+        if sys._getframe(1).f_code is engine.evaluate_cell_sum.__code__:
+            inside.append(True)
+            return 1e9
+        return 0.0
+
+    s = parse_sentence(MEMO_TEXT)
+    memo: dict = {}
+    monkeypatch.setattr(engine.time, "monotonic", clock)
+    assert compute_spectrum(s, 12, budget_secs=60, memo=memo) == Spectrum([], True)
+    monkeypatch.undo()
+    assert inside
+    # the three small passes finished before any check; the cut one is absent
+    assert len(memo) == 3
+    whole: dict = {}
+    compile_sentence(s).values(12, memo=whole)
+    assert all(whole[key] == sums for key, sums in memo.items())
 
 
 def test_a_stored_pass_needs_no_budget():
@@ -685,8 +713,9 @@ def compiled_parts(comp):
     return comp.branches, comp.constraints, comp.cvars, comp.base_weights
 
 
-# each later sentence reuses a clause of an earlier one whose fresh names
-# its own predicates S0, Z0, D0 or A0 now take
+# each later sentence reuses a clause of an earlier one, beside predicates
+# S0, Z0, D0 or A0 of its own, the names that fresh ones would take
+# without a quote
 CLASHING = [
     "(V x E y B(x,y) | U(x)) & (E x V y ~B(x,y))",
     "(V x E y B(x,y) | U(x)) & (V x S0(x) | ~U(x))",
@@ -710,9 +739,18 @@ def test_compiles_that_share_a_memo_take_fresh_names_past_their_own():
         assert compiled_parts(comp) == compiled_parts(compile_sentence(s)), text
         for n in range(1, 4):
             assert comp.values(n)[-1] == count_models(s, n), (text, n)
-    # every clash took a fresh name past the sentence's own
-    names = {name for c in shared if isinstance(c, logic.Clause) for name in shared[c][1]}
-    assert {("S1",), ("Z1",), ("D1",), ("A1", "S1")} <= names
+        # every fresh name ends in a quote, and none is a name s uses
+        own = {p.name for p in s.predicates}
+        for k, c in enumerate(sorted(s.clauses, key=logic.Clause.render)):
+            fresh = {lit.pred.name for out in shared[c, k][0] for lit in out.body}
+            fresh -= c.names
+            assert all(name.endswith("'") for name in fresh), text
+            assert fresh.isdisjoint(own), text
+    # a name that holds a quote could meet a fresh one, so it is refused
+    exists = pair(FORALL, EXISTS, [Literal(Predicate("B", 2), ("x", "y"))])
+    quoted = single(FORALL, [Literal(Predicate("S0'", 1), ("x",))])
+    with pytest.raises(ValueError, match="holds a quote"):
+        compile_sentence(Sentence(frozenset([exists, quoted])))
 
 
 def test_a_memo_serves_two_weight_maps():

@@ -98,6 +98,8 @@ def test_parse_errors():
         # V and E name no predicate, so after a quantifier they start one
         ("(V x V)", "expected variable x or y, got ')'"),
         ("(V x V(x))", "expected variable x or y, got '('"),
+        # a quote is kept for the engine's fresh names (S0', D1')
+        ("(V x S0'(x))", "unexpected character"),
     ]:
         with pytest.raises(ParseError) as info:
             parse_sentence(bad)
