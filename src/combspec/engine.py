@@ -19,12 +19,13 @@ never enumerates worlds:
 
 The cell graphs are built on bitmasks, from one reading of each clause
 shared by all branches: a cell is an int with one bit per single-element
-atom, a set of cells is a bitset over the cells, a clause's record holds
-the cells that satisfy it at one element and those that falsify each side
-of a two-variable clause, and each cell carries two bitsets, X and Y, of
-the oriented two-variable clauses whose x-side (y-side) literals it
-falsifies.  The edge weight of a pair of cells i, j depends only on
-X[i] & Y[j], and is computed once per distinct key.
+atom, a set of cells is a bitset over the cells, and a clause's record
+holds the cells that satisfy it at one element and, for a two-variable
+clause, the bits of its two oriented clauses, one per reading, numbered
+once per layout.  Each cell carries two bitsets, X and Y, of the kept
+oriented clauses whose x-side (y-side) literals it falsifies.  The edge
+weight of a pair of cells i, j depends only on X[i] & Y[j], and is
+computed once per distinct key and layout.
 
 One pass of the dynamic program yields every domain size up to the
 requested length.  Cardinality constraints ride through the computation as
@@ -38,10 +39,11 @@ compute_spectrum takes either a Sentence, which it compiles, or a
 CompiledSentence, and spectrum_fingerprint takes a CompiledSentence, so
 a sentence compiled once serves both its fingerprint and its spectrum:
 the search computes a kept sentence's spectrum as it keeps it, and its
-budget_secs covers that time too.  A pass depends only on the merged cell graph, the length and the
-symbolic caps.  Many sentences share one, so a caller that computes many
-spectra can pass one memo dict to compute_spectrum, keyed on those three,
-and run each distinct pass once (generate keeps one per search).
+budget_secs covers that time too.  A pass depends only on the merged
+cell graph, the length and the symbolic caps.  Many sentences share one,
+so a caller that computes many spectra can pass one memo dict to
+compute_spectrum, keyed on those three, and run each distinct pass once
+(generate keeps one per search).
 Likewise spectrum_fingerprint takes a dict of cell-graph labellings, and
 compile_sentence a dict of what depends on one clause at one position
 or one bit layout alone: each clause's normalized, reduced and
@@ -49,8 +51,9 @@ skolemized form at each position of a sentence's clauses, whose fresh
 predicates are named by that position, one literal per fresh name, and
 per layout its set-up, whose tables of the weight of each cell, of each
 cross-atom assignment and of each nullary branch are built whole on a
-miss, and the clause records and edge totals met so far (_Layout).  generate keeps one of each of the three dicts
-per search.  Without a dict each call takes a fresh one, so nothing is
+miss, and the clause records, oriented clauses and edge totals met so
+far (_Layout).  generate keeps one of each of the three dicts per
+search.  Without a dict each call takes a fresh one, so nothing is
 cached between calls without one: there is no module-level cache.
 
 Both the dynamic program and the fingerprint read a cell graph through
@@ -68,7 +71,7 @@ import math
 import operator
 import time
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .logic import (
     EXISTS,
@@ -303,10 +306,17 @@ class CellGraph:
 
 
 # a clause read under one layout (_Layout.read): its positive and negative
-# nullary masks, the cells that satisfy it at one element, and for a
-# two-variable clause the cells that falsify its x-side and its y-side
-# literals and the cross masks of its two readings
-Record = tuple[int, int, int, tuple[int, int, int, int] | None]
+# nullary masks, the cells that satisfy it at one element, and the bits of
+# its two oriented clauses, or 0 for a one-variable clause
+Record = tuple[int, int, int, int]
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of mask's set bits, lowest first."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
 
 
 def _table(pairs: Iterable[tuple[Value, Value]], mul) -> list[Value]:
@@ -323,10 +333,12 @@ class _Layout:
     compiles that share a memo read under it: three tables built once by
     _table, of the weight of each cross-atom assignment (assign_w), of each
     cell (cell_w) and of each branch on the nullary predicates (truths
-    holds its nonzero entries), the cells with each atom true, and two
-    dicts filled as builds ask, of clause records (records) and of the
-    edge total of each AND of cross masks (sums).  Cell sets are bitsets
-    over the 2^k cells."""
+    holds its nonzero entries), the cells with each atom true, and what
+    builds fill as they ask: the clause records (records), the oriented
+    clauses numbered as read (their cross masks, cross, and per cell c the
+    bitsets x[c] and y[c] of those whose x-side and y-side literals c
+    falsifies) and the edge total of each set of oriented clauses (edges).
+    Cell sets are bitsets over the 2^k cells."""
 
     def __init__(self, sig, names, weights, cvars, negated):
         # within one arity, predicates sort by name
@@ -378,18 +390,24 @@ class _Layout:
         factors = _table([weights.get(n, (1, 1)) for n in names[::-1]], operator.mul)
         self.truths = [(t, f) for t, f in reversed(list(enumerate(factors))) if f]
         self.records: dict[Clause, Record] = {}
-        self.sums: dict[int, Value] = {}
+        self.cross: list[int] = []
+        self.x = [0] * ncells
+        self.y = [0] * ncells
+        self.edges: dict[int, Value] = {}
 
     def read(self, c: Clause) -> Record:
         """c's record: its nullary literals, as a positive and a negative mask
         over the nullary predicates, and the cells that satisfy it at one
         element, where all arguments collapse, the union of its literals'
         cells.  A two-variable clause also gives two oriented clauses, one
-        per reading, each split into its x-side and y-side cell literals
-        and a mask over the 4^b assignments of the b binary predicates'
-        cross atoms, (x,y) then (y,x) per predicate, taken from per-position
-        tables.  The flipped reading swaps the sides, so the record keeps
-        the cells that falsify each side once."""
+        per reading, numbered shift and shift + 1 in the order read, so its
+        record's bits are 3 << shift.  Each splits into its x-side and
+        y-side cell literals and a mask over the 4^b assignments of the b
+        binary predicates' cross atoms, (x,y) then (y,x) per predicate,
+        taken from per-position tables, appended to cross.  The flipped
+        reading swaps the sides, so a cell that falsifies the x-side gets
+        bit shift in x and bit shift + 1 in y, and a cell that falsifies
+        the y-side bit shift + 1 in x and bit shift in y."""
         if c.prefix not in _UNIVERSAL:
             raise ValueError("non-universal clause reached the cell graph")
         has, every, full_mask = self.has, self.every, self.full_mask
@@ -416,11 +434,22 @@ class _Layout:
                 for flip in (0, 1):
                     h = self.holds[p ^ flip]
                     crosses[flip] |= full_mask ^ h if l.negated else h
-        two = (every ^ sides[0], every ^ sides[1], *crosses) if two_var else None
-        return null[0], null[1], sat, two
+        if not two_var:
+            return null[0], null[1], sat, 0
+        shift = len(self.cross)
+        self.cross += crosses
+        for side, one in zip(sides, (1, 2)):
+            for cell in _bits(every ^ side):
+                self.x[cell] |= one << shift
+                self.y[cell] |= (3 ^ one) << shift
+        return null[0], null[1], sat, 3 << shift
 
-    def total(self, mask: int) -> Value:
-        """The summed weight of the cross-atom assignments in mask."""
+    def total(self, key: int) -> Value:
+        """The edge total of the oriented clauses in key: the summed weight
+        of the cross-atom assignments in the AND of their cross masks."""
+        mask = self.full_mask
+        for t in _bits(key):
+            mask &= self.cross[t]
         total: Value = 0
         for a in range(self.nassign):
             if mask >> a & 1:
@@ -458,21 +487,18 @@ def build_cell_graph(
     fresh dict when None, so nothing is cached between calls without one.
     Each clause is read once per layout, into one record for all branches
     and every build that shares the dict: its nullary masks, the cells
-    that satisfy it at one element, and for a two-variable clause the
-    cells that falsify its x-side and its y-side literals and the cross
-    masks of its two readings.  A branch's cells are then one AND of the
-    records it keeps, listed from that bitset lowest bit first, and each
-    cell's weight is read from the layout's table.
+    that satisfy it at one element, and for a two-variable clause the bits
+    of its two oriented clauses, numbered once per layout.  A branch's
+    cells are then one AND of the records it keeps, listed from that
+    bitset lowest bit first, and each cell's weight is read from the
+    layout's table.
 
-    Each cell carries two bitsets, X and Y, of the oriented clauses, two
-    per kept two-variable record, whose x-side (y-side) literals it
-    falsifies: X gathers one bit per side from each record, and the other
-    reading swaps the sides, so Y is X with each record's two bits
-    swapped.  The clauses that constrain the cross atoms of the pair
-    (i, j) are X[i] & Y[j], so the edge weight depends only on that key,
-    and is memoised on it for all branches; a key is worth the AND of its
-    oriented clauses' cross masks, whose total the layout keeps for every
-    build.
+    A branch's oriented clauses are the OR of its kept records' bits, and
+    each cell i carries two bitsets of them, X[i] and Y[i], the layout's
+    x[i] and y[i] masked to those kept.  The clauses that constrain the
+    cross atoms of the pair (i, j) are X[i] & Y[j], so the edge weight
+    depends only on that key, and the layout keeps it for every branch
+    and build.
     """
     memo = {} if memo is None else memo
     names = frozenset(l.pred.name for c in clauses for l in c.body if not l.pred.arity)
@@ -482,58 +508,37 @@ def build_cell_graph(
     layout = memo.get(at)
     if layout is None:
         layout = memo[at] = _Layout(sig_preds, names, weights, cvars, negated)
-    records = layout.records
-    # the records every branch keeps, and those with nullary literals; a
-    # two-variable record's oriented clauses are bits shift, shift + 1
-    shared, always, nullary = layout.every, [], []
-    cross: list[int] = []
+    records, edges = layout.records, layout.edges
+    # the cells and oriented clauses every branch keeps, and the records
+    # with nullary literals
+    shared, always, nullary = layout.every, 0, []
     for c in clauses:
         rec = records.get(c)
         if rec is None:
             rec = records[c] = layout.read(c)
-        npos, nneg, sat, two = rec
-        if two is not None:
-            fx, fy, c0, c1 = two
-            two = (len(cross), fx, fy)
-            cross += (c0, c1)
+        npos, nneg, sat, bits = rec
         if npos | nneg:
-            nullary.append((npos, nneg, sat, two))
+            nullary.append(rec)
         else:
             shared &= sat
-            if two is not None:
-                always.append(two)
+            always |= bits
 
-    # the edge total of each key X[i] & Y[j], for all branches
-    totals: dict[int, Value] = {}
-    sums, full_mask = layout.sums, layout.full_mask
-    # the bits of each record's first reading
-    first = ((1 << len(cross)) - 1) // 3
     branches = []
     for truth, factor in layout.truths:
         cells, kept = shared, always
-        for npos, nneg, sat, two in nullary:
+        for npos, nneg, sat, bits in nullary:
             if truth & npos or ~truth & nneg:
                 continue
             # a kept clause with no cell literal is false
             if not sat:
                 break
             cells &= sat
-            if two is not None:
-                kept = kept + [two]
+            kept |= bits
         else:
-            cell_list = []
-            while cells:
-                low = cells & -cells
-                cells ^= low
-                cell_list.append(low.bit_length() - 1)
+            cell_list = list(_bits(cells))
             cell_w = [layout.cell_w[c] for c in cell_list]
-            xs = [0] * len(cell_list)
-            for shift, fx, fy in kept:
-                xs = [
-                    x | ((fx >> c & 1) | (fy >> c & 1) << 1) << shift
-                    for x, c in zip(xs, cell_list)
-                ]
-            ys = [(x & first) << 1 | x >> 1 & first for x in xs]
+            xs = [layout.x[c] & kept for c in cell_list]
+            ys = [layout.y[c] & kept for c in cell_list]
             q = len(xs)
             r: list[list[Value]] = [[0] * q for _ in range(q)]
             for i in range(q):
@@ -541,17 +546,9 @@ def build_cell_graph(
                 row = r[i]
                 for j in range(i, q):
                     key = x & ys[j]
-                    total = totals.get(key)
+                    total = edges.get(key)
                     if total is None:
-                        # the AND of the cross masks of key's oriented clauses
-                        mask = full_mask
-                        for t, clause_mask in enumerate(cross):
-                            if key >> t & 1:
-                                mask &= clause_mask
-                        total = sums.get(mask)
-                        if total is None:
-                            total = sums[mask] = layout.total(mask)
-                        totals[key] = total
+                        total = edges[key] = layout.total(key)
                     row[j] = r[j][i] = total
             branches.append((factor, CellGraph(cell_list, cell_w, r)))
     return branches
@@ -1035,9 +1032,9 @@ def compile_sentence(
     ValueError.  memo, a fresh dict when None, holds what depends on one
     clause at one position or one layout alone: each clause's prepared
     form, keyed (clause, position), one literal per fresh name (_prepare),
-    and build_cell_graph's layouts and clause records.  The caller owns the
-    dict and decides how long it lives: generate keeps one per search in
-    its GenState."""
+    and build_cell_graph's layouts, with their clause records and edge
+    tables.  The caller owns the dict and decides how long it lives:
+    generate keeps one per search in its GenState."""
     start = time.monotonic()
     memo = {} if memo is None else memo
     preds = s.predicates

@@ -310,10 +310,13 @@ def test_shared_compiles_give_the_compiled_forms_of_separate_ones(search, reques
             want.cvars,
             want.base_weights,
         )
-    # the search's compiles read far fewer clause records than clauses
+    # the search's compiles read far fewer clause records than clauses, and
+    # total far fewer sets of oriented clauses than cell pairs
     layouts = [v for v in shared.values() if isinstance(v, engine._Layout)]
     records = sum(len(layout.records) for layout in layouts)
     assert records == {"fo2": 743, "c2": 544}[search]
+    edges = sum(len(layout.edges) for layout in layouts)
+    assert edges == {"fo2": 2876, "c2": 1578}[search]
 
 
 @pytest.mark.parametrize("search", ["fo2", "c2"])

@@ -4,7 +4,6 @@ import dataclasses
 import gc
 import itertools
 import os
-import pickle
 import random
 import subprocess
 import sys
@@ -355,30 +354,45 @@ def test_equal_syntax_objects_hash_equal():
 
 def test_a_pickled_literal_is_found_under_another_hash_seed():
     # a stored str hash is valid only in the process that computed it, so
-    # unpickling must hash anew
-    text = "(V x E y ~B0(x,y) | U0(y) | P) & (E=1 x U0(x))"
-    seed = os.environ.get("PYTHONHASHSEED", "")
-    env = dict(os.environ, PYTHONHASHSEED=str(int(seed) + 1) if seed.isdigit() else "1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(logic.__file__).parent.parent), env.get("PYTHONPATH", "")]
-    )
-    code = (
+    # unpickling must hash anew: one process pickles a counting sentence
+    # and its clauses, quantifiers, literals and predicates, and another,
+    # under another hash seed, finds each among those it parses itself, by
+    # equality, with an equal hash
+    text = "(V x E y ~B0(x,y) | U0(y) | P) & (E=1 x U0(x)) & (V x V y B0(x,y) | ~P)"
+    parts = (
         "import pickle, sys\n"
         "from combspec.logic import parse_sentence\n"
         f"s = parse_sentence({text!r})\n"
-        "literals = [lit for c in s.clauses for lit in c.body]\n"
-        "sys.stdout.buffer.write(pickle.dumps((hash('B0'), s, literals)))\n"
+        "objects = [s]\n"
+        "for c in s.clauses:\n"
+        "    objects += [c, *c.prefix, *c.body, *(lit.pred for lit in c.body)]\n"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, check=True, timeout=60
-    ).stdout
-    foreign_hash, s, literals = pickle.loads(out)
-    assert foreign_hash != hash("B0")
-    here = parse_sentence(text)
-    assert s == here and hash(s) == hash(here)
-    mine = {lit for c in here.clauses for lit in c.body}
-    assert len(literals) == len(mine) and all(lit in mine for lit in literals)
-    assert all(q in {FORALL, EXISTS, counting(1)} for c in s.clauses for q in c.prefix)
+    dump = parts + "sys.stdout.buffer.write(pickle.dumps((hash('B0'), objects)))\n"
+    load = parts + (
+        "foreign, theirs = pickle.loads(sys.stdin.buffer.read())\n"
+        "assert foreign != hash('B0')\n"
+        "mine = set(objects)\n"
+        "for o in theirs:\n"
+        "    twin, = {m for m in objects if m == o}\n"
+        "    assert hash(o) == hash(twin) and o in mine\n"
+        "print(len(theirs), sorted({type(o).__name__ for o in theirs}))\n"
+    )
+    src = str(Path(logic.__file__).parent.parent)
+    out = b""
+    for seed, code in (("1", dump), ("2", load)):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            input=out,
+            env=env,
+            capture_output=True,
+            check=True,
+            timeout=60,
+        ).stdout
+    assert out.decode().split(maxsplit=1) == [
+        "21",
+        "['Clause', 'Literal', 'Predicate', 'Quantifier', 'Sentence']\n",
+    ]
 
 
 # canonical labelling against the reference refinement
