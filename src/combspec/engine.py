@@ -28,12 +28,16 @@ weight of a pair of cells i, j depends only on X[i] & Y[j], and is
 computed once per distinct key and layout.
 
 One pass of the dynamic program yields every domain size up to the
-requested length.  Cardinality constraints ride through the computation as
-symbolic weights, and one polynomial coefficient is read off per domain
-size.  The cell graph holds those weights as polynomials; the dynamic
-program carries each one truncated at the target degrees and packed in a
-single int, so that a product is one big-int multiply.  All arithmetic is
-exact integer arithmetic.
+requested length.  Before it runs, two vertices that every other vertex
+sees through equal edges are collapsed into one, whose own-count factors
+are the binomial convolution of theirs, while such a pair remains: the
+two act on the rest only through their total count, so the module is
+summed out exactly (evaluate_cell_sum).  Cardinality constraints ride
+through the computation as symbolic weights, and one polynomial
+coefficient is read off per domain size.  The cell graph holds those
+weights as polynomials; the dynamic program carries each one truncated
+at the target degrees and packed in a single int, so that a product is
+one big-int multiply.  All arithmetic is exact integer arithmetic.
 
 compute_spectrum takes either a Sentence, which it compiles, or a
 CompiledSentence, and spectrum_fingerprint takes a CompiledSentence, so
@@ -762,17 +766,41 @@ def evaluate_cell_sum(
     dropped.
 
     Dynamic program over cells: a partial composition of the domain affects
-    the rest of the sum only through how many elements it used and, for
-    each later cell, the accumulated product of cross-edge powers, so
-    partial compositions with equal summaries merge and their coefficients
-    add.  The multinomial over element labels is built one cell at a time
-    as comb(used + c, c), so what the last cell leaves are the sums for
-    all domain sizes at once.  A step computes the factor of count c of
-    its cell, g[c] = comb(used + c, c) * f[c] with f[c] the cell's own
-    atoms, once per used bucket.  A step's states are a list indexed by
-    the elements used, and a bucket's dict is made on its first write, so
-    a used count that no state reaches costs nothing.  The row of powers
-    of an edge value is built once per pass, whichever cells share it.
+    the rest of the sum only through how many elements it used and, for each
+    later cell, the accumulated product of cross-edge powers, so partial
+    compositions with equal summaries merge and their coefficients add.  The
+    multinomial over element labels is built one cell at a time as
+    comb(used + c, c), so what the last cell leaves are the sums for all
+    domain sizes at once.  A step computes the factor of count c of its
+    vertex, g[c] = comb(used + c, c) * f[c] with f[c] the vertex's own-count
+    factor (below), once per used bucket.  A step's states are a list
+    indexed by the elements used, and a bucket's dict is made on its first
+    write, so a used count that no state reaches costs nothing.  The row of
+    powers of an edge value is built once per pass, whichever cells share
+    it.
+
+    Before the program runs, modules are summed out (Gallai's modular
+    decomposition, two vertices at a time).  Each cell i carries its
+    own-count factors f_i[c] = r_ii^C(c, 2) * w_i^c.  While two vertices
+    i, j agree on every other vertex, r[i][k] = r[j][k] for all k not in
+    {i, j}, they become one vertex B that keeps i's row and carries
+
+        f_B[m] = sum_x C(m, x) * f_i[x] * f_j[m - x] * r_ij^(x (m - x)).
+
+    This is exact.  A composition with n_i elements in i and n_j in j has
+    the multinomial n! / (... n_i! n_j! ...) = n! / (... m! ...) *
+    C(m, n_i), m = n_i + n_j, and every other vertex k meets those m
+    elements through r_ik^m alone, so the compositions with one m and the
+    same counts elsewhere sum to one composition of the quotient with m
+    elements in B, weighted f_B[m].  The program then runs on the
+    quotient, in _greedy_cell_order's order of it, and reads each
+    vertex's f from its sequence.  A leaf cell's f is zero from its first
+    zero entry on, so it is cut there.  A convolved f runs to the largest
+    count its two factors reach, and may hold zeros before a nonzero
+    entry, so a step goes on past a zero factor and writes nothing for
+    its count.  A row of a convolution costs about what a group member of
+    a step costs, so both advance the counter of the periodic deadline
+    check.
 
     The states of a bucket that differ only in a0, the step's own
     accumulator, reach the same keys, so they are stored as one group
@@ -812,27 +840,35 @@ def evaluate_cell_sum(
              |coefficient| of the weights (edges), with constant term at
              least 1.
 
-    Proof that every kept digit fits.  A state coefficient before cell i
-    sums, over the labelled assignments of its used elements to cells
-    0 .. i-1 (at most i^used of them), products of used vertex weights and
-    C(used, 2) edge weights.  contrib does the same for used + c elements:
-    comb(used + c, c) * i^used <= (i + 1)^(used + c) <= q^N and
+    Proof that every kept digit fits.  A vertex of the quotient stands for a
+    set of merged cells, s_i of them for vertex i, and its f[c] sums, over
+    the labelled assignments of c elements to those cells
+    (at most s_i^c of them), products of c vertex weights and C(c, 2) edge
+    weights: a cell's own f[c] is its one assignment, and a convolved f_B[m]
+    is by induction such a sum over the cells of i and j, as C(m, x) places
+    the x elements of i among the m and r_ij^(x (m - x)) adds the edges
+    between them; its products f_i[x] * f_j[m - x], their powers of r_ij and
+    the products that build a leaf's f are parts of the same terms.  A state
+    coefficient before vertex i sums, over the labelled assignments of its
+    used elements to the s cells of vertices 0 .. i-1
+    (at most s^used of them), products of used vertex weights and C(used, 2)
+    edge weights.  contrib does the same for used + c elements:
+    comb(used + c, c) * s^used * s_i^c <= (s + s_i)^(used + c) <= q^N and
     C(used, 2) + C(c, 2) + used * c = C(used + c, 2) <= C(N, 2).  Its
-    factors g[c] (comb(used + c, c) <= q^N copies of c weights and
-    C(c, 2) edges) and run = coeff * a0^c (C(used, 2) + used * c edges),
-    and the products that build f, are parts of the same terms.  The
-    members of a group hold disjoint sets of partial assignments, so a
-    group's total for count c sums at most i^used of them too, each times
-    the edges to the c new elements, and contrib = g[c] * total is the
-    same sum as above.  The accumulators, the rows of powers and their
-    products carry at most N edge weights.  Sums of states, group totals
-    and contributions sum distinct assignments.  So every value of the
-    pass is the truncation of a sum of at most q^N terms, each a product
-    of a <= N vertex weights and b <= K edge weights, and every product of
-    two values before truncation is the product of two such truncations,
-    whose pairs of terms are again at most q^N such terms.  It is enough
-    that every coefficient the pass reads is at most q^N * M in absolute
-    value: that is below 2^(W-1), the slot's signed range.
+    factors g[c] (comb(used + c, c) * s_i^c <= q^N products of c weights and
+    C(c, 2) edges) and run = coeff * a0^c (C(used, 2) + used * c edges) are
+    parts of the same terms.  The members of a group hold disjoint sets of
+    partial assignments, so a group's total for count c sums at most s^used
+    of them too, each times the edges to the c new elements, and contrib =
+    g[c] * total is the same sum as above.  The accumulators, the rows of
+    powers and their products carry at most N edge weights.  Sums of states,
+    group totals and contributions sum distinct assignments.  So every value
+    of the pass is the truncation of a sum of at most q^N terms, each a
+    product of a <= N vertex weights and b <= K edge weights, and every
+    product of two values before truncation is the product of two such
+    truncations, whose pairs of terms are again at most q^N such terms.  It
+    is enough that every coefficient the pass reads is at most q^N * M in
+    absolute value: that is below 2^(W-1), the slot's signed range.
 
     M1: |.| is subadditive and submultiplicative and truncation never
     raises it, so the norm of a value or a product is at most
@@ -853,56 +889,88 @@ def evaluate_cell_sum(
     slots lie between kept ones and a carry out of them would land in a
     kept digit, so only M1 applies.
     """
-    weights, r = merged
+    weights, rr = merged
     q = len(weights)
-    # with at most two cells the search returns the given order anyway
-    order = _greedy_cell_order(r, q, length) if q > 2 else list(range(q))
-    w = [weights[i] for i in order]
-    rr = [[r[a][b] for b in order] for a in order]
     # plain ints multiply natively; symbolic values multiply packed
     mul = emul = operator.mul
     if caps is not None:
-        packing = Packing(caps, _slot_width(q, length, caps, w, rr))
-        w = [packing.pack(v) for v in w]
+        packing = Packing(caps, _slot_width(q, length, caps, weights, rr))
+        weights = [packing.pack(v) for v in weights]
         mul = packing.mul
         if any(isinstance(v, Poly) for row in rr for v in row):
             rr = [[packing.pack(v) for v in row] for row in rr]
             emul = mul
+    # the row of powers of each distinct edge value, shared by the steps
+    powers = {v: _powers(emul, v, length) for v in {v for row in rr for v in row}}
+    # fs[i][c] = rr[i][i] ** C(c, 2) * w_i ** c, cell i's own atoms, up
+    # to the first zero, after which every entry keeps a zero factor
+    fs = []
+    for i, w in enumerate(weights):
+        f, row = [1], powers[rr[i][i]]
+        while len(f) <= length and (v := mul(emul(f[-1], row[len(f) - 1]), w)):
+            f.append(v)
+        fs.append(f)
+    # collapse two vertices that every other vertex sees alike into i,
+    # which keeps its row: its f becomes their binomial convolution
+    rr = [list(row) for row in rr]
+    ticker = 0
+    while pair := next(
+        (
+            (i, j)
+            for i, a in enumerate(rr)
+            for j, b in enumerate(rr[i + 1 :], i + 1)
+            if a[:i] == b[:i] and a[i + 1 : j] == b[i + 1 : j] and a[j + 1 :] == b[j + 1 :]
+        ),
+        None,
+    ):
+        i, j = pair
+        ticker += len(fs[i])
+        if deadline is not None and ticker >= 256:
+            ticker = 0
+            if time.monotonic() > deadline:
+                raise BudgetExceeded
+        fb = [0] * min(length + 1, len(fs[i]) + len(fs[j]) - 1)
+        for x, a in enumerate(fs[i]):
+            # run = rr[i][j] ** (x * y)
+            run, base = 1, powers[rr[i][j]][x]
+            for y, b in enumerate(fs[j][: len(fb) - x]):
+                if b:
+                    fb[x + y] += math.comb(x + y, x) * emul(mul(a, b), run)
+                run = emul(run, base)
+        fs[i] = fb
+        del fs[j], rr[j]
+        for row in rr:
+            del row[j]
+    # with at most two vertices the search returns the given order anyway
+    q = len(rr)
+    order = _greedy_cell_order(rr, q, length) if q > 2 else list(range(q))
+    fs = [fs[i] for i in order]
+    rr = [[rr[a][b] for b in order] for a in order]
 
     # states[used] maps the later accumulators accs[1:] to a group, which
     # maps a0 = accs[0] to the summed coefficient; accs[t] holds the
-    # product over processed cells p of rr[p][i+t] ** count_p.  A used
+    # product over processed vertices p of rr[p][i+t] ** count_p.  A used
     # count that holds no state has None
     states: list[dict[tuple, dict] | None] = [None] * (length + 1)
     states[0] = {(1,) * (q - 1): {1: 1}}
-    # sums[n]: the sum for n elements, added to at the last cell
+    # sums[n]: the sum for n elements, added to at the last vertex
     sums: list[Value] = [0] * (length + 1)
-    # the row of powers of each distinct edge value, shared by the steps
-    powers = {v: _powers(emul, v, length) for v in {v for row in rr for v in row}}
-    ticker = 0
-    for i in range(q):
-        rows = [powers[v] for v in rr[i][i:]]
-        # f[c] = rr[i][i] ** C(c, 2) * w[i] ** c: the cell's own atoms
-        f = [1]
-        for c in range(1, length + 1):
-            f.append(mul(emul(f[-1], rows[0][c - 1]), w[i]))
+    for i, f in enumerate(fs):
         last = i == q - 1
         if not last:
-            # a count's factors on the next cell's accumulator, and on the
-            # ones after it
-            heads = rows[1]
-            tails = list(zip(*rows[2:])) or [()] * (length + 1)
+            # a count's factors on the next vertex's accumulator, and on
+            # the ones after it
+            rows = [powers[v] for v in rr[i][i + 1 :]]
+            heads = rows[0]
+            tails = list(zip(*rows[1:])) or [()] * (length + 1)
         nxt: list[dict[tuple, dict] | None] = [None] * (length + 1)
         for used, bucket in enumerate(states):
             if bucket is None:
                 continue
-            g = []
-            for c in range(length - used + 1):
-                # every larger count keeps a zero factor
-                if not f[c]:
-                    break
-                # a packed value times a plain int needs no truncation
-                g.append(math.comb(used + c, c) * f[c])
+            # a packed value times a plain int needs no truncation; a
+            # convolved f may hold zeros, whose counts write nothing
+            top = min(len(f), length - used + 1)
+            g = [math.comb(used + c, c) * f[c] for c in range(top)]
             counts = range(1, len(g))
             for later, group in bucket.items():
                 ticker += len(group)

@@ -695,7 +695,8 @@ def dp_iterations(
     engine's search by default).  The engine expands each group of states
     with equal later accumulators once per count (dp_keyed_updates counts
     its writes), so this is a fixed measure of the states and counts, not
-    of its loop."""
+    of its loop.  Like reference_cell_sum, it models the program on the
+    merged graph as it is, before the engine collapses its modules."""
     ticks = 0
 
     def visit(used, bucket, g, last, mul, emul):
@@ -727,7 +728,9 @@ def reference_cell_sum(
     count 0, and for each larger count c its running product coeff * a0^c
     times g[c] under its own key; the states left after the last cell are
     the sums.  visit, when given, is called with (used, bucket, g, last,
-    mul, emul) before each bucket of each step is expanded."""
+    mul, emul) before each bucket of each step is expanded.  It runs the
+    program on the merged graph as it is, one step per cell: the engine
+    first collapses its modules (quotient_size), and this does not."""
     weights, r = merged
     q = len(weights)
     order = (order_fn or engine._greedy_cell_order)(r, q, length)
@@ -779,6 +782,24 @@ def reference_cell_sum(
     return out if caps is None else [packing.unpack(v) for v in out]
 
 
+def quotient_size(merged: engine.Merged) -> int:
+    """The vertices that engine.evaluate_cell_sum runs its program on: of
+    the merged graph's cells, one of two that agree on every other live
+    cell is dropped, while such a pair remains.  The count does not depend
+    on which pair goes first: once j of a pair {i, j} is dropped, a pair
+    {j, l} that qualified has its image {i, l} qualify, as r[l][k] =
+    r[j][k] = r[i][k], and every other pair that qualified still does."""
+    r = merged[1]
+    live = list(range(len(r)))
+    while True:
+        for i, j in itertools.combinations(live, 2):
+            if all(r[i][k] == r[j][k] for k in live if k != i and k != j):
+                live.remove(j)
+                break
+        else:
+            return len(live)
+
+
 def dp_keyed_updates(
     merged: engine.Merged, length: int, caps: Sequence[int] | None = None
 ) -> int:
@@ -788,7 +809,9 @@ def dp_keyed_updates(
     later accumulators and per count c whose group sum of coeff * a0^c,
     times g[c], is not zero.  Counted on reference_cell_sum's states; the
     engine keeps the states whose coefficients cancelled to zero too, but
-    they add nothing to a group sum and write nothing."""
+    they add nothing to a group sum and write nothing.  It models the
+    program on the merged graph as it is, before the engine collapses its
+    modules, so it counts the writes of a program that steps every cell."""
     writes = 0
 
     def visit(used, bucket, g, last, mul, emul):

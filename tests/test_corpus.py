@@ -7,7 +7,8 @@ references that compute them afresh, candidates that hold only their
 clause set, the spectra of dropped and hidden
 candidates against the kept ones, canonical labellings against the reference
 refinement, the size of the cell graphs' twin quotients that the engine
-labels, the engine against the brute-force oracle, compiles that share
+labels, the module quotients that the cell DP runs on, the engine
+against the brute-force oracle, compiles that share
 clause records against compiles one by one, spectra that share
 cell-DP passes against spectra computed one by one, the spectra that the
 search computes as it keeps each sentence against fresh ones, the cell
@@ -30,6 +31,7 @@ from helpers import (
     dp_keyed_updates,
     grounded_refuted,
     optimal_cell_order,
+    quotient_size,
     recorded_passes,
     reference_branches,
     reference_cell_order,
@@ -386,6 +388,18 @@ def test_grouped_steps_cut_the_fo2_keyed_writes(fo2):
     writes = sum(dp_keyed_updates(m, n, caps) for m, n, caps, _ in passes)
     assert iterations == 272_753
     assert writes <= 0.6 * iterations, writes
+
+
+@pytest.mark.parametrize("search", ["fo2", "c2"])
+def test_modules_collapse_the_recorded_passes(search, request):
+    # counted on the merged graphs that the pass memo keys, on which the
+    # dp_iterations pins above count the program as it is
+    passes = recorded_passes(request.getfixturevalue(search).result.all_kept(), 10)
+    sizes = [(len(m[0]), quotient_size(m)) for m, *_ in passes]
+    assert len(sizes) == {"fo2": 408, "c2": 231}[search]
+    assert sum(left < q for q, left in sizes) == {"fo2": 242, "c2": 150}[search]
+    assert sum(left == 1 for _, left in sizes) == {"fo2": 215, "c2": 159}[search]
+    assert sum(left == 1 < q for q, left in sizes) == {"fo2": 203, "c2": 140}[search]
 
 
 @pytest.mark.parametrize("search", ["fo2", "c2"])

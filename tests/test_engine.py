@@ -45,6 +45,7 @@ from helpers import (
     reference_branches,
     reference_cell_graph,
     reference_cell_order,
+    quotient_size,
     reference_cell_sum,
     reference_merge_cells,
 )
@@ -1243,6 +1244,148 @@ def test_a_passed_deadline_stops_a_grouped_pass():
     assert evaluate_cell_sum(merged, 10) == want
     with pytest.raises(BudgetExceeded):
         evaluate_cell_sum(merged, 10, deadline=0.0)
+
+
+# modules collapsed before the cell DP
+
+
+def _substituted(rng, q, edge):
+    """Symmetric edge rows of q cells with modules planted: with some
+    chance a random graph, else a graph on m cells substituted for one
+    cell of a graph on q - m + 1 cells, each built the same way, so that
+    modules nest.  edge() draws an edge value."""
+    if q <= 2 or rng.random() < 0.25:
+        r = [[0] * q for _ in range(q)]
+        for i in range(q):
+            for j in range(i, q):
+                r[i][j] = r[j][i] = edge()
+        return r
+    m = rng.randint(2, q - 1)
+    inner, outer = _substituted(rng, m, edge), _substituted(rng, q - m + 1, edge)
+    v = rng.randrange(q - m + 1)
+    # each cell as (graph, its cell there): the outer cells but v, then the inner ones
+    cells = [(outer, a) for a in range(q - m + 1) if a != v] + [(inner, b) for b in range(m)]
+    return [
+        [ga[a][b] if ga is gb else outer[v if ga is inner else a][v if gb is inner else b]
+         for gb, b in cells]
+        for ga, a in cells
+    ]
+
+
+def _collapse_cases(rng):
+    """300 merged graphs with the length and caps of a pass: planted
+    modules or prime-looking graphs (edges from many values), over plain
+    ints with 0 edges and zero or negative weights, and over polynomials in
+    one and in two variables, packed with one and with two caps."""
+    x, y = (make({(0,): 1, (1,): 1}), make({(2,): -1})), (make({(1, 0): 1}), make({(0, 0): 1, (1, 1): -2}))
+    cases = []
+    for k in range(300):
+        q = rng.randint(1, 6)
+        polys, caps = [(), x, y][k % 3], [None, (rng.randint(0, 4),), (rng.randint(0, 3), rng.randint(0, 2))][k % 3]
+        pool = [0, 1, 2, -1, *polys] if k % 2 else list(range(-3, 12)) + list(polys)
+        r = _substituted(rng, q, lambda: rng.choice(pool))
+        w = [rng.choice([-2, -1, 0, 1, 3, *polys]) for _ in range(q)]
+        cases.append(((tuple(w), tuple(map(tuple, r))), rng.randint(1, 12), caps))
+    return cases
+
+
+def test_collapsed_passes_give_the_sums_of_the_uncollapsed_reference():
+    rng = random.Random(51)
+    shrunk = whole = prime = packed = 0
+    for merged, length, caps in _collapse_cases(rng):
+        assert evaluate_cell_sum(merged, length, caps) == reference_cell_sum(merged, length, caps)
+        q, left = len(merged[0]), quotient_size(merged)
+        shrunk += left < q
+        whole += q > 1 and left == 1
+        prime += left == q > 3
+        packed += caps is not None and left < q
+    assert shrunk > 170 and whole > 150 and prime > 40 and packed > 100, (shrunk, whole, prime, packed)
+
+
+def test_a_convolved_factor_keeps_its_counts_past_a_zero():
+    # two cells with zero loops and weights 1 and -1 collapse into one
+    # vertex with f = [1, 0, -4]: one element cancels, two do not
+    merged = ((1, -1), ((0, 2), (2, 0)))
+    want = reference_cell_sum(merged, 6)
+    assert evaluate_cell_sum(merged, 6) == want
+    # a step that stopped at f's first zero would read 0 at n = 2 too
+    assert want == [0, -4, 0, 0, 0, 0]
+
+
+def test_every_two_cell_graph_collapses_to_one_vertex():
+    rng = random.Random(52)
+    for _ in range(200):
+        length = rng.randint(1, 12)
+        w = tuple(rng.choice([-1, 1, 2, 3]) for _ in range(2))
+        r = [[rng.choice([0, 1, 2, -1, 5]) for _ in range(2)] for _ in range(2)]
+        r[1][0] = r[0][1]
+        two = (w, tuple(map(tuple, r)))
+        assert quotient_size(two) == 1
+        assert evaluate_cell_sum(two, length) == reference_cell_sum(two, length)
+
+
+def test_the_order_search_sees_the_quotient(monkeypatch):
+    # a path of four cells with three distinct edge values has no module
+    path = ((1, 1, 1, 1), ((1, 2, 1, 1), (2, 1, 3, 1), (1, 3, 1, 5), (1, 1, 5, 1)))
+    assert quotient_size(path) == 4
+    seen = []
+    search = engine._greedy_cell_order
+
+    def recording(r, q, length):
+        seen.append(q)
+        return search(r, q, length)
+
+    monkeypatch.setattr(engine, "_greedy_cell_order", recording)
+    evaluate_cell_sum(path, 6)
+    assert seen == [4]
+    # with more than two vertices left, the search orders the quotient
+    rng = random.Random(53)
+    searched = 0
+    for merged, length, caps in _collapse_cases(rng):
+        seen.clear()
+        evaluate_cell_sum(merged, length, caps)
+        left = quotient_size(merged)
+        if caps is None:
+            assert seen == ([left] if left > 2 else [])
+        else:
+            # packed edges that differ only above the caps are equal ints,
+            # so they can collapse further
+            assert all(v <= left for v in seen)
+        searched += left < len(merged[0]) and left > 2
+    assert searched > 10, searched
+
+
+def test_a_passed_deadline_stops_a_collapsing_pass():
+    # cell i meets every later cell through its own edge value, and its
+    # loop differs from all of them: no twins, but the last two cells form
+    # a module, then the last three, and so on down to one vertex, and
+    # the program after the collapse has no step to check the deadline in
+    q = 8
+    r = [[100 + i if i == j else 2 + min(i, j) for j in range(q)] for i in range(q)]
+    g = _graph([1] * q, r)
+    merged = engine._merge_cells(g)
+    assert len(merged[0]) == q and quotient_size(merged) == 1
+    compiled = engine.CompiledSentence([(1, g)], [], (), {}, 0.0)
+    memo: dict = {}
+    with pytest.raises(BudgetExceeded):
+        compiled.values(40, deadline=0.0, memo=memo)
+    assert memo == {}
+    assert compiled.values(6) == reference_cell_sum(merged, 6)
+
+
+def test_spectra_of_collapsing_branches_match_the_oracle():
+    texts = [
+        MEMO_TEXT,
+        "(V x E y B(x,y)) & (V x E y B(y,x))",
+        "(V x E=1 y B(x,y)) & (V x E=1 y B(y,x))",
+        "(E x V y ~B(x,y)) & (V x E y B(x,y) | U(y))",
+        "(V x E=1 y ~B(y,x)) & (V x V y B(x,y) | U(x))",
+        "(V x V y B(x,y) | U(x) | ~B(y,y))",
+    ]
+    for text in texts:
+        merged = [engine._merge_cells(g) for _, g in compile_sentence(parse_sentence(text)).branches]
+        assert any(1 <= quotient_size(m) < len(m[0]) for m in merged), text
+        assert spectrum(text, MAXN_ORACLE) == oracle_terms(text, MAXN_ORACLE), text
 
 
 def test_merge_cells_merges_as_the_pairwise_reference():
