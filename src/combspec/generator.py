@@ -2,15 +2,17 @@
 
 Sentences grow layer by layer: layer 1 holds every single-literal clause
 over the predicate pool, and each later layer refines a retained sentence
-by adding one literal to a clause or one fresh single-literal clause.
-Each candidate is classified once:
+by adding one literal to a clause or one fresh single-literal clause.  A
+literal that would make its clause valid is never added, so no candidate
+is a tautology.  Each candidate is classified once, by the first of these
+tests that holds, in this order:
 
-  dropped (not output, not refined): tautologous clause, refuted (a
-      ground abstraction decided unsatisfiable exactly, with no budget;
-      a sentence whose one-element collapse is satisfiable cannot be,
-      and is settled without grounding),
-      decomposable into predicate-disjoint parts, or duplicate canonical
-      form of an earlier candidate
+  dropped (not output, not refined): tautologous clause (only a direct
+      caller of classify meets one), duplicate canonical form of an
+      earlier candidate, refuted (a ground abstraction decided
+      unsatisfiable exactly, with no budget; a sentence whose one-element
+      collapse is satisfiable cannot be, and is settled without
+      grounding), or decomposable into predicate-disjoint parts
   hidden (not output, still refined): trivial full/empty predicate
       constraint, a binary predicate used only reflexively, a subsumed
       clause, or a cell structure already seen
@@ -225,15 +227,26 @@ def refinements(
 
 
 def _extensions(c: Clause, limits: GenLimits, state: GenState) -> list[Clause]:
-    """c with one literal added, each way the limits allow, interned.
-    They are built on the state's first request for c."""
+    """c with one literal added, each way the limits allow, interned, but
+    for a valid one, which is refused and leaves the state's clauses as
+    they were.  They are built on the state's first request for c.
+
+    A sentence with a valid clause is a tautology, which classify drops
+    unrefined, and every refinement of it keeps that clause or a valid
+    extension of it, so refusing the clause here drops no candidate but
+    those.  No pool clause is valid, as one literal has no complement
+    beside it, so no search candidate holds a valid clause."""
     extended = state.extensions.get(c)
     if extended is None:
         extended = []
         if not c.is_counting and len(c.body) < limits.max_literals:
             for lit in _literal_options(limits.predicates(), c.nvars):
                 if lit not in c.body:
-                    extended.append(_interned(c.prefix, c.body | {lit}, state))
+                    e = _interned(c.prefix, c.body | {lit}, state)
+                    if e.valid:
+                        del state.clauses[e.prefix, e.body]
+                    else:
+                        extended.append(e)
         state.extensions[c] = extended
     return extended
 
@@ -594,20 +607,39 @@ def _orbit_key(s: Sentence, state: GenState) -> tuple[int, ...] | bytes:
 
 
 def classify(s: Sentence, state: GenState) -> str:
-    """Verdict for one candidate; registers its keys when retained, and
-    puts a new sentence's spectrum in state.spectra when state has a
-    length.  The duplicate check keys every candidate that reaches it by
-    _orbit_key."""
+    """Verdict for one candidate: the first test that holds, in the order
+    tautology, duplicate, refuted, decomposable, trivial, reflexive,
+    subsumed, spectrum_duplicate, else new.  Every candidate but a
+    tautology is keyed by _orbit_key, and a key met for the first time is
+    registered, so a refuted or decomposable candidate registers its key
+    too; the fingerprint is registered when it reaches that test.  A new
+    sentence's spectrum goes in state.spectra when state has a length.
+
+    The duplicate check runs before the refuter and the decomposition
+    test, so a duplicate costs its key alone.  A candidate keyed like an
+    earlier one is that one's image under a literal map of the key group
+    and x-y swaps of some clauses: it has a model exactly when that one
+    has, and is valid or decomposable exactly when that one is.  The
+    refuter's verdicts agree too when the two are grounded in
+    corresponding clause order, as the map then carries one ground set
+    onto the other atom by atom.  Order matters only between two
+    forall-exists clauses, whose witnesses chase each other's in render
+    order.  With at most two clauses such a pair is grounded only when
+    its bodies hold one binary predicate, one body of each sign (every
+    two-variable search clause holds a binary literal over x and y), and
+    none of those sentences is refuted (tested).  So a search of at most
+    two clauses keeps and hides the sentences it would keep and hide with
+    the refuter first; only its dropped tallies move."""
     if is_tautological(s):
         return "tautology"
-    if is_refuted(s):
-        return "refuted"
-    if is_decomposable(s):
-        return "decomposable"
     key = _orbit_key(s, state)
     if key in state.seen_canonical:
         return "duplicate"
     state.seen_canonical.add(key)
+    if is_refuted(s):
+        return "refuted"
+    if is_decomposable(s):
+        return "decomposable"
     if has_trivial_constraint(s):
         return "trivial"
     if reflexive_only_binary(s):
@@ -681,6 +713,12 @@ def generate(
     length below 1, a NaN or negative budget_secs or spectrum_secs, and a
     spectrum_secs without a length, are ValueErrors, raised before the
     first candidate.
+
+    A layer's candidates are the distinct refinements of the previous
+    layer's kept and hidden sentences.  None holds a valid clause, since
+    _extensions refuses one, so no layer tallies a tautology; classify
+    tallies the rest, and a refuted or decomposable candidate met again
+    in another form is tallied a duplicate.
 
     _key_group chooses the duplicate check's literal maps from the pool."""
     for name, value in (("layers", layers), ("length", length)):

@@ -21,6 +21,12 @@ def c2_limits():
     return GenLimits(max_literals=5, max_clauses=2, unary=1, binary=1, max_count=1)
 
 
+@pytest.fixture
+def c2_l4(c2_limits):
+    """The c2-paper search through L4, without spectra."""
+    return generator.generate(c2_limits, 4)
+
+
 class L5Run(NamedTuple):
     code: int
     # the --json output, as printed and as parsed

@@ -22,6 +22,7 @@ from combspec.generator import (
     _literal_options,
     _refute_ground,
     _satisfiable,
+    classify,
     has_subsumed_clause,
     has_trivial_constraint,
     initial_clauses,
@@ -271,11 +272,7 @@ def check_against_the_sweep(checks) -> bool:
     """Whether the keys of a search's duplicate checks split the
     candidates that reached the check as sweep_key does.  checks is the
     list record_duplicate_checks filled; each such candidate has a key."""
-    reached = [
-        (s, key)
-        for s, verdict, key, _ in checks
-        if verdict not in ("tautology", "refuted", "decomposable")
-    ]
+    reached = [(s, key) for s, verdict, key, _ in checks if verdict != "tautology"]
     assert all(key is not None for _, key in reached)
     return same_partition(
         [key for _, key in reached], [sweep_key(s) for s, _ in reached]
@@ -284,7 +281,52 @@ def check_against_the_sweep(checks) -> bool:
 
 def reference_classify(s: Sentence, state: GenState) -> str:
     """Reference for generator.classify: the duplicate check labels every
-    candidate that reaches it."""
+    candidate that reaches it, which is every one but a tautology."""
+    if is_tautological(s):
+        return "tautology"
+    key = canonical_key(s)
+    if key in state.seen_canonical:
+        return "duplicate"
+    state.seen_canonical.add(key)
+    for verdict, holds in (
+        ("refuted", is_refuted),
+        ("decomposable", is_decomposable),
+        ("trivial", has_trivial_constraint),
+        ("reflexive", reflexive_only_binary),
+        ("subsumed", has_subsumed_clause),
+    ):
+        if holds(s):
+            return verdict
+    fkey = spectrum_fingerprint(engine.compile_sentence(s), memo=state.labels)
+    if fkey in state.seen_spectrum:
+        return "spectrum_duplicate"
+    state.seen_spectrum.add(fkey)
+    return "new"
+
+
+def unfiltered_extensions(
+    c: Clause, limits: GenLimits, state: GenState
+) -> list[Clause]:
+    """generator._extensions that keeps a valid extension too: c with one
+    literal added, each way the limits allow, interned, and built on the
+    state's first request for c."""
+    extended = state.extensions.get(c)
+    if extended is None:
+        extended = state.extensions[c] = []
+        if not c.is_counting and len(c.body) < limits.max_literals:
+            extended += [
+                _interned(c.prefix, c.body | {lit}, state)
+                for lit in _literal_options(limits.predicates(), c.nvars)
+                if lit not in c.body
+            ]
+    return extended
+
+
+def refuting_first_classify(s: Sentence, state: GenState) -> str:
+    """generator.classify with the refuter and the decomposition test run
+    before the duplicate check, so that a refuted or decomposable
+    candidate registers no key.  It calls the classify of import time, so
+    it can stand in for generator.classify."""
     for verdict, dropped in (
         ("tautology", is_tautological),
         ("refuted", is_refuted),
@@ -292,22 +334,7 @@ def reference_classify(s: Sentence, state: GenState) -> str:
     ):
         if dropped(s):
             return verdict
-    key = canonical_key(s)
-    if key in state.seen_canonical:
-        return "duplicate"
-    state.seen_canonical.add(key)
-    for verdict, hidden in (
-        ("trivial", has_trivial_constraint),
-        ("reflexive", reflexive_only_binary),
-        ("subsumed", has_subsumed_clause),
-    ):
-        if hidden(s):
-            return verdict
-    fkey = spectrum_fingerprint(engine.compile_sentence(s), memo=state.labels)
-    if fkey in state.seen_spectrum:
-        return "spectrum_duplicate"
-    state.seen_spectrum.add(fkey)
-    return "new"
+    return classify(s, state)
 
 
 def reference_orbit_row(c: Clause, ref: GenState) -> tuple[int, ...]:

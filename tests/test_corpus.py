@@ -133,7 +133,7 @@ def wide():
 def test_verdicts_match_the_reference_that_labels_every_candidate(search, request):
     # the search's candidates, in order, through the reference classify
     classified = request.getfixturevalue(search).classified
-    assert len(classified) == {"fo2": 6740, "c2": 2009, "wide": 3854}[search]
+    assert len(classified) == {"fo2": 4812, "c2": 1706, "wide": 3574}[search]
     state = GenState()
     want = [(s, reference_classify(s, state)) for s, _ in classified]
     assert classified == want
@@ -151,7 +151,7 @@ def test_bitmask_cell_graphs_match_the_reference(search, request):
 def test_refuter_agrees_with_the_grounded_decision(search, request):
     verdicts = request.getfixturevalue(search).refuted
     # (calls, refuted) over the whole search
-    expected = {"fo2": (4812, 96), "c2": (1706, 100)}[search]
+    expected = {"fo2": (2379, 54), "c2": (841, 53)}[search]
     assert (len(verdicts), sum(v for _, v in verdicts)) == expected
     bad = [s.render() for s, v in verdicts if v != grounded_refuted(s)]
     assert not bad
@@ -168,7 +168,7 @@ FILTERS = [
 @pytest.mark.parametrize("search", ["fo2", "c2"])
 def test_cached_clause_facts_give_the_reference_verdicts(search, request):
     classified = request.getfixturevalue(search).classified
-    assert len(classified) == {"fo2": 6740, "c2": 2009}[search]
+    assert len(classified) == {"fo2": 4812, "c2": 1706}[search]
     bad = []
     for s, _ in classified:
         # a parsed copy builds its own clauses, with no fact cached on them
@@ -184,8 +184,8 @@ def test_cached_clause_facts_give_the_reference_verdicts(search, request):
 
 def test_fo2_candidates_share_one_object_per_distinct_clause(fo2):
     clauses = [c for s, _ in fo2.classified for c in s.clauses]
-    assert len(clauses) == 12889
-    assert len({id(c) for c in clauses}) == len(set(clauses)) == 835
+    assert len(clauses) == 9288
+    assert len({id(c) for c in clauses}) == len(set(clauses)) == 484
 
 
 @pytest.mark.parametrize("search", ["fo2", "c2"])
@@ -204,7 +204,7 @@ def test_fo2_candidates_carry_only_their_clause_set(fo2):
         assert s.predicates == frozenset().union(*(c.predicates for c in s.clauses))
         for c in s.clauses:
             assert shared.setdefault(c, c.predicates) is c.predicates
-    assert len(shared) == 835
+    assert len(shared) == 484
 
 
 def test_dropped_and_hidden_fo2_spectra_are_covered_by_kept_ones(fo2):

@@ -19,6 +19,7 @@ from combspec.generator import (
     GenState,
     classify,
     generate,
+    refinements,
     has_subsumed_clause,
     has_trivial_constraint,
     initial_clauses,
@@ -53,11 +54,13 @@ from helpers import (
     random_transform,
     record_duplicate_checks,
     record_orbit_rows,
+    refuting_first_classify,
     reference_has_subsumed_clause,
     reference_relax_counting,
     reference_substitutions,
     same_partition,
     sweep_key,
+    unfiltered_extensions,
     unpruned_layers,
 )
 
@@ -312,6 +315,33 @@ def test_refuter_agrees_with_the_grounded_decision_with_nullary_predicates():
         assert is_refuted(s) == grounded_refuted(s) == refuted, text
 
 
+def test_the_refuter_refutes_no_pair_of_forall_exists_clauses():
+    # the one case where the refuter's clause order matters in a search of
+    # at most two clauses is two forall-exists clauses that are grounded:
+    # their collapse is unsatisfiable, so one body holds B0 alone,
+    # positive, and the other ~B0 alone, each with an atom over x and y
+    # as every search clause has.  The key group maps these sentences to
+    # each other, and none is refuted, so every image of a search
+    # candidate gets one verdict
+    binary = generator._literal_options([Predicate("B0", 2)], 2)
+
+    def bodies(negated):
+        lits = [lit for lit in binary if lit.negated == negated]
+        for r in range(1, len(lits) + 1):
+            for body in itertools.combinations(lits, r):
+                if any(set(lit.args) == set(VARS) for lit in body):
+                    yield frozenset(body)
+
+    prefixes = [(FORALL, EXISTS), (FORALL, counting(1))]
+    sentences = [
+        Sentence(frozenset([Clause(p, pos), Clause(q, neg)]))
+        for p, q in itertools.product(prefixes, repeat=2)
+        for pos, neg in itertools.product(bodies(False), bodies(True))
+    ]
+    assert len(sentences) == 576
+    assert not any(is_refuted(s) for s in sentences)
+
+
 def _ground_digest(sentences) -> str:
     """sha256 of each sentence's text beside its refuter ground list, in
     text order; each ground clause is sorted, so that the digest does not
@@ -333,9 +363,9 @@ def test_refuter_grounds_the_pinned_clause_sets_at_fo2_l5(fo2_l5):
         for s, _ in fo2_l5.refuted
         if not generator._satisfiable([c.collapse for c in s.clauses])
     ]
-    assert len(grounded) == 626
+    assert len(grounded) == 345
     assert _ground_digest(grounded) == (
-        "c2df15ee9247cae81cdc2331be94ac1909bef5d5c81f36a168e565c47f3c0099"
+        "daa94de38eaa4c0a62b6750e2f0e0d581ae8900e266b6265ca7f2b16e5c9b4e6"
     )
 
 
@@ -347,9 +377,9 @@ def test_refuter_grounds_the_pinned_clause_sets_at_c2_l3(c2_limits, monkeypatch)
     )
     generate(c2_limits, 3)
     monkeypatch.undo()
-    assert len(grounded) == 339
+    assert len(grounded) == 175
     assert _ground_digest(grounded) == (
-        "8662d9e4d30a6d0d2807226eb89ce21267d088659b5b023ee9a689f4a99df361"
+        "07b0e82a9baf113a564c8d3ccccdc7e7a5a8ab617d5ce697c122a3c57d33a5f8"
     )
 
 
@@ -364,7 +394,7 @@ def test_every_refuted_c2_candidate_has_no_model(c2_limits, monkeypatch):
 
     monkeypatch.setattr(generator, "classify", recording)
     generate(c2_limits, 3)
-    assert len(refuted) == 100
+    assert len(refuted) == 53
     for s in refuted:
         for n in (1, 2, 3):
             assert count_models(s, n) == 0, s.render()
@@ -445,11 +475,12 @@ def key_state(limits: GenLimits) -> GenState:
 @pytest.mark.parametrize(
     "limits, checked, labelled",
     [
-        # one predicate of each arity: every candidate that reaches the
-        # check is keyed by its least orbit column
-        (GenLimits(5, 2, 1, 1, 1), 1399, 0),
+        # one predicate of each arity: every candidate, none of them a
+        # tautology, reaches the check and is keyed by its least orbit
+        # column
+        (GenLimits(5, 2, 1, 1, 1), 1706, 0),
         # two of each: keyed by an earlier candidate's column, or labelled
-        (GenLimits(3, 2, 2, 2), 2477, 840),
+        (GenLimits(3, 2, 2, 2), 3574, 1131),
     ],
     ids=["c2", "wide"],
 )
@@ -461,7 +492,7 @@ def test_canonical_key_partition_matches_the_sweep(
     # search
     checks = record_duplicate_checks(monkeypatch)
     generate(limits, 3)
-    reached = [v not in ("tautology", "refuted", "decomposable") for _, v, _, _ in checks]
+    reached = [v != "tautology" for _, v, _, _ in checks]
     assert sum(reached) == checked
     assert sum(key is not None for _, _, key, _ in checks) == checked
     assert sum(labels for *_, labels in checks) == labelled
@@ -645,54 +676,53 @@ def test_cumulative_kept_two_layers(fo2_limits, c2_limits):
 
 
 # per-layer verdict counts of the search, to be kept by any change to a
-# canonical form or a filter
+# canonical form or a filter.  A change to the order of the dropping tests
+# moves only the dropped tallies (tautology, refuted, decomposable,
+# duplicate), as test_keying_first_moves_only_the_dropped_tallies checks
+# for the order that keys duplicates before the refuter
 FO2_VERDICTS = [
     {"duplicate": 16, "new": 4, "reflexive": 2, "trivial": 2},
     {
-        "decomposable": 52,
-        "duplicate": 54,
+        "decomposable": 12,
+        "duplicate": 113,
         "new": 36,
         "reflexive": 4,
-        "refuted": 32,
+        "refuted": 13,
         "spectrum_duplicate": 3,
         "subsumed": 8,
-        "tautology": 14,
         "trivial": 7,
     },
     {
-        "decomposable": 60,
-        "duplicate": 417,
+        "decomposable": 30,
+        "duplicate": 458,
         "new": 179,
         "reflexive": 12,
-        "refuted": 33,
+        "refuted": 22,
         "spectrum_duplicate": 77,
         "subsumed": 72,
-        "tautology": 208,
         "trivial": 50,
     },
 ]
 C2_VERDICTS = [
     {"duplicate": 24, "new": 7, "reflexive": 3, "trivial": 2},
     {
-        "decomposable": 117,
-        "duplicate": 107,
+        "decomposable": 27,
+        "duplicate": 232,
         "new": 73,
         "reflexive": 8,
-        "refuted": 59,
+        "refuted": 24,
         "spectrum_duplicate": 3,
         "subsumed": 16,
-        "tautology": 14,
         "trivial": 11,
     },
     {
-        "decomposable": 90,
-        "duplicate": 552,
+        "decomposable": 45,
+        "duplicate": 609,
         "new": 302,
         "reflexive": 20,
-        "refuted": 41,
+        "refuted": 29,
         "spectrum_duplicate": 107,
         "subsumed": 114,
-        "tautology": 289,
         "trivial": 50,
     },
 ]
@@ -706,24 +736,22 @@ def test_verdict_counts_per_layer_are_pinned(fo2_limits, c2_limits):
 # layers 4 and 5 of the fo2 search, read off the one L5 run
 FO2_L4_L5_VERDICTS = [
     {
-        "decomposable": 84,
-        "duplicate": 1792,
+        "decomposable": 42,
+        "duplicate": 1846,
         "new": 676,
         "reflexive": 10,
-        "refuted": 31,
+        "refuted": 19,
         "spectrum_duplicate": 654,
         "subsumed": 285,
-        "tautology": 1706,
         "trivial": 160,
     },
     {
-        "decomposable": 52,
-        "duplicate": 6452,
+        "decomposable": 26,
+        "duplicate": 6483,
         "new": 1641,
-        "refuted": 13,
+        "refuted": 8,
         "spectrum_duplicate": 2676,
         "subsumed": 810,
-        "tautology": 9111,
         "trivial": 271,
     },
 ]
@@ -732,6 +760,99 @@ FO2_L4_L5_VERDICTS = [
 def test_fo2_l5_verdict_counts_are_pinned(fo2_l5):
     want = FO2_VERDICTS + FO2_L4_L5_VERDICTS
     assert fo2_l5.result.counts == [Counter(c) for c in want]
+
+
+@pytest.mark.parametrize(
+    "limits, layers, tautologies",
+    [
+        (GenLimits(5, 2, 1, 1), 4, [0, 14, 208, 1706]),
+        (GenLimits(5, 2, 1, 1, 1), 3, [0, 14, 289]),
+        # two predicates of each arity: the duplicate check labels
+        (GenLimits(3, 2, 2, 2), 3, [0, 14, 266]),
+    ],
+    ids=["fo2", "c2", "wide"],
+)
+def test_keying_first_moves_only_the_dropped_tallies(
+    limits, layers, tautologies, monkeypatch
+):
+    # against the search that builds every valid extension and classifies
+    # it a tautology, and refutes and decomposes before the duplicate
+    # check: the same candidates but the tautologies, in the same order,
+    # each with the same verdict, but that a refuted or decomposable one
+    # may now be a duplicate of an earlier one; so the same sentences are
+    # kept and hidden
+    def recording(classify, verdicts):
+        def run(s, state):
+            verdicts.append((s, classify(s, state)))
+            return verdicts[-1][1]
+
+        return run
+
+    new_verdicts, old_verdicts = [], []
+    monkeypatch.setattr(generator, "classify", recording(classify, new_verdicts))
+    new = generate(limits, layers)
+    monkeypatch.setattr(generator, "_extensions", unfiltered_extensions)
+    monkeypatch.setattr(
+        generator, "classify", recording(refuting_first_classify, old_verdicts)
+    )
+    old = generate(limits, layers)
+    assert [c["tautology"] for c in old.counts] == tautologies
+    old_verdicts = [(s, v) for s, v in old_verdicts if v != "tautology"]
+    assert [s for s, _ in new_verdicts] == [s for s, _ in old_verdicts]
+    moved = Counter(
+        (o, n) for (_, n), (_, o) in zip(new_verdicts, old_verdicts) if n != o
+    )
+    assert moved.keys() <= {("refuted", "duplicate"), ("decomposable", "duplicate")}
+    assert new.kept == old.kept
+    assert new.hidden == old.hidden
+    dropped = ("refuted", "decomposable", "duplicate")
+    for n, o in zip(new.counts, old.counts):
+        assert all(n[v] == o[v] for v in ("new",) + HIDDEN)
+        assert n["tautology"] == 0
+        assert sum(n[v] for v in dropped) == sum(o[v] for v in dropped)
+        assert sum(n.values()) == sum(o.values()) - o["tautology"]
+
+
+@pytest.mark.parametrize(
+    "limits, search, parents, tautologies",
+    [
+        # the parents of L1-L4, and the L1-L5 lists of the one L5 run
+        ("fo2_limits", "fo2_l5", 4, [14, 208, 1706, 9111]),
+        ("c2_limits", "c2_l4", 3, [14, 289, 2300]),
+    ],
+)
+def test_refinements_refuse_the_tautologies_alone(
+    limits, search, parents, tautologies, request, monkeypatch
+):
+    # a parent's children are its refinements with every valid clause
+    # kept, in the same order, less those that hold one; each of those is
+    # a tautology, and none is kept or hidden
+    limits = request.getfixturevalue(limits)
+    result = request.getfixturevalue(search)
+    # fo2_l5 holds its GenResult beside the run's output
+    result = getattr(result, "result", result)
+    retained = {s for layer in result.kept for s in layer}
+    retained |= {s for layer in result.hidden for s, _ in layer}
+    pool = initial_clauses(limits)
+    state, unfiltered = GenState(), GenState()
+    found = []
+    for kept, hidden in list(zip(result.kept, result.hidden))[:parents]:
+        valid = set()
+        for s in kept + [t for t, _ in hidden]:
+            children = refinements(s, limits, pool, state)
+            with monkeypatch.context() as mp:
+                mp.setattr(generator, "_extensions", unfiltered_extensions)
+                every = refinements(s, limits, pool, unfiltered)
+            holding = [t for t in every if any(c.valid for c in t)]
+            assert children == [t for t in every if t not in holding]
+            valid.update(frozenset(t) for t in holding)
+        found.append(len(valid))
+        assert not any(c.valid for c in state.clauses.values())
+        for clauses in valid:
+            s = Sentence(clauses)
+            assert classify(s, GenState()) == "tautology"
+            assert s not in retained
+    assert found == tautologies
 
 
 def test_generate_is_deterministic(fo2_limits):
@@ -895,16 +1016,17 @@ def test_kept_spectrum_duplicates_add_no_unique_spectrum(
 @pytest.mark.parametrize(
     "limits, layers, kept, unique, candidates",
     [
-        ("fo2_limits", 4, [4, 36, 179, 676], [4, 30, 144, 482], 7818),
-        ("c2_limits", 3, [7, 73, 302], [7, 61, 225], 2678),
+        ("fo2_limits", 4, [4, 36, 179, 676], [4, 30, 144, 482], 3979),
+        ("c2_limits", 3, [7, 73, 302], [7, 61, 225], 1482),
     ],
 )
 def test_refined_refuted_and_decomposable_parents_add_no_sentence(
     limits, layers, kept, unique, candidates, tmp_path, request, monkeypatch
 ):
     # refining the dropped refuted and decomposable sentences as parents,
-    # as the hidden ones are, reaches more candidates in the last layer
-    # (the plain searches reach 5 398 and 1 565) but keeps the plain
+    # as the hidden ones are (the first of each key; a later one is a
+    # duplicate), reaches more candidates in the last layer
+    # (the plain searches reach 3 692 and 1 276) but keeps the plain
     # searches' sentences and stores their unique tallies
     monkeypatch.setattr(generator, "HIDDEN", generator.HIDDEN + ("refuted", "decomposable"))
     result = generate(request.getfixturevalue(limits), layers, length=10)

@@ -14,19 +14,21 @@ from helpers import check_against_the_sweep, grounded_refuted
 
 def test_l5_keys_split_the_candidates_as_the_sweep(fo2_l5):
     checks = fo2_l5.checks
-    # each of the 16 370 candidates that reach the duplicate check is
-    # keyed by its least orbit column, and none is labelled
-    checked = [v not in ("tautology", "refuted", "decomposable") for _, v, _, _ in checks]
-    assert sum(checked) == 16370
-    assert sum(key is not None for _, _, key, _ in checks) == 16370
+    # each of the 16 727 candidates, none of them a tautology, reaches the
+    # duplicate check, is keyed by its least orbit column, and none is
+    # labelled
+    checked = [v != "tautology" for _, v, _, _ in checks]
+    assert sum(checked) == 16727
+    assert sum(key is not None for _, _, key, _ in checks) == 16727
     assert not any(labelled for *_, labelled in checks)
     assert check_against_the_sweep(checks)
 
 
 def test_l5_refuter_agrees_with_the_grounded_decision(fo2_l5):
-    # most verdicts are settled on the one-element collapse
-    assert len(fo2_l5.refuted) == 16727
-    assert fo2_l5.result.counts[-1]["refuted"] == 13
+    # only the first candidate of each key is refuted or not, and most
+    # verdicts are settled on the one-element collapse
+    assert len(fo2_l5.refuted) == 7811
+    assert fo2_l5.result.counts[-1]["refuted"] == 8
     bad = [s.render() for s, v in fo2_l5.refuted if v != grounded_refuted(s)]
     assert not bad
 
