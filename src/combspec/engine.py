@@ -212,9 +212,7 @@ def _first_polarity(
 ) -> list[CardinalityConstraint]:
     """The constraints of one sentence, with a predicate counted under both
     polarities kept on its first one and its other constraints restated as
-    complements; without a constraint there is nothing to settle."""
-    if not constraints:
-        return constraints
+    complements."""
     negated: dict[str, bool] = {}
     for c in constraints:
         negated.setdefault(c.pred, c.negated)
@@ -492,10 +490,11 @@ def build_cell_graph(
     Each clause is read once per layout, into one record for all branches
     and every build that shares the dict: its nullary masks, the cells
     that satisfy it at one element, and for a two-variable clause the bits
-    of its two oriented clauses, numbered once per layout.  A branch's
-    cells are then one AND of the records it keeps, listed from that
-    bitset lowest bit first, and each cell's weight is read from the
-    layout's table.
+    of its two oriented clauses, numbered once per layout.  Each branch
+    runs over all the records, and its cells are one AND of those it
+    keeps (every record without a nullary literal among them), listed
+    from that bitset lowest bit first; each cell's weight is read from
+    the layout's table.
 
     A branch's oriented clauses are the OR of its kept records' bits, and
     each cell i carries two bitsets of them, X[i] and Y[i], the layout's
@@ -513,24 +512,17 @@ def build_cell_graph(
     if layout is None:
         layout = memo[at] = _Layout(sig_preds, names, weights, cvars, negated)
     records, edges = layout.records, layout.edges
-    # the cells and oriented clauses every branch keeps, and the records
-    # with nullary literals
-    shared, always, nullary = layout.every, 0, []
+    recs = []
     for c in clauses:
         rec = records.get(c)
         if rec is None:
             rec = records[c] = layout.read(c)
-        npos, nneg, sat, bits = rec
-        if npos | nneg:
-            nullary.append(rec)
-        else:
-            shared &= sat
-            always |= bits
+        recs.append(rec)
 
     branches = []
     for truth, factor in layout.truths:
-        cells, kept = shared, always
-        for npos, nneg, sat, bits in nullary:
+        cells, kept = layout.every, 0
+        for npos, nneg, sat, bits in recs:
             if truth & npos or ~truth & nneg:
                 continue
             # a kept clause with no cell literal is false

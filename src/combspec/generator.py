@@ -374,7 +374,10 @@ def has_subsumed_clause(s: Sentence) -> bool:
 
 def _refute_ground(s: Sentence) -> list[frozenset]:
     """Ground clause set whose joint satisfiability is implied by s having
-    a model of any size, over a small set of abstract elements."""
+    a model of any size, over a small set of abstract elements.  The
+    clauses are grounded in render order, but every order gives the same
+    set up to a renaming of the elements, so a literal map or an x-y swap
+    of some clauses maps one ground set onto the other atom by atom."""
     elements = [0, 1]
 
     def fresh() -> int:
@@ -389,8 +392,8 @@ def _refute_ground(s: Sentence) -> list[frozenset]:
     # Each clause gets a plan, its maps of x and y to elements.  Every
     # witness is allocated before the universal plans, so that they range
     # over all of them.  Forall-exists witnesses go one level deep: each
-    # element present at that point gets one, witnesses' own witnesses
-    # are not chased.
+    # forall-exists clause gets one for each base element, the elements
+    # present before any of them, and no witness's own witness is chased.
     plans: list[tuple[Clause, list[dict[str, int]]]] = []
     ev_clauses: list[tuple[Clause, int]] = []
     for c, kinds in covered:
@@ -402,9 +405,10 @@ def _refute_ground(s: Sentence) -> list[frozenset]:
             plans.append((c, [{"x": w1, "y": w2}]))
         elif kinds == ("E", "V"):
             ev_clauses.append((c, fresh()))
+    base = list(elements)
     for c, kinds in covered:
         if kinds == ("V", "E"):
-            plans.append((c, [{"x": t, "y": fresh()} for t in list(elements)]))
+            plans.append((c, [{"x": t, "y": fresh()} for t in base]))
     for c, w in ev_clauses:
         plans.append((c, [{"x": w, "y": t} for t in elements]))
     for c, kinds in covered:
@@ -618,18 +622,10 @@ def classify(s: Sentence, state: GenState) -> str:
     The duplicate check runs before the refuter and the decomposition
     test, so a duplicate costs its key alone.  A candidate keyed like an
     earlier one is that one's image under a literal map of the key group
-    and x-y swaps of some clauses: it has a model exactly when that one
-    has, and is valid or decomposable exactly when that one is.  The
-    refuter's verdicts agree too when the two are grounded in
-    corresponding clause order, as the map then carries one ground set
-    onto the other atom by atom.  Order matters only between two
-    forall-exists clauses, whose witnesses chase each other's in render
-    order.  With at most two clauses such a pair is grounded only when
-    its bodies hold one binary predicate, one body of each sign (every
-    two-variable search clause holds a binary literal over x and y), and
-    none of those sentences is refuted (tested).  So a search of at most
-    two clauses keeps and hides the sentences it would keep and hide with
-    the refuter first; only its dropped tallies move."""
+    and x-y swaps of some clauses, so it is valid, refuted (_refute_ground)
+    and decomposable exactly when that one is: the search keeps and hides
+    the sentences it would with the refuter first, and only its dropped
+    tallies move."""
     if is_tautological(s):
         return "tautology"
     key = _orbit_key(s, state)

@@ -78,8 +78,6 @@ def mul_values(a: Value, b: Value) -> Value:
             return a * b
         a, b = b, a
     if isinstance(b, int):
-        if b == 1:
-            return a
         others = {(0,) * len(next(iter(a.terms))): b}
     else:
         others = b.terms

@@ -751,8 +751,13 @@ def test_generate_rows_carry_unique_only_with_a_db(tmp_path, capsys):
         ("--ml 3 --mc 2 --up 0 --bp 2 --layers 3", [3, 33, 167]),
         # without a unary predicate the duplicate checks key by orbit
         ("--ml 3 --mc 2 --up 0 --bp 1 --layers 4", [3, 29, 83, 170]),
+        # three clauses, so two or three forall-exists clauses reach the
+        # refuter together: about 4 s
+        ("--ml 3 --mc 3 --up 1 --bp 1 --layers 5", [4, 36, 197, 1180, 5923]),
     ],
-    ids=["fo2-paper-L6", "c2-paper-L6", "up2-bp2-L3", "up0-bp2-L3", "up0-bp1-L4"],
+    ids=[
+        "fo2-paper-L6", "c2-paper-L6", "up2-bp2-L3", "up0-bp2-L3", "up0-bp1-L4", "mc3-L5"
+    ],
 )
 def test_generate_prints_the_pinned_kept_rows(capsys, limits, kept):
     # nothing is stored without --db, so no row carries a unique count

@@ -39,6 +39,7 @@ from combspec.logic import (
     Sentence,
     canonical_key,
     counting,
+    pair,
     parse_sentence,
 )
 from combspec.oracle import count_models
@@ -316,13 +317,10 @@ def test_refuter_agrees_with_the_grounded_decision_with_nullary_predicates():
 
 
 def test_the_refuter_refutes_no_pair_of_forall_exists_clauses():
-    # the one case where the refuter's clause order matters in a search of
-    # at most two clauses is two forall-exists clauses that are grounded:
-    # their collapse is unsatisfiable, so one body holds B0 alone,
-    # positive, and the other ~B0 alone, each with an atom over x and y
-    # as every search clause has.  The key group maps these sentences to
-    # each other, and none is refuted, so every image of a search
-    # candidate gets one verdict
+    # in a search of at most two clauses, two forall-exists clauses are
+    # grounded only when their collapse is unsatisfiable: one body holds
+    # B0 alone, positive, and the other ~B0 alone, each with an atom over
+    # x and y as every search clause has.  None of these is refuted
     binary = generator._literal_options([Predicate("B0", 2)], 2)
 
     def bodies(negated):
@@ -340,6 +338,42 @@ def test_the_refuter_refutes_no_pair_of_forall_exists_clauses():
     ]
     assert len(sentences) == 576
     assert not any(is_refuted(s) for s in sentences)
+
+
+def test_the_refuter_is_kept_by_every_map_of_the_key_group():
+    # each forall-exists clause gets witnesses for the base elements
+    # alone, never for another one's witnesses, so the verdict does not
+    # depend on the clauses' render order, which a literal map moves.
+    # Neither of this pair has a model, and the ground abstraction of
+    # neither is unsatisfiable
+    a = parse("(V x E y U0(y)) & (V x E y ~U0(x))")
+    b = parse("(V x E y ~U0(y)) & (V x E y U0(x))")
+    assert not is_refuted(a) and not is_refuted(b)
+    limits = GenLimits(5, 3, 1, 1)
+    group, exact = generator._key_group(limits)
+    assert exact and len(group) == 8
+    options = generator._literal_options(limits.predicates(), 2)
+    rng = random.Random(53)
+    grounded = refuted = 0
+    for _ in range(400):
+        clauses = []
+        for _ in range(2):
+            body = rng.sample(options, rng.randint(1, 2))
+            clauses.append(pair(FORALL, EXISTS, body))
+        if rng.random() < 0.5:
+            clauses += sorted(random_sentence(rng, limits).clauses, key=Clause.render)
+        s = Sentence(frozenset(clauses[:3]))
+        verdicts = {
+            is_refuted(Sentence(frozenset(
+                Clause(c.prefix, frozenset(m.get(lit, lit) for lit in c.body))
+                for c in s.clauses
+            )))
+            for m in group
+        }
+        assert len(verdicts) == 1, s.render()
+        grounded += not generator._satisfiable([c.collapse for c in s.clauses])
+        refuted += verdicts == {True}
+    assert 0 < refuted < grounded
 
 
 def _ground_digest(sentences) -> str:
@@ -365,7 +399,7 @@ def test_refuter_grounds_the_pinned_clause_sets_at_fo2_l5(fo2_l5):
     ]
     assert len(grounded) == 345
     assert _ground_digest(grounded) == (
-        "daa94de38eaa4c0a62b6750e2f0e0d581ae8900e266b6265ca7f2b16e5c9b4e6"
+        "0a57092d05c0ec3ebd92f3436d68f8d0ad10541528259cf01c0b50346d85d3a3"
     )
 
 
@@ -379,7 +413,7 @@ def test_refuter_grounds_the_pinned_clause_sets_at_c2_l3(c2_limits, monkeypatch)
     monkeypatch.undo()
     assert len(grounded) == 175
     assert _ground_digest(grounded) == (
-        "07b0e82a9baf113a564c8d3ccccdc7e7a5a8ab617d5ce697c122a3c57d33a5f8"
+        "bd16b8cf3df8fa8d173f427c8edd9cdae80911a59f8c9c333e8862848e0adfd8"
     )
 
 
